@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,13 +228,33 @@ class ValidationReport:
     warnings: tuple[str, ...] = ()
 
 
-def _read_table(source) -> tuple[list[str], list[list[str]]]:
+def _source_lines(source):
+    """The lines of a CSV source, split exactly as ``csv.reader`` sees them.
+
+    A text stream that fails to decode part-way gives an iterator instead:
+    it yields the lines read before the failure and then raises it, as a
+    lazy ``csv.reader`` over the stream would, so a bad row earlier in the
+    file is still the error reported.
+    """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _read_table(handle)
+            return _source_lines(handle)
     if isinstance(source, (bytes, bytearray)):
-        return _read_table(io.StringIO(source.decode("utf-8")))
-    reader = csv.reader(source)
+        return io.StringIO(source.decode("utf-8")).readlines()
+    lines: list[str] = []
+    try:
+        lines.extend(source)
+    except UnicodeDecodeError as exc:
+        return _lines_then_raise(lines, exc)
+    return lines
+
+
+def _lines_then_raise(lines: list[str], exc: Exception):
+    yield from lines
+    raise exc
+
+
+def _read_header(reader) -> list[str]:
     try:
         header = next(reader)
     except StopIteration:
@@ -241,6 +262,10 @@ def _read_table(source) -> tuple[list[str], list[list[str]]]:
     header = [name.strip() for name in header]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
+    return header
+
+
+def _read_rows(reader, header: list[str]) -> list[list[str]]:
     rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
@@ -252,7 +277,7 @@ def _read_table(source) -> tuple[list[str], list[list[str]]]:
         rows.append([cell.strip() for cell in row])
     if not rows:
         raise EmptyDataset("input has a header but no data rows")
-    return header, rows
+    return rows
 
 
 def _parse_column(rows: list[list[str]], col: int, name: str) -> np.ndarray:
@@ -273,15 +298,44 @@ def _parse_column(rows: list[list[str]], col: int, name: str) -> np.ndarray:
     return out
 
 
+def _parse_body(lines: list[str], width: int) -> np.ndarray | None:
+    """Parse the data lines in one numpy call, or return None.
+
+    None means the lines are outside the plain case the strict row parser
+    would accept unchanged: a quoted, empty or otherwise unparsable cell,
+    a ragged or whitespace-only row, a non-finite value, a width other
+    than the header's, or no rows at all.  The caller then falls back to
+    the row parser, which accepts or rejects the input with its own
+    messages.  ``usecols`` is deliberately not passed: with it numpy
+    accepts rows with extra or missing trailing fields.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            table = np.loadtxt(
+                lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
+            )
+    except ValueError:
+        return None
+    if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
+        return None
+    return table
+
+
+# Per design: the dataset type and its treatment fields, in CSV column order.
+_DESIGNS = {
+    "four-arm": (FourArmDataset, ("a_y", "a_m")),
+    "two-arm": (TwoArmDataset, ("a",)),
+}
+
+
 def _resolve_columns(
     header: list[str], schema: ColumnMap, design: str
-) -> tuple[dict[str, int], list[str], list[str]]:
+) -> tuple[list[str], list[str]]:
     special = schema.special_names(design)
-    positions = {}
     for name in special:
         if name not in header:
             raise MissingColumn(f"required column {name!r} not found in header")
-        positions[name] = header.index(name)
 
     def discover(prefix: str, explicit: tuple[str, ...] | None, role: str) -> list[str]:
         if explicit is not None:
@@ -302,7 +356,44 @@ def _resolve_columns(
     overlap = set(mediators) & set(covariates)
     if overlap:
         raise DataError(f"columns claimed as both mediator and covariate: {sorted(overlap)}")
-    return positions, mediators, covariates
+    return mediators, covariates
+
+
+def _load(
+    source, schema: ColumnMap | None, design: str
+) -> FourArmDataset | TwoArmDataset:
+    schema = schema or ColumnMap()
+    lines = _source_lines(source)
+    reader = csv.reader(lines)
+    header = _read_header(reader)
+    table = None
+    if isinstance(lines, list):
+        table = _parse_body(lines[reader.line_num:], len(header))
+    rows = _read_rows(reader, header) if table is None else None
+    mediators, covariates = _resolve_columns(header, schema, design)
+
+    def column(name: str) -> np.ndarray:
+        j = header.index(name)
+        return table[:, j] if rows is None else _parse_column(rows, j, name)
+
+    outcome, *treatments = schema.special_names(design)
+    y = column(outcome)
+    arms = [column(name) for name in treatments]
+    for name, col in zip(treatments, arms):
+        _check_binary(col, name)
+    m = np.column_stack([column(c) for c in mediators])
+    x = np.column_stack([column(c) for c in covariates])
+    dataset, fields = _DESIGNS[design]
+    return dataset(
+        y=y,
+        m=m,
+        x=x,
+        outcome_name=outcome,
+        mediator_names=tuple(mediators),
+        covariate_names=tuple(covariates),
+        **{field: col.astype(np.int64) for field, col in zip(fields, arms)},
+        **{f"{field}_name": name for field, name in zip(fields, treatments)},
+    )
 
 
 def load_four_arm(source, schema: ColumnMap | None = None) -> FourArmDataset:
@@ -322,94 +413,38 @@ def load_four_arm(source, schema: ColumnMap | None = None) -> FourArmDataset:
     ------
     MissingColumn, NonBinaryTreatment, NonNumericCell, EmptyDataset
     """
-    schema = schema or ColumnMap()
-    header, rows = _read_table(source)
-    positions, mediators, covariates = _resolve_columns(header, schema, "four-arm")
-    y = _parse_column(rows, positions[schema.outcome], schema.outcome)
-    a_y = _parse_column(rows, positions[schema.a_y], schema.a_y)
-    a_m = _parse_column(rows, positions[schema.a_m], schema.a_m)
-    for name, col in ((schema.a_y, a_y), (schema.a_m, a_m)):
-        _check_binary(col, name)
-    m = np.column_stack([_parse_column(rows, header.index(c), c) for c in mediators])
-    x = np.column_stack([_parse_column(rows, header.index(c), c) for c in covariates])
-    return FourArmDataset(
-        y=y,
-        a_y=a_y.astype(np.int64),
-        a_m=a_m.astype(np.int64),
-        m=m,
-        x=x,
-        outcome_name=schema.outcome,
-        a_y_name=schema.a_y,
-        a_m_name=schema.a_m,
-        mediator_names=tuple(mediators),
-        covariate_names=tuple(covariates),
-    )
+    return _load(source, schema, "four-arm")
 
 
 def load_two_arm(source, schema: ColumnMap | None = None) -> TwoArmDataset:
     """Load a two-arm dataset; same contract as :func:`load_four_arm`."""
-    schema = schema or ColumnMap()
-    header, rows = _read_table(source)
-    positions, mediators, covariates = _resolve_columns(header, schema, "two-arm")
-    y = _parse_column(rows, positions[schema.outcome], schema.outcome)
-    a = _parse_column(rows, positions[schema.a], schema.a)
-    _check_binary(a, schema.a)
-    m = np.column_stack([_parse_column(rows, header.index(c), c) for c in mediators])
-    x = np.column_stack([_parse_column(rows, header.index(c), c) for c in covariates])
-    return TwoArmDataset(
-        y=y,
-        a=a.astype(np.int64),
-        m=m,
-        x=x,
-        outcome_name=schema.outcome,
-        a_name=schema.a,
-        mediator_names=tuple(mediators),
-        covariate_names=tuple(covariates),
-    )
+    return _load(source, schema, "two-arm")
 
 
-def _format_value(value: float) -> str:
+def _save(ds: FourArmDataset | TwoArmDataset, target, design: str) -> None:
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="") as handle:
+            _save(ds, handle, design)
+        return
+    csv.writer(target).writerow(ds.column_names())
     # repr of a Python float is the shortest string that round-trips exactly
-    return repr(float(value))
+    columns = [
+        map(repr, ds.y.tolist()),
+        *(map(str, getattr(ds, field).tolist()) for field in _DESIGNS[design][1]),
+        *(map(repr, col.tolist()) for col in ds.m.T),
+        *(map(repr, col.tolist()) for col in ds.x.T),
+    ]
+    target.writelines(",".join(row) + "\r\n" for row in zip(*columns))
 
 
 def save_four_arm(ds: FourArmDataset, target) -> None:
     """Write a four-arm dataset as CSV; values round-trip bit-exactly."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            save_four_arm(ds, handle)
-        return
-    writer = csv.writer(target)
-    writer.writerow(ds.column_names())
-    for i in range(ds.n):
-        writer.writerow(
-            [
-                _format_value(ds.y[i]),
-                str(int(ds.a_y[i])),
-                str(int(ds.a_m[i])),
-                *(_format_value(v) for v in ds.m[i]),
-                *(_format_value(v) for v in ds.x[i]),
-            ]
-        )
+    _save(ds, target, "four-arm")
 
 
 def save_two_arm(ds: TwoArmDataset, target) -> None:
     """Write a two-arm dataset as CSV; values round-trip bit-exactly."""
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8", newline="") as handle:
-            save_two_arm(ds, handle)
-        return
-    writer = csv.writer(target)
-    writer.writerow(ds.column_names())
-    for i in range(ds.n):
-        writer.writerow(
-            [
-                _format_value(ds.y[i]),
-                str(int(ds.a[i])),
-                *(_format_value(v) for v in ds.m[i]),
-                *(_format_value(v) for v in ds.x[i]),
-            ]
-        )
+    _save(ds, target, "two-arm")
 
 
 def restrict_to_two_arm(ds: FourArmDataset) -> TwoArmDataset:

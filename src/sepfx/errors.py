@@ -73,6 +73,10 @@ class SingularDesign(SepfxError):
     """The regression design matrix is rank deficient."""
 
 
+class DegenerateEstimate(SepfxError):
+    """A test statistic would divide by a standard error that is not positive."""
+
+
 class EmptyAgreementSet(SepfxError):
     """No rows have matching treatment assignments."""
 

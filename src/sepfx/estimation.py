@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .crossfit import SplitEstimate, central_splits, make_folds, median_adjust
 from .errors import DegenerateFold
@@ -29,7 +29,7 @@ def z_value(alpha: float) -> float:
     """Two-sided normal critical value; exactly 1.96 at the 5% level."""
     if alpha == 0.05:
         return Z_95
-    return float(norm.ppf(1.0 - alpha / 2.0))
+    return float(ndtri(1.0 - alpha / 2.0))
 
 
 @dataclass(frozen=True)

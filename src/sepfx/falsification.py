@@ -23,11 +23,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, t as student_t
+from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .crossfit import FoldAssignment, SplitEstimate, cross_fit, median_adjust
 from .data import FourArmDataset, restrict_to_two_arm
-from .errors import EmptyAgreementSet, MissingTreatmentLevel, SingularDesign
+from .errors import (
+    DegenerateEstimate,
+    EmptyAgreementSet,
+    MissingTreatmentLevel,
+    SingularDesign,
+)
 from .estimation import (
     EffectEstimate,
     EstimatorConfig,
@@ -137,6 +142,20 @@ def _direct_design(
     return np.hstack(blocks)
 
 
+def _studentize(estimate: float, se: float, test: str) -> float:
+    """Return ``estimate / se``, refusing a standard error that is not positive.
+
+    A zero (or NaN) standard error leaves the test without a reference
+    scale: the statistic would be 0/0, infinite or NaN, and any p-value
+    computed from it says nothing about the hypothesis.
+    """
+    if not se > 0.0:
+        raise DegenerateEstimate(
+            f"{test}: standard error is {se!r}, so the statistic is undefined"
+        )
+    return estimate / se
+
+
 def _ols_test_result(
     fit: OlsFit,
     coef_index: int,
@@ -148,13 +167,13 @@ def _ols_test_result(
     estimate = float(fit.coef[coef_index])
     cov = fit.cov_robust if robust else fit.cov_classical
     se = float(np.sqrt(cov[coef_index, coef_index]))
-    statistic = estimate / se
+    statistic = _studentize(estimate, se, test)
     if robust:
-        p_value = 2.0 * float(norm.sf(abs(statistic)))
-        quantile = float(norm.ppf(1.0 - alpha / 2.0))
+        p_value = 2.0 * float(ndtr(-abs(statistic)))
+        quantile = float(ndtri(1.0 - alpha / 2.0))
     else:
-        p_value = 2.0 * float(student_t.sf(abs(statistic), fit.dof))
-        quantile = float(student_t.ppf(1.0 - alpha / 2.0, fit.dof))
+        p_value = 2.0 * float(stdtr(fit.dof, -abs(statistic)))
+        quantile = float(stdtrit(fit.dof, 1.0 - alpha / 2.0))
     ci = (estimate - quantile * se, estimate + quantile * se)
     return TestResult(
         test=test,
@@ -452,12 +471,12 @@ def indirect_test_battery(
             )
 
     results = []
-    quantile = float(norm.ppf(1.0 - config.alpha / 2.0))
+    quantile = float(ndtri(1.0 - config.alpha / 2.0))
     for kind, level in requests:
         adjusted = median_adjust(per_request[(kind, level)])
         se = float(np.sqrt(adjusted.variance / ds.n))
-        statistic = adjusted.point / se if se > 0 else 0.0
-        p_value = 2.0 * float(norm.sf(abs(statistic)))
+        statistic = _studentize(adjusted.point, se, f"indirect-{kind.upper()}")
+        p_value = 2.0 * float(ndtr(-abs(statistic)))
         ci = (adjusted.point - quantile * se, adjusted.point + quantile * se)
         results.append(
             TestResult(

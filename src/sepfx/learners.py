@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
-from scipy.optimize import nnls
 from scipy.special import expit
 
 from .errors import LearnerError, MissingTreatmentLevel, SingleClassWarning, TooFewRows
@@ -392,6 +391,8 @@ def fit_super_learner(
                 X[train], y[train], candidate, task, interact_cols, fit_clip
             )
             oof[test, j] = fit.predict(X[test])
+
+    from scipy.optimize import nnls  # deferred: importing scipy.optimize costs ~0.3 s
 
     cv_losses = np.mean((y[:, None] - oof) ** 2, axis=0)
     raw, _ = nnls(oof, y)

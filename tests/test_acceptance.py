@@ -77,6 +77,7 @@ def violation_study():
     )
 
 
+@pytest.mark.slow
 def test_criterion_1_bias_rmse_coverage_runtime(mc_main):
     report, elapsed = mc_main
     row = {r.estimator: r for r in report.rows}["sde_four"]
@@ -100,6 +101,7 @@ def test_criterion_2_two_arm_beats_agreement_estimator(mc_main):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_root_n_scaling(mc_small, mc_large):
     small = {r.estimator: r.rmse for r in mc_small.rows}
     large = {r.estimator: r.rmse for r in mc_large.rows}
@@ -258,6 +260,7 @@ def test_criterion_6_score_mean_and_interval_structure():
           "intervals are point +/- 1.96 se")
 
 
+@pytest.mark.slow
 def test_criterion_7_falsification_size_and_power(null_study, violation_study):
     for row in null_study.rows:
         assert 0.01 <= row.rejection_rate <= 0.09, (row.test, row.rejection_rate)

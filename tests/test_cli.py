@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sepfx
 from sepfx.cli import main
 from sepfx.data import restrict_to_two_arm, save_four_arm, save_two_arm
 from sepfx.simulation import SimConfig, generate_dataset
@@ -156,3 +161,22 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_scipy_stats_and_optimize():
+    """``import sepfx.cli`` stays cheap: scipy.stats and scipy.optimize
+    cost over a second to import and only tail functions and the super
+    learner's NNLS need anything from them."""
+    src = str(Path(sepfx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = (
+        "import sys, sepfx.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"

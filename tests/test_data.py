@@ -1,10 +1,13 @@
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepfx import data as data_module
 from sepfx.data import (
     ColumnMap,
     FourArmDataset,
@@ -23,6 +26,7 @@ from sepfx.errors import (
     NonBinaryTreatment,
     NonNumericCell,
 )
+from sepfx.simulation import SimConfig, generate_dataset
 
 from conftest import make_four_arm, make_two_arm
 
@@ -228,3 +232,177 @@ def test_validate_flags_empty_cell():
     )
     report = validate(sub)
     assert any("empty" in w for w in report.warnings)
+
+
+# --- the numpy fast path against the strict row parser -----------------------
+
+def _load_outcome(load, source):
+    """Arrays and names of a load, or the type and message of its error."""
+    try:
+        ds = load(source)
+    except Exception as exc:  # the reference may raise csv.Error too
+        return ("error", type(exc), str(exc))
+    fields = ("y", "a_y", "a_m") if hasattr(ds, "a_y") else ("y", "a")
+    arrays = tuple(
+        (getattr(ds, f).dtype.str, getattr(ds, f).shape, getattr(ds, f).tobytes())
+        for f in (*fields, "m", "x")
+    )
+    return ("ok", arrays, ds.column_names())
+
+
+def assert_matches_row_parser(load, source_factory):
+    """The loader agrees bit for bit with its row-parser fallback.
+
+    ``source_factory`` builds a fresh source per call, since file objects
+    are consumed by a load.
+    """
+    fast = _load_outcome(load, source_factory())
+    with mock.patch.object(data_module, "_parse_body", return_value=None):
+        reference = _load_outcome(load, source_factory())
+    assert fast == reference
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False, width=64).map(repr),
+    st.integers(-5, 5).map(str),
+)
+_ODD_CELLS = st.sampled_from(
+    ["nan", "inf", "-inf", "1e999", "1_0", "oops", "", '"1.5"', " 2.5 ",
+     "\t-0.0 ", "1d5", "0x10", "+.5", "5.", "\xa03", "\u0663"]
+)
+_ODD_TREATMENTS = st.sampled_from(["1.0", " 0 ", "2", "0.5", "-1", "nan", "x", ""])
+_BLANK_LINES = st.sampled_from(["", "   ", " , ", ",,", "\t"])
+
+
+def _rarely(draw) -> bool:
+    return draw(st.integers(0, 19)) == 0
+
+
+@st.composite
+def csv_texts(draw):
+    """Mostly well-formed CSV text with rare odd cells, lines and endings."""
+    design = draw(st.sampled_from(["four-arm", "two-arm"]))
+    treatments = ["aY", "aM"] if design == "four-arm" else ["a"]
+    extras = draw(st.lists(st.sampled_from(["z", "note"]), max_size=2, unique=True))
+    header = ["y", *treatments, "m1", "x1", *extras]
+    lines = [(", " if _rarely(draw) else ",").join(header)]
+    for _ in range(draw(st.integers(0, 4))):
+        if _rarely(draw):
+            lines.append(draw(_BLANK_LINES))
+            continue
+        cells = []
+        for name in header:
+            if name in treatments:
+                odd, plain = _ODD_TREATMENTS, st.sampled_from(["0", "1"])
+            elif name == "note":
+                odd, plain = _NUMBERS, st.just("memo")
+            else:
+                odd, plain = _ODD_CELLS, _NUMBERS
+            cells.append(draw(odd if _rarely(draw) else plain))
+        if _rarely(draw):
+            cells.append(draw(_NUMBERS))
+        elif _rarely(draw):
+            cells.pop()
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = ["\r" if _rarely(draw) else end for _ in lines]
+    text = "".join(line + e for line, e in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[: -len(ends[-1])]  # no final line ending
+    return design, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.sampled_from(["bytes", "file"]))
+def test_fast_loader_matches_row_parser(case, kind):
+    design, text = case
+    load = load_four_arm if design == "four-arm" else load_two_arm
+    if kind == "bytes":
+        assert_matches_row_parser(load, lambda: text.encode("utf-8"))
+    else:
+        assert_matches_row_parser(load, lambda: io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # rows numpy accepts when given usecols: one extra, one missing field
+        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2,9\n",
+        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.1\n",
+        "y,aY,aM,m1,x1\r\n1,0,1,0.5,0.2\r\n\r\n2 , 1 ,0, 0.1,0.3\r\n",
+        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n   \n,,,,\n2,1,0,0.1,0.3",
+        "y,aY,aM,m1,x1,z\n1,0,1,0.5,0.2,nan\n",
+        "y,aY,aM,m1,x1,note\n1,0,1,0.5,0.2,hello\n",
+        '"y",aY,aM,m1,x1\n"1",0,1,0.5,0.2\n',
+        "y,aY,aM,m1,x1\n1_0,0,1,0.5,0.2\n",
+        "y,aY,aM,m1,x1\n1,0,2,0.5,0.2\n3,0,1,oops,0.2\n",
+        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\r2,1,0,0.1,0.3\n",
+        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2,7\n2,1,0,0.1,0.3,8\n",
+        "y,aY,aM,m1,x1\n\n\n",
+        "",
+    ],
+)
+def test_fast_loader_matches_row_parser_examples(text, tmp_path):
+    assert_matches_row_parser(load_four_arm, lambda: text.encode("utf-8"))
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert_matches_row_parser(load_four_arm, lambda: path)
+
+
+def test_ragged_rows_keep_their_line_number():
+    with pytest.raises(DataError, match=r"line 2: expected 5 fields, found 6"):
+        load_four_arm(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2,9\n")
+    with pytest.raises(DataError, match=r"line 3: expected 5 fields, found 4"):
+        load_four_arm(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.1\n")
+
+
+def test_saved_csv_takes_the_fast_path(tmp_path):
+    ds = make_four_arm(n=30, seed=8)
+    path = tmp_path / "d4.csv"
+    save_four_arm(ds, path)
+    with mock.patch.object(
+        data_module, "_read_rows", side_effect=AssertionError("row parser used")
+    ):
+        back = load_four_arm(path)
+    np.testing.assert_array_equal(back.m, ds.m)
+
+
+def _row_writer_csv(ds, treatments) -> str:
+    """Reference CSV text: one ``csv.writer`` row per record."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(ds.column_names())
+    for i in range(ds.n):
+        writer.writerow(
+            [
+                repr(float(ds.y[i])),
+                *(str(int(t[i])) for t in treatments),
+                *(repr(float(v)) for v in ds.m[i]),
+                *(repr(float(v)) for v in ds.x[i]),
+            ]
+        )
+    return buf.getvalue()
+
+
+def test_save_matches_row_writer():
+    four = generate_dataset(SimConfig(n=300, master_seed=4, reps=1), 0)
+    buf = io.StringIO()
+    save_four_arm(four, buf)
+    assert buf.getvalue() == _row_writer_csv(four, (four.a_y, four.a_m))
+    two = restrict_to_two_arm(four)
+    buf = io.StringIO()
+    save_two_arm(two, buf)
+    assert buf.getvalue() == _row_writer_csv(two, (two.a,))
+
+
+def test_bad_row_before_a_late_decode_error_is_reported(tmp_path):
+    """The file is decoded lazily, as the row parser reads it, so a bad row
+    is reported before invalid UTF-8 further down the file."""
+    good = b"1,0,1,0.5,0.2\r\n" * 2000
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"y,aY,aM,m1,x1\r\n1,0,1,0.5\r\n" + good + b"\xff\r\n")
+    with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
+        load_four_arm(path)
+    path.write_bytes(b"y,aY,aM,m1,x1\r\n" + good + b"\xff\r\n")
+    with pytest.raises(UnicodeDecodeError):
+        load_four_arm(path)

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm, t as student_t
 
 from sepfx.data import FourArmDataset, restrict_to_two_arm
-from sepfx.errors import EmptyAgreementSet, MissingTreatmentLevel, SingularDesign
-from sepfx.estimation import EstimatorConfig
+from sepfx.errors import (
+    DegenerateEstimate,
+    EmptyAgreementSet,
+    MissingTreatmentLevel,
+    SingularDesign,
+)
+from sepfx.estimation import EstimatorConfig, z_value
 from sepfx.falsification import (
+    OlsFit,
+    _ols_test_result,
     direct_test_h0i,
     direct_test_h0ii,
     estimate_agreement_effects,
@@ -199,3 +208,71 @@ def test_indirect_requires_both_arms_among_agreeing_rows():
     )
     with pytest.raises(MissingTreatmentLevel):
         indirect_test_battery(stuck, EstimatorConfig())
+
+
+# --- tail functions pinned to scipy.stats --------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(
+    estimate=st.floats(-50.0, 50.0),
+    se=st.floats(1e-6, 10.0),
+    dof=st.sampled_from([1, 2, 3, 7, 30, 250, 10**6]),
+    alpha=st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9]),
+)
+def test_ols_tails_equal_scipy_stats(estimate, se, dof, alpha):
+    cov = np.diag([1.0, se * se])
+    fit = OlsFit(coef=np.array([0.0, estimate]), cov_classical=cov,
+                 cov_robust=cov, dof=dof, n=dof + 2)
+    for robust, ref in ((True, norm), (False, student_t(dof))):
+        res = _ols_test_result(fit, 1, robust, alpha, "H0(i)", 0)
+        assert res.p_value == 2.0 * float(ref.sf(abs(res.statistic)))
+        quantile = float(ref.ppf(1.0 - alpha / 2.0))
+        assert res.ci == (res.estimate - quantile * res.se,
+                          res.estimate + quantile * res.se)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.001, 0.01, 0.049, 0.051, 0.1, 0.32, 0.5, 0.99])
+def test_z_value_equals_scipy_stats(alpha):
+    assert z_value(alpha) == float(norm.ppf(1.0 - alpha / 2.0))
+    assert z_value(0.05) == 1.96
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+def test_indirect_tails_equal_scipy_stats(sim_four_arm, alpha):
+    config = EstimatorConfig(k_folds=2, splits=1, seed=3, alpha=alpha)
+    quantile = float(norm.ppf(1.0 - alpha / 2.0))
+    for res in indirect_test_battery(sim_four_arm, config):
+        assert res.p_value == 2.0 * float(norm.sf(abs(res.statistic)))
+        assert res.ci == (res.estimate - quantile * res.se,
+                          res.estimate + quantile * res.se)
+
+
+# --- a zero standard error fails loudly ----------------------------------------
+
+def _replace(ds, **arrays):
+    fields = dict(y=ds.y, a_y=ds.a_y, a_m=ds.a_m, m=ds.m, x=ds.x)
+    fields.update(arrays)
+    return FourArmDataset(
+        **fields, outcome_name="y", a_y_name="aY", a_m_name="aM",
+        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
+    )
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_direct_tests_reject_zero_standard_error(sim_four_arm, robust):
+    """An all-zero target fits exactly: coefficient 0, residuals 0, se 0."""
+    flat_m = _replace(sim_four_arm, m=np.zeros_like(sim_four_arm.m))
+    with pytest.raises(DegenerateEstimate, match="H0\\(i\\)"):
+        direct_test_h0i(flat_m, robust=robust)
+    flat_y = _replace(sim_four_arm, y=np.zeros_like(sim_four_arm.y))
+    with pytest.raises(DegenerateEstimate, match="H0\\(ii\\)"):
+        direct_test_h0ii(flat_y, robust=robust)
+
+
+def test_indirect_battery_rejects_zero_standard_error(sim_four_arm):
+    """With an all-zero outcome every score is exactly 0, so the Wald
+    statistic has no scale; it used to read as statistic 0 and p = 1."""
+    flat_y = _replace(sim_four_arm, y=np.zeros_like(sim_four_arm.y))
+    config = EstimatorConfig(k_folds=2, splits=1, seed=0)
+    with pytest.raises(DegenerateEstimate, match="indirect-SDE"):
+        indirect_test_battery(flat_y, config)
