@@ -48,18 +48,9 @@ from .falsification import (
     direct_test_h0i,
     direct_test_h0ii,
     estimate_agreement_effects,
-    estimate_sde_agreement,
-    estimate_sie_agreement,
-    estimate_theta,
-    indirect_test,
     indirect_test_battery,
 )
-from .four_arm import (
-    estimate_effects_four,
-    estimate_mean_four,
-    estimate_sde_four,
-    estimate_sie_four,
-)
+from .four_arm import estimate_effects_four
 from .learners import LearnerSpec, fit_classifier, fit_regressor, fit_super_learner, make_spec
 from .seeding import derive_seed, stream
 from .simulation import (
@@ -74,7 +65,7 @@ from .simulation import (
     run_monte_carlo,
     true_effects,
 )
-from .two_arm import estimate_effects_two, estimate_mean_two, estimate_sde_two, estimate_sie_two
+from .two_arm import estimate_effects_two
 
 __all__ = [
     "__version__",
@@ -120,20 +111,10 @@ __all__ = [
     "estimate_agreement_effects",
     "estimate_effects_four",
     "estimate_effects_two",
-    "estimate_mean_four",
-    "estimate_mean_two",
-    "estimate_sde_agreement",
-    "estimate_sde_four",
-    "estimate_sde_two",
-    "estimate_sie_agreement",
-    "estimate_sie_four",
-    "estimate_sie_two",
-    "estimate_theta",
     "fit_classifier",
     "fit_regressor",
     "fit_super_learner",
     "generate_dataset",
-    "indirect_test",
     "indirect_test_battery",
     "load_four_arm",
     "load_two_arm",

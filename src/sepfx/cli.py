@@ -22,13 +22,12 @@ from datetime import datetime, timezone
 from . import __version__
 from .data import ColumnMap, load_four_arm, load_two_arm
 from .errors import SepfxError
-from .estimation import EstimatorConfig
 from .falsification import direct_test_h0i, direct_test_h0ii, indirect_test_battery
 from .four_arm import estimate_effects_four
-from .learners import LearnerSpec, make_spec
 from .simulation import (
     ESTIMATOR_NAMES,
     SimConfig,
+    estimator_config_for,
     run_monte_carlo,
     true_effects,
 )
@@ -148,23 +147,10 @@ def _schema_from_args(args) -> ColumnMap:
     )
 
 
-def _config_from_args(args, diagnostics: bool = False) -> EstimatorConfig:
-    outcome = make_spec(args.learner, seed=args.seed)
-    if args.learner == "glm":
-        propensity = LearnerSpec(kind="glm", basis="main")
-    else:
-        propensity = outcome
-    return EstimatorConfig(
-        outcome=outcome,
-        propensity=propensity,
-        k_folds=args.k_folds,
-        splits=args.splits,
-        alpha=args.alpha,
-        clip=args.clip,
-        seed=args.seed,
-        strategy=args.strategy,
-        keep_eif=False,
-        diagnostics=diagnostics,
+def _estimator_config(args, diagnostics: bool = False):
+    return estimator_config_for(
+        args.learner, args.seed, args.k_folds, args.splits,
+        args.alpha, args.clip, args.strategy, diagnostics,
     )
 
 
@@ -223,7 +209,7 @@ def _run_simulate(args, parser) -> dict:
 def _run_estimate(args, parser) -> dict:
     schema = _schema_from_args(args)
     requests = _parse_estimands(args.estimand, parser)
-    config = _config_from_args(args, diagnostics=args.diagnostics)
+    config = _estimator_config(args, diagnostics=args.diagnostics)
     if args.design == "four-arm":
         ds = load_four_arm(args.data, schema)
         estimates = estimate_effects_four(ds, requests, config)
@@ -250,7 +236,7 @@ def _run_falsify(args, parser) -> dict:
             )
         )
     else:
-        config = _config_from_args(args)
+        config = _estimator_config(args)
         results = indirect_test_battery(ds, config)
     return {"tests": [res.to_json_dict() for res in results]}
 

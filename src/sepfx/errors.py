@@ -74,7 +74,7 @@ class SingularDesign(SepfxError):
 
 
 class DegenerateEstimate(SepfxError):
-    """A test statistic would divide by a standard error that is not positive."""
+    """An estimate or test statistic has a standard error that is not positive."""
 
 
 class EmptyAgreementSet(SepfxError):

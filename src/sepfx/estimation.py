@@ -1,24 +1,29 @@
-"""Shared estimator configuration, result container, and split pipeline.
+"""Shared estimand type, estimator configuration, results, and split pipeline.
 
 The estimators in :mod:`sepfx.four_arm`, :mod:`sepfx.two_arm`, and
 :mod:`sepfx.falsification` all follow the same recipe: for each of S
 sample splits, cross-fit nuisance models over K folds, evaluate per-row
 influence contributions out of fold, and reduce (point, variance) pairs
-across splits with the median rule.  ``run_battery`` implements that
-recipe once, letting each estimator family supply only the per-split
-computation, and lets several estimands share one set of nuisance fits.
+across splits with the median rule.  :class:`Estimand` is the one place
+that knows which (a_y, a_m) cells an ``sde``/``sie``/``mean`` request
+needs and how their scores contrast.  Each design scores cells in one
+loop: ``four_arm.split_scores_four`` (shared with the agreement-population
+estimator) and ``two_arm.split_scores_two``.  ``run_battery`` runs the
+splits once for estimands sharing nuisance fits, and ``build_estimates``
+turns its output into :class:`EffectEstimate` values, refusing a
+standard error that is not positive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
 
 from .crossfit import SplitEstimate, central_splits, make_folds, median_adjust
-from .errors import DegenerateFold
+from .errors import DegenerateEstimate, DegenerateFold
 from .learners import LearnerSpec
 from .seeding import derive_seed
 
@@ -30,6 +35,61 @@ def z_value(alpha: float) -> float:
     if alpha == 0.05:
         return Z_95
     return float(ndtri(1.0 - alpha / 2.0))
+
+
+def checked_se(se: float, label: str) -> float:
+    """Return ``se``, refusing a standard error that is not positive.
+
+    A zero (or NaN) standard error leaves an estimate without a reference
+    scale: its interval has zero width and any test statistic is 0/0,
+    infinite or NaN, so it says nothing about the estimand.
+    """
+    if not se > 0.0:
+        raise DegenerateEstimate(
+            f"{label}: standard error is {se!r}, so no interval or statistic exists"
+        )
+    return se
+
+
+class Estimand(NamedTuple):
+    """One requested contrast: ``("sde", a_m)``, ``("sie", a_y)`` or
+    ``("mean", (a_y, a_m))``.
+
+    The direct effect contrasts the outcome channel at a fixed mediator
+    arm, the indirect effect the mediator channel at a fixed outcome arm,
+    and the mean is the single cell.  As a tuple it compares and hashes
+    like the plain request tuple it was built from.
+    """
+
+    kind: str
+    level: object
+
+    def cells(self) -> tuple:
+        """The (a_y, a_m) cells the contrast combines: the plus cell first."""
+        if self.kind == "sde":
+            return ((1, self.level), (0, self.level))
+        if self.kind == "sie":
+            return ((self.level, 1), (self.level, 0))
+        if self.kind == "mean":
+            return (tuple(self.level),)
+        raise ValueError(f"unknown estimand kind {self.kind!r}")
+
+    def contrast(self, scores: dict) -> np.ndarray:
+        """Combine per-cell score vectors into this estimand's scores."""
+        cells = self.cells()
+        if len(cells) == 1:
+            return scores[cells[0]]
+        return scores[cells[0]] - scores[cells[1]]
+
+    @property
+    def fixed_level(self):
+        """The level as reported in results and JSON."""
+        return list(self.level) if self.kind == "mean" else self.level
+
+
+def estimand_cells(estimands) -> tuple:
+    """Distinct cells needed by ``estimands``, in request order."""
+    return tuple(dict.fromkeys(cell for est in estimands for cell in est.cells()))
 
 
 @dataclass(frozen=True)
@@ -202,33 +262,48 @@ def run_battery(
     return combined
 
 
-def build_estimate(
-    result: CombinedResult,
+def build_estimates(
+    combined: dict,
+    estimands: list,
     *,
-    estimand: str,
-    fixed_level,
     n: int,
     config: EstimatorConfig,
     design: str,
     population: str,
     strategy: str | None = None,
-) -> EffectEstimate:
-    se = float(np.sqrt(result.variance / n))
+) -> list[EffectEstimate]:
+    """Turn ``run_battery`` output into one estimate per requested estimand.
+
+    Raises
+    ------
+    DegenerateEstimate
+        If an estimate's standard error is not positive.
+    """
     z = z_value(config.alpha)
-    return EffectEstimate(
-        estimand=estimand,
-        fixed_level=fixed_level,
-        point=result.point,
-        se=se,
-        ci=(result.point - z * se, result.point + z * se),
-        n=n,
-        alpha=config.alpha,
-        design=design,
-        population=population,
-        k_folds=config.k_folds,
-        splits=config.splits,
-        learner=config.learner_label,
-        strategy=strategy,
-        eif=result.eif if config.keep_eif else None,
-        diagnostics=result.diagnostics,
-    )
+    estimates = []
+    for est in estimands:
+        result = combined[est]
+        se = checked_se(
+            float(np.sqrt(result.variance / n)),
+            f"{design} {est.kind} at level {est.level}",
+        )
+        estimates.append(
+            EffectEstimate(
+                estimand=est.kind,
+                fixed_level=est.fixed_level,
+                point=result.point,
+                se=se,
+                ci=(result.point - z * se, result.point + z * se),
+                n=n,
+                alpha=config.alpha,
+                design=design,
+                population=population,
+                k_folds=config.k_folds,
+                splits=config.splits,
+                learner=config.learner_label,
+                strategy=strategy,
+                eif=result.eif if config.keep_eif else None,
+                diagnostics=result.diagnostics,
+            )
+        )
+    return estimates

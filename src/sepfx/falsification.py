@@ -25,22 +25,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from .crossfit import FoldAssignment, SplitEstimate, cross_fit, median_adjust
+from .crossfit import FoldAssignment, SplitEstimate, median_adjust
 from .data import FourArmDataset, restrict_to_two_arm
-from .errors import (
-    DegenerateEstimate,
-    EmptyAgreementSet,
-    MissingTreatmentLevel,
-    SingularDesign,
-)
+from .errors import EmptyAgreementSet, MissingTreatmentLevel, SingularDesign
 from .estimation import (
     EffectEstimate,
+    Estimand,
     EstimatorConfig,
-    build_estimate,
+    build_estimates,
+    checked_se,
+    estimand_cells,
     run_battery,
     with_fold_retry,
 )
-from .four_arm import NuisanceFitFour, fit_nuisance_four
+from .four_arm import NuisanceFitFour, fit_nuisance_four, split_scores_four
 from .learners import FittedPredictor, fit_classifier
 from .two_arm import split_scores_two
 
@@ -142,20 +140,6 @@ def _direct_design(
     return np.hstack(blocks)
 
 
-def _studentize(estimate: float, se: float, test: str) -> float:
-    """Return ``estimate / se``, refusing a standard error that is not positive.
-
-    A zero (or NaN) standard error leaves the test without a reference
-    scale: the statistic would be 0/0, infinite or NaN, and any p-value
-    computed from it says nothing about the hypothesis.
-    """
-    if not se > 0.0:
-        raise DegenerateEstimate(
-            f"{test}: standard error is {se!r}, so the statistic is undefined"
-        )
-    return estimate / se
-
-
 def _ols_test_result(
     fit: OlsFit,
     coef_index: int,
@@ -166,8 +150,8 @@ def _ols_test_result(
 ) -> TestResult:
     estimate = float(fit.coef[coef_index])
     cov = fit.cov_robust if robust else fit.cov_classical
-    se = float(np.sqrt(cov[coef_index, coef_index]))
-    statistic = _studentize(estimate, se, test)
+    se = checked_se(float(np.sqrt(cov[coef_index, coef_index])), test)
+    statistic = estimate / se
     if robust:
         p_value = 2.0 * float(ndtr(-abs(statistic)))
         quantile = float(ndtri(1.0 - alpha / 2.0))
@@ -226,29 +210,21 @@ def direct_test_h0ii(
 
 
 @dataclass
-class ThetaNuisance:
-    """Nuisances for the agreement-population estimator.
+class ThetaNuisance(NuisanceFitFour):
+    """Four-arm nuisances plus the agreement model of the agreement estimator.
 
-    Extends the four-arm bundle with a model for the probability that the
-    two treatments agree given covariates.  When every training row
-    agrees, the probability is the exact constant one (it only ever
-    multiplies, so no clipping is needed).
+    ``agree_fit`` models the probability that the two treatments agree
+    given covariates.  When every training row agrees it is ``None`` and
+    the probability is the exact constant one (it only ever multiplies,
+    so no clipping is needed).
     """
 
-    four: NuisanceFitFour
-    agree_fit: FittedPredictor | None
-    clip: float
+    agree_fit: FittedPredictor | None = None
 
     def agreement_probability(self, x: np.ndarray) -> np.ndarray:
         if self.agree_fit is None:
             return np.ones(x.shape[0])
         return self.agree_fit.predict(x)
-
-    def propensity(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
-        return self.four.propensity(a_y, a_m, x)
-
-    def outcome(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
-        return self.four.outcome(a_y, a_m, x)
 
 
 def fit_nuisance_theta(
@@ -266,57 +242,21 @@ def fit_nuisance_theta(
         agree_fit = fit_classifier(
             ds.x[train_rows], agree, config.propensity, clip=config.clip
         )
-    return ThetaNuisance(four=four, agree_fit=agree_fit, clip=config.clip)
-
-
-def _cells_for_requests(requests) -> tuple:
-    cells = []
-    for kind, level in requests:
-        if kind == "sde":
-            cells.extend([(1, level), (0, level)])
-        elif kind == "sie":
-            cells.extend([(level, 1), (level, 0)])
-        elif kind == "mean":
-            cells.append(tuple(level))
-        else:
-            raise ValueError(f"unknown estimand kind {kind!r}")
-    return tuple(dict.fromkeys(cells))
-
-
-def split_scores_theta(
-    ds: FourArmDataset,
-    folds: FoldAssignment,
-    config: EstimatorConfig,
-    cells: tuple,
-    fitter=None,
-) -> dict:
-    """Out-of-fold weighted scores for the agreement-population mean.
-
-    For each requested cell the per-row score is
-
-        1{cell} * (Y - nu) * s(X) / pi + nu * 1{A_Y = A_M}
-
-    where ``s`` is the agreement probability given covariates.  Dividing
-    the score sum by the number of agreement rows estimates the mean
-    counterfactual outcome on the agreement population.
-    """
-    nuisance_fitter = fitter or (
-        lambda data, train: fit_nuisance_theta(data, train, config, cells)
+    return ThetaNuisance(
+        cell_classifiers=four.cell_classifiers,
+        outcome_fit=four.outcome_fit,
+        clip=four.clip,
+        agree_fit=agree_fit,
     )
-    fits = cross_fit(ds, folds, nuisance_fitter)
+
+
+def _agreement_share(ds: FourArmDataset) -> tuple:
+    """The indicator 1{A_Y = A_M} per row, its count, and its share of rows."""
     agree = (ds.a_y == ds.a_m).astype(np.float64)
-    scores = {cell: np.empty(ds.n) for cell in cells}
-    for fold in range(folds.k):
-        test = folds.test_rows(fold)
-        nuis = fits[fold]
-        x = ds.x[test]
-        s_hat = nuis.agreement_probability(x)
-        for cell in cells:
-            nu = nuis.outcome(cell[0], cell[1], x)
-            pi = nuis.propensity(cell[0], cell[1], x)
-            inside = (ds.a_y[test] == cell[0]) & (ds.a_m[test] == cell[1])
-            scores[cell][test] = inside * (ds.y[test] - nu) * s_hat / pi + nu * agree[test]
-    return scores
+    agree_total = agree.sum()
+    if agree_total == 0.0:
+        raise EmptyAgreementSet("no rows with matching treatment assignments")
+    return agree, agree_total, agree_total / ds.n
 
 
 def estimate_agreement_effects(
@@ -338,72 +278,30 @@ def estimate_agreement_effects(
         If no row has matching treatments.
     """
     config = config or EstimatorConfig()
-    agree = (ds.a_y == ds.a_m).astype(np.float64)
-    agree_total = agree.sum()
-    if agree_total == 0.0:
-        raise EmptyAgreementSet("no rows with matching treatment assignments")
-    pr_agree = agree_total / ds.n
-    cells = _cells_for_requests(requests)
+    agree, agree_total, pr_agree = _agreement_share(ds)
+    estimands = [Estimand(*req) for req in requests]
+    cells = estimand_cells(estimands)
+    nuisance_fitter = fitter or (
+        lambda data, train: fit_nuisance_theta(data, train, config, cells)
+    )
 
     def split_fn(folds: FoldAssignment) -> dict:
-        scores = split_scores_theta(ds, folds, config, cells, fitter)
+        scores, _, _ = split_scores_four(
+            ds, folds, nuisance_fitter, cells, agreement=True
+        )
         out = {}
-        for kind, level in requests:
-            if kind == "sde":
-                diff = scores[(1, level)] - scores[(0, level)]
-            elif kind == "sie":
-                diff = scores[(level, 1)] - scores[(level, 0)]
-            else:
-                diff = scores[tuple(level)]
+        for est in estimands:
+            diff = est.contrast(scores)
             point = float(diff.sum() / agree_total)
             contrib = point + (diff - point * agree) / pr_agree
-            out[(kind, level)] = (contrib, None)
+            out[est] = (contrib, None)
         return out
 
     combined = run_battery(ds.n, config, split_fn)
-    return [
-        build_estimate(
-            combined[(kind, level)],
-            estimand=kind,
-            fixed_level=list(level) if kind == "mean" else level,
-            n=ds.n,
-            config=config,
-            design="four-arm",
-            population="two-arm",
-        )
-        for kind, level in requests
-    ]
-
-
-def estimate_theta(
-    ds: FourArmDataset,
-    a_y: int,
-    a_m: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Mean counterfactual outcome on the agreement population."""
-    return estimate_agreement_effects(ds, [("mean", (a_y, a_m))], config, fitter)[0]
-
-
-def estimate_sde_agreement(
-    ds: FourArmDataset,
-    a_m: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Direct effect on the agreement population, from all four arms."""
-    return estimate_agreement_effects(ds, [("sde", a_m)], config, fitter)[0]
-
-
-def estimate_sie_agreement(
-    ds: FourArmDataset,
-    a_y: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Indirect effect on the agreement population, from all four arms."""
-    return estimate_agreement_effects(ds, [("sie", a_y)], config, fitter)[0]
+    return build_estimates(
+        combined, estimands, n=ds.n, config=config,
+        design="four-arm", population="two-arm",
+    )
 
 
 DEFAULT_INDIRECT_REQUESTS = (("sde", 0), ("sde", 1), ("sie", 0), ("sie", 1))
@@ -421,29 +319,33 @@ def indirect_test_battery(
     quantity under the exclusion restrictions; the scaled difference is
     asymptotically standard normal.  The difference and its variance are
     computed per split from shared nuisance fits, then median-combined.
-    All requested contrasts reuse one set of fits per split.
+    All requested contrasts reuse one set of fits per split.  ``requests``
+    holds ``("sde", a_m)`` and ``("sie", a_y)`` tuples.
     """
     config = config or EstimatorConfig()
-    requests = [tuple(r) for r in requests]
-    agree = (ds.a_y == ds.a_m).astype(np.float64)
-    agree_total = agree.sum()
-    if agree_total == 0.0:
-        raise EmptyAgreementSet("no rows with matching treatment assignments")
-    pr_agree = agree_total / ds.n
+    estimands = [Estimand(*req) for req in requests]
+    if any(est.kind not in ("sde", "sie") for est in estimands):
+        raise ValueError("the indirect test compares sde and sie contrasts only")
+    agree, agree_total, pr_agree = _agreement_share(ds)
     ds2 = restrict_to_two_arm(ds)
     if np.ptp(ds2.a) == 0:
         raise MissingTreatmentLevel(
             "agreement rows contain a single treatment level"
         )
-    cells = _cells_for_requests(requests)
+    cells = estimand_cells(estimands)
 
-    per_request: dict = {req: [] for req in requests}
+    def theta_fitter(data, train):
+        return fit_nuisance_theta(data, train, config, cells)
+
+    per_request: dict = {est: [] for est in estimands}
     for split in range(config.splits):
-        theta_scores = with_fold_retry(
+        theta_scores, _, _ = with_fold_retry(
             ds.n,
             config,
             split,
-            lambda folds: split_scores_theta(ds, folds, config, cells),
+            lambda folds: split_scores_four(
+                ds, folds, theta_fitter, cells, agreement=True
+            ),
         )
         two_scores = with_fold_retry(
             ds2.n,
@@ -451,20 +353,16 @@ def indirect_test_battery(
             split,
             lambda folds: split_scores_two(ds2, folds, config, cells),
         )
-        for kind, level in requests:
-            if kind == "sde":
-                plus, minus = (1, level), (0, level)
-            else:
-                plus, minus = (level, 1), (level, 0)
-            diff4 = theta_scores[plus] - theta_scores[minus]
+        for est in estimands:
+            diff4 = est.contrast(theta_scores)
             theta_point = float(diff4.sum() / agree_total)
-            psi_diff = two_scores[plus] - two_scores[minus]
+            psi_diff = est.contrast(two_scores)
             two_point = float(np.mean(psi_diff))
             centered_two = np.zeros(ds.n)
             centered_two[ds2.source_rows] = psi_diff - two_point
             combined = (diff4 - theta_point * agree - centered_two) / pr_agree
             variance = float(np.mean(combined * combined))
-            per_request[(kind, level)].append(
+            per_request[est].append(
                 SplitEstimate(
                     point=theta_point - two_point, variance=variance, n=ds.n
                 )
@@ -472,15 +370,16 @@ def indirect_test_battery(
 
     results = []
     quantile = float(ndtri(1.0 - config.alpha / 2.0))
-    for kind, level in requests:
-        adjusted = median_adjust(per_request[(kind, level)])
-        se = float(np.sqrt(adjusted.variance / ds.n))
-        statistic = _studentize(adjusted.point, se, f"indirect-{kind.upper()}")
+    for est in estimands:
+        test = f"indirect-{est.kind.upper()}"
+        adjusted = median_adjust(per_request[est])
+        se = checked_se(float(np.sqrt(adjusted.variance / ds.n)), test)
+        statistic = adjusted.point / se
         p_value = 2.0 * float(ndtr(-abs(statistic)))
         ci = (adjusted.point - quantile * se, adjusted.point + quantile * se)
         results.append(
             TestResult(
-                test=f"indirect-{kind.upper()}",
+                test=test,
                 statistic=statistic,
                 estimate=adjusted.point,
                 se=se,
@@ -489,22 +388,8 @@ def indirect_test_battery(
                 alpha=config.alpha,
                 reject=bool(p_value < config.alpha),
                 n=ds.n,
-                fixed_level=level,
+                fixed_level=est.level,
                 details={"pr_agree": float(pr_agree)},
             )
         )
     return results
-
-
-def indirect_test(
-    ds: FourArmDataset,
-    effect: str,
-    fixed_level: int,
-    config: EstimatorConfig | None = None,
-) -> TestResult:
-    """Indirect falsification test for one contrast.
-
-    ``effect`` is ``"sde"`` or ``"sie"``; ``fixed_level`` fixes the other
-    channel.
-    """
-    return indirect_test_battery(ds, config, requests=[(effect, fixed_level)])[0]

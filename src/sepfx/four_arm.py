@@ -26,7 +26,14 @@ import numpy as np
 from .crossfit import FoldAssignment, cross_fit
 from .data import FourArmDataset
 from .errors import MissingCell
-from .estimation import EffectEstimate, EstimatorConfig, build_estimate, run_battery
+from .estimation import (
+    EffectEstimate,
+    Estimand,
+    EstimatorConfig,
+    build_estimates,
+    estimand_cells,
+    run_battery,
+)
 from .learners import FittedPredictor, fit_classifier, fit_regressor
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -109,44 +116,75 @@ def eif(
     ds: FourArmDataset,
     a_y: int,
     a_m: int,
-    nuis: NuisanceFitFour,
+    nuis,
     rows: np.ndarray | None = None,
-) -> np.ndarray:
+    s_hat=1.0,
+    agree=1.0,
+    terms: bool = False,
+):
     """Per-row scores whose mean estimates E[Y^(a_y, a_m)].
 
     Rows outside the (a_y, a_m) cell contribute only their predicted
     outcome; rows inside add the inverse-probability-weighted residual.
+    The agreement-population score multiplies the residual term by the
+    agreement probability ``s_hat`` and the prediction by the agreement
+    indicator ``agree``; at the defaults of 1.0 both products are exact,
+    so the four-arm score is unchanged bit for bit.  With ``terms`` the
+    inverse-probability-weighted outcome and the outcome prediction (the
+    two plug-in estimators' scores) are returned after the score.
     """
     if rows is None:
         rows = np.arange(ds.n)
     x = ds.x[rows]
+    y = ds.y[rows]
     nu = nuis.outcome(a_y, a_m, x)
     pi = nuis.propensity(a_y, a_m, x)
     inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
-    return inside * (ds.y[rows] - nu) / pi + nu
+    score = inside * (y - nu) * s_hat / pi + nu * agree
+    if terms:
+        return score, inside * y / pi, nu
+    return score
 
 
-def _cells_for_requests(requests) -> tuple:
-    cells = []
-    for kind, level in requests:
-        if kind == "sde":
-            pair = ((1, level), (0, level))
-        elif kind == "sie":
-            pair = ((level, 1), (level, 0))
-        elif kind == "mean":
-            pair = (tuple(level),)
-        else:
-            raise ValueError(f"unknown estimand kind {kind!r}")
-        cells.extend(pair)
-    return tuple(dict.fromkeys(cells))
+def split_scores_four(
+    ds: FourArmDataset,
+    folds: FoldAssignment,
+    fitter,
+    cells: tuple,
+    agreement: bool = False,
+    diagnostics: bool = False,
+) -> tuple:
+    """Out-of-fold scores of each cell from one fold assignment.
 
+    ``fitter`` receives ``(dataset, train_rows)``.  With ``agreement`` the
+    fits must also provide ``agreement_probability`` and each score is
 
-def _request_cells(kind: str, level) -> tuple:
-    if kind == "sde":
-        return ((1, level), (0, level))
-    if kind == "sie":
-        return ((level, 1), (level, 0))
-    return (tuple(level), None)
+        1{cell} * (Y - nu) * s(X) / pi + nu * 1{A_Y = A_M}
+
+    whose sum divided by the number of agreement rows estimates the mean
+    counterfactual outcome on the agreement population.  Returns
+    ``(scores, ipw, regression)`` dicts keyed by cell; the last two hold
+    the plug-in scores with ``diagnostics`` and are ``None`` otherwise.
+    """
+    fits = cross_fit(ds, folds, fitter)
+    agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
+    scores = {cell: np.empty(ds.n) for cell in cells}
+    ipw = {cell: np.empty(ds.n) for cell in cells} if diagnostics else None
+    reg = {cell: np.empty(ds.n) for cell in cells} if diagnostics else None
+    for fold in range(folds.k):
+        test = folds.test_rows(fold)
+        nuis = fits[fold]
+        s_hat = agree_rows = 1.0
+        if agreement:
+            s_hat = nuis.agreement_probability(ds.x[test])
+            agree_rows = agree[test]
+        for cell in cells:
+            out = eif(ds, *cell, nuis, test, s_hat, agree_rows, terms=diagnostics)
+            if diagnostics:
+                scores[cell][test], ipw[cell][test], reg[cell][test] = out
+            else:
+                scores[cell][test] = out
+    return scores, ipw, reg
 
 
 def estimate_effects_four(
@@ -164,81 +202,29 @@ def estimate_effects_four(
     object with ``propensity`` and ``outcome`` accessors.
     """
     config = config or EstimatorConfig()
-    needed = _cells_for_requests(requests)
+    estimands = [Estimand(*req) for req in requests]
+    cells = estimand_cells(estimands)
     nuisance_fitter = fitter or (
-        lambda data, train: fit_nuisance_four(data, train, config, needed)
+        lambda data, train: fit_nuisance_four(data, train, config, cells)
     )
 
     def split_fn(folds: FoldAssignment) -> dict:
-        fits = cross_fit(ds, folds, nuisance_fitter)
-        scores = {cell: np.empty(ds.n) for cell in needed}
-        raw_ipw = {cell: np.empty(ds.n) for cell in needed} if config.diagnostics else None
-        raw_reg = {cell: np.empty(ds.n) for cell in needed} if config.diagnostics else None
-        for fold in range(folds.k):
-            test = folds.test_rows(fold)
-            nuis = fits[fold]
-            x = ds.x[test]
-            for cell in needed:
-                nu = nuis.outcome(cell[0], cell[1], x)
-                pi = nuis.propensity(cell[0], cell[1], x)
-                inside = (ds.a_y[test] == cell[0]) & (ds.a_m[test] == cell[1])
-                scores[cell][test] = inside * (ds.y[test] - nu) / pi + nu
-                if config.diagnostics:
-                    raw_ipw[cell][test] = inside * ds.y[test] / pi
-                    raw_reg[cell][test] = nu
+        scores, ipw, reg = split_scores_four(
+            ds, folds, nuisance_fitter, cells, diagnostics=config.diagnostics
+        )
         out = {}
-        for kind, level in requests:
-            plus, minus = _request_cells(kind, level)
-            contrib = scores[plus] if minus is None else scores[plus] - scores[minus]
+        for est in estimands:
             diag = None
             if config.diagnostics:
-                ipw = raw_ipw[plus] if minus is None else raw_ipw[plus] - raw_ipw[minus]
-                reg = raw_reg[plus] if minus is None else raw_reg[plus] - raw_reg[minus]
-                diag = {"ipw": float(np.mean(ipw)), "outcome_regression": float(np.mean(reg))}
-            out[(kind, level)] = (contrib, diag)
+                diag = {
+                    "ipw": float(np.mean(est.contrast(ipw))),
+                    "outcome_regression": float(np.mean(est.contrast(reg))),
+                }
+            out[est] = (est.contrast(scores), diag)
         return out
 
     combined = run_battery(ds.n, config, split_fn)
-    return [
-        build_estimate(
-            combined[(kind, level)],
-            estimand=kind,
-            fixed_level=list(level) if kind == "mean" else level,
-            n=ds.n,
-            config=config,
-            design="four-arm",
-            population="four-arm",
-        )
-        for kind, level in requests
-    ]
-
-
-def estimate_mean_four(
-    ds: FourArmDataset,
-    a_y: int,
-    a_m: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Cross-fit estimate of the counterfactual mean E[Y^(a_y, a_m)]."""
-    return estimate_effects_four(ds, [("mean", (a_y, a_m))], config, fitter)[0]
-
-
-def estimate_sde_four(
-    ds: FourArmDataset,
-    a_m: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Direct effect: contrast the outcome channel at fixed mediator arm."""
-    return estimate_effects_four(ds, [("sde", a_m)], config, fitter)[0]
-
-
-def estimate_sie_four(
-    ds: FourArmDataset,
-    a_y: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Indirect effect: contrast the mediator channel at fixed outcome arm."""
-    return estimate_effects_four(ds, [("sie", a_y)], config, fitter)[0]
+    return build_estimates(
+        combined, estimands, n=ds.n, config=config,
+        design="four-arm", population="four-arm",
+    )

@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 from scipy.special import expit
 
-from .errors import LearnerError, MissingTreatmentLevel, SingleClassWarning, TooFewRows
+from .errors import LearnerError, SingleClassWarning, TooFewRows
 from .forest import fit_forest
 from .seeding import derive_seed
 
@@ -420,75 +420,6 @@ def fit_super_learner(
         ensemble_cv_loss=ensemble_loss,
         clip=clip,
         n_features=X.shape[1],
-    )
-
-
-@dataclass
-class TreatmentStrategyFit:
-    """Outcome model indexed by a binary treatment.
-
-    The single-model strategy ("S") includes the treatment as an
-    interacting feature; the stratified strategy ("T") fits one model per
-    treatment arm; "ensemble" keeps both and averages predictions.
-    """
-
-    strategy: str
-    joint_fit: FittedPredictor | None = None
-    arm_fits: dict[int, FittedPredictor] | None = None
-
-    def predict(self, level: int, features: np.ndarray) -> np.ndarray:
-        features = _as_matrix(features)
-        outputs = []
-        if self.joint_fit is not None:
-            stacked = np.column_stack(
-                [np.full(features.shape[0], float(level)), features]
-            )
-            outputs.append(self.joint_fit.predict(stacked))
-        if self.arm_fits is not None:
-            outputs.append(self.arm_fits[level].predict(features))
-        if not outputs:
-            raise LearnerError("strategy fit holds no models")
-        return outputs[0] if len(outputs) == 1 else 0.5 * (outputs[0] + outputs[1])
-
-
-def fit_with_treatment_strategy(
-    features,
-    treatment,
-    targets,
-    spec: LearnerSpec,
-    strategy: str = "ensemble",
-) -> TreatmentStrategyFit:
-    """Fit an outcome model that can be queried at either treatment level.
-
-    Raises
-    ------
-    MissingTreatmentLevel
-        If the stratified path is requested and an arm has no rows.
-    """
-    if strategy not in ("S", "T", "ensemble"):
-        raise LearnerError(f"unknown strategy {strategy!r}")
-    X = _as_matrix(features)
-    a = np.asarray(treatment, dtype=np.float64).ravel()
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    if not np.isin(a, (0.0, 1.0)).all():
-        raise LearnerError("treatment must be binary 0/1")
-
-    joint_fit = None
-    arm_fits = None
-    if strategy in ("S", "ensemble"):
-        stacked = np.column_stack([a, X])
-        joint_fit = fit_regressor(stacked, y, spec, interact_cols=(0,))
-    if strategy in ("T", "ensemble"):
-        arm_fits = {}
-        for level in (0, 1):
-            rows = a == level
-            if not rows.any():
-                raise MissingTreatmentLevel(
-                    f"treatment level {level} absent; stratified fit impossible"
-                )
-            arm_fits[level] = fit_regressor(X[rows], y[rows], spec)
-    return TreatmentStrategyFit(
-        strategy=strategy, joint_fit=joint_fit, arm_fits=arm_fits
     )
 
 

@@ -277,8 +277,14 @@ def estimator_config_for(
     alpha: float = 0.05,
     clip: float = 0.01,
     strategy: str = "ensemble",
+    diagnostics: bool = False,
 ) -> EstimatorConfig:
-    """Build an estimator configuration from a learner preset name."""
+    """Build an estimator configuration from a learner preset name.
+
+    GLM presets model propensities with main effects only; forest and
+    stacking presets use the outcome learner for both.  Per-row scores
+    are not kept.
+    """
     outcome = make_spec(learner, seed=seed)
     if learner == "glm":
         propensity = LearnerSpec(kind="glm", basis="main")
@@ -294,6 +300,7 @@ def estimator_config_for(
         seed=seed,
         strategy=strategy,
         keep_eif=False,
+        diagnostics=diagnostics,
     )
 
 

@@ -32,7 +32,14 @@ import numpy as np
 from .crossfit import FoldAssignment, cross_fit
 from .data import TwoArmDataset
 from .errors import LearnerError, MissingTreatmentLevel
-from .estimation import EffectEstimate, EstimatorConfig, build_estimate, run_battery
+from .estimation import (
+    EffectEstimate,
+    Estimand,
+    EstimatorConfig,
+    build_estimates,
+    estimand_cells,
+    run_battery,
+)
 from .learners import FittedPredictor, fit_classifier, fit_regressor
 
 
@@ -263,20 +270,6 @@ def eif_collapsed(
     return (ds.a[rows] == level) / omega * (ds.y[rows] - lam) + lam
 
 
-def _pairs_for_requests(requests) -> tuple:
-    pairs = []
-    for kind, level in requests:
-        if kind == "sde":
-            pairs.extend([(1, level), (0, level)])
-        elif kind == "sie":
-            pairs.extend([(level, 1), (level, 0)])
-        elif kind == "mean":
-            pairs.append(tuple(level))
-        else:
-            raise ValueError(f"unknown estimand kind {kind!r}")
-    return tuple(dict.fromkeys(pairs))
-
-
 def split_scores_two(
     ds: TwoArmDataset,
     folds: FoldAssignment,
@@ -316,63 +309,15 @@ def estimate_effects_two(
     config = config or EstimatorConfig()
     if np.ptp(ds.a) == 0:
         raise MissingTreatmentLevel("dataset contains a single treatment level")
-    pairs = _pairs_for_requests(requests)
+    estimands = [Estimand(*req) for req in requests]
+    pairs = estimand_cells(estimands)
 
     def split_fn(folds: FoldAssignment) -> dict:
         scores = split_scores_two(ds, folds, config, pairs, fitter)
-        out = {}
-        for kind, level in requests:
-            if kind == "sde":
-                contrib = scores[(1, level)] - scores[(0, level)]
-            elif kind == "sie":
-                contrib = scores[(level, 1)] - scores[(level, 0)]
-            else:
-                contrib = scores[tuple(level)]
-            out[(kind, level)] = (contrib, None)
-        return out
+        return {est: (est.contrast(scores), None) for est in estimands}
 
     combined = run_battery(ds.n, config, split_fn)
-    return [
-        build_estimate(
-            combined[(kind, level)],
-            estimand=kind,
-            fixed_level=list(level) if kind == "mean" else level,
-            n=ds.n,
-            config=config,
-            design="two-arm",
-            population="two-arm",
-            strategy=config.strategy,
-        )
-        for kind, level in requests
-    ]
-
-
-def estimate_mean_two(
-    ds: TwoArmDataset,
-    a_y: int,
-    a_m: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Estimate E[Y^(a_y, a_m)] from two-arm data."""
-    return estimate_effects_two(ds, [("mean", (a_y, a_m))], config, fitter)[0]
-
-
-def estimate_sde_two(
-    ds: TwoArmDataset,
-    a_m: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Direct effect from two-arm data at a fixed mediator-channel level."""
-    return estimate_effects_two(ds, [("sde", a_m)], config, fitter)[0]
-
-
-def estimate_sie_two(
-    ds: TwoArmDataset,
-    a_y: int,
-    config: EstimatorConfig | None = None,
-    fitter=None,
-) -> EffectEstimate:
-    """Indirect effect from two-arm data at a fixed outcome-channel level."""
-    return estimate_effects_two(ds, [("sie", a_y)], config, fitter)[0]
+    return build_estimates(
+        combined, estimands, n=ds.n, config=config,
+        design="two-arm", population="two-arm", strategy=config.strategy,
+    )

@@ -20,8 +20,8 @@ from scipy.stats import binom
 
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.estimation import EstimatorConfig
-from sepfx.falsification import estimate_agreement_effects, estimate_sde_agreement
-from sepfx.four_arm import estimate_effects_four, estimate_mean_four, estimate_sde_four
+from sepfx.falsification import estimate_agreement_effects
+from sepfx.four_arm import estimate_effects_four
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import (
     SimConfig,
@@ -34,7 +34,6 @@ from sepfx.two_arm import (
     eif as psi_score,
     eif_collapsed,
     estimate_effects_two,
-    estimate_sde_two,
     fit_nuisance_two,
 )
 
@@ -236,7 +235,7 @@ def test_criterion_5_algebraic_identities():
     )
     cfg = EstimatorConfig(k_folds=2, splits=3, seed=4)
     for cell in ((0, 0), (1, 1)):
-        four = estimate_mean_four(all_agree, cell[0], cell[1], cfg)
+        four = estimate_effects_four(all_agree, [("mean", cell)], cfg)[0]
         agr = estimate_agreement_effects(all_agree, [("mean", cell)], cfg)[0]
         assert abs(four.point - agr.point) < 1e-10
         assert abs(four.se - agr.se) < 1e-10
@@ -248,9 +247,9 @@ def test_criterion_6_score_mean_and_interval_structure():
     ds2 = restrict_to_two_arm(ds4)
     config = EstimatorConfig(k_folds=2, splits=3, seed=4, keep_eif=True)
     estimates = [
-        estimate_sde_four(ds4, 1, config),
-        estimate_sde_two(ds2, 1, config),
-        estimate_sde_agreement(ds4, 1, config),
+        estimate_effects_four(ds4, [("sde", 1)], config)[0],
+        estimate_effects_two(ds2, [("sde", 1)], config)[0],
+        estimate_agreement_effects(ds4, [("sde", 1)], config)[0],
     ]
     for est in estimates:
         assert est.eif is not None

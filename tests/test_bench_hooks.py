@@ -1,0 +1,36 @@
+"""The benchmark traces sepfx from outside, by the names listed in
+``bench/layers.py``; this pins the names and call counts it relies on."""
+
+from pathlib import Path
+
+import sepfx.falsification
+import sepfx.four_arm
+from sepfx.estimation import EstimatorConfig
+from sepfx.simulation import SimConfig, generate_dataset
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_trace_hooks_see_every_nuisance_fit(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    original = sepfx.four_arm.fit_nuisance_four
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        ds = generate_dataset(SimConfig(n=300, reps=1), 0)
+        sepfx.four_arm.estimate_effects_four(ds, [("sde", 1)], EstimatorConfig(splits=1))
+        sepfx.falsification.indirect_test_battery(ds, EstimatorConfig(splits=1))
+        calls, _, _ = layers.span_totals(tracer.spans)
+        counters = layers.summarize([tracer.snapshot()])
+    finally:
+        tracer.uninstall()
+
+    assert calls["four_arm.fit_nuisance_four"] == 4
+    assert calls["two_arm.fit_nuisance_two"] == 2
+    assert calls["falsification.fit_nuisance_theta"] == 2
+    # the two four-arm fits of the agreement side reuse the estimate's folds
+    assert counters["nuisance.fits"] == 6
+    assert counters["nuisance.unique_fits"] == 4
+    assert sepfx.four_arm.fit_nuisance_four is original

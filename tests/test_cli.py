@@ -8,7 +8,7 @@ import pytest
 
 import sepfx
 from sepfx.cli import main
-from sepfx.data import restrict_to_two_arm, save_four_arm, save_two_arm
+from sepfx.data import FourArmDataset, restrict_to_two_arm, save_four_arm, save_two_arm
 from sepfx.simulation import SimConfig, generate_dataset
 
 
@@ -140,6 +140,24 @@ def test_data_error_exits_one(capsys, four_arm_csv):
     assert "error:" in capsys.readouterr().err
     # four-arm file lacks the two-arm treatment column
     assert main(["estimate", "--data", four_arm_csv, "--design", "two-arm"]) == 1
+
+
+def test_zero_standard_error_exits_one(capsys, tmp_path):
+    """An all-zero outcome gives every score 0 and so a zero standard error."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    flat = FourArmDataset(
+        y=ds.y * 0.0, a_y=ds.a_y, a_m=ds.a_m, m=ds.m, x=ds.x,
+        outcome_name="y", a_y_name="aY", a_m_name="aM",
+        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
+    )
+    path = tmp_path / "flat.csv"
+    save_four_arm(flat, path)
+    assert main(["estimate", "--data", str(path), "--design", "four-arm",
+                 "--splits", "1", "--deterministic"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+    assert "standard error is 0.0" in captured.err
 
 
 def test_simulate_deterministic_reruns_are_identical(capsys, tmp_path):

@@ -1,0 +1,125 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sepfx.data import FourArmDataset, restrict_to_two_arm
+from sepfx.errors import DegenerateEstimate
+from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells
+from sepfx.falsification import estimate_agreement_effects, indirect_test_battery
+from sepfx.four_arm import estimate_effects_four
+from sepfx.simulation import SimConfig, generate_dataset
+from sepfx.two_arm import estimate_effects_two
+
+
+def _scores():
+    # distinct powers of two per cell, so every contrast is exact
+    return {
+        (0, 0): np.array([1.0, 2.0]),
+        (0, 1): np.array([4.0, 8.0]),
+        (1, 0): np.array([16.0, 32.0]),
+        (1, 1): np.array([64.0, 128.0]),
+    }
+
+
+@pytest.mark.parametrize(
+    "request_, cells, expected, fixed_level",
+    [
+        (("sde", 0), ((1, 0), (0, 0)), [15.0, 30.0], 0),
+        (("sde", 1), ((1, 1), (0, 1)), [60.0, 120.0], 1),
+        (("sie", 0), ((0, 1), (0, 0)), [3.0, 6.0], 0),
+        (("sie", 1), ((1, 1), (1, 0)), [48.0, 96.0], 1),
+        (("mean", (1, 0)), ((1, 0),), [16.0, 32.0], [1, 0]),
+        (("mean", [0, 1]), ((0, 1),), [4.0, 8.0], [0, 1]),
+    ],
+)
+def test_estimand_cells_and_contrast(request_, cells, expected, fixed_level):
+    est = Estimand(*request_)
+    assert est.cells() == cells
+    np.testing.assert_array_equal(est.contrast(_scores()), expected)
+    assert est.fixed_level == fixed_level
+
+
+def test_estimand_is_its_request_tuple():
+    est = Estimand("sde", 1)
+    assert est == ("sde", 1)
+    assert hash(est) == hash(("sde", 1))
+    assert {("sde", 1): "x"}[est] == "x"
+
+
+def test_estimand_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown estimand kind 'nde'"):
+        Estimand("nde", 1).cells()
+    with pytest.raises(ValueError):
+        estimate_effects_four(
+            generate_dataset(SimConfig(n=200, reps=1), 0), [("nde", 1)]
+        )
+
+
+def test_estimand_cells_are_shared_in_request_order():
+    estimands = [Estimand("sde", 1), Estimand("sie", 1), Estimand("mean", (0, 1))]
+    assert estimand_cells(estimands) == ((1, 1), (0, 1), (1, 0))
+
+
+@pytest.fixture(scope="module")
+def zero_outcome():
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    return FourArmDataset(
+        y=np.zeros(ds.n), a_y=ds.a_y, a_m=ds.a_m, m=ds.m, x=ds.x,
+        outcome_name="y", a_y_name="aY", a_m_name="aM",
+        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
+    )
+
+
+def test_four_arm_estimate_rejects_zero_standard_error(zero_outcome):
+    """Every score is exactly 0, so the interval would have zero width."""
+    with pytest.raises(DegenerateEstimate, match="four-arm sde"):
+        estimate_effects_four(zero_outcome, [("sde", 1)], EstimatorConfig(splits=1))
+
+
+def test_two_arm_estimate_rejects_zero_standard_error(zero_outcome):
+    with pytest.raises(DegenerateEstimate, match="two-arm sde"):
+        estimate_effects_two(
+            restrict_to_two_arm(zero_outcome), [("sde", 1)], EstimatorConfig(splits=1)
+        )
+
+
+def test_agreement_estimate_rejects_zero_standard_error(zero_outcome):
+    with pytest.raises(DegenerateEstimate, match="four-arm sie"):
+        estimate_agreement_effects(
+            zero_outcome, [("sie", 1)], EstimatorConfig(splits=1)
+        )
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    n=st.integers(400, 1200),
+    k_folds=st.sampled_from([2, 3, 5]),
+    splits=st.integers(1, 3),
+)
+def test_agreement_equals_four_arm_when_all_rows_agree(seed, n, k_folds, splits):
+    """Generalises acceptance criterion 5(d): with no disagreeing rows the
+    agreement weight is exactly one, so the agreement-population mean of
+    a diagonal cell is the four-arm mean."""
+    full = generate_dataset(SimConfig(n=n, reps=1, master_seed=seed), 0)
+    keep = np.nonzero(full.a_y == full.a_m)[0]
+    ds = FourArmDataset(
+        y=full.y[keep], a_y=full.a_y[keep], a_m=full.a_m[keep],
+        m=full.m[keep], x=full.x[keep],
+        outcome_name="y", a_y_name="aY", a_m_name="aM",
+        mediator_names=full.mediator_names, covariate_names=full.covariate_names,
+    )
+    config = EstimatorConfig(k_folds=k_folds, splits=splits, seed=seed)
+    requests = [("mean", (0, 0)), ("mean", (1, 1))]
+    four = estimate_effects_four(ds, requests, config)
+    agreement = estimate_agreement_effects(ds, requests, config)
+    for f, a in zip(four, agreement):
+        assert abs(f.point - a.point) < 1e-10
+        assert abs(f.se - a.se) < 1e-10
+
+
+def test_indirect_test_takes_contrasts_only():
+    ds = generate_dataset(SimConfig(n=200, reps=1), 0)
+    with pytest.raises(ValueError, match="sde and sie"):
+        indirect_test_battery(ds, EstimatorConfig(splits=1), requests=[("mean", (1, 1))])

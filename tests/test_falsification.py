@@ -18,13 +18,10 @@ from sepfx.falsification import (
     direct_test_h0i,
     direct_test_h0ii,
     estimate_agreement_effects,
-    estimate_sde_agreement,
-    estimate_sie_agreement,
     fit_ols,
-    indirect_test,
     indirect_test_battery,
 )
-from sepfx.four_arm import estimate_mean_four
+from sepfx.four_arm import estimate_effects_four
 from sepfx.simulation import SimConfig, generate_dataset, true_effects
 from sepfx.two_arm import estimate_effects_two
 
@@ -118,7 +115,7 @@ def test_theta_equals_four_arm_mean_when_all_rows_agree():
     )
     config = EstimatorConfig(k_folds=2, splits=3, seed=4)
     for cell in ((0, 0), (1, 1)):
-        four = estimate_mean_four(ds, cell[0], cell[1], config)
+        four = estimate_effects_four(ds, [("mean", cell)], config)[0]
         agr = estimate_agreement_effects(ds, [("mean", cell)], config)[0]
         assert abs(four.point - agr.point) < 1e-10
         assert abs(four.se - agr.se) < 1e-10
@@ -127,8 +124,8 @@ def test_theta_equals_four_arm_mean_when_all_rows_agree():
 def test_agreement_estimator_recovers_truth(sim_four_arm_big):
     truth = true_effects(SimConfig(n=100, a_y_model=2, reps=1))
     config = EstimatorConfig(k_folds=2, splits=3, seed=2)
-    sde = estimate_sde_agreement(sim_four_arm_big, 1, config)
-    sie = estimate_sie_agreement(sim_four_arm_big, 1, config)
+    sde = estimate_agreement_effects(sim_four_arm_big, [("sde", 1)], config)[0]
+    sie = estimate_agreement_effects(sim_four_arm_big, [("sie", 1)], config)[0]
     assert abs(sde.point - truth.sde_two) < 3.0 * sde.se
     assert abs(sie.point - truth.sie_two) < 3.0 * sie.se
     assert sde.design == "four-arm"
@@ -143,7 +140,7 @@ def test_agreement_requires_agreeing_rows():
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
     with pytest.raises(EmptyAgreementSet):
-        estimate_sde_agreement(flipped, 1, EstimatorConfig())
+        estimate_agreement_effects(flipped, [("sde", 1)], EstimatorConfig())[0]
     with pytest.raises(EmptyAgreementSet):
         indirect_test_battery(flipped, EstimatorConfig())
 
@@ -180,7 +177,7 @@ def test_indirect_battery_detects_violation():
 def test_indirect_single_matches_battery(sim_four_arm):
     config = EstimatorConfig(k_folds=2, splits=3, seed=11)
     battery = indirect_test_battery(sim_four_arm, config)
-    single = indirect_test(sim_four_arm, "sde", 0, config)
+    single = indirect_test_battery(sim_four_arm, config, requests=[("sde", 0)])[0]
     assert single.estimate == battery[0].estimate
     assert single.se == battery[0].se
 

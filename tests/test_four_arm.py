@@ -4,14 +4,7 @@ import pytest
 from sepfx.data import FourArmDataset
 from sepfx.errors import DegenerateFold
 from sepfx.estimation import EstimatorConfig
-from sepfx.four_arm import (
-    eif,
-    estimate_effects_four,
-    estimate_mean_four,
-    estimate_sde_four,
-    estimate_sie_four,
-    fit_nuisance_four,
-)
+from sepfx.four_arm import eif, estimate_effects_four, fit_nuisance_four
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import SimConfig, arm_probability, generate_dataset, true_effects
 
@@ -140,7 +133,7 @@ def test_propensity_estimates_are_accurate(sim_four_arm_big):
 
 def test_estimate_metadata(sim_four_arm):
     config = EstimatorConfig(k_folds=2, splits=3, seed=1)
-    est = estimate_sde_four(sim_four_arm, 1, config)
+    est = estimate_effects_four(sim_four_arm, [("sde", 1)], config)[0]
     assert est.estimand == "sde"
     assert est.fixed_level == 1
     assert est.design == "four-arm"
@@ -156,13 +149,13 @@ def test_estimate_metadata(sim_four_arm):
 
 
 def test_confidence_interval_uses_fixed_normal_quantile(sim_four_arm):
-    est = estimate_sie_four(sim_four_arm, 1, EstimatorConfig(seed=3))
+    est = estimate_effects_four(sim_four_arm, [("sie", 1)], EstimatorConfig(seed=3))[0]
     assert est.ci == (est.point - 1.96 * est.se, est.point + 1.96 * est.se)
 
 
 def test_eif_mean_matches_point(sim_four_arm):
     config = EstimatorConfig(k_folds=2, splits=3, seed=4, keep_eif=True)
-    est = estimate_sde_four(sim_four_arm, 1, config)
+    est = estimate_effects_four(sim_four_arm, [("sde", 1)], config)[0]
     assert est.eif is not None and est.eif.shape == (sim_four_arm.n,)
     assert abs(est.eif.mean() - est.point) < 1e-10
     # and the variance implied by the retained scores is in the ballpark
@@ -171,14 +164,14 @@ def test_eif_mean_matches_point(sim_four_arm):
 
 def test_keep_eif_off(sim_four_arm):
     config = EstimatorConfig(seed=4, keep_eif=False)
-    assert estimate_sde_four(sim_four_arm, 1, config).eif is None
+    assert estimate_effects_four(sim_four_arm, [("sde", 1)], config)[0].eif is None
 
 
 def test_deterministic_given_seed(sim_four_arm):
-    a = estimate_sde_four(sim_four_arm, 1, EstimatorConfig(seed=5))
-    b = estimate_sde_four(sim_four_arm, 1, EstimatorConfig(seed=5))
+    a = estimate_effects_four(sim_four_arm, [("sde", 1)], EstimatorConfig(seed=5))[0]
+    b = estimate_effects_four(sim_four_arm, [("sde", 1)], EstimatorConfig(seed=5))[0]
     assert a.point == b.point and a.se == b.se
-    c = estimate_sde_four(sim_four_arm, 1, EstimatorConfig(seed=6))
+    c = estimate_effects_four(sim_four_arm, [("sde", 1)], EstimatorConfig(seed=6))[0]
     assert c.point != a.point
 
 
@@ -214,8 +207,8 @@ def test_label_swap_negates_the_direct_effect(sim_four_arm):
         propensity=LearnerSpec(kind="glm", basis="main", ridge=0.0),
         k_folds=2, splits=3, seed=8,
     )
-    original = estimate_sde_four(ds, 1, config)
-    mirrored = estimate_sde_four(swapped, 0, config)
+    original = estimate_effects_four(ds, [("sde", 1)], config)[0]
+    mirrored = estimate_effects_four(swapped, [("sde", 0)], config)[0]
     assert abs(original.point + mirrored.point) < 1e-10
 
 
@@ -229,16 +222,20 @@ def test_missing_cell_raises_degenerate_fold():
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
     with pytest.raises(DegenerateFold):
-        estimate_sde_four(sub, 1, EstimatorConfig(k_folds=2, splits=2, seed=0))
+        estimate_effects_four(
+            sub, [("sde", 1)], EstimatorConfig(k_folds=2, splits=2, seed=0)
+        )
     # a mean request that avoids the empty cell still works
-    est = estimate_mean_four(sub, 0, 0, EstimatorConfig(k_folds=2, splits=2, seed=0))
+    est = estimate_effects_four(
+        sub, [("mean", (0, 0))], EstimatorConfig(k_folds=2, splits=2, seed=0)
+    )[0]
     assert np.isfinite(est.point)
 
 
 def test_diagnostics_only_when_requested(sim_four_arm):
-    with_diag = estimate_sde_four(
-        sim_four_arm, 1, EstimatorConfig(seed=1, diagnostics=True)
-    )
+    with_diag = estimate_effects_four(
+        sim_four_arm, [("sde", 1)], EstimatorConfig(seed=1, diagnostics=True)
+    )[0]
     assert set(with_diag.diagnostics) == {"ipw", "outcome_regression"}
     payload = with_diag.to_json_dict()
     assert payload["diagnostics"] == with_diag.diagnostics
@@ -248,7 +245,7 @@ def test_shared_nuisances_across_requests(sim_four_arm):
     """One batched call matches separate single-request calls."""
     config = EstimatorConfig(k_folds=2, splits=3, seed=9)
     batch = estimate_effects_four(sim_four_arm, [("sde", 1), ("sie", 0)], config)
-    solo_sde = estimate_sde_four(sim_four_arm, 1, config)
-    solo_sie = estimate_sie_four(sim_four_arm, 0, config)
+    solo_sde = estimate_effects_four(sim_four_arm, [("sde", 1)], config)[0]
+    solo_sie = estimate_effects_four(sim_four_arm, [("sie", 0)], config)[0]
     assert batch[0].point == solo_sde.point
     assert batch[1].point == solo_sie.point

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from sepfx.data import TwoArmDataset
 from sepfx.errors import LearnerError, MissingTreatmentLevel, SingleClassWarning, TooFewRows
+from sepfx.estimation import EstimatorConfig
 from sepfx.learners import (
     ConstantPredictor,
     LearnerSpec,
@@ -9,10 +11,10 @@ from sepfx.learners import (
     fit_classifier,
     fit_regressor,
     fit_super_learner,
-    fit_with_treatment_strategy,
     make_spec,
 )
 from sepfx.seeding import stream
+from sepfx.two_arm import fit_nuisance_two
 
 
 def test_spec_validation():
@@ -205,26 +207,39 @@ def test_super_learner_deterministic_by_seed():
     np.testing.assert_array_equal(a.predict(x), b.predict(x))
 
 
+def _strategy_data(features, treatment, targets) -> TwoArmDataset:
+    # the first feature plays the mediator, so the outcome models see
+    # the same (treatment, features) columns as a plain regression
+    return TwoArmDataset(
+        y=targets, a=treatment, m=features[:, :1], x=features[:, 1:]
+    )
+
+
 def test_strategies_recover_additive_effect():
     rng = stream(123, "strategy")
     n = 4000
     x = rng.normal(size=(n, 2))
     a = (rng.random(n) < 0.5).astype(float)
     y = 2.0 + a + x @ np.array([0.3, -0.2]) + rng.normal(scale=0.2, size=n)
+    ds = _strategy_data(x, a, y)
+    config = EstimatorConfig(outcome=LearnerSpec(kind="glm", basis="interactions"))
     for strategy in ("S", "T", "ensemble"):
-        fit = fit_with_treatment_strategy(
-            x, a, y, LearnerSpec(kind="glm", basis="interactions"), strategy
+        nuis = fit_nuisance_two(ds, np.arange(n), config, strategy)
+        bundles = (
+            (nuis.single, nuis.stratified) if strategy == "ensemble" else (nuis,)
         )
-        effect = np.mean(fit.predict(1, x) - fit.predict(0, x))
-        assert abs(effect - 1.0) < 0.05, strategy
+        for bundle in bundles:
+            effect = np.mean(bundle.mu(1, ds.m, ds.x) - bundle.mu(0, ds.m, ds.x))
+            assert abs(effect - 1.0) < 0.05, (strategy, bundle.strategy)
 
 
 def test_strategy_requires_both_arms():
     rng = stream(13, "strategy-arm")
     x = rng.normal(size=(60, 2))
     y = x[:, 0] + rng.normal(scale=0.1, size=60)
+    ds = _strategy_data(x, np.ones(60), y)
     with pytest.raises(MissingTreatmentLevel):
-        fit_with_treatment_strategy(x, np.ones(60), y, LearnerSpec(), "T")
+        fit_nuisance_two(ds, np.arange(60), EstimatorConfig(), "T")
 
 
 def test_make_spec():

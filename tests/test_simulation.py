@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sepfx.estimation import EstimatorConfig
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import (
     ESTIMATOR_NAMES,
@@ -146,6 +147,13 @@ def test_estimator_config_for():
     rf = estimator_config_for("rf", seed=1, k_folds=2, splits=3,
                               alpha=0.05, clip=0.01, strategy="ensemble")
     assert rf.propensity == rf.outcome
+    assert glm.diagnostics is False and rf.diagnostics is False
+    traced = estimator_config_for("glm", seed=1, diagnostics=True)
+    assert traced.diagnostics is True
+    assert traced == EstimatorConfig(
+        outcome=glm.outcome, propensity=glm.propensity, seed=1,
+        keep_eif=False, diagnostics=True,
+    )
 
 
 def test_run_monte_carlo_small():

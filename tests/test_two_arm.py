@@ -10,8 +10,6 @@ from sepfx.two_arm import (
     eif,
     eif_collapsed,
     estimate_effects_two,
-    estimate_mean_two,
-    estimate_sde_two,
     fit_nuisance_two,
 )
 
@@ -121,13 +119,13 @@ def test_all_strategies_recover_truth(sim_four_arm_big):
     truth = true_effects(SimConfig(n=100, a_y_model=2, reps=1))
     for strategy in ("S", "T", "ensemble"):
         config = EstimatorConfig(k_folds=2, splits=3, seed=2, strategy=strategy)
-        est = estimate_sde_two(ds, 1, config)
+        est = estimate_effects_two(ds, [("sde", 1)], config)[0]
         assert est.strategy == strategy
         assert abs(est.point - truth.sde_two) < 3.0 * est.se, strategy
 
 
 def test_metadata_and_json(sim_two_arm):
-    est = estimate_sde_two(sim_two_arm, 1, EstimatorConfig(seed=5))
+    est = estimate_effects_two(sim_two_arm, [("sde", 1)], EstimatorConfig(seed=5))[0]
     assert est.design == "two-arm"
     assert est.population == "two-arm"
     assert est.strategy == "ensemble"
@@ -144,17 +142,17 @@ def test_single_arm_dataset_rejected():
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
     with pytest.raises(MissingTreatmentLevel):
-        estimate_sde_two(stuck, 1, EstimatorConfig())
+        estimate_effects_two(stuck, [("sde", 1)], EstimatorConfig())[0]
 
 
 def test_deterministic_given_seed(sim_two_arm):
-    a = estimate_mean_two(sim_two_arm, 1, 0, EstimatorConfig(seed=7))
-    b = estimate_mean_two(sim_two_arm, 1, 0, EstimatorConfig(seed=7))
+    a = estimate_effects_two(sim_two_arm, [("mean", (1, 0))], EstimatorConfig(seed=7))[0]
+    b = estimate_effects_two(sim_two_arm, [("mean", (1, 0))], EstimatorConfig(seed=7))[0]
     assert a.point == b.point and a.se == b.se
 
 
 def test_eif_mean_matches_point(sim_two_arm):
     config = EstimatorConfig(seed=4, keep_eif=True)
-    est = estimate_sde_two(sim_two_arm, 1, config)
+    est = estimate_effects_two(sim_two_arm, [("sde", 1)], config)[0]
     assert est.eif is not None and est.eif.shape == (sim_two_arm.n,)
     assert abs(est.eif.mean() - est.point) < 1e-10
