@@ -2,9 +2,12 @@
 
 A four-arm dataset carries two binary treatment columns: one routed to the
 outcome (``a_y``) and one routed to the mediators (``a_m``).  A two-arm
-dataset carries a single binary treatment that plays both roles.  Loaders
-are strict: every cell must parse as a finite number, treatments must be
-exactly 0 or 1, and missing values are rejected rather than imputed.
+dataset carries a single binary treatment that plays both roles.  Both
+types share one validate-and-freeze body; each names its treatment fields
+in ``treatment_fields``, which also fixes the treatment columns the loader
+and writer use.  Loaders are strict: every cell must parse as a finite
+number, treatments must be exactly 0 or 1, and missing values are
+rejected rather than imputed.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,9 +52,9 @@ class ColumnMap:
     covariates: tuple[str, ...] | None = None
 
     def special_names(self, design: str) -> tuple[str, ...]:
-        if design == "four-arm":
-            return (self.outcome, self.a_y, self.a_m)
-        return (self.outcome, self.a)
+        """Outcome and treatment columns; roles match the treatment fields."""
+        fields = _DESIGNS[design].treatment_fields
+        return (self.outcome, *(getattr(self, field) for field in fields))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -84,8 +88,62 @@ def _default_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{j + 1}" for j in range(count))
 
 
+class _Dataset:
+    """Validate-and-freeze body of both dataset types.  Each treatment
+    field ``f`` in ``treatment_fields`` has its column name in ``f_name``."""
+
+    treatment_fields: ClassVar[tuple[str, ...]] = ()
+
+    def __post_init__(self):
+        y = np.asarray(self.y, dtype=np.float64).ravel()
+        n = y.shape[0]
+        if n == 0:
+            raise EmptyDataset("dataset has no rows")
+        if not np.isfinite(y).all():
+            raise NonNumericCell("outcome contains non-finite values")
+        arms = {
+            field: _check_binary(
+                np.asarray(getattr(self, field)).ravel(), getattr(self, f"{field}_name")
+            )
+            for field in self.treatment_fields
+        }
+        if any(arm.shape[0] != n for arm in arms.values()):
+            raise DataError("treatment columns must match outcome length")
+        m = _check_matrix(self.m, "mediator block", n)
+        x = _check_matrix(self.x, "covariate block", n)
+        med_names = self.mediator_names or _default_names("m", m.shape[1])
+        cov_names = self.covariate_names or _default_names("x", x.shape[1])
+        if len(med_names) != m.shape[1] or len(cov_names) != x.shape[1]:
+            raise DataError("column name lists must match matrix widths")
+        for field, value in {"y": y, **arms, "m": m, "x": x}.items():
+            object.__setattr__(self, field, _freeze(value))
+        object.__setattr__(self, "mediator_names", tuple(med_names))
+        object.__setattr__(self, "covariate_names", tuple(cov_names))
+
+    @property
+    def n(self) -> int:
+        return self.y.shape[0]
+
+    @property
+    def n_mediators(self) -> int:
+        return self.m.shape[1]
+
+    @property
+    def n_covariates(self) -> int:
+        return self.x.shape[1]
+
+    def column_names(self) -> tuple[str, ...]:
+        """CSV column order: outcome, treatments, mediators, covariates."""
+        return (
+            self.outcome_name,
+            *(getattr(self, f"{field}_name") for field in self.treatment_fields),
+            *self.mediator_names,
+            *self.covariate_names,
+        )
+
+
 @dataclass(frozen=True)
-class FourArmDataset:
+class FourArmDataset(_Dataset):
     """Immutable four-arm dataset with separate outcome/mediator treatments."""
 
     y: np.ndarray
@@ -99,42 +157,7 @@ class FourArmDataset:
     mediator_names: tuple[str, ...] = ()
     covariate_names: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64).ravel()
-        n = y.shape[0]
-        if n == 0:
-            raise EmptyDataset("dataset has no rows")
-        if not np.isfinite(y).all():
-            raise NonNumericCell("outcome contains non-finite values")
-        a_y = _check_binary(np.asarray(self.a_y).ravel(), self.a_y_name)
-        a_m = _check_binary(np.asarray(self.a_m).ravel(), self.a_m_name)
-        if a_y.shape[0] != n or a_m.shape[0] != n:
-            raise DataError("treatment columns must match outcome length")
-        m = _check_matrix(self.m, "mediator block", n)
-        x = _check_matrix(self.x, "covariate block", n)
-        med_names = self.mediator_names or _default_names("m", m.shape[1])
-        cov_names = self.covariate_names or _default_names("x", x.shape[1])
-        if len(med_names) != m.shape[1] or len(cov_names) != x.shape[1]:
-            raise DataError("column name lists must match matrix widths")
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "a_y", _freeze(a_y))
-        object.__setattr__(self, "a_m", _freeze(a_m))
-        object.__setattr__(self, "m", _freeze(m))
-        object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "mediator_names", tuple(med_names))
-        object.__setattr__(self, "covariate_names", tuple(cov_names))
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_mediators(self) -> int:
-        return self.m.shape[1]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
+    treatment_fields: ClassVar[tuple[str, ...]] = ("a_y", "a_m")
 
     def arm_counts(self) -> dict[tuple[int, int], int]:
         return {
@@ -143,19 +166,14 @@ class FourArmDataset:
             for j in (0, 1)
         }
 
-    def column_names(self) -> tuple[str, ...]:
-        return (
-            self.outcome_name,
-            self.a_y_name,
-            self.a_m_name,
-            *self.mediator_names,
-            *self.covariate_names,
-        )
-
 
 @dataclass(frozen=True)
-class TwoArmDataset:
-    """Immutable two-arm dataset: one treatment feeds outcome and mediators."""
+class TwoArmDataset(_Dataset):
+    """Immutable two-arm dataset: one treatment feeds outcome and mediators.
+
+    ``source_rows``, when given, holds each row's index in the four-arm
+    dataset it was restricted from.
+    """
 
     y: np.ndarray
     a: np.ndarray
@@ -167,56 +185,18 @@ class TwoArmDataset:
     covariate_names: tuple[str, ...] = ()
     source_rows: np.ndarray | None = None
 
+    treatment_fields: ClassVar[tuple[str, ...]] = ("a",)
+
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=np.float64).ravel()
-        n = y.shape[0]
-        if n == 0:
-            raise EmptyDataset("dataset has no rows")
-        if not np.isfinite(y).all():
-            raise NonNumericCell("outcome contains non-finite values")
-        a = _check_binary(np.asarray(self.a).ravel(), self.a_name)
-        if a.shape[0] != n:
-            raise DataError("treatment column must match outcome length")
-        m = _check_matrix(self.m, "mediator block", n)
-        x = _check_matrix(self.x, "covariate block", n)
-        med_names = self.mediator_names or _default_names("m", m.shape[1])
-        cov_names = self.covariate_names or _default_names("x", x.shape[1])
-        if len(med_names) != m.shape[1] or len(cov_names) != x.shape[1]:
-            raise DataError("column name lists must match matrix widths")
-        object.__setattr__(self, "y", _freeze(y))
-        object.__setattr__(self, "a", _freeze(a))
-        object.__setattr__(self, "m", _freeze(m))
-        object.__setattr__(self, "x", _freeze(x))
-        object.__setattr__(self, "mediator_names", tuple(med_names))
-        object.__setattr__(self, "covariate_names", tuple(cov_names))
+        super().__post_init__()
         if self.source_rows is not None:
             rows = np.asarray(self.source_rows, dtype=np.int64).ravel()
-            if rows.shape[0] != n:
+            if rows.shape[0] != self.n:
                 raise DataError("source_rows must match dataset length")
             object.__setattr__(self, "source_rows", _freeze(rows))
 
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def n_mediators(self) -> int:
-        return self.m.shape[1]
-
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
-
     def arm_counts(self) -> dict[int, int]:
         return {level: int(np.sum(self.a == level)) for level in (0, 1)}
-
-    def column_names(self) -> tuple[str, ...]:
-        return (
-            self.outcome_name,
-            self.a_name,
-            *self.mediator_names,
-            *self.covariate_names,
-        )
 
 
 @dataclass(frozen=True)
@@ -322,11 +302,7 @@ def _parse_body(lines: list[str], width: int) -> np.ndarray | None:
     return table
 
 
-# Per design: the dataset type and its treatment fields, in CSV column order.
-_DESIGNS = {
-    "four-arm": (FourArmDataset, ("a_y", "a_m")),
-    "two-arm": (TwoArmDataset, ("a",)),
-}
+_DESIGNS = {"four-arm": FourArmDataset, "two-arm": TwoArmDataset}
 
 
 def _resolve_columns(
@@ -383,7 +359,8 @@ def _load(
         _check_binary(col, name)
     m = np.column_stack([column(c) for c in mediators])
     x = np.column_stack([column(c) for c in covariates])
-    dataset, fields = _DESIGNS[design]
+    dataset = _DESIGNS[design]
+    fields = dataset.treatment_fields
     return dataset(
         y=y,
         m=m,
@@ -421,16 +398,16 @@ def load_two_arm(source, schema: ColumnMap | None = None) -> TwoArmDataset:
     return _load(source, schema, "two-arm")
 
 
-def _save(ds: FourArmDataset | TwoArmDataset, target, design: str) -> None:
+def _save(ds: FourArmDataset | TwoArmDataset, target) -> None:
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="") as handle:
-            _save(ds, handle, design)
+            _save(ds, handle)
         return
     csv.writer(target).writerow(ds.column_names())
     # repr of a Python float is the shortest string that round-trips exactly
     columns = [
         map(repr, ds.y.tolist()),
-        *(map(str, getattr(ds, field).tolist()) for field in _DESIGNS[design][1]),
+        *(map(str, getattr(ds, field).tolist()) for field in ds.treatment_fields),
         *(map(repr, col.tolist()) for col in ds.m.T),
         *(map(repr, col.tolist()) for col in ds.x.T),
     ]
@@ -439,12 +416,12 @@ def _save(ds: FourArmDataset | TwoArmDataset, target, design: str) -> None:
 
 def save_four_arm(ds: FourArmDataset, target) -> None:
     """Write a four-arm dataset as CSV; values round-trip bit-exactly."""
-    _save(ds, target, "four-arm")
+    _save(ds, target)
 
 
 def save_two_arm(ds: TwoArmDataset, target) -> None:
     """Write a two-arm dataset as CSV; values round-trip bit-exactly."""
-    _save(ds, target, "two-arm")
+    _save(ds, target)
 
 
 def restrict_to_two_arm(ds: FourArmDataset) -> TwoArmDataset:
@@ -482,7 +459,7 @@ def validate(
     counts = ds.arm_counts()
     warnings: list[str] = []
     for cell, count in sorted(counts.items()):
-        label = f"arm {cell}" if isinstance(cell, int) else f"arm {cell!r}"
+        label = f"arm {cell!r}"
         if count == 0:
             warnings.append(f"{label} is empty")
         elif count < min_cell:

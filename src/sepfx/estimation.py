@@ -16,7 +16,7 @@ standard error that is not positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -120,8 +120,40 @@ class EstimatorConfig:
         return self.outcome.kind
 
 
+def _json_value(value):
+    if hasattr(value, "to_json_dict"):
+        return value.to_json_dict()
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    return value
+
+
+class JsonFields:
+    """``to_json_dict`` read off a dataclass's own fields, in field order.
+
+    Tuples become lists and nested records their JSON dicts.  Fields named
+    in ``json_skip`` are left out, and those in ``json_omit_none`` are left
+    out when they are None.  Values are read one field at a time, so arrays
+    held by a skipped field are never copied.
+    """
+
+    json_skip: tuple = ()
+    json_omit_none: tuple = ()
+
+    def to_json_dict(self) -> dict:
+        out = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if item.name in self.json_skip or (
+                value is None and item.name in self.json_omit_none
+            ):
+                continue
+            out[item.name] = _json_value(value)
+        return out
+
+
 @dataclass(frozen=True)
-class EffectEstimate:
+class EffectEstimate(JsonFields):
     """A point estimate with its large-sample uncertainty.
 
     ``se`` is the asymptotic standard deviation divided by sqrt(n) and the
@@ -148,26 +180,8 @@ class EffectEstimate:
     eif: np.ndarray | None = None
     diagnostics: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "estimand": self.estimand,
-            "fixed_level": self.fixed_level,
-            "point": self.point,
-            "se": self.se,
-            "ci": [self.ci[0], self.ci[1]],
-            "n": self.n,
-            "alpha": self.alpha,
-            "design": self.design,
-            "population": self.population,
-            "k_folds": self.k_folds,
-            "splits": self.splits,
-            "learner": self.learner,
-        }
-        if self.strategy is not None:
-            out["strategy"] = self.strategy
-        if self.diagnostics is not None:
-            out["diagnostics"] = self.diagnostics
-        return out
+    json_skip = ("eif",)
+    json_omit_none = ("strategy", "diagnostics")
 
 
 @dataclass

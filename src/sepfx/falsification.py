@@ -27,11 +27,17 @@ from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .crossfit import FoldAssignment, SplitEstimate, median_adjust
 from .data import FourArmDataset, restrict_to_two_arm
-from .errors import EmptyAgreementSet, MissingTreatmentLevel, SingularDesign
+from .errors import (
+    DegenerateEstimate,
+    EmptyAgreementSet,
+    MissingTreatmentLevel,
+    SingularDesign,
+)
 from .estimation import (
     EffectEstimate,
     Estimand,
     EstimatorConfig,
+    JsonFields,
     build_estimates,
     checked_se,
     estimand_cells,
@@ -44,7 +50,7 @@ from .two_arm import split_scores_two
 
 
 @dataclass(frozen=True)
-class TestResult:
+class TestResult(JsonFields):
     """Outcome of one falsification test.
 
     ``reject`` is ``p_value < alpha``; the confidence interval uses the
@@ -65,25 +71,10 @@ class TestResult:
     mediator: int | None = None
     details: dict | None = None
 
-    def to_json_dict(self) -> dict:
-        out = {
-            "test": self.test,
-            "statistic": self.statistic,
-            "estimate": self.estimate,
-            "se": self.se,
-            "ci": [self.ci[0], self.ci[1]],
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "reject": self.reject,
-            "n": self.n,
-        }
-        if self.fixed_level is not None:
-            out["fixed_level"] = self.fixed_level
-        if self.mediator is not None:
-            out["mediator"] = self.mediator
-        if self.details is not None:
-            out["details"] = self.details
-        return out
+    json_omit_none = ("fixed_level", "mediator", "details")
+
+
+EXACT_FIT_RTOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass
@@ -102,6 +93,13 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     ------
     SingularDesign
         If the design matrix is rank deficient.
+    DegenerateEstimate
+        If the fit is exact: the target is constant, or the residual norm
+        is at most ``EXACT_FIT_RTOL`` (the square root of machine epsilon,
+        about 1.5e-8) times the norm of the centred target, i.e. 1 - R^2
+        is below machine epsilon.  The residuals are then rounding noise,
+        so any standard error or p-value computed from them is too.  The
+        rule is relative, so rescaling the target does not change it.
     """
     n, p = design.shape
     if np.linalg.matrix_rank(design) < p:
@@ -110,6 +108,12 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     gram_inv = np.linalg.inv(gram)
     coef = gram_inv @ (design.T @ targets)
     resid = targets - design @ coef
+    centred_norm = np.linalg.norm(targets - targets.mean())
+    if np.ptp(targets) == 0.0 or np.linalg.norm(resid) <= EXACT_FIT_RTOL * centred_norm:
+        raise DegenerateEstimate(
+            "the regressors reproduce the target exactly, so the residuals "
+            "are rounding noise and no standard error exists"
+        )
     dof = n - p
     cov_classical = gram_inv * (resid @ resid / dof)
     meat = (design * (resid * resid)[:, None]).T @ design
@@ -140,34 +144,57 @@ def _direct_design(
     return np.hstack(blocks)
 
 
-def _ols_test_result(
-    fit: OlsFit,
-    coef_index: int,
-    robust: bool,
-    alpha: float,
-    test: str,
-    mediator: int | None,
+def _wald_test(
+    test: str, estimate: float, se: float, alpha: float, dof: int | None, **extra
 ) -> TestResult:
-    estimate = float(fit.coef[coef_index])
-    cov = fit.cov_robust if robust else fit.cov_classical
-    se = checked_se(float(np.sqrt(cov[coef_index, coef_index])), test)
+    """Test ``estimate = 0`` against a normal reference, or a t reference
+    with ``dof`` degrees of freedom; the interval uses the same quantile."""
+    se = checked_se(se, test)
     statistic = estimate / se
-    if robust:
+    if dof is None:
         p_value = 2.0 * float(ndtr(-abs(statistic)))
         quantile = float(ndtri(1.0 - alpha / 2.0))
     else:
-        p_value = 2.0 * float(stdtr(fit.dof, -abs(statistic)))
-        quantile = float(stdtrit(fit.dof, 1.0 - alpha / 2.0))
-    ci = (estimate - quantile * se, estimate + quantile * se)
+        p_value = 2.0 * float(stdtr(dof, -abs(statistic)))
+        quantile = float(stdtrit(dof, 1.0 - alpha / 2.0))
     return TestResult(
         test=test,
         statistic=statistic,
         estimate=estimate,
         se=se,
-        ci=ci,
+        ci=(estimate - quantile * se, estimate + quantile * se),
         p_value=p_value,
         alpha=alpha,
         reject=bool(p_value < alpha),
+        **extra,
+    )
+
+
+def _direct_test(
+    test: str,
+    ds: FourArmDataset,
+    targets: np.ndarray,
+    robust: bool,
+    basis: str,
+    alpha: float,
+    *,
+    include_mediators: bool,
+    coef_index: int,
+    mediator: int | None = None,
+) -> TestResult:
+    """Regress ``targets`` on the direct-test design and Wald-test the
+    treatment coefficient at ``coef_index`` (1 for a_y, 2 for a_m)."""
+    try:
+        fit = fit_ols(_direct_design(ds, include_mediators, basis), targets)
+    except DegenerateEstimate as exc:
+        raise DegenerateEstimate(f"{test}: {exc}") from None
+    cov = fit.cov_robust if robust else fit.cov_classical
+    return _wald_test(
+        test,
+        float(fit.coef[coef_index]),
+        float(np.sqrt(cov[coef_index, coef_index])),
+        alpha,
+        None if robust else fit.dof,
         n=fit.n,
         mediator=mediator,
         details={"reference": "normal" if robust else "t", "dof": fit.dof},
@@ -188,9 +215,10 @@ def direct_test_h0i(
     standard errors with a t reference by default; ``robust`` switches to
     HC1 errors with a normal reference.
     """
-    design = _direct_design(ds, include_mediators=False, basis=basis)
-    fit = fit_ols(design, ds.m[:, mediator_index])
-    return _ols_test_result(fit, 1, robust, alpha, "H0(i)", mediator_index)
+    return _direct_test(
+        "H0(i)", ds, ds.m[:, mediator_index], robust, basis, alpha,
+        include_mediators=False, coef_index=1, mediator=mediator_index,
+    )
 
 
 def direct_test_h0ii(
@@ -204,9 +232,9 @@ def direct_test_h0ii(
     Regresses the outcome on both treatments, all mediators, and
     covariates, and tests the mediator-channel coefficient against zero.
     """
-    design = _direct_design(ds, include_mediators=True, basis=basis)
-    fit = fit_ols(design, ds.y)
-    return _ols_test_result(fit, 2, robust, alpha, "H0(ii)", None)
+    return _direct_test(
+        "H0(ii)", ds, ds.y, robust, basis, alpha, include_mediators=True, coef_index=2
+    )
 
 
 @dataclass
@@ -242,12 +270,7 @@ def fit_nuisance_theta(
         agree_fit = fit_classifier(
             ds.x[train_rows], agree, config.propensity, clip=config.clip
         )
-    return ThetaNuisance(
-        cell_classifiers=four.cell_classifiers,
-        outcome_fit=four.outcome_fit,
-        clip=four.clip,
-        agree_fit=agree_fit,
-    )
+    return ThetaNuisance(**vars(four), agree_fit=agree_fit)
 
 
 def _agreement_share(ds: FourArmDataset) -> tuple:
@@ -369,24 +392,15 @@ def indirect_test_battery(
             )
 
     results = []
-    quantile = float(ndtri(1.0 - config.alpha / 2.0))
     for est in estimands:
-        test = f"indirect-{est.kind.upper()}"
         adjusted = median_adjust(per_request[est])
-        se = checked_se(float(np.sqrt(adjusted.variance / ds.n)), test)
-        statistic = adjusted.point / se
-        p_value = 2.0 * float(ndtr(-abs(statistic)))
-        ci = (adjusted.point - quantile * se, adjusted.point + quantile * se)
         results.append(
-            TestResult(
-                test=test,
-                statistic=statistic,
-                estimate=adjusted.point,
-                se=se,
-                ci=ci,
-                p_value=p_value,
-                alpha=config.alpha,
-                reject=bool(p_value < config.alpha),
+            _wald_test(
+                f"indirect-{est.kind.upper()}",
+                adjusted.point,
+                float(np.sqrt(adjusted.variance / ds.n)),
+                config.alpha,
+                None,
                 n=ds.n,
                 fixed_level=est.level,
                 details={"pr_agree": float(pr_agree)},

@@ -15,6 +15,12 @@ import numpy as np
 from .seeding import derive_seed
 
 
+def as_matrix(features) -> np.ndarray:
+    """Features as a float64 matrix; a 1-d input is one feature column."""
+    arr = np.asarray(features, dtype=np.float64)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
+
+
 @dataclass
 class _Tree:
     feature: np.ndarray  # -1 marks a leaf
@@ -122,12 +128,9 @@ class ForestPredictor:
 
     trees: list[_Tree]
     clip: float | None = None
-    n_features: int = 0
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = np.asarray(features, dtype=np.float64)
-        if features.ndim == 1:
-            features = features.reshape(-1, 1)
+        features = as_matrix(features)
         total = np.zeros(features.shape[0])
         for tree in self.trees:
             total += tree.predict(features)
@@ -147,9 +150,7 @@ def fit_forest(
     clip: float | None = None,
 ) -> ForestPredictor:
     """Fit a bagged forest; deterministic for a fixed (data, params, seed)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features.reshape(-1, 1)
+    features = as_matrix(features)
     targets = np.asarray(targets, dtype=np.float64).ravel()
     n = features.shape[0]
     rng = np.random.default_rng(derive_seed(seed, "forest"))
@@ -157,4 +158,4 @@ def fit_forest(
     for _ in range(n_trees):
         rows = rng.integers(0, n, size=n)
         trees.append(_grow_tree(features[rows], targets[rows], rng, mtry, min_leaf))
-    return ForestPredictor(trees=trees, clip=clip, n_features=features.shape[1])
+    return ForestPredictor(trees=trees, clip=clip)

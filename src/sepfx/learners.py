@@ -23,8 +23,9 @@ from typing import Protocol
 import numpy as np
 from scipy.special import expit
 
+from .crossfit import make_folds
 from .errors import LearnerError, SingleClassWarning, TooFewRows
-from .forest import fit_forest
+from .forest import as_matrix, fit_forest
 from .seeding import derive_seed
 
 DEFAULT_CLIP = 0.01
@@ -64,42 +65,9 @@ class LearnerSpec:
         if self.kind == "super_learner" and self.v_folds < 2:
             raise LearnerError("super_learner needs v_folds >= 2")
 
-    def to_dict(self) -> dict:
-        if self.kind == "glm":
-            return {"kind": self.kind, "basis": self.basis, "ridge": self.ridge}
-        if self.kind == "random_forest":
-            return {
-                "kind": self.kind,
-                "trees": self.trees,
-                "mtry": self.mtry,
-                "min_leaf": self.min_leaf,
-                "seed": self.seed,
-            }
-        return {
-            "kind": self.kind,
-            "v_folds": self.v_folds,
-            "candidates": [c.to_dict() for c in self.candidates],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "LearnerSpec":
-        payload = dict(payload)
-        if "candidates" in payload:
-            payload["candidates"] = tuple(
-                cls.from_dict(c) for c in payload["candidates"]
-            )
-        return cls(**payload)
-
 
 class FittedPredictor(Protocol):
     def predict(self, features: np.ndarray) -> np.ndarray: ...
-
-
-def _as_matrix(features) -> np.ndarray:
-    arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    return arr
 
 
 def expand_basis(
@@ -110,7 +78,7 @@ def expand_basis(
     Interaction columns multiply each listed treatment column with every
     non-treatment column; treatments are never interacted with each other.
     """
-    X = _as_matrix(features)
+    X = as_matrix(features)
     n, p = X.shape
     blocks = [np.ones((n, 1))]
     if basis != "intercept":
@@ -195,7 +163,6 @@ class GlmPredictor:
     interact_cols: tuple[int, ...]
     link: str  # "identity" or "logit"
     clip: float | None = None
-    n_features: int = 0
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         design = expand_basis(features, self.basis, self.interact_cols)
@@ -206,20 +173,15 @@ class GlmPredictor:
             z = np.clip(z, self.clip, 1.0 - self.clip)
         return z
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.beta
-
 
 @dataclass
 class ConstantPredictor:
     """Predicts one value everywhere; exact fit for constant targets."""
 
     value: float
-    n_features: int = 0
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = _as_matrix(features)
+        features = as_matrix(features)
         return np.full(features.shape[0], self.value)
 
 
@@ -241,14 +203,14 @@ def fit_regressor(
     every learner kind.  Identical inputs (data, spec, seed) produce
     bit-identical predictors.
     """
-    X = _as_matrix(features)
+    X = as_matrix(features)
     y = np.asarray(targets, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise LearnerError("features and targets disagree on row count")
     if y.shape[0] < 2:
         raise TooFewRows(f"need at least 2 rows, got {y.shape[0]}")
     if np.ptp(y) == 0.0:
-        return ConstantPredictor(float(y[0]), n_features=X.shape[1])
+        return ConstantPredictor(float(y[0]))
     if spec.kind == "glm":
         design = expand_basis(X, spec.basis, interact_cols)
         beta = _solve_ridge(design, y, _effective_ridge(spec, y.shape[0]))
@@ -257,7 +219,6 @@ def fit_regressor(
             basis=spec.basis,
             interact_cols=tuple(interact_cols),
             link="identity",
-            n_features=X.shape[1],
         )
     if spec.kind == "random_forest":
         return fit_forest(X, y, spec.trees, spec.mtry, spec.min_leaf, spec.seed)
@@ -279,7 +240,7 @@ def fit_classifier(
     If only one class is present the fit degenerates to a clipped constant
     and a :class:`SingleClassWarning` is emitted.
     """
-    X = _as_matrix(features)
+    X = as_matrix(features)
     y = np.asarray(labels, dtype=np.float64).ravel()
     if X.shape[0] != y.shape[0]:
         raise LearnerError("features and labels disagree on row count")
@@ -293,7 +254,7 @@ def fit_classifier(
             SingleClassWarning,
         )
         value = float(np.clip(y[0], clip, 1.0 - clip))
-        return ConstantPredictor(value, n_features=X.shape[1])
+        return ConstantPredictor(value)
     if spec.kind == "glm":
         design = expand_basis(X, spec.basis, interact_cols)
         beta = _fit_logistic(design, y, _effective_ridge(spec, y.shape[0]))
@@ -303,7 +264,6 @@ def fit_classifier(
             interact_cols=tuple(interact_cols),
             link="logit",
             clip=clip,
-            n_features=X.shape[1],
         )
     if spec.kind == "random_forest":
         return fit_forest(
@@ -324,10 +284,9 @@ class SuperLearnerFit:
     cv_losses: np.ndarray
     ensemble_cv_loss: float
     clip: float | None = None
-    n_features: int = 0
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = _as_matrix(features)
+        features = as_matrix(features)
         out = np.zeros(features.shape[0])
         for w, fit in zip(self.weights, self.candidate_fits):
             if w != 0.0:
@@ -367,7 +326,7 @@ def fit_super_learner(
     the weights collapse to that candidate (ties break toward the lower
     index), so the ensemble's CV loss never exceeds the best candidate's.
     """
-    X = _as_matrix(features)
+    X = as_matrix(features)
     y = np.asarray(targets, dtype=np.float64).ravel()
     n = y.shape[0]
     if not candidates:
@@ -377,15 +336,12 @@ def fit_super_learner(
     if n < v_folds:
         raise TooFewRows(f"need at least {v_folds} rows, got {n}")
 
-    rng = np.random.default_rng(derive_seed(seed, "super-learner-folds"))
-    assignment = np.empty(n, dtype=np.int64)
-    assignment[rng.permutation(n)] = np.arange(n) % v_folds
-
+    folds = make_folds(n, v_folds, derive_seed(seed, "super-learner-folds"))
     fit_clip = clip if clip is not None else DEFAULT_CLIP
     oof = np.empty((n, len(candidates)))
     for fold in range(v_folds):
-        train = assignment != fold
-        test = ~train
+        train = folds.train_rows(fold)
+        test = folds.test_rows(fold)
         for j, candidate in enumerate(candidates):
             fit = _fit_candidate(
                 X[train], y[train], candidate, task, interact_cols, fit_clip
@@ -419,7 +375,6 @@ def fit_super_learner(
         cv_losses=cv_losses,
         ensemble_cv_loss=ensemble_loss,
         clip=clip,
-        n_features=X.shape[1],
     )
 
 

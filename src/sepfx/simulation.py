@@ -19,6 +19,13 @@ each replication is fully reproducible in isolation.
 An optional violation adds a direct mediator-channel edge into the
 outcome with a chosen coefficient, which breaks the exclusion restriction
 that the falsification tests target.
+
+The Monte Carlo study is driven by one table, ``ESTIMATOR_FAMILIES``:
+family -> (design, population).  The estimator names, each replication's
+requests, each result row's metadata and the true value it is scored
+against all derive from it.  Each family, and each falsification test,
+runs on its own inside one error guard, so a failure counts against its
+own rows only.
 """
 
 from __future__ import annotations
@@ -34,8 +41,9 @@ from scipy.special import expit
 
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
-from .estimation import EstimatorConfig
+from .estimation import EstimatorConfig, JsonFields
 from .falsification import (
+    DEFAULT_INDIRECT_REQUESTS,
     direct_test_h0i,
     direct_test_h0ii,
     estimate_agreement_effects,
@@ -61,13 +69,19 @@ EFFECT_X_LAST = -0.1
 BASELINE_X_FIRST = 0.2
 BASELINE_X_LAST = 0.6
 
-ESTIMATOR_NAMES = (
-    "sde_four",
-    "sie_four",
-    "sde_two",
-    "sie_two",
-    "sde_agreement",
-    "sie_agreement",
+# Estimator family -> (design the data come from, population the estimand
+# refers to).  Family f runs the estimators "sde_f" and "sie_f"; each is
+# scored against the SimTruth field of its kind and population, so the
+# agreement family (four-arm data, two-arm population) shares the two-arm
+# truths.
+ESTIMATOR_FAMILIES = {
+    "four": ("four-arm", "four-arm"),
+    "two": ("two-arm", "two-arm"),
+    "agreement": ("four-arm", "two-arm"),
+}
+KINDS = ("sde", "sie")
+ESTIMATOR_NAMES = tuple(
+    f"{kind}_{family}" for family in ESTIMATOR_FAMILIES for kind in KINDS
 )
 
 
@@ -96,7 +110,7 @@ def baseline_curve(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(JsonFields):
     """Settings for one Monte Carlo study."""
 
     n: int = 2000
@@ -126,42 +140,15 @@ class SimConfig:
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "a_y_model": self.a_y_model,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "estimators": list(self.estimators),
-            "learner": self.learner,
-            "k_folds": self.k_folds,
-            "splits": self.splits,
-            "alpha": self.alpha,
-            "clip": self.clip,
-            "strategy": self.strategy,
-            "sde_level": self.sde_level,
-            "sie_level": self.sie_level,
-            "violation": self.violation,
-            "threads": self.threads,
-        }
-
 
 @dataclass(frozen=True)
-class SimTruth:
-    """True values of the four estimand families under a configuration."""
+class SimTruth(JsonFields):
+    """True sde/sie values in the four-arm and two-arm populations."""
 
     sde_four: float
     sie_four: float
     sde_two: float
     sie_two: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "sde_four": self.sde_four,
-            "sie_four": self.sie_four,
-            "sde_two": self.sde_two,
-            "sie_two": self.sie_two,
-        }
 
 
 @dataclass(frozen=True)
@@ -316,53 +303,56 @@ def _rep_config(cfg: SimConfig, rep: int) -> EstimatorConfig:
     )
 
 
-def _requests_for(cfg: SimConfig, family: str) -> list:
-    requests = []
-    if f"sde_{family}" in cfg.estimators:
-        requests.append(("sde", cfg.sde_level))
-    if f"sie_{family}" in cfg.estimators:
-        requests.append(("sie", cfg.sie_level))
-    return requests
+def _record(out: dict, keys: list, run, value) -> None:
+    """Map each key to ``value`` of its result from ``run()``, in order; if
+    ``run`` fails with an estimation error, map every key to ``None``."""
+    try:
+        results = run()
+    except SepfxError:
+        out.update(dict.fromkeys(keys))
+        return
+    out.update({key: value(res) for key, res in zip(keys, results)})
+
+
+def _estimate_family(family: str, ds: FourArmDataset, requests: list, config):
+    if family == "four":
+        return estimate_effects_four(ds, requests, config)
+    if family == "agreement":
+        return estimate_agreement_effects(ds, requests, config)
+    return estimate_effects_two(restrict_to_two_arm(ds), requests, config)
 
 
 def _simulate_one(cfg: SimConfig, rep: int) -> dict:
     """Estimate every configured estimator on one replication.
 
     Returns ``{estimator: (point, lo, hi)}``; a family that fails with an
-    estimation error maps its estimators to ``None``.
+    estimation error maps its own estimators to ``None``.
     """
     ds = generate_dataset(cfg, rep)
     config = _rep_config(cfg, rep)
     out: dict = {}
-
-    def record(family: str, runner) -> None:
-        requests = _requests_for(cfg, family)
-        if not requests:
-            return
-        names = [f"{kind}_{family}" for kind, _ in requests]
-        try:
-            estimates = runner(requests)
-        except SepfxError:
-            for name in names:
-                out[name] = None
-            return
-        for name, est in zip(names, estimates):
-            out[name] = (est.point, est.ci[0], est.ci[1])
-
-    record("four", lambda reqs: estimate_effects_four(ds, reqs, config))
-    record("agreement", lambda reqs: estimate_agreement_effects(ds, reqs, config))
-    if _requests_for(cfg, "two"):
-        try:
-            ds2 = restrict_to_two_arm(ds)
-            record("two", lambda reqs: estimate_effects_two(ds2, reqs, config))
-        except SepfxError:
-            for kind, _ in _requests_for(cfg, "two"):
-                out[f"{kind}_two"] = None
+    for family in ESTIMATOR_FAMILIES:
+        kinds = [kind for kind in KINDS if f"{kind}_{family}" in cfg.estimators]
+        if not kinds:
+            continue
+        requests = [(kind, getattr(cfg, f"{kind}_level")) for kind in kinds]
+        _record(
+            out,
+            [f"{kind}_{family}" for kind in kinds],
+            partial(_estimate_family, family, ds, requests, config),
+            lambda est: (est.point, est.ci[0], est.ci[1]),
+        )
     return out
 
 
+def _tally(results: list, key) -> tuple[list, int]:
+    """The replications' entries for ``key`` and how many of them failed."""
+    entries = [rep[key] for rep in results if rep.get(key) is not None]
+    return entries, len(results) - len(entries)
+
+
 @dataclass(frozen=True)
-class SimResultRow:
+class SimResultRow(JsonFields):
     """Aggregated accuracy of one estimator across replications."""
 
     estimator: str
@@ -378,49 +368,20 @@ class SimResultRow:
     coverage: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimator": self.estimator,
-            "estimand": self.estimand,
-            "fixed_level": self.fixed_level,
-            "design": self.design,
-            "population": self.population,
-            "n": self.n,
-            "reps": self.reps,
-            "failures": self.failures,
-            "bias": self.bias,
-            "rmse": self.rmse,
-            "coverage": self.coverage,
-            "bias_x100": 100.0 * self.bias,
-            "rmse_x100": 100.0 * self.rmse,
-        }
+        out = super().to_json_dict()
+        out["bias_x100"] = 100.0 * self.bias
+        out["rmse_x100"] = 100.0 * self.rmse
+        return out
 
 
 @dataclass(frozen=True)
-class SimReport:
+class SimReport(JsonFields):
     """Full Monte Carlo output: configuration, truths, and accuracy rows."""
 
     config: SimConfig
     truth: SimTruth
     rows: tuple[SimResultRow, ...]
     runtime_seconds: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "truth": self.truth.to_json_dict(),
-            "rows": [row.to_json_dict() for row in self.rows],
-            "runtime_seconds": self.runtime_seconds,
-        }
-
-
-_ESTIMATOR_META = {
-    "sde_four": ("sde", "four-arm", "four-arm", "sde_four"),
-    "sie_four": ("sie", "four-arm", "four-arm", "sie_four"),
-    "sde_two": ("sde", "two-arm", "two-arm", "sde_two"),
-    "sie_two": ("sie", "two-arm", "two-arm", "sie_two"),
-    "sde_agreement": ("sde", "four-arm", "two-arm", "sde_two"),
-    "sie_agreement": ("sie", "four-arm", "two-arm", "sie_two"),
-}
 
 
 def run_monte_carlo(cfg: SimConfig) -> SimReport:
@@ -432,39 +393,29 @@ def run_monte_carlo(cfg: SimConfig) -> SimReport:
     """
     start = time.perf_counter()
     truth = true_effects(cfg)
-    truth_by_name = truth.to_json_dict()
     results = _map_reps(_simulate_one, cfg)
 
     rows = []
     for name in cfg.estimators:
-        estimand, design, population, truth_key = _ESTIMATOR_META[name]
-        level = cfg.sde_level if estimand == "sde" else cfg.sie_level
-        true_value = truth_by_name[truth_key]
-        points = []
-        covered = 0
-        failures = 0
-        for rep_result in results:
-            entry = rep_result.get(name)
-            if entry is None:
-                failures += 1
-                continue
-            point, lo, hi = entry
-            points.append(point)
-            covered += int(lo <= true_value <= hi)
-        points_arr = np.asarray(points)
-        successes = len(points)
+        kind, family = name.split("_")
+        design, population = ESTIMATOR_FAMILIES[family]
+        true_value = getattr(truth, f"{kind}_{population.removesuffix('-arm')}")
+        entries, failures = _tally(results, name)
+        points = np.asarray([point for point, _, _ in entries])
+        covered = sum(lo <= true_value <= hi for _, lo, hi in entries)
+        successes = len(entries)
         rows.append(
             SimResultRow(
                 estimator=name,
-                estimand=estimand,
-                fixed_level=level,
+                estimand=kind,
+                fixed_level=getattr(cfg, f"{kind}_level"),
                 design=design,
                 population=population,
                 n=cfg.n,
                 reps=cfg.reps,
                 failures=failures,
-                bias=float(points_arr.mean() - true_value) if successes else float("nan"),
-                rmse=float(np.sqrt(np.mean((points_arr - true_value) ** 2)))
+                bias=float(points.mean() - true_value) if successes else float("nan"),
+                rmse=float(np.sqrt(np.mean((points - true_value) ** 2)))
                 if successes
                 else float("nan"),
                 coverage=covered / successes if successes else float("nan"),
@@ -489,7 +440,7 @@ def _map_reps(worker, cfg: SimConfig) -> list:
 
 
 @dataclass(frozen=True)
-class FalsificationStudyRow:
+class FalsificationStudyRow(JsonFields):
     """Rejection rate of one falsification test across replications."""
 
     test: str
@@ -500,55 +451,37 @@ class FalsificationStudyRow:
     rejection_rate: float
     mean_estimate: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "test": self.test,
-            "mediator": self.mediator,
-            "fixed_level": self.fixed_level,
-            "reps": self.reps,
-            "failures": self.failures,
-            "rejection_rate": self.rejection_rate,
-            "mean_estimate": self.mean_estimate,
-        }
-
 
 @dataclass(frozen=True)
-class FalsificationStudyReport:
+class FalsificationStudyReport(JsonFields):
     config: SimConfig
     rows: tuple[FalsificationStudyRow, ...]
     runtime_seconds: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "config": self.config.to_json_dict(),
-            "rows": [row.to_json_dict() for row in self.rows],
-            "runtime_seconds": self.runtime_seconds,
-        }
-
 
 def _falsify_one(cfg: SimConfig, rep: int) -> dict:
+    """Run every falsification test on one replication.
+
+    Returns ``{(test, mediator, fixed_level): (reject, estimate)}``; a test
+    that fails with an estimation error maps its keys to ``None``.
+    """
     ds = generate_dataset(cfg, rep)
     config = _rep_config(cfg, rep)
     out: dict = {}
+
+    def record(keys: list, run) -> None:
+        _record(out, keys, run, lambda res: (res.reject, res.estimate))
+
     for med in range(ds.n_mediators):
-        try:
-            res = direct_test_h0i(ds, mediator_index=med, alpha=cfg.alpha)
-            out[("H0(i)", med, None)] = (res.reject, res.estimate)
-        except SepfxError:
-            out[("H0(i)", med, None)] = None
-    try:
-        res = direct_test_h0ii(ds, alpha=cfg.alpha)
-        out[("H0(ii)", None, None)] = (res.reject, res.estimate)
-    except SepfxError:
-        out[("H0(ii)", None, None)] = None
-    try:
-        for res in indirect_test_battery(ds, config):
-            key = (res.test, None, res.fixed_level)
-            out[key] = (res.reject, res.estimate)
-    except SepfxError:
-        for kind in ("SDE", "SIE"):
-            for level in (0, 1):
-                out[(f"indirect-{kind}", None, level)] = None
+        record(
+            [("H0(i)", med, None)],
+            lambda: [direct_test_h0i(ds, mediator_index=med, alpha=cfg.alpha)],
+        )
+    record([("H0(ii)", None, None)], lambda: [direct_test_h0ii(ds, alpha=cfg.alpha)])
+    record(
+        [(f"indirect-{k.upper()}", None, level) for k, level in DEFAULT_INDIRECT_REQUESTS],
+        lambda: indirect_test_battery(ds, config),
+    )
     return out
 
 
@@ -566,16 +499,9 @@ def run_falsification_study(cfg: SimConfig) -> FalsificationStudyReport:
     )
     rows = []
     for key in keys:
-        rejects = []
-        estimates = []
-        failures = 0
-        for rep_result in results:
-            entry = rep_result.get(key)
-            if entry is None:
-                failures += 1
-                continue
-            rejects.append(entry[0])
-            estimates.append(entry[1])
+        entries, failures = _tally(results, key)
+        rejects = [reject for reject, _ in entries]
+        estimates = [estimate for _, estimate in entries]
         rows.append(
             FalsificationStudyRow(
                 test=key[0],

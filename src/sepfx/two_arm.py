@@ -59,7 +59,6 @@ class NuisanceFitTwo:
     mu_fits: dict
     lam_fits: dict
     strategy: str
-    clip: float
 
     def rho(self, level: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
         p1 = self.treat_given_mx.predict(np.column_stack([m, x]))
@@ -82,32 +81,20 @@ class EnsembleNuisanceTwo:
 
     single: NuisanceFitTwo
     stratified: NuisanceFitTwo
-    clip: float
     strategy: str = "ensemble"
 
 
 @dataclass
-class _JointMu:
-    """Outcome model that includes the treatment as an interacting feature."""
+class _AtLevel:
+    """A joint ("S" strategy) model whose first feature is the treatment,
+    evaluated with the treatment held at ``level``."""
 
     fit: FittedPredictor
     level: int
 
-    def predict(self, mx: np.ndarray) -> np.ndarray:
-        stacked = np.column_stack([np.full(mx.shape[0], float(self.level)), mx])
-        return self.fit.predict(stacked)
-
-
-@dataclass
-class _JointLam:
-    """Nested projection from a single model over (treatment, covariates)."""
-
-    fit: FittedPredictor
-    level: int
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        stacked = np.column_stack([np.full(x.shape[0], float(self.level)), x])
-        return self.fit.predict(stacked)
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        level = np.full(features.shape[0], float(self.level))
+        return self.fit.predict(np.column_stack([level, features]))
 
 
 def _fit_single_strategy(
@@ -130,14 +117,14 @@ def _fit_single_strategy(
             np.column_stack([a, mx]), y, config.outcome, interact_cols=(0,)
         )
         for level in (0, 1):
-            mu_fits[level] = _JointMu(fit=joint, level=level)
+            mu_fits[level] = _AtLevel(fit=joint, level=level)
             # project the level-specific predictions back onto (A, X)
             targets = mu_fits[level].predict(mx)
             stage2 = fit_regressor(
                 np.column_stack([a, x]), targets, config.outcome, interact_cols=(0,)
             )
             for prime in (0, 1):
-                lam_fits[(level, prime)] = _JointLam(fit=stage2, level=prime)
+                lam_fits[(level, prime)] = _AtLevel(fit=stage2, level=prime)
     elif strategy == "T":
         arm_rows = {}
         for level in (0, 1):
@@ -163,7 +150,6 @@ def _fit_single_strategy(
         mu_fits=mu_fits,
         lam_fits=lam_fits,
         strategy=strategy,
-        clip=config.clip,
     )
 
 
@@ -201,7 +187,6 @@ def fit_nuisance_two(
             stratified=_fit_single_strategy(
                 ds, train_rows, config, treat_given_mx, treat_given_x, "T"
             ),
-            clip=config.clip,
         )
     return _fit_single_strategy(
         ds, train_rows, config, treat_given_mx, treat_given_x, strategy

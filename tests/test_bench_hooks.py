@@ -6,7 +6,7 @@ from pathlib import Path
 import sepfx.falsification
 import sepfx.four_arm
 from sepfx.estimation import EstimatorConfig
-from sepfx.simulation import SimConfig, generate_dataset
+from sepfx.simulation import SimConfig, generate_dataset, run_monte_carlo
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,3 +34,29 @@ def test_trace_hooks_see_every_nuisance_fit(monkeypatch):
     assert counters["nuisance.fits"] == 6
     assert counters["nuisance.unique_fits"] == 4
     assert sepfx.four_arm.fit_nuisance_four is original
+
+
+def test_trace_hooks_see_one_monte_carlo_replication(monkeypatch):
+    """Every estimator family of one replication goes through the traced
+    module globals: one draw, one two-arm restriction, and the fit counts
+    of the four-arm, agreement and two-arm estimators."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        run_monte_carlo(SimConfig(n=300, reps=1))
+        calls, _, _ = layers.span_totals(tracer.spans)
+        counters = layers.summarize([tracer.snapshot()])
+    finally:
+        tracer.uninstall()
+
+    assert calls["four_arm.score"] == 1
+    assert calls["simulation.generate_dataset"] == 1
+    assert calls["data.restrict_to_two_arm"] == 1
+    assert calls["four_arm.fit_nuisance_four"] == 12
+    assert calls["falsification.fit_nuisance_theta"] == 6
+    assert calls["two_arm.fit_nuisance_two"] == 6
+    assert counters["nuisance.fits"] == 18
+    assert counters["nuisance.unique_fits"] == 12

@@ -13,8 +13,7 @@ from sepfx.errors import (
 )
 from sepfx.estimation import EstimatorConfig, z_value
 from sepfx.falsification import (
-    OlsFit,
-    _ols_test_result,
+    _wald_test,
     direct_test_h0i,
     direct_test_h0ii,
     estimate_agreement_effects,
@@ -217,11 +216,8 @@ def test_indirect_requires_both_arms_among_agreeing_rows():
     alpha=st.sampled_from([0.001, 0.01, 0.05, 0.1, 0.2, 0.5, 0.9]),
 )
 def test_ols_tails_equal_scipy_stats(estimate, se, dof, alpha):
-    cov = np.diag([1.0, se * se])
-    fit = OlsFit(coef=np.array([0.0, estimate]), cov_classical=cov,
-                 cov_robust=cov, dof=dof, n=dof + 2)
-    for robust, ref in ((True, norm), (False, student_t(dof))):
-        res = _ols_test_result(fit, 1, robust, alpha, "H0(i)", 0)
+    for reference_dof, ref in ((None, norm), (dof, student_t(dof))):
+        res = _wald_test("H0(i)", estimate, se, alpha, reference_dof, n=dof + 2)
         assert res.p_value == 2.0 * float(ref.sf(abs(res.statistic)))
         quantile = float(ref.ppf(1.0 - alpha / 2.0))
         assert res.ci == (res.estimate - quantile * res.se,
@@ -273,3 +269,52 @@ def test_indirect_battery_rejects_zero_standard_error(sim_four_arm):
     config = EstimatorConfig(k_folds=2, splits=1, seed=0)
     with pytest.raises(DegenerateEstimate, match="indirect-SDE"):
         indirect_test_battery(flat_y, config)
+
+
+# --- an exact fit fails loudly ---------------------------------------------------
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_h0i_refuses_a_mediator_the_regressors_reproduce_exactly(robust, scale):
+    """A mediator that is an exact function of aM and x1 leaves residuals at
+    rounding level; a test built on them used to report p ~ 1e-16 and reject."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    m = np.array(ds.m)
+    m[:, 0] = scale * (0.3 * ds.a_m + 0.5 * ds.x[:, 0])
+    with pytest.raises(DegenerateEstimate, match="H0\\(i\\).*exact"):
+        direct_test_h0i(_replace(ds, m=m), 0, robust=robust)
+    # the other mediator still has noise and is tested as before
+    assert direct_test_h0i(_replace(ds, m=m), 1, robust=robust).se > 0.0
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+def test_h0ii_refuses_an_outcome_the_regressors_reproduce_exactly(robust, scale):
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    y = scale * (2.0 * ds.a_y + ds.m[:, 0] - ds.m[:, 1] + 0.2 * ds.x[:, 2])
+    with pytest.raises(DegenerateEstimate, match="H0\\(ii\\).*exact"):
+        direct_test_h0ii(_replace(ds, y=y), robust=robust)
+
+
+@pytest.mark.parametrize("value", [0.1, 0.7, 3.3, 1e6 + 0.1])
+def test_direct_tests_refuse_a_constant_target(value):
+    """A constant mediator or outcome is fit exactly by the intercept; its
+    slopes and their standard errors are rounding noise that used to reject."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    m = np.array(ds.m)
+    m[:, 0] = value
+    with pytest.raises(DegenerateEstimate, match="H0\\(i\\).*exact"):
+        direct_test_h0i(_replace(ds, m=m), 0)
+    with pytest.raises(DegenerateEstimate, match="H0\\(ii\\).*exact"):
+        direct_test_h0ii(_replace(ds, y=np.full(ds.n, value)), robust=True)
+
+
+def test_fit_ols_exact_fit_rule_ignores_the_target_scale():
+    rng = np.random.default_rng(4)
+    design = np.column_stack([np.ones(200), rng.normal(size=(200, 2))])
+    exact = design @ np.array([1.0, 0.5, -0.3])
+    for scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(DegenerateEstimate):
+            fit_ols(design, scale * exact)
+        noisy = scale * (exact + 1e-6 * rng.normal(size=200))
+        assert fit_ols(design, noisy).dof == 197

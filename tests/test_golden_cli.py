@@ -1,0 +1,77 @@
+"""Byte-for-byte checks of ``--deterministic`` CLI output against files
+stored in ``tests/golden/``.
+
+A refactor that should not change any number must leave these files as
+they are.  When a change is meant to alter the output, regenerate them
+with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+
+and say in the change why the bytes moved.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sepfx.cli import main
+from sepfx.data import save_four_arm
+from sepfx.simulation import SimConfig, generate_dataset
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DATA = "{data}"
+
+CASES = {
+    "simulate_model1": ["simulate", "--n", "300", "--reps", "3", "--seed", "5", "--model", "1"],
+    "simulate_model2_subset_violation": [
+        "simulate", "--n", "300", "--reps", "3", "--seed", "5", "--model", "2",
+        "--estimators", "sde_four,sie_two", "--violation", "0.5",
+    ],
+    "estimate_four_arm_diagnostics": [
+        "estimate", "--data", DATA, "--design", "four-arm", "--diagnostics",
+    ],
+    "estimate_two_arm_strategy_t": [
+        "estimate", "--data", DATA, "--design", "two-arm", "--col-a", "aY",
+        "--strategy", "T",
+    ],
+    "falsify_direct_robust": ["falsify", "direct", "--data", DATA, "--robust"],
+    "falsify_indirect": ["falsify", "indirect", "--data", DATA],
+    "truth_model1": ["truth", "--model", "1"],
+}
+
+
+def write_dataset(directory: Path) -> Path:
+    path = directory / "four.csv"
+    save_four_arm(generate_dataset(SimConfig(n=500, reps=1), 0), path)
+    return path
+
+
+def run_case(name: str, data: Path, out: Path) -> bytes:
+    argv = [str(data) if arg == DATA else arg for arg in CASES[name]]
+    assert main(argv + ["--deterministic", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    return write_dataset(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_file(name, dataset, tmp_path):
+    got = run_case(name, dataset, tmp_path / "out.json")
+    assert got == (GOLDEN / f"{name}.json").read_bytes()
+
+
+def regenerate() -> None:
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = write_dataset(Path(tmp))
+        for name in sorted(CASES):
+            run_case(name, data, GOLDEN / f"{name}.json")
+
+
+if __name__ == "__main__":
+    regenerate()

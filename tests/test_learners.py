@@ -28,17 +28,6 @@ def test_spec_validation():
         LearnerSpec(kind="super_learner", candidates=())
 
 
-def test_spec_dict_round_trip():
-    spec = LearnerSpec(kind="random_forest", trees=300, mtry=2, min_leaf=10, seed=4)
-    assert LearnerSpec.from_dict(spec.to_dict()) == spec
-    glm = LearnerSpec(kind="glm", basis="main", ridge=0.5)
-    assert LearnerSpec.from_dict(glm.to_dict()) == glm
-    sl = LearnerSpec(kind="super_learner", candidates=(glm,), v_folds=3)
-    back = LearnerSpec.from_dict(sl.to_dict())
-    assert back.candidates == (glm,)
-    assert back.v_folds == 3
-
-
 def test_expand_basis_shapes():
     x = np.arange(12.0).reshape(4, 3)
     assert expand_basis(x, "intercept").shape == (4, 1)
@@ -67,7 +56,7 @@ def test_glm_matches_lstsq_at_zero_ridge():
     fit = fit_regressor(x, y, LearnerSpec(kind="glm", basis="main", ridge=0.0))
     design = np.column_stack([np.ones(200), x])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    np.testing.assert_allclose(fit.coefficients, beta, atol=1e-10)
+    np.testing.assert_allclose(fit.beta, beta, atol=1e-10)
 
 
 def test_glm_ridge_does_not_penalize_intercept():
@@ -76,8 +65,8 @@ def test_glm_ridge_does_not_penalize_intercept():
     y = 5.0 + 0.1 * x[:, 0] + rng.normal(scale=0.05, size=300)
     heavy = fit_regressor(x, y, LearnerSpec(kind="glm", basis="main", ridge=1e6))
     # slopes are crushed toward zero but the intercept tracks the mean
-    assert abs(heavy.coefficients[0] - y.mean()) < 0.01
-    assert np.all(np.abs(heavy.coefficients[1:]) < 1e-3)
+    assert abs(heavy.beta[0] - y.mean()) < 0.01
+    assert np.all(np.abs(heavy.beta[1:]) < 1e-3)
 
 
 def test_logistic_recovers_coefficients():
@@ -88,7 +77,7 @@ def test_logistic_recovers_coefficients():
     z = beta[0] + x @ beta[1:]
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-z))).astype(float)
     fit = fit_classifier(x, y, LearnerSpec(kind="glm", basis="main", ridge=0.0))
-    est = fit.coefficients
+    est = fit.beta
     p = 1.0 / (1.0 + np.exp(-(est[0] + x @ est[1:])))
     design = np.column_stack([np.ones(n), x])
     info = design.T @ (design * (p * (1.0 - p))[:, None])

@@ -3,7 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
+import sepfx.simulation
+from sepfx.errors import EmptyAgreementSet, EmptySubset
 from sepfx.estimation import EstimatorConfig
+from sepfx.falsification import estimate_agreement_effects
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import (
     ESTIMATOR_NAMES,
@@ -203,3 +206,57 @@ def test_run_falsification_study_small():
     for row in report.rows:
         assert 0.0 <= row.rejection_rate <= 1.0
         assert row.failures == 0
+
+
+def test_failing_family_fails_only_its_own_estimators(monkeypatch):
+    def broken(*args, **kwargs):
+        raise EmptySubset("no agreeing rows")
+
+    monkeypatch.setattr(sepfx.simulation, "estimate_effects_two", broken)
+    report = run_monte_carlo(SimConfig(n=300, reps=2))
+    failures = {row.estimator: row.failures for row in report.rows}
+    assert failures == {
+        "sde_four": 0, "sie_four": 0, "sde_two": 2, "sie_two": 2,
+        "sde_agreement": 0, "sie_agreement": 0,
+    }
+    two = [row for row in report.rows if row.estimator.endswith("_two")]
+    assert all(np.isnan(row.bias) and np.isnan(row.coverage) for row in two)
+
+
+def test_failing_indirect_battery_fails_only_the_indirect_rows(monkeypatch):
+    def broken(*args, **kwargs):
+        raise EmptyAgreementSet("no agreeing rows")
+
+    monkeypatch.setattr(sepfx.simulation, "indirect_test_battery", broken)
+    report = run_falsification_study(SimConfig(n=300, reps=2))
+    failures = {(row.test, row.mediator, row.fixed_level): row.failures for row in report.rows}
+    assert failures == {
+        ("H0(i)", 0, None): 0, ("H0(i)", 1, None): 0, ("H0(ii)", None, None): 0,
+        ("indirect-SDE", None, 0): 2, ("indirect-SDE", None, 1): 2,
+        ("indirect-SIE", None, 0): 2, ("indirect-SIE", None, 1): 2,
+    }
+
+
+def test_rows_carry_their_family_metadata_and_truth():
+    cfg = SimConfig(n=300, reps=1, a_y_model=1, sde_level=0)
+    report = run_monte_carlo(cfg)
+    truth = true_effects(cfg)
+    meta = {
+        row.estimator: (row.estimand, row.fixed_level, row.design, row.population)
+        for row in report.rows
+    }
+    assert meta == {
+        "sde_four": ("sde", 0, "four-arm", "four-arm"),
+        "sie_four": ("sie", 1, "four-arm", "four-arm"),
+        "sde_two": ("sde", 0, "two-arm", "two-arm"),
+        "sie_two": ("sie", 1, "two-arm", "two-arm"),
+        "sde_agreement": ("sde", 0, "four-arm", "two-arm"),
+        "sie_agreement": ("sie", 1, "four-arm", "two-arm"),
+    }
+    # the agreement family is scored against the two-arm population's truth
+    config = sepfx.simulation._rep_config(cfg, 0)
+    point = estimate_agreement_effects(generate_dataset(cfg, 0), [("sde", 0)], config)[0].point
+    row = next(row for row in report.rows if row.estimator == "sde_agreement")
+    assert truth.sde_two != truth.sde_four
+    assert row.bias == float(np.asarray([point]).mean() - truth.sde_two)
+    assert row.rmse == abs(row.bias)
