@@ -8,18 +8,15 @@ falsification tests and Monte Carlo machinery built on top of them.
 
 __version__ = "0.1.0"
 
-from .crossfit import FoldAssignment, SplitEstimate, central_splits, make_folds, median_adjust
 from .data import (
     ColumnMap,
     FourArmDataset,
     TwoArmDataset,
-    ValidationReport,
     load_four_arm,
     load_two_arm,
     restrict_to_two_arm,
     save_four_arm,
     save_two_arm,
-    validate,
 )
 from .errors import (
     BadK,
@@ -28,10 +25,8 @@ from .errors import (
     DegenerateFold,
     EmptyAgreementSet,
     EmptyDataset,
-    EmptyList,
     EmptySubset,
     LearnerError,
-    MismatchedN,
     MissingCell,
     MissingColumn,
     MissingTreatmentLevel,
@@ -51,15 +46,13 @@ from .falsification import (
     indirect_test_battery,
 )
 from .four_arm import estimate_effects_four
-from .learners import LearnerSpec, fit_classifier, fit_regressor, fit_super_learner, make_spec
-from .seeding import derive_seed, stream
+from .learners import LearnerSpec, fit_classifier, fit_regressor, make_spec
 from .simulation import (
     ESTIMATOR_NAMES,
     FalsificationStudyReport,
     SimConfig,
     SimReport,
     SimTruth,
-    draw_potentials,
     generate_dataset,
     run_falsification_study,
     run_monte_carlo,
@@ -78,15 +71,12 @@ __all__ = [
     "EffectEstimate",
     "EmptyAgreementSet",
     "EmptyDataset",
-    "EmptyList",
     "EmptySubset",
     "EstimatorConfig",
     "FalsificationStudyReport",
-    "FoldAssignment",
     "FourArmDataset",
     "LearnerError",
     "LearnerSpec",
-    "MismatchedN",
     "MissingCell",
     "MissingColumn",
     "MissingTreatmentLevel",
@@ -98,35 +88,25 @@ __all__ = [
     "SimTruth",
     "SingleClassWarning",
     "SingularDesign",
-    "SplitEstimate",
     "TestResult",
     "TooFewRows",
     "TwoArmDataset",
-    "ValidationReport",
-    "central_splits",
-    "derive_seed",
     "direct_test_h0i",
     "direct_test_h0ii",
-    "draw_potentials",
     "estimate_agreement_effects",
     "estimate_effects_four",
     "estimate_effects_two",
     "fit_classifier",
     "fit_regressor",
-    "fit_super_learner",
     "generate_dataset",
     "indirect_test_battery",
     "load_four_arm",
     "load_two_arm",
-    "make_folds",
     "make_spec",
-    "median_adjust",
     "restrict_to_two_arm",
     "run_falsification_study",
     "run_monte_carlo",
     "save_four_arm",
     "save_two_arm",
-    "stream",
     "true_effects",
-    "validate",
 ]

@@ -147,11 +147,14 @@ def _schema_from_args(args) -> ColumnMap:
     )
 
 
-def _estimator_config(args, diagnostics: bool = False):
-    return estimator_config_for(
-        args.learner, args.seed, args.k_folds, args.splits,
-        args.alpha, args.clip, args.strategy, diagnostics,
-    )
+def _estimator_config(args, parser, diagnostics: bool = False):
+    try:
+        return estimator_config_for(
+            args.learner, args.seed, args.k_folds, args.splits,
+            args.alpha, args.clip, args.strategy, diagnostics,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _parse_estimands(specs, parser) -> list:
@@ -209,7 +212,7 @@ def _run_simulate(args, parser) -> dict:
 def _run_estimate(args, parser) -> dict:
     schema = _schema_from_args(args)
     requests = _parse_estimands(args.estimand, parser)
-    config = _estimator_config(args, diagnostics=args.diagnostics)
+    config = _estimator_config(args, parser, diagnostics=args.diagnostics)
     if args.design == "four-arm":
         ds = load_four_arm(args.data, schema)
         estimates = estimate_effects_four(ds, requests, config)
@@ -221,6 +224,7 @@ def _run_estimate(args, parser) -> dict:
 
 def _run_falsify(args, parser) -> dict:
     schema = _schema_from_args(args)
+    config = _estimator_config(args, parser)
     ds = load_four_arm(args.data, schema)
     if args.kind == "direct":
         results = [
@@ -236,7 +240,6 @@ def _run_falsify(args, parser) -> dict:
             )
         )
     else:
-        config = _estimator_config(args)
         results = indirect_test_battery(ds, config)
     return {"tests": [res.to_json_dict() for res in results]}
 

@@ -3,10 +3,11 @@
 Estimators in this package cross-fit their nuisance models: the data are
 partitioned into K folds, nuisances are fit on the complement of each
 fold, and each row is evaluated only with models that never saw it.  The
-whole procedure is repeated over S independent partitions and the
-resulting (point, variance) pairs are combined by the median rule, which
-adds the squared distance of each split's point from the median point to
-that split's variance before taking the median of the adjusted variances.
+whole procedure is repeated over S independent partitions, each redrawn
+when a training fold lacks a needed treatment cell, and the per-split
+(point, variance) pairs are combined by the median rule, which adds the
+squared distance of each split's point from the median point to that
+split's variance before taking the median of the adjusted variances.
 """
 
 from __future__ import annotations
@@ -16,14 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BadK,
-    DegenerateFold,
-    EmptyList,
-    MismatchedN,
-    MissingCell,
-    MissingTreatmentLevel,
-)
+from .errors import BadK, DegenerateFold, MissingCell, MissingTreatmentLevel
+from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -32,26 +27,12 @@ class FoldAssignment:
 
     k: int
     assignment: np.ndarray
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.assignment.shape[0]
 
     def train_rows(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignment != fold)[0]
 
     def test_rows(self, fold: int) -> np.ndarray:
         return np.nonzero(self.assignment == fold)[0]
-
-
-@dataclass(frozen=True)
-class SplitEstimate:
-    """Point estimate with an asymptotic variance (not divided by n)."""
-
-    point: float
-    variance: float
-    n: int
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
@@ -67,7 +48,7 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.int64)
     assignment[rng.permutation(n)] = np.arange(n) % k
-    out = FoldAssignment(k=k, assignment=assignment, seed=seed)
+    out = FoldAssignment(k=k, assignment=assignment)
     out.assignment.setflags(write=False)
     return out
 
@@ -93,42 +74,39 @@ def cross_fit(dataset, folds: FoldAssignment, fitter: Callable) -> list:
     return fits
 
 
-def median_adjust(estimates: Sequence[SplitEstimate]) -> SplitEstimate:
-    """Combine split estimates by the median rule.
+def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
+    """Draw split ``split``'s fold assignment and cross-fit ``fitter`` on it.
 
-    The combined point is the median of the split points.  The combined
-    variance is the median over splits of ``variance + (point - combined
-    point)**2``, which penalizes splits whose points sit far from the
-    median; it is therefore never smaller than the median raw variance.
-
-    Raises
-    ------
-    EmptyList
-        If no estimates are supplied.
-    MismatchedN
-        If the estimates disagree on the sample size.
+    Returns ``(folds, fits)``.  Attempt ``a`` draws its folds from
+    ``derive_seed(config.seed, "folds", split, a)``; an attempt raising
+    :class:`DegenerateFold` moves on to the next, up to
+    ``config.max_fold_retries`` attempts.  Each call counts its own
+    attempts, so a redraw on one dataset never shifts another's folds.
     """
-    if len(estimates) == 0:
-        raise EmptyList("no split estimates to combine")
-    sizes = {est.n for est in estimates}
-    if len(sizes) != 1:
-        raise MismatchedN(f"splits disagree on n: {sorted(sizes)}")
-    points = np.array([est.point for est in estimates])
-    variances = np.array([est.variance for est in estimates])
+    for attempt in range(config.max_fold_retries):
+        folds = make_folds(
+            dataset.n, config.k_folds, derive_seed(config.seed, "folds", split, attempt)
+        )
+        try:
+            return folds, cross_fit(dataset, folds, fitter)
+        except DegenerateFold as exc:
+            failure = exc
+    raise DegenerateFold(
+        failure.fold,
+        f"no usable fold assignment after {config.max_fold_retries} attempts",
+    )
+
+
+def median_adjust(points: Sequence[float], variances: Sequence[float]) -> tuple:
+    """Combine per-split points and variances by the median rule.
+
+    Returns ``(point, variance)``.  The point is the median of the split
+    points.  The variance is the median over splits of ``variance + (point
+    - combined point)**2``, which penalizes splits whose points sit far
+    from the median; it is therefore never smaller than the median raw
+    variance.
+    """
+    points = np.asarray(points, dtype=np.float64)
     point = float(np.median(points))
-    variance = float(np.median(variances + (points - point) ** 2))
-    return SplitEstimate(point=point, variance=variance, n=estimates[0].n)
-
-
-def central_splits(points: Sequence[float]) -> tuple[int, ...]:
-    """Indices of the split(s) whose points realize the median.
-
-    One index for an odd number of splits, the two middle indices for an
-    even number; averaging per-row contributions over these splits keeps
-    the mean of the retained contributions equal to the median point.
-    """
-    order = np.argsort(np.asarray(points), kind="stable")
-    s = len(order)
-    if s % 2 == 1:
-        return (int(order[s // 2]),)
-    return (int(order[s // 2 - 1]), int(order[s // 2]))
+    variance = float(np.median(np.asarray(variances) + (points - point) ** 2))
+    return point, variance

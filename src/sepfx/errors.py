@@ -49,14 +49,6 @@ class BadK(SepfxError):
     """Fold count outside the valid range for the sample size."""
 
 
-class EmptyList(SepfxError):
-    """An aggregation was asked to combine zero estimates."""
-
-
-class MismatchedN(SepfxError):
-    """Estimates being combined disagree on the sample size."""
-
-
 class DegenerateFold(SepfxError):
     """A cross-fitting training fold lacks a needed treatment cell."""
 

@@ -1,4 +1,4 @@
-"""Shared estimand type, estimator configuration, results, and split pipeline.
+"""Shared estimand type, estimator configuration, results, and split loop.
 
 The estimators in :mod:`sepfx.four_arm`, :mod:`sepfx.two_arm`, and
 :mod:`sepfx.falsification` all follow the same recipe: for each of S
@@ -8,10 +8,13 @@ across splits with the median rule.  :class:`Estimand` is the one place
 that knows which (a_y, a_m) cells an ``sde``/``sie``/``mean`` request
 needs and how their scores contrast.  Each design scores cells in one
 loop: ``four_arm.split_scores_four`` (shared with the agreement-population
-estimator) and ``two_arm.split_scores_two``.  ``run_battery`` runs the
-splits once for estimands sharing nuisance fits, and ``build_estimates``
-turns its output into :class:`EffectEstimate` values, refusing a
-standard error that is not positive.
+estimator) and ``two_arm.split_scores_two``; each draws its own fold
+assignment through ``crossfit.cross_fit_split``.  ``run_battery`` is the
+one loop over splits: it serves the three estimators and the indirect
+falsification test, whose per-split value is a difference of two
+estimators.  ``build_estimates`` turns its output into
+:class:`EffectEstimate` values, refusing a standard error that is not
+positive.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .crossfit import SplitEstimate, central_splits, make_folds, median_adjust
-from .errors import DegenerateEstimate, DegenerateFold
+from .crossfit import median_adjust
+from .errors import DegenerateEstimate
 from .learners import LearnerSpec
-from .seeding import derive_seed
 
 Z_95 = 1.96
 
@@ -101,6 +103,13 @@ class EstimatorConfig:
     probability away from 0 and 1 before it is used in a denominator.
     ``strategy`` selects how two-arm outcome models handle the treatment
     (single model with interactions, stratified, or an ensemble of both).
+
+    Raises
+    ------
+    ValueError
+        Unless ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
+        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross) and
+        ``max_fold_retries >= 1``.
     """
 
     outcome: LearnerSpec = field(default_factory=LearnerSpec)
@@ -115,9 +124,16 @@ class EstimatorConfig:
     diagnostics: bool = False
     max_fold_retries: int = 10
 
-    @property
-    def learner_label(self) -> str:
-        return self.outcome.kind
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("splits", self.splits >= 1, "at least 1"),
+            ("k_folds", self.k_folds >= 2, "at least 2"),
+            ("alpha", 0.0 < self.alpha < 1.0, "strictly between 0 and 1"),
+            ("clip", 0.0 < self.clip < 0.5, "strictly between 0 and 0.5"),
+            ("max_fold_retries", self.max_fold_retries >= 1, "at least 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def _json_value(value):
@@ -190,89 +206,50 @@ class CombinedResult:
 
     point: float
     variance: float
-    eif: np.ndarray
+    eif: np.ndarray | None
     diagnostics: dict | None
 
 
-def with_fold_retry(
-    n: int,
-    config: EstimatorConfig,
-    split: int,
-    consumer: Callable[[object], object],
-):
-    """Call ``consumer`` on a fresh fold assignment, redrawing on failure.
-
-    Fold assignments that leave a training fold without a needed treatment
-    cell (signalled by :class:`DegenerateFold`) are redrawn with a fresh
-    seed up to ``config.max_fold_retries`` times before the failure
-    propagates.  Seeds derive deterministically from the config seed and
-    the split index, so independent estimators given the same
-    configuration see identical partitions.
-    """
-    failure: DegenerateFold | None = None
-    for attempt in range(config.max_fold_retries):
-        folds = make_folds(
-            n, config.k_folds, derive_seed(config.seed, "folds", split, attempt)
-        )
-        try:
-            return consumer(folds)
-        except DegenerateFold as exc:
-            failure = exc
-    raise DegenerateFold(
-        failure.fold if failure is not None else -1,
-        f"no usable fold assignment after {config.max_fold_retries} attempts",
-    )
+def centred(contrib: np.ndarray, diagnostics: dict | None = None) -> tuple:
+    """One split's value for ``run_battery`` from contributions whose mean
+    is the split's point: the point, the deviations from it, the
+    contributions (kept for ``eif``) and the diagnostics."""
+    point = float(np.mean(contrib))
+    return point, contrib - point, contrib, diagnostics
 
 
-def run_battery(
-    n: int,
-    config: EstimatorConfig,
-    split_fn: Callable[[object], dict],
-) -> dict:
+def run_battery(config: EstimatorConfig, split_fn: Callable[[int], dict]) -> dict:
     """Run the S-split pipeline for a family of estimands sharing fits.
 
-    ``split_fn`` receives a fold assignment and returns ``{key:
-    (contributions, diagnostics)}`` where ``contributions`` is a length-n
-    vector whose mean is that split's point estimate.
+    ``split_fn`` receives a split index and returns ``{key: (point,
+    deviations, contributions, diagnostics)}``; the split's variance is the
+    mean square of the length-n ``deviations``.  Points and variances are
+    combined by :func:`~sepfx.crossfit.median_adjust`.  ``eif`` holds the
+    contributions (or ``None``) of the split realizing the median point, or
+    the mean of the two middle splits' when S is even; each diagnostic
+    (a dict of floats, or ``None``) is its median over splits.
     """
-    per_key_points: dict = {}
-    per_key_vars: dict = {}
-    per_key_contribs: dict = {}
-    per_key_diags: dict = {}
+    per_key: dict = {}
     for split in range(config.splits):
-        result = with_fold_retry(n, config, split, split_fn)
-        for key, (contrib, diag) in result.items():
-            point = float(np.mean(contrib))
-            variance = float(np.mean((contrib - point) ** 2))
-            per_key_points.setdefault(key, []).append(point)
-            per_key_vars.setdefault(key, []).append(variance)
-            per_key_contribs.setdefault(key, []).append(contrib)
-            per_key_diags.setdefault(key, []).append(diag)
+        for key, (point, deviations, contrib, diag) in split_fn(split).items():
+            variance = float(np.mean(deviations**2))
+            per_key.setdefault(key, []).append((point, variance, contrib, diag))
 
     combined: dict = {}
-    for key in per_key_points:
-        points = per_key_points[key]
-        estimates = [
-            SplitEstimate(point=p, variance=v, n=n)
-            for p, v in zip(points, per_key_vars[key])
-        ]
-        adjusted = median_adjust(estimates)
-        middle = central_splits(points)
-        eif = per_key_contribs[key][middle[0]]
-        if len(middle) == 2:
-            eif = 0.5 * (eif + per_key_contribs[key][middle[1]])
-        diags = [d for d in per_key_diags[key] if d is not None]
+    for key, values in per_key.items():
+        points, variances, contribs, diags = zip(*values)
+        point, variance = median_adjust(points, variances)
+        order = np.argsort(points, kind="stable")
+        middle = order[(len(order) - 1) // 2 : len(order) // 2 + 1]
+        eif = contribs[middle[0]]
+        if len(middle) == 2 and eif is not None:
+            eif = 0.5 * (eif + contribs[middle[1]])
         diagnostics = None
-        if diags:
+        if diags[0] is not None:
             diagnostics = {
                 name: float(np.median([d[name] for d in diags])) for name in diags[0]
             }
-        combined[key] = CombinedResult(
-            point=adjusted.point,
-            variance=adjusted.variance,
-            eif=eif,
-            diagnostics=diagnostics,
-        )
+        combined[key] = CombinedResult(point, variance, eif, diagnostics)
     return combined
 
 
@@ -314,7 +291,7 @@ def build_estimates(
                 population=population,
                 k_folds=config.k_folds,
                 splits=config.splits,
-                learner=config.learner_label,
+                learner=config.outcome.kind,
                 strategy=strategy,
                 eif=result.eif if config.keep_eif else None,
                 diagnostics=result.diagnostics,

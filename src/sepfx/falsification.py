@@ -15,7 +15,10 @@ subpopulation whose treatments agree: a weighted four-arm estimator that
 only uses the exclusion-free arms, and the two-arm estimator computed
 from the agreement rows.  Under the assumptions both converge to the same
 value, so their difference scaled by its standard error is asymptotically
-standard normal.
+standard normal.  The agreement estimator and the test share one split
+scorer, and both run through ``estimation.run_battery``: the test's value
+on a split is the agreement point minus the two-arm point, with the
+difference of the two influence vectors as its deviations.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from .crossfit import FoldAssignment, SplitEstimate, median_adjust
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import (
     DegenerateEstimate,
@@ -39,10 +41,10 @@ from .estimation import (
     EstimatorConfig,
     JsonFields,
     build_estimates,
+    centred,
     checked_se,
     estimand_cells,
     run_battery,
-    with_fold_retry,
 )
 from .four_arm import NuisanceFitFour, fit_nuisance_four, split_scores_four
 from .learners import FittedPredictor, fit_classifier
@@ -89,10 +91,16 @@ class OlsFit:
 def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     """Least squares with classical and HC1 covariance estimates.
 
+    The first column of ``design`` must be the intercept.  The fit is one
+    QR factorisation of the design with the other columns centred, applied
+    to the centred target, so a large offset adds no rounding error to the
+    slopes or the residuals; results are reported for the given design.
+
     Raises
     ------
     SingularDesign
-        If the design matrix is rank deficient.
+        If a diagonal entry of R is at most ``max(n, p)`` machine epsilons
+        times the largest one: the design matrix is rank deficient.
     DegenerateEstimate
         If the fit is exact: the target is constant, or the residual norm
         is at most ``EXACT_FIT_RTOL`` (the square root of machine epsilon,
@@ -102,22 +110,29 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
         rule is relative, so rescaling the target does not change it.
     """
     n, p = design.shape
-    if np.linalg.matrix_rank(design) < p:
+    shift = design[:, 1:].mean(axis=0)
+    q, r = np.linalg.qr(np.column_stack([design[:, 0], design[:, 1:] - shift]))
+    scale = np.abs(np.diag(r))
+    if scale.min() <= max(n, p) * np.finfo(np.float64).eps * scale.max():
         raise SingularDesign("design matrix is rank deficient")
-    gram = design.T @ design
-    gram_inv = np.linalg.inv(gram)
-    coef = gram_inv @ (design.T @ targets)
-    resid = targets - design @ coef
-    centred_norm = np.linalg.norm(targets - targets.mean())
+    centred = targets - targets.mean()
+    qty = q.T @ centred
+    resid = centred - q @ qty
+    centred_norm = np.linalg.norm(centred)
     if np.ptp(targets) == 0.0 or np.linalg.norm(resid) <= EXACT_FIT_RTOL * centred_norm:
         raise DegenerateEstimate(
             "the regressors reproduce the target exactly, so the residuals "
             "are rounding noise and no standard error exists"
         )
+    # back to the given design: only the intercept row of R^-1 changes
+    bread = np.linalg.inv(r)
+    bread[0] -= shift @ bread[1:]
+    coef = bread @ qty
+    coef[0] += targets.mean()
     dof = n - p
-    cov_classical = gram_inv * (resid @ resid / dof)
-    meat = (design * (resid * resid)[:, None]).T @ design
-    cov_robust = gram_inv @ meat @ gram_inv * (n / dof)
+    cov_classical = bread @ bread.T * (resid @ resid / dof)
+    meat = bread @ (q * resid[:, None]).T
+    cov_robust = meat @ meat.T * (n / dof)
     return OlsFit(
         coef=coef,
         cov_classical=cov_classical,
@@ -273,13 +288,34 @@ def fit_nuisance_theta(
     return ThetaNuisance(**vars(four), agree_fit=agree_fit)
 
 
-def _agreement_share(ds: FourArmDataset) -> tuple:
-    """The indicator 1{A_Y = A_M} per row, its count, and its share of rows."""
+def _agreement_share(ds: FourArmDataset) -> float:
+    """The share of rows whose two treatments agree."""
+    agree_total = (ds.a_y == ds.a_m).sum()
+    if agree_total == 0:
+        raise EmptyAgreementSet("no rows with matching treatment assignments")
+    return agree_total / ds.n
+
+
+def _agreement_split(
+    ds: FourArmDataset, split: int, config: EstimatorConfig, estimands, fitter=None
+) -> dict:
+    """The agreement-population contrasts on split ``split``: ``{estimand:
+    (point, residual)}``, where ``point`` is the contrast's score sum over
+    the agreement rows and ``residual`` divided by the agreement share is
+    the split's influence vector."""
     agree = (ds.a_y == ds.a_m).astype(np.float64)
     agree_total = agree.sum()
-    if agree_total == 0.0:
-        raise EmptyAgreementSet("no rows with matching treatment assignments")
-    return agree, agree_total, agree_total / ds.n
+    cells = estimand_cells(estimands)
+    fitter = fitter or (
+        lambda data, train: fit_nuisance_theta(data, train, config, cells)
+    )
+    scores, _, _ = split_scores_four(ds, split, config, fitter, cells, agreement=True)
+    out = {}
+    for est in estimands:
+        diff = est.contrast(scores)
+        point = float(diff.sum() / agree_total)
+        out[est] = (point, diff - point * agree)
+    return out
 
 
 def estimate_agreement_effects(
@@ -301,26 +337,17 @@ def estimate_agreement_effects(
         If no row has matching treatments.
     """
     config = config or EstimatorConfig()
-    agree, agree_total, pr_agree = _agreement_share(ds)
+    pr_agree = _agreement_share(ds)
     estimands = [Estimand(*req) for req in requests]
-    cells = estimand_cells(estimands)
-    nuisance_fitter = fitter or (
-        lambda data, train: fit_nuisance_theta(data, train, config, cells)
-    )
 
-    def split_fn(folds: FoldAssignment) -> dict:
-        scores, _, _ = split_scores_four(
-            ds, folds, nuisance_fitter, cells, agreement=True
-        )
-        out = {}
-        for est in estimands:
-            diff = est.contrast(scores)
-            point = float(diff.sum() / agree_total)
-            contrib = point + (diff - point * agree) / pr_agree
-            out[est] = (contrib, None)
-        return out
+    def split_fn(split: int) -> dict:
+        theta = _agreement_split(ds, split, config, estimands, fitter)
+        return {
+            est: centred(point + residual / pr_agree)
+            for est, (point, residual) in theta.items()
+        }
 
-    combined = run_battery(ds.n, config, split_fn)
+    combined = run_battery(config, split_fn)
     return build_estimates(
         combined, estimands, n=ds.n, config=config,
         design="four-arm", population="two-arm",
@@ -340,16 +367,19 @@ def indirect_test_battery(
     For each requested contrast the agreement-population estimator and
     the two-arm estimator (on the agreement rows) estimate the same
     quantity under the exclusion restrictions; the scaled difference is
-    asymptotically standard normal.  The difference and its variance are
-    computed per split from shared nuisance fits, then median-combined.
-    All requested contrasts reuse one set of fits per split.  ``requests``
-    holds ``("sde", a_m)`` and ``("sie", a_y)`` tuples.
+    asymptotically standard normal.  On each split the difference of the
+    two points is the split's point, and the difference of the two
+    influence vectors gives its variance; ``run_battery`` combines the
+    splits by the median rule.  The four-arm and two-arm sides draw their
+    fold assignments separately, each with its own redraws.  All requested
+    contrasts reuse one set of fits per split.  ``requests`` holds
+    ``("sde", a_m)`` and ``("sie", a_y)`` tuples.
     """
     config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
     if any(est.kind not in ("sde", "sie") for est in estimands):
         raise ValueError("the indirect test compares sde and sie contrasts only")
-    agree, agree_total, pr_agree = _agreement_share(ds)
+    pr_agree = _agreement_share(ds)
     ds2 = restrict_to_two_arm(ds)
     if np.ptp(ds2.a) == 0:
         raise MissingTreatmentLevel(
@@ -357,53 +387,30 @@ def indirect_test_battery(
         )
     cells = estimand_cells(estimands)
 
-    def theta_fitter(data, train):
-        return fit_nuisance_theta(data, train, config, cells)
-
-    per_request: dict = {est: [] for est in estimands}
-    for split in range(config.splits):
-        theta_scores, _, _ = with_fold_retry(
-            ds.n,
-            config,
-            split,
-            lambda folds: split_scores_four(
-                ds, folds, theta_fitter, cells, agreement=True
-            ),
-        )
-        two_scores = with_fold_retry(
-            ds2.n,
-            config,
-            split,
-            lambda folds: split_scores_two(ds2, folds, config, cells),
-        )
-        for est in estimands:
-            diff4 = est.contrast(theta_scores)
-            theta_point = float(diff4.sum() / agree_total)
+    def split_fn(split: int) -> dict:
+        theta = _agreement_split(ds, split, config, estimands)
+        two_scores = split_scores_two(ds2, split, config, cells)
+        out = {}
+        for est, (theta_point, residual) in theta.items():
             psi_diff = est.contrast(two_scores)
             two_point = float(np.mean(psi_diff))
             centered_two = np.zeros(ds.n)
             centered_two[ds2.source_rows] = psi_diff - two_point
-            combined = (diff4 - theta_point * agree - centered_two) / pr_agree
-            variance = float(np.mean(combined * combined))
-            per_request[est].append(
-                SplitEstimate(
-                    point=theta_point - two_point, variance=variance, n=ds.n
-                )
-            )
+            deviations = (residual - centered_two) / pr_agree
+            out[est] = (theta_point - two_point, deviations, None, None)
+        return out
 
-    results = []
-    for est in estimands:
-        adjusted = median_adjust(per_request[est])
-        results.append(
-            _wald_test(
-                f"indirect-{est.kind.upper()}",
-                adjusted.point,
-                float(np.sqrt(adjusted.variance / ds.n)),
-                config.alpha,
-                None,
-                n=ds.n,
-                fixed_level=est.level,
-                details={"pr_agree": float(pr_agree)},
-            )
+    combined = run_battery(config, split_fn)
+    return [
+        _wald_test(
+            f"indirect-{est.kind.upper()}",
+            combined[est].point,
+            float(np.sqrt(combined[est].variance / ds.n)),
+            config.alpha,
+            None,
+            n=ds.n,
+            fixed_level=est.level,
+            details={"pr_agree": float(pr_agree)},
         )
-    return results
+        for est in estimands
+    ]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossfit import FoldAssignment, cross_fit
+from .crossfit import cross_fit_split
 from .data import FourArmDataset
 from .errors import MissingCell
 from .estimation import (
@@ -31,6 +31,7 @@ from .estimation import (
     Estimand,
     EstimatorConfig,
     build_estimates,
+    centred,
     estimand_cells,
     run_battery,
 )
@@ -148,16 +149,19 @@ def eif(
 
 def split_scores_four(
     ds: FourArmDataset,
-    folds: FoldAssignment,
+    split: int,
+    config: EstimatorConfig,
     fitter,
     cells: tuple,
     agreement: bool = False,
     diagnostics: bool = False,
 ) -> tuple:
-    """Out-of-fold scores of each cell from one fold assignment.
+    """Out-of-fold scores of each cell on split ``split``'s fold assignment.
 
-    ``fitter`` receives ``(dataset, train_rows)``.  With ``agreement`` the
-    fits must also provide ``agreement_probability`` and each score is
+    ``fitter`` receives ``(dataset, train_rows)``; the folds are drawn, and
+    redrawn on a degenerate fold, by :func:`~sepfx.crossfit.cross_fit_split`.
+    With ``agreement`` the fits must also provide ``agreement_probability``
+    and each score is
 
         1{cell} * (Y - nu) * s(X) / pi + nu * 1{A_Y = A_M}
 
@@ -166,7 +170,7 @@ def split_scores_four(
     ``(scores, ipw, regression)`` dicts keyed by cell; the last two hold
     the plug-in scores with ``diagnostics`` and are ``None`` otherwise.
     """
-    fits = cross_fit(ds, folds, fitter)
+    folds, fits = cross_fit_split(ds, config, split, fitter)
     agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
     scores = {cell: np.empty(ds.n) for cell in cells}
     ipw = {cell: np.empty(ds.n) for cell in cells} if diagnostics else None
@@ -208,9 +212,9 @@ def estimate_effects_four(
         lambda data, train: fit_nuisance_four(data, train, config, cells)
     )
 
-    def split_fn(folds: FoldAssignment) -> dict:
+    def split_fn(split: int) -> dict:
         scores, ipw, reg = split_scores_four(
-            ds, folds, nuisance_fitter, cells, diagnostics=config.diagnostics
+            ds, split, config, nuisance_fitter, cells, diagnostics=config.diagnostics
         )
         out = {}
         for est in estimands:
@@ -220,10 +224,10 @@ def estimate_effects_four(
                     "ipw": float(np.mean(est.contrast(ipw))),
                     "outcome_regression": float(np.mean(est.contrast(reg))),
                 }
-            out[est] = (est.contrast(scores), diag)
+            out[est] = centred(est.contrast(scores), diag)
         return out
 
-    combined = run_battery(ds.n, config, split_fn)
+    combined = run_battery(config, split_fn)
     return build_estimates(
         combined, estimands, n=ds.n, config=config,
         design="four-arm", population="four-arm",

@@ -139,6 +139,10 @@ class SimConfig(JsonFields):
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        # the estimator settings' own rule, applied once per study
+        EstimatorConfig(
+            k_folds=self.k_folds, splits=self.splits, alpha=self.alpha, clip=self.clip
+        )
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossfit import FoldAssignment, cross_fit
+from .crossfit import cross_fit_split
 from .data import TwoArmDataset
 from .errors import LearnerError, MissingTreatmentLevel
 from .estimation import (
@@ -37,6 +37,7 @@ from .estimation import (
     Estimand,
     EstimatorConfig,
     build_estimates,
+    centred,
     estimand_cells,
     run_battery,
 )
@@ -235,38 +236,20 @@ def eif(
     return _eif_single(ds, a_y, a_m, nuis, rows)
 
 
-def eif_collapsed(
-    ds: TwoArmDataset,
-    level: int,
-    nuis,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Reduced score at a_y = a_m: weighted residual around the projection."""
-    if rows is None:
-        rows = np.arange(ds.n)
-    if isinstance(nuis, EnsembleNuisanceTwo):
-        return 0.5 * (
-            eif_collapsed(ds, level, nuis.single, rows)
-            + eif_collapsed(ds, level, nuis.stratified, rows)
-        )
-    x = ds.x[rows]
-    omega = nuis.omega(level, x)
-    lam = nuis.lam(level, level, x)
-    return (ds.a[rows] == level) / omega * (ds.y[rows] - lam) + lam
-
-
 def split_scores_two(
     ds: TwoArmDataset,
-    folds: FoldAssignment,
+    split: int,
     config: EstimatorConfig,
     pairs: tuple,
     fitter=None,
 ) -> dict:
-    """Out-of-fold score vectors for each requested (a_y, a_m) pair."""
+    """Out-of-fold score vectors for each requested (a_y, a_m) pair on
+    split ``split``'s fold assignment (see
+    :func:`~sepfx.crossfit.cross_fit_split`)."""
     nuisance_fitter = fitter or (
         lambda data, train: fit_nuisance_two(data, train, config)
     )
-    fits = cross_fit(ds, folds, nuisance_fitter)
+    folds, fits = cross_fit_split(ds, config, split, nuisance_fitter)
     scores = {pair: np.empty(ds.n) for pair in pairs}
     for fold in range(folds.k):
         test = folds.test_rows(fold)
@@ -297,11 +280,11 @@ def estimate_effects_two(
     estimands = [Estimand(*req) for req in requests]
     pairs = estimand_cells(estimands)
 
-    def split_fn(folds: FoldAssignment) -> dict:
-        scores = split_scores_two(ds, folds, config, pairs, fitter)
-        return {est: (est.contrast(scores), None) for est in estimands}
+    def split_fn(split: int) -> dict:
+        scores = split_scores_two(ds, split, config, pairs, fitter)
+        return {est: centred(est.contrast(scores)) for est in estimands}
 
-    combined = run_battery(ds.n, config, split_fn)
+    combined = run_battery(config, split_fn)
     return build_estimates(
         combined, estimands, n=ds.n, config=config,
         design="two-arm", population="two-arm", strategy=config.strategy,

@@ -39,6 +39,19 @@ def make_two_arm(n=40, seed=0, n_mediators=2, n_covariates=3):
     )
 
 
+def collapsed_two_arm_score(ds, level, nuis):
+    """The two-arm score at a_y = a_m = level in closed form,
+    1{A=level} / omega(level, X) * (Y - lam) + lam, averaged over the two
+    strategies for an ensemble bundle."""
+    if hasattr(nuis, "single"):
+        return 0.5 * (
+            collapsed_two_arm_score(ds, level, nuis.single)
+            + collapsed_two_arm_score(ds, level, nuis.stratified)
+        )
+    lam = nuis.lam(level, level, ds.x)
+    return (ds.a == level) / nuis.omega(level, ds.x) * (ds.y - lam) + lam
+
+
 @pytest.fixture(scope="session")
 def sim_four_arm():
     """One synthetic four-arm draw at moderate size, shared across tests."""

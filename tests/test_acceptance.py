@@ -30,12 +30,9 @@ from sepfx.simulation import (
     run_monte_carlo,
     true_effects,
 )
-from sepfx.two_arm import (
-    eif as psi_score,
-    eif_collapsed,
-    estimate_effects_two,
-    fit_nuisance_two,
-)
+from sepfx.two_arm import eif as psi_score, estimate_effects_two, fit_nuisance_two
+
+from conftest import collapsed_two_arm_score
 
 THRESHOLDS = json.loads(
     (Path(__file__).parent / "data" / "falsification_thresholds.json").read_text()
@@ -199,7 +196,7 @@ def test_criterion_5_algebraic_identities():
         nuis = fit_nuisance_two(ds2, np.arange(ds2.n), config, strategy=strategy)
         for level in (0, 1):
             gap = np.max(np.abs(
-                psi_score(ds2, level, level, nuis) - eif_collapsed(ds2, level, nuis)
+                psi_score(ds2, level, level, nuis) - collapsed_two_arm_score(ds2, level, nuis)
             ))
             worst = max(worst, gap)
     assert worst < 1e-12

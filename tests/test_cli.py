@@ -134,6 +134,29 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["estimate", "--design", "four-arm", "--splits", "0"], "splits"),
+        (["estimate", "--design", "two-arm", "--k-folds", "1"], "k_folds"),
+        (["estimate", "--design", "four-arm", "--alpha", "0"], "alpha"),
+        (["estimate", "--design", "four-arm", "--clip", "0.6"], "clip"),
+        (["falsify", "indirect", "--splits", "0"], "splits"),
+        (["falsify", "direct", "--alpha", "0"], "alpha"),
+        (["simulate", "--n", "200", "--reps", "1", "--splits", "0"], "splits"),
+    ],
+)
+def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
+    if argv[0] != "simulate":
+        argv = argv + ["--data", four_arm_csv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 def test_data_error_exits_one(capsys, four_arm_csv):
     assert main(["estimate", "--data", "/no/such/file.csv",
                  "--design", "four-arm"]) == 1

@@ -3,15 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfx.crossfit import (
-    FoldAssignment,
-    SplitEstimate,
-    central_splits,
-    cross_fit,
-    make_folds,
-    median_adjust,
-)
-from sepfx.errors import BadK, DegenerateFold, EmptyList, MismatchedN
+from sepfx.crossfit import cross_fit, cross_fit_split, make_folds, median_adjust
+from sepfx.errors import BadK, DegenerateFold, MissingCell
+from sepfx.estimation import EstimatorConfig, run_battery
 from sepfx.seeding import derive_seed, stream
 
 from conftest import make_four_arm
@@ -123,32 +117,73 @@ def test_cross_fit_degenerate_fold_keeps_type():
     assert exc.value.fold == 0
 
 
+def test_cross_fit_split_redraws_a_degenerate_partition():
+    """Attempt a uses derive_seed(seed, "folds", split, a); a failed attempt
+    moves on to the next seed, and the fits come from the partition used."""
+    ds = make_four_arm(n=20)
+    config = EstimatorConfig(seed=5, k_folds=2)
+    calls = []
+
+    def fitter(dataset, train_rows):
+        calls.append(train_rows)
+        if len(calls) == 1:
+            raise MissingCell("cell (1, 1) empty in training rows")
+        return train_rows
+
+    folds, fits = cross_fit_split(ds, config, 2, fitter)
+    expected = make_folds(20, 2, derive_seed(5, "folds", 2, 1))
+    np.testing.assert_array_equal(folds.assignment, expected.assignment)
+    for fold in range(2):
+        np.testing.assert_array_equal(fits[fold], expected.train_rows(fold))
+
+
+def test_cross_fit_split_gives_up_after_max_fold_retries():
+    ds = make_four_arm(n=20)
+    config = EstimatorConfig(max_fold_retries=3)
+    attempts = []
+
+    def fitter(dataset, train_rows):
+        attempts.append(train_rows)
+        raise MissingCell("cell (1, 1) empty in training rows")
+
+    with pytest.raises(DegenerateFold, match="after 3 attempts"):
+        cross_fit_split(ds, config, 0, fitter)
+    assert len(attempts) == 3
+
+
 def test_median_adjust_examples():
-    ests = [SplitEstimate(p, 0.0, 10) for p in (1.0, 2.0, 3.0)]
-    adj = median_adjust(ests)
-    assert adj.point == 2.0
+    point, variance = median_adjust([1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+    assert point == 2.0
     # per-split adjusted variances are (1, 0, 1); the median is 1
-    assert adj.variance == 1.0
-    assert adj.n == 10
+    assert variance == 1.0
 
-    same = median_adjust([SplitEstimate(1.0, 1.0, 10)] * 3)
-    assert same.point == 1.0 and same.variance == 1.0
-
-
-def test_median_adjust_validation():
-    with pytest.raises(EmptyList):
-        median_adjust([])
-    with pytest.raises(MismatchedN):
-        median_adjust([SplitEstimate(1.0, 1.0, 10), SplitEstimate(1.0, 1.0, 11)])
+    assert median_adjust([1.0] * 3, [1.0] * 3) == (1.0, 1.0)
 
 
 def test_median_adjust_single_split_is_identity():
-    est = SplitEstimate(0.7, 2.5, 50)
-    adj = median_adjust([est])
-    assert adj == est
+    assert median_adjust([0.7], [2.5]) == (0.7, 2.5)
 
 
-def test_central_splits():
-    assert central_splits([3.0, 1.0, 2.0]) == (2,)
-    assert set(central_splits([4.0, 1.0, 3.0, 2.0])) == {2, 3}
-    assert central_splits([5.0]) == (0,)
+def _marked_splits(points):
+    """run_battery input whose split s has the given point and the
+    contribution vector (s, s)."""
+
+    def split_fn(split):
+        contrib = np.full(2, float(split))
+        return {"key": (points[split], np.zeros(2), contrib, None)}
+
+    return split_fn
+
+
+def test_run_battery_eif_comes_from_the_middle_splits():
+    """eif comes from the split realizing the median point, or averages the
+    two middle splits when the number of splits is even."""
+    for points, central in [
+        ([3.0, 1.0, 2.0], (2,)),
+        ([4.0, 1.0, 3.0, 2.0], (3, 2)),
+        ([5.0], (0,)),
+    ]:
+        config = EstimatorConfig(splits=len(points))
+        result = run_battery(config, _marked_splits(points))["key"]
+        np.testing.assert_array_equal(result.eif, np.full(2, np.mean(central)))
+        assert result.point == np.median(points)

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepfx import crossfit, falsification
 from sepfx.data import FourArmDataset, restrict_to_two_arm
-from sepfx.errors import DegenerateEstimate
-from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells
+from sepfx.errors import DegenerateEstimate, MissingCell
+from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells, run_battery
 from sepfx.falsification import estimate_agreement_effects, indirect_test_battery
 from sepfx.four_arm import estimate_effects_four
+from sepfx.seeding import derive_seed
 from sepfx.simulation import SimConfig, generate_dataset
 from sepfx.two_arm import estimate_effects_two
 
@@ -123,3 +125,110 @@ def test_indirect_test_takes_contrasts_only():
     ds = generate_dataset(SimConfig(n=200, reps=1), 0)
     with pytest.raises(ValueError, match="sde and sie"):
         indirect_test_battery(ds, EstimatorConfig(splits=1), requests=[("mean", (1, 1))])
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("splits", 0),
+        ("k_folds", 1),
+        ("alpha", 0.0),
+        ("alpha", 1.0),
+        ("clip", 0.0),
+        ("clip", 0.5),
+        ("clip", 0.6),
+        ("max_fold_retries", 0),
+    ],
+)
+def test_estimator_config_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        EstimatorConfig(**{field: value})
+
+
+# --- the split loop ------------------------------------------------------------
+
+# Split s has point POINTS[s] and deviations DEVIATIONS[s].  The deviations
+# do not average to zero: their mean squares are 5, 4, 1, 8, while their
+# variances about their own means are 1, 0, 1, 4.
+POINTS = (0.5, -1.0, 2.0, 0.25)
+DEVIATIONS = ((1.0, 3.0), (2.0, 2.0), (-1.0, 1.0), (0.0, 4.0))
+
+
+def _stub_split(split):
+    return {
+        "key": (
+            POINTS[split],
+            np.array(DEVIATIONS[split]),
+            np.full(3, float(split)),
+            {"d": float(split)},
+        ),
+        "no-eif": (POINTS[split], np.array(DEVIATIONS[split]), None, None),
+    }
+
+
+@pytest.mark.parametrize(
+    "splits, point, variance, eif_split",
+    [
+        # one split: its point, and its deviations' mean square (5, not 1)
+        (1, 0.5, 5.0, 0.0),
+        # median -0.25; adjusted 5 + 0.5625 and 4 + 0.5625; mean of both splits
+        (2, -0.25, 5.0625, 0.5),
+        # median 0.5 (split 0); adjusted 5, 4 + 2.25, 1 + 2.25
+        (3, 0.5, 5.0, 0.0),
+        # median 0.375, between splits 3 and 0; adjusted 5.015625, 5.890625,
+        # 3.640625, 8.015625, whose median is 5.453125
+        (4, 0.375, 5.453125, 1.5),
+    ],
+)
+def test_run_battery_median_rule(splits, point, variance, eif_split):
+    combined = run_battery(EstimatorConfig(splits=splits), _stub_split)
+    result = combined["key"]
+    assert result.point == point
+    assert result.variance == variance
+    np.testing.assert_array_equal(result.eif, np.full(3, eif_split))
+    assert result.diagnostics == {"d": float(np.median(range(splits)))}
+    bare = combined["no-eif"]
+    assert (bare.point, bare.variance) == (point, variance)
+    assert bare.eif is None and bare.diagnostics is None
+
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_indirect_battery_is_agreement_minus_two_arm(model):
+    """On one split the test statistic's estimate is the agreement-population
+    point minus the two-arm point on the agreement rows."""
+    ds = generate_dataset(SimConfig(n=600, a_y_model=model, reps=1, master_seed=2), 0)
+    config = EstimatorConfig(splits=1, seed=7)
+    tests = indirect_test_battery(ds, config)
+    requests = [(test.test.split("-")[1].lower(), test.fixed_level) for test in tests]
+    agreement = estimate_agreement_effects(ds, requests, config)
+    two = estimate_effects_two(restrict_to_two_arm(ds), requests, config)
+    for test, agree, two_arm in zip(tests, agreement, two):
+        assert abs(test.estimate - (agree.point - two_arm.point)) <= 1e-12
+
+
+def test_indirect_battery_sides_count_their_own_fold_redraws(monkeypatch):
+    """A degenerate four-arm partition is redrawn without shifting the
+    partition the two-arm side draws for the same split."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    draws = []
+    real_make_folds = crossfit.make_folds
+
+    def recording_make_folds(n, k, seed):
+        draws.append((n, seed))
+        return real_make_folds(n, k, seed)
+
+    real_fit = falsification.fit_nuisance_theta
+    failed = []
+
+    def fit_failing_once(*args):
+        if not failed:
+            failed.append(True)
+            raise MissingCell("no training rows in arm cell (1, 1)")
+        return real_fit(*args)
+
+    monkeypatch.setattr(crossfit, "make_folds", recording_make_folds)
+    monkeypatch.setattr(falsification, "fit_nuisance_theta", fit_failing_once)
+    indirect_test_battery(ds, EstimatorConfig(splits=1, seed=3))
+    seed = [derive_seed(3, "folds", 0, attempt) for attempt in (0, 1)]
+    n_two = restrict_to_two_arm(ds).n
+    assert draws == [(ds.n, seed[0]), (ds.n, seed[1]), (n_two, seed[0])]

@@ -296,6 +296,22 @@ def test_h0ii_refuses_an_outcome_the_regressors_reproduce_exactly(robust, scale)
         direct_test_h0ii(_replace(ds, y=y), robust=robust)
 
 
+@pytest.mark.parametrize("robust", [False, True])
+@pytest.mark.parametrize("basis", ["main", "interactions"])
+def test_direct_tests_see_an_exact_fit_behind_a_large_offset(robust, basis):
+    """An offset of 1e8 on an exactly reproduced target used to leave
+    residuals large enough to pass the exact-fit rule: H0(i) reported
+    p = 2.8e-10 and rejected."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    m = np.array(ds.m)
+    m[:, 0] = 1e8 + 0.3 * ds.a_m + 0.5 * ds.x[:, 0]
+    with pytest.raises(DegenerateEstimate, match="H0\\(i\\).*exact"):
+        direct_test_h0i(_replace(ds, m=m), 0, robust=robust, basis=basis)
+    y = 1e8 + 0.3 * ds.a_y + ds.m[:, 0] + ds.x[:, 0]
+    with pytest.raises(DegenerateEstimate, match="H0\\(ii\\).*exact"):
+        direct_test_h0ii(_replace(ds, y=y), robust=robust, basis=basis)
+
+
 @pytest.mark.parametrize("value", [0.1, 0.7, 3.3, 1e6 + 0.1])
 def test_direct_tests_refuse_a_constant_target(value):
     """A constant mediator or outcome is fit exactly by the intercept; its

@@ -30,12 +30,18 @@ CASES = {
     "estimate_four_arm_diagnostics": [
         "estimate", "--data", DATA, "--design", "four-arm", "--diagnostics",
     ],
+    "estimate_four_arm_even_splits": [
+        "estimate", "--data", DATA, "--design", "four-arm", "--splits", "4",
+    ],
     "estimate_two_arm_strategy_t": [
         "estimate", "--data", DATA, "--design", "two-arm", "--col-a", "aY",
         "--strategy", "T",
     ],
     "falsify_direct_robust": ["falsify", "direct", "--data", DATA, "--robust"],
     "falsify_indirect": ["falsify", "indirect", "--data", DATA],
+    "falsify_indirect_even_splits": [
+        "falsify", "indirect", "--data", DATA, "--splits", "4",
+    ],
     "truth_model1": ["truth", "--model", "1"],
 }
 

@@ -141,6 +141,16 @@ def test_sim_config_validation():
         SimConfig(reps=1, estimators=("sde_four", "mystery"))
 
 
+@pytest.mark.parametrize(
+    "field, value", [("splits", 0), ("k_folds", 1), ("alpha", 0.0), ("clip", 0.6)]
+)
+def test_sim_config_applies_the_estimator_rules(field, value):
+    """Bad estimator settings fail when the study is configured, not once
+    per replication."""
+    with pytest.raises(ValueError, match=field):
+        SimConfig(reps=1, **{field: value})
+
+
 def test_estimator_config_for():
     glm = estimator_config_for("glm", seed=1, k_folds=2, splits=3,
                                alpha=0.05, clip=0.01, strategy="ensemble")

@@ -6,14 +6,9 @@ from sepfx.errors import MissingTreatmentLevel
 from sepfx.estimation import EstimatorConfig
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import SimConfig, generate_dataset, true_effects
-from sepfx.two_arm import (
-    eif,
-    eif_collapsed,
-    estimate_effects_two,
-    fit_nuisance_two,
-)
+from sepfx.two_arm import eif, estimate_effects_two, fit_nuisance_two
 
-from conftest import make_two_arm
+from conftest import collapsed_two_arm_score, make_two_arm
 
 
 def one_row(y, a):
@@ -58,13 +53,15 @@ def test_score_mediator_arm_term():
 
 
 def test_score_collapsed():
+    """At a_y = a_m the score is 1{A=a}/omega * (Y - lam) + lam."""
     nuis = FlatNuisance(0.5, {0: 0.4, 1: 0.6}, mu=0.7, lam=0.2)
-    value = eif_collapsed(one_row(1.0, 1), 1, nuis)
+    value = eif(one_row(1.0, 1), 1, 1, nuis)
     np.testing.assert_allclose(value, [(1 / 0.5) * (1.0 - 0.2) + 0.2])
 
 
 def test_collapsed_identity(sim_two_arm):
-    """With matching levels the general score reduces to the collapsed one.
+    """With matching levels the general score reduces to the collapsed one,
+    1{A=a}/omega(a, X) * (Y - lam(a, a, X)) + lam(a, a, X).
 
     The density ratio cancels exactly because numerator and denominator
     are the same fitted values, so the gap is pure float noise.
@@ -74,7 +71,7 @@ def test_collapsed_identity(sim_two_arm):
         nuis = fit_nuisance_two(sim_two_arm, np.arange(sim_two_arm.n), config, strategy=strategy)
         for level in (0, 1):
             full = eif(sim_two_arm, level, level, nuis)
-            collapsed = eif_collapsed(sim_two_arm, level, nuis)
+            collapsed = collapsed_two_arm_score(sim_two_arm, level, nuis)
             assert np.max(np.abs(full - collapsed)) < 1e-12
 
 
