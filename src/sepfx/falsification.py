@@ -199,6 +199,7 @@ def _direct_test(
 ) -> TestResult:
     """Regress ``targets`` on the direct-test design and Wald-test the
     treatment coefficient at ``coef_index`` (1 for a_y, 2 for a_m)."""
+    EstimatorConfig(alpha=alpha)  # raises ValueError unless 0 < alpha < 1
     try:
         fit = fit_ols(_direct_design(ds, include_mediators, basis), targets)
     except DegenerateEstimate as exc:
@@ -228,7 +229,8 @@ def direct_test_h0i(
     Regresses the chosen mediator on both treatments and covariates and
     tests the outcome-channel coefficient against zero.  Classical
     standard errors with a t reference by default; ``robust`` switches to
-    HC1 errors with a normal reference.
+    HC1 errors with a normal reference.  Raises ``ValueError`` unless
+    ``0 < alpha < 1``, as :class:`EstimatorConfig` does.
     """
     return _direct_test(
         "H0(i)", ds, ds.m[:, mediator_index], robust, basis, alpha,
@@ -246,6 +248,7 @@ def direct_test_h0ii(
 
     Regresses the outcome on both treatments, all mediators, and
     covariates, and tests the mediator-channel coefficient against zero.
+    ``alpha`` is checked as in :func:`direct_test_h0i`.
     """
     return _direct_test(
         "H0(ii)", ds, ds.y, robust, basis, alpha, include_mediators=True, coef_index=2

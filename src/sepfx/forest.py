@@ -4,6 +4,18 @@ Trees are grown on bootstrap resamples with a random feature subset at
 each node (``mtry``), squared-error split criterion, and a minimum leaf
 size.  Classification reuses the regression machinery on 0/1 labels, so a
 tree's leaf value is the within-leaf class frequency.
+
+The split search is presorted: each feature is argsorted once per tree
+(stably), and every child filters its parent's sorted rows instead of
+sorting again.  At a node the drawn features are scored together as one
+block, and only at cut points between distinct adjacent values.  Nodes
+are grown depth first, so every random draw happens in the same order as
+a node-by-node search that sorts afresh, and the trees are the same bit
+for bit.
+
+A forest is drawn tree by tree from its seed, so a forest of t trees is
+the first t trees of a larger forest with the same data and settings.
+:func:`predict_forests` predicts such nested forests in one pass.
 """
 
 from __future__ import annotations
@@ -50,6 +62,7 @@ def _grow_tree(
 ) -> _Tree:
     n, p = features.shape
     k = min(mtry, p)
+    columns = np.ascontiguousarray(features.T)
     feat: list[int] = []
     thr: list[float] = []
     left: list[int] = []
@@ -64,41 +77,50 @@ def _grow_tree(
         value.append(0.0)
         return len(feat) - 1
 
-    stack = [(new_node(), np.arange(n))]
+    # A node holds its rows in increasing order and, in row f of ``order``,
+    # the same rows stably sorted by feature f.  A child's rows keep their
+    # parent's relative order, so filtering the parent's ``order`` gives
+    # exactly the stable argsort the child would compute for itself.
+    stack = [(new_node(), np.arange(n), np.argsort(columns, axis=1, kind="stable"))]
     while stack:
-        node, rows = stack.pop()
+        node, rows, order = stack.pop()
+        m = rows.size
         yv = targets[rows]
-        value[node] = float(yv.mean())
-        if rows.size < 2 * min_leaf or np.ptp(yv) == 0.0:
+        value[node] = float(yv.sum()) / m  # == float(yv.mean())
+        if m < 2 * min_leaf or yv.max() - yv.min() == 0.0:  # == np.ptp(yv)
             continue
+        drawn = rng.choice(p, size=k, replace=False)
+        idx = order[drawn]
+        xs = columns[drawn[:, None], idx]
+        # candidate splits: between adjacent sorted rows whose values differ,
+        # leaving at least min_leaf rows on each side
+        lo, hi = min_leaf - 1, m - min_leaf
+        feat_at, cut = np.nonzero(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1])
         best_cost = np.inf
         best_feat = -1
         best_thr = 0.0
-        for f in rng.choice(p, size=k, replace=False):
-            xv = features[rows, f]
-            order = np.argsort(xv, kind="stable")
-            xs = xv[order]
-            ys = yv[order]
-            s1 = np.cumsum(ys)
-            s2 = np.cumsum(ys * ys)
-            sizes = np.arange(min_leaf, rows.size - min_leaf + 1)
-            valid = xs[sizes - 1] < xs[sizes]
-            if not valid.any():
-                continue
-            sizes = sizes[valid]
-            l1 = s1[sizes - 1]
-            l2 = s2[sizes - 1]
-            costs = (l2 - l1 * l1 / sizes) + (
-                (s2[-1] - l2) - (s1[-1] - l1) ** 2 / (rows.size - sizes)
+        if cut.size:
+            cut += lo
+            ys = targets[idx]
+            s1 = np.cumsum(ys, axis=1)
+            s2 = np.cumsum(ys * ys, axis=1)
+            l1 = s1[feat_at, cut]
+            l2 = s2[feat_at, cut]
+            sizes = cut + 1
+            costs = np.full((k, hi - lo), np.inf)
+            costs[feat_at, cut - lo] = (l2 - l1 * l1 / sizes) + (
+                (s2[feat_at, -1] - l2) - (s1[feat_at, -1] - l1) ** 2 / (m - sizes)
             )
-            j = int(np.argmin(costs))
-            if costs[j] < best_cost:
-                best_cost = float(costs[j])
-                best_feat = int(f)
-                best_thr = 0.5 * (xs[sizes[j] - 1] + xs[sizes[j]])
+            best_at = costs.argmin(axis=1)
+            for r in range(k):
+                j = best_at[r]
+                if costs[r, j] < best_cost:
+                    best_cost = costs[r, j]
+                    best_feat = int(drawn[r])
+                    best_thr = 0.5 * (xs[r, lo + j] + xs[r, lo + j + 1])
         if best_feat < 0:
             continue
-        mask = features[rows, best_feat] <= best_thr
+        mask = columns[best_feat, rows] <= best_thr
         l_rows = rows[mask]
         r_rows = rows[~mask]
         # midpoints between adjacent floats can collapse onto one side
@@ -110,8 +132,9 @@ def _grow_tree(
         r_id = new_node()
         left[node] = l_id
         right[node] = r_id
-        stack.append((l_id, l_rows))
-        stack.append((r_id, r_rows))
+        goes_left = columns[best_feat, order] <= best_thr
+        stack.append((l_id, l_rows, order[goes_left].reshape(p, -1)))
+        stack.append((r_id, r_rows, order[~goes_left].reshape(p, -1)))
 
     return _Tree(
         feature=np.asarray(feat, dtype=np.int64),
@@ -130,14 +153,42 @@ class ForestPredictor:
     clip: float | None = None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        features = as_matrix(features)
+        return predict_forests([self], features)[0]
+
+
+def predict_forests(forests, features) -> list[np.ndarray]:
+    """``[forest.predict(features) for forest in forests]``, bit for bit.
+
+    Forests whose trees are a leading slice of another forest's tree list
+    (the same tree objects, with the same ``clip``) are read off one pass
+    over the longer forest: each takes the running sum at its own size, so
+    the same floats are added in the same order as a pass of its own.
+    """
+    features = as_matrix(features)
+    out: list = [None] * len(forests)
+    longest_first = sorted(range(len(forests)), key=lambda j: -len(forests[j].trees))
+    for root in longest_first:
+        if out[root] is not None:
+            continue
+        trees = forests[root].trees
+        members = [
+            j
+            for j in longest_first
+            if out[j] is None
+            and forests[j].clip == forests[root].clip
+            and all(a is b for a, b in zip(forests[j].trees, trees))
+        ]
         total = np.zeros(features.shape[0])
-        for tree in self.trees:
-            total += tree.predict(features)
-        out = total / len(self.trees)
-        if self.clip is not None:
-            out = np.clip(out, self.clip, 1.0 - self.clip)
-        return out
+        grown = 0
+        for j in reversed(members):
+            size = len(forests[j].trees)
+            while grown < size:
+                total += trees[grown].predict(features)
+                grown += 1
+            pred = total / size
+            clip = forests[j].clip
+            out[j] = pred if clip is None else np.clip(pred, clip, 1.0 - clip)
+    return out
 
 
 def fit_forest(

@@ -9,6 +9,7 @@ Three model families are available through one spec type:
 * ``random_forest`` -- bagged CART trees (see :mod:`sepfx.forest`).
 * ``super_learner`` -- a convex stack of candidate specs with weights
   chosen by non-negative least squares on out-of-fold predictions.
+  Forest candidates equal apart from ``trees`` share one grown forest.
 
 Binary-outcome models return probabilities clipped away from 0 and 1 so
 downstream inverse-probability weights stay bounded.
@@ -17,7 +18,7 @@ downstream inverse-probability weights stay bounded.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
@@ -25,7 +26,7 @@ from scipy.special import expit
 
 from .crossfit import make_folds
 from .errors import LearnerError, SingleClassWarning, TooFewRows
-from .forest import as_matrix, fit_forest
+from .forest import ForestPredictor, as_matrix, fit_forest, predict_forests
 from .seeding import derive_seed
 
 DEFAULT_CLIP = 0.01
@@ -287,10 +288,11 @@ class SuperLearnerFit:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = as_matrix(features)
+        used = [j for j, w in enumerate(self.weights) if w != 0.0]
+        preds = _predict_candidates(self.candidate_fits, used, features)
         out = np.zeros(features.shape[0])
-        for w, fit in zip(self.weights, self.candidate_fits):
-            if w != 0.0:
-                out += w * fit.predict(features)
+        for j, pred in zip(used, preds):
+            out += self.weights[j] * pred
         if self.clip is not None:
             out = np.clip(out, self.clip, 1.0 - self.clip)
         return out
@@ -307,6 +309,49 @@ def _fit_candidate(
     if task == "classification":
         return fit_classifier(X, y, candidate, interact_cols=interact_cols, clip=clip)
     return fit_regressor(X, y, candidate, interact_cols=interact_cols)
+
+
+def _fit_candidates(
+    X: np.ndarray,
+    y: np.ndarray,
+    candidates,
+    task: str,
+    interact_cols: tuple[int, ...],
+    clip: float,
+) -> tuple[FittedPredictor, ...]:
+    """Fit every candidate, growing one forest per group of forest specs
+    that are equal apart from ``trees``.
+
+    A forest is drawn tree by tree from its seed, so a smaller forest of a
+    group is the leading slice of the group's largest; it shares those
+    tree objects.  Data on which the largest fit is no forest (a single
+    class or constant targets) is fit candidate by candidate.
+    """
+    groups: dict = {}
+    for j, spec in enumerate(candidates):
+        # a forest spec with its tree count masked; any other spec stands alone
+        key = replace(spec, trees=1) if spec.kind == "random_forest" else j
+        groups.setdefault(key, []).append(j)
+    fits: list = [None] * len(candidates)
+    for members in groups.values():
+        largest = max(members, key=lambda j: candidates[j].trees)
+        fit = _fit_candidate(X, y, candidates[largest], task, interact_cols, clip)
+        for j in members:
+            if j == largest:
+                fits[j] = fit
+            elif isinstance(fit, ForestPredictor):
+                fits[j] = ForestPredictor(trees=fit.trees[: candidates[j].trees], clip=fit.clip)
+            else:
+                fits[j] = _fit_candidate(X, y, candidates[j], task, interact_cols, clip)
+    return tuple(fits)
+
+
+def _predict_candidates(fits, indices, features: np.ndarray) -> list[np.ndarray]:
+    """Predictions of ``fits[j]`` for j in ``indices``, with one pass over
+    the trees of forests that share them."""
+    forests = [j for j in indices if isinstance(fits[j], ForestPredictor)]
+    shared = dict(zip(forests, predict_forests([fits[j] for j in forests], features)))
+    return [shared[j] if j in shared else fits[j].predict(features) for j in indices]
 
 
 def fit_super_learner(
@@ -342,11 +387,10 @@ def fit_super_learner(
     for fold in range(v_folds):
         train = folds.train_rows(fold)
         test = folds.test_rows(fold)
-        for j, candidate in enumerate(candidates):
-            fit = _fit_candidate(
-                X[train], y[train], candidate, task, interact_cols, fit_clip
-            )
-            oof[test, j] = fit.predict(X[test])
+        fits = _fit_candidates(X[train], y[train], candidates, task, interact_cols, fit_clip)
+        preds = _predict_candidates(fits, range(len(candidates)), X[test])
+        for j, pred in enumerate(preds):
+            oof[test, j] = pred
 
     from scipy.optimize import nnls  # deferred: importing scipy.optimize costs ~0.3 s
 
@@ -365,10 +409,7 @@ def fit_super_learner(
         weights[best] = 1.0
         ensemble_loss = float(cv_losses[best])
 
-    fits = tuple(
-        _fit_candidate(X, y, candidate, task, interact_cols, fit_clip)
-        for candidate in candidates
-    )
+    fits = _fit_candidates(X, y, candidates, task, interact_cols, fit_clip)
     return SuperLearnerFit(
         candidate_fits=fits,
         weights=weights,

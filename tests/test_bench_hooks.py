@@ -3,8 +3,11 @@
 
 from pathlib import Path
 
+import numpy as np
+
 import sepfx.falsification
 import sepfx.four_arm
+import sepfx.learners
 from sepfx.estimation import EstimatorConfig
 from sepfx.simulation import SimConfig, generate_dataset, run_monte_carlo
 
@@ -60,3 +63,27 @@ def test_trace_hooks_see_one_monte_carlo_replication(monkeypatch):
     assert calls["two_arm.fit_nuisance_two"] == 6
     assert counters["nuisance.fits"] == 18
     assert counters["nuisance.unique_fits"] == 12
+
+
+def test_trace_hooks_see_one_forest_per_super_learner_prefix_group(monkeypatch):
+    """Forests of 1, 2 and 3 trees on one seed grow only the 3-tree forest,
+    once per internal fold and once on the full data, so no traced tree
+    is a duplicate."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    g = np.random.default_rng(0)
+    x = g.integers(0, 2, size=(120, 4)).astype(float)
+    y = x[:, 0] + g.normal(size=120)
+    forests = tuple(sepfx.learners.LearnerSpec(kind="random_forest", trees=t, seed=3) for t in (1, 2, 3))
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        sepfx.learners.fit_super_learner(x, y, forests, v_folds=3, seed=3)
+        calls, _, _ = layers.span_totals(tracer.spans)
+        counters = layers.summarize([tracer.snapshot()])
+    finally:
+        tracer.uninstall()
+
+    assert calls["forest.fit_forest"] == 4
+    assert counters["forest.trees"] == counters["forest.unique_trees"] == 12

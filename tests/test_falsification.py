@@ -312,6 +312,16 @@ def test_direct_tests_see_an_exact_fit_behind_a_large_offset(robust, basis):
         direct_test_h0ii(_replace(ds, y=y), robust=robust, basis=basis)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.05, float("nan")])
+def test_direct_tests_refuse_alpha_outside_zero_one(sim_four_arm, alpha):
+    """alpha = 0 used to give the interval (-inf, inf), and alpha = 1.5 an
+    inverted interval with reject=True."""
+    with pytest.raises(ValueError, match="alpha must be strictly between 0 and 1"):
+        direct_test_h0i(sim_four_arm, 0, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha must be strictly between 0 and 1"):
+        direct_test_h0ii(sim_four_arm, robust=True, alpha=alpha)
+
+
 @pytest.mark.parametrize("value", [0.1, 0.7, 3.3, 1e6 + 0.1])
 def test_direct_tests_refuse_a_constant_target(value):
     """A constant mediator or outcome is fit exactly by the intercept; its

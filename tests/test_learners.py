@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sepfx.crossfit import make_folds
 from sepfx.data import TwoArmDataset
 from sepfx.errors import LearnerError, MissingTreatmentLevel, SingleClassWarning, TooFewRows
 from sepfx.estimation import EstimatorConfig
@@ -13,7 +18,7 @@ from sepfx.learners import (
     fit_super_learner,
     make_spec,
 )
-from sepfx.seeding import stream
+from sepfx.seeding import derive_seed, stream
 from sepfx.two_arm import fit_nuisance_two
 
 
@@ -194,6 +199,116 @@ def test_super_learner_deterministic_by_seed():
     b = fit_super_learner(x, y, cands, v_folds=3, seed=7)
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.predict(x), b.predict(x))
+
+
+def _forest(trees, **kw) -> LearnerSpec:
+    return LearnerSpec(kind="random_forest", trees=trees, **kw)
+
+
+def _sl_data(seed, task, binary, n=90):
+    g = np.random.default_rng(seed)
+    x = g.integers(0, 2, size=(n, 4)).astype(float) if binary else np.round(g.normal(size=(n, 3)), 1)
+    if task == "classification":
+        return x, (g.random(n) < 0.25 + 0.5 * x[:, 0] * (x[:, 1] > 0)).astype(float)
+    return x, x[:, 0] - x[:, 1] + g.normal(scale=0.5, size=n)
+
+
+SL_CLIP = 0.02
+
+
+def _fit_alone(x, y, spec, task):
+    if task == "classification":
+        return fit_classifier(x, y, spec, clip=SL_CLIP)
+    return fit_regressor(x, y, spec)
+
+
+def _reference_cv_losses(x, y, candidates, v_folds, seed, task):
+    """Out-of-fold losses with every candidate fit on its own."""
+    folds = make_folds(y.size, v_folds, derive_seed(seed, "super-learner-folds"))
+    oof = np.empty((y.size, len(candidates)))
+    for fold in range(v_folds):
+        train, test = folds.train_rows(fold), folds.test_rows(fold)
+        for j, spec in enumerate(candidates):
+            oof[test, j] = _fit_alone(x[train], y[train], spec, task).predict(x[test])
+    return np.mean((y[:, None] - oof) ** 2, axis=0)
+
+
+def _check_against_solo_fits(x, y, candidates, task, seed):
+    """The super learner equals one built from candidates fit one by one:
+    each candidate predicts bit for bit like its spec fit alone."""
+    clip = SL_CLIP if task == "classification" else None
+    train, test = x[:60], x[60:]
+    sl = fit_super_learner(
+        train, y[:60], candidates, v_folds=3, seed=seed, task=task, clip=clip
+    )
+    want_losses = _reference_cv_losses(train, y[:60], candidates, 3, seed, task)
+    assert sl.cv_losses.tobytes() == want_losses.tobytes()
+    want = np.zeros(test.shape[0])
+    for spec, w, fit in zip(candidates, sl.weights, sl.candidate_fits):
+        alone = _fit_alone(train, y[:60], spec, task).predict(test)
+        assert fit.predict(test).tobytes() == alone.tobytes()
+        if w != 0.0:
+            want += w * alone
+    if clip is not None:
+        want = np.clip(want, clip, 1.0 - clip)
+    assert sl.predict(test).tobytes() == want.tobytes()
+    return sl
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    trees=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    mtry=st.integers(1, 4),
+    min_leaf=st.integers(1, 7),
+    seed=st.integers(0, 2**16),
+    task=st.sampled_from(["regression", "classification"]),
+    binary=st.booleans(),
+)
+def test_super_learner_forests_are_prefixes_of_one_forest(
+    trees, mtry, min_leaf, seed, task, binary
+):
+    """Forest candidates equal apart from ``trees`` share the largest one's
+    trees, and each predicts bit for bit like a forest fit alone."""
+    x, y = _sl_data(seed, task, binary)
+    candidates = tuple(_forest(t, mtry=mtry, min_leaf=min_leaf, seed=seed) for t in trees)
+    sl = _check_against_solo_fits(x, y, candidates, task, seed)
+    largest = sl.candidate_fits[int(np.argmax(trees))]
+    for fit in sl.candidate_fits:
+        assert all(a is b for a, b in zip(fit.trees, largest.trees))
+
+
+@pytest.mark.parametrize(
+    "candidates",
+    [
+        (_forest(2, seed=1), _forest(3, seed=2)),
+        (_forest(2, mtry=1), _forest(3, mtry=2)),
+        (_forest(3, min_leaf=2), _forest(2, min_leaf=4)),
+        (LearnerSpec(kind="glm", basis="main"), _forest(2), LearnerSpec(kind="glm"), _forest(1, seed=3)),
+    ],
+    ids=["seed", "mtry", "min_leaf", "glm-mix"],
+)
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_super_learner_fits_unshared_candidates_on_their_own(candidates, task):
+    x, y = _sl_data(5, task, binary=True)
+    sl = _check_against_solo_fits(x, y, candidates, task, seed=2)
+    forests = [fit for fit in sl.candidate_fits if hasattr(fit, "trees")]
+    trees = [id(tree) for fit in forests for tree in fit.trees]
+    assert len(trees) == len(set(trees))
+
+
+def test_super_learner_single_class_gives_each_forest_a_constant():
+    x, _ = _sl_data(1, "classification", binary=True)
+    candidates = tuple(_forest(t, seed=4) for t in (1, 2, 3))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sl = fit_super_learner(
+            x, np.ones(x.shape[0]), candidates, v_folds=3, seed=0,
+            task="classification", clip=SL_CLIP,
+        )
+    for fit in sl.candidate_fits:
+        assert isinstance(fit, ConstantPredictor) and fit.value == 1.0 - SL_CLIP
+    # every candidate warns once per internal fold and once on the full data
+    assert [w.category for w in caught] == [SingleClassWarning] * 3 * 4
 
 
 def _strategy_data(features, treatment, targets) -> TwoArmDataset:
