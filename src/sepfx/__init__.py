@@ -23,13 +23,11 @@ from .errors import (
     DataError,
     DegenerateEstimate,
     DegenerateFold,
-    EmptyAgreementSet,
     EmptyDataset,
     EmptySubset,
     LearnerError,
     MissingCell,
     MissingColumn,
-    MissingTreatmentLevel,
     NonBinaryTreatment,
     NonNumericCell,
     SepfxError,
@@ -46,7 +44,7 @@ from .falsification import (
     indirect_test_battery,
 )
 from .four_arm import estimate_effects_four
-from .learners import LearnerSpec, fit_classifier, fit_regressor, make_spec
+from .learners import LearnerSpec, make_spec
 from .simulation import (
     ESTIMATOR_NAMES,
     FalsificationStudyReport,
@@ -69,7 +67,6 @@ __all__ = [
     "DegenerateFold",
     "ESTIMATOR_NAMES",
     "EffectEstimate",
-    "EmptyAgreementSet",
     "EmptyDataset",
     "EmptySubset",
     "EstimatorConfig",
@@ -79,7 +76,6 @@ __all__ = [
     "LearnerSpec",
     "MissingCell",
     "MissingColumn",
-    "MissingTreatmentLevel",
     "NonBinaryTreatment",
     "NonNumericCell",
     "SepfxError",
@@ -96,8 +92,6 @@ __all__ = [
     "estimate_agreement_effects",
     "estimate_effects_four",
     "estimate_effects_two",
-    "fit_classifier",
-    "fit_regressor",
     "generate_dataset",
     "indirect_test_battery",
     "load_four_arm",

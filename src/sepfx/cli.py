@@ -150,8 +150,9 @@ def _schema_from_args(args) -> ColumnMap:
 def _estimator_config(args, parser, diagnostics: bool = False):
     try:
         return estimator_config_for(
-            args.learner, args.seed, args.k_folds, args.splits,
-            args.alpha, args.clip, args.strategy, diagnostics,
+            args.learner, args.seed, k_folds=args.k_folds, splits=args.splits,
+            alpha=args.alpha, clip=args.clip, strategy=args.strategy,
+            diagnostics=diagnostics,
         )
     except ValueError as exc:
         parser.error(str(exc))

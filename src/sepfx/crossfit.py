@@ -17,8 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadK, DegenerateFold, MissingCell, MissingTreatmentLevel
+from .errors import BadK, DegenerateFold, MissingCell
 from .seeding import derive_seed
+
+MAX_FOLD_RETRIES = 10
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ def cross_fit(dataset, folds: FoldAssignment, fitter: Callable) -> list:
         train = folds.train_rows(fold)
         try:
             fits.append(fitter(dataset, train))
-        except (MissingCell, MissingTreatmentLevel) as exc:
+        except MissingCell as exc:
             raise DegenerateFold(fold, str(exc)) from exc
         except Exception as exc:
             exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
@@ -80,10 +82,10 @@ def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
     Returns ``(folds, fits)``.  Attempt ``a`` draws its folds from
     ``derive_seed(config.seed, "folds", split, a)``; an attempt raising
     :class:`DegenerateFold` moves on to the next, up to
-    ``config.max_fold_retries`` attempts.  Each call counts its own
+    ``MAX_FOLD_RETRIES`` attempts.  Each call counts its own
     attempts, so a redraw on one dataset never shifts another's folds.
     """
-    for attempt in range(config.max_fold_retries):
+    for attempt in range(MAX_FOLD_RETRIES):
         folds = make_folds(
             dataset.n, config.k_folds, derive_seed(config.seed, "folds", split, attempt)
         )
@@ -93,7 +95,7 @@ def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
             failure = exc
     raise DegenerateFold(
         failure.fold,
-        f"no usable fold assignment after {config.max_fold_retries} attempts",
+        f"no usable fold assignment after {MAX_FOLD_RETRIES} attempts",
     )
 
 

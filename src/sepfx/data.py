@@ -30,8 +30,6 @@ from .errors import (
     NonNumericCell,
 )
 
-DEFAULT_MIN_CELL = 20
-
 
 @dataclass(frozen=True)
 class ColumnMap:
@@ -39,7 +37,8 @@ class ColumnMap:
 
     Mediator and covariate columns are discovered by prefix unless explicit
     name lists are given.  Prefix discovery skips the named special columns,
-    so a treatment column called ``aM`` is never mistaken for a mediator.
+    so a treatment column called ``aM`` is never mistaken for a mediator;
+    an explicit list that names one is refused.
     """
 
     outcome: str = "y"
@@ -128,10 +127,6 @@ class _Dataset:
     def n_mediators(self) -> int:
         return self.m.shape[1]
 
-    @property
-    def n_covariates(self) -> int:
-        return self.x.shape[1]
-
     def column_names(self) -> tuple[str, ...]:
         """CSV column order: outcome, treatments, mediators, covariates."""
         return (
@@ -158,13 +153,6 @@ class FourArmDataset(_Dataset):
     covariate_names: tuple[str, ...] = ()
 
     treatment_fields: ClassVar[tuple[str, ...]] = ("a_y", "a_m")
-
-    def arm_counts(self) -> dict[tuple[int, int], int]:
-        return {
-            (i, j): int(np.sum((self.a_y == i) & (self.a_m == j)))
-            for i in (0, 1)
-            for j in (0, 1)
-        }
 
 
 @dataclass(frozen=True)
@@ -195,43 +183,31 @@ class TwoArmDataset(_Dataset):
                 raise DataError("source_rows must match dataset length")
             object.__setattr__(self, "source_rows", _freeze(rows))
 
-    def arm_counts(self) -> dict[int, int]:
-        return {level: int(np.sum(self.a == level)) for level in (0, 1)}
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate`: counts and human-readable warnings."""
-
-    schema_ok: bool
-    arm_counts: dict
-    warnings: tuple[str, ...] = ()
-
 
 def _source_lines(source):
     """The lines of a CSV source, split exactly as ``csv.reader`` sees them.
 
-    A text stream that fails to decode part-way gives an iterator instead:
-    it yields the lines read before the failure and then raises it, as a
-    lazy ``csv.reader`` over the stream would, so a bad row earlier in the
-    file is still the error reported.
+    Input that fails to decode gives an iterator instead: it yields the
+    lines of a text stream read before the failure and then raises it as a
+    :class:`DataError`, as a lazy ``csv.reader`` over the stream would, so
+    a bad row earlier in the file is still the error reported.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as handle:
             return _source_lines(handle)
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")).readlines()
     lines: list[str] = []
     try:
+        if isinstance(source, (bytes, bytearray)):
+            return io.StringIO(source.decode("utf-8")).readlines()
         lines.extend(source)
     except UnicodeDecodeError as exc:
         return _lines_then_raise(lines, exc)
     return lines
 
 
-def _lines_then_raise(lines: list[str], exc: Exception):
+def _lines_then_raise(lines: list[str], exc: UnicodeDecodeError):
     yield from lines
-    raise exc
+    raise DataError(f"input is not valid UTF-8: {exc}") from exc
 
 
 def _read_header(reader) -> list[str]:
@@ -318,6 +294,10 @@ def _resolve_columns(
             for name in explicit:
                 if name not in header:
                     raise MissingColumn(f"{role} column {name!r} not found in header")
+                if name in special:
+                    raise DataError(
+                        f"{role} column {name!r} is the outcome or a treatment"
+                    )
             return list(explicit)
         found = [c for c in header if c.startswith(prefix) and c not in special]
         if not found:
@@ -449,21 +429,4 @@ def restrict_to_two_arm(ds: FourArmDataset) -> TwoArmDataset:
         mediator_names=ds.mediator_names,
         covariate_names=ds.covariate_names,
         source_rows=keep,
-    )
-
-
-def validate(
-    ds: FourArmDataset | TwoArmDataset, min_cell: int = DEFAULT_MIN_CELL
-) -> ValidationReport:
-    """Report arm counts and warn about empty or thin cells; never raises."""
-    counts = ds.arm_counts()
-    warnings: list[str] = []
-    for cell, count in sorted(counts.items()):
-        label = f"arm {cell!r}"
-        if count == 0:
-            warnings.append(f"{label} is empty")
-        elif count < min_cell:
-            warnings.append(f"{label} has only {count} rows (min {min_cell})")
-    return ValidationReport(
-        schema_ok=True, arm_counts=counts, warnings=tuple(warnings)
     )

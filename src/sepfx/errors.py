@@ -41,10 +41,6 @@ class TooFewRows(LearnerError):
     """Not enough rows to fit the requested model."""
 
 
-class MissingTreatmentLevel(LearnerError):
-    """A treatment-stratified fit needs rows from an absent level."""
-
-
 class BadK(SepfxError):
     """Fold count outside the valid range for the sample size."""
 
@@ -58,7 +54,8 @@ class DegenerateFold(SepfxError):
 
 
 class MissingCell(SepfxError):
-    """A required treatment-arm combination has no training rows."""
+    """A needed arm has no rows: a four-arm (a_y, a_m) cell or a two-arm
+    treatment level."""
 
 
 class SingularDesign(SepfxError):
@@ -67,10 +64,6 @@ class SingularDesign(SepfxError):
 
 class DegenerateEstimate(SepfxError):
     """An estimate or test statistic has a standard error that is not positive."""
-
-
-class EmptyAgreementSet(SepfxError):
-    """No rows have matching treatment assignments."""
 
 
 class SingleClassWarning(UserWarning):

@@ -67,14 +67,23 @@ class Estimand(NamedTuple):
     level: object
 
     def cells(self) -> tuple:
-        """The (a_y, a_m) cells the contrast combines: the plus cell first."""
+        """The (a_y, a_m) cells the contrast combines: the plus cell first.
+
+        Raises ``ValueError`` unless each level is 0 or 1 (for ``mean``, an
+        (a_y, a_m) pair of them).
+        """
         if self.kind == "sde":
-            return ((1, self.level), (0, self.level))
-        if self.kind == "sie":
-            return ((self.level, 1), (self.level, 0))
-        if self.kind == "mean":
-            return (tuple(self.level),)
-        raise ValueError(f"unknown estimand kind {self.kind!r}")
+            cells = ((1, self.level), (0, self.level))
+        elif self.kind == "sie":
+            cells = ((self.level, 1), (self.level, 0))
+        elif self.kind == "mean":
+            cells = (tuple(self.level) if np.ndim(self.level) == 1 else (),)
+        else:
+            raise ValueError(f"unknown estimand kind {self.kind!r}")
+        if any(len(cell) != 2 or any(v not in (0, 1) for v in cell) for cell in cells):
+            pair = " as an (a_y, a_m) pair" if self.kind == "mean" else ""
+            raise ValueError(f"{self.kind} level must be 0 or 1{pair}, got {self.level!r}")
+        return cells
 
     def contrast(self, scores: dict) -> np.ndarray:
         """Combine per-cell score vectors into this estimand's scores."""
@@ -107,9 +116,8 @@ class EstimatorConfig:
     Raises
     ------
     ValueError
-        Unless ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
-        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross) and
-        ``max_fold_retries >= 1``.
+        Unless ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1`` and
+        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross).
     """
 
     outcome: LearnerSpec = field(default_factory=LearnerSpec)
@@ -122,7 +130,6 @@ class EstimatorConfig:
     strategy: str = "ensemble"
     keep_eif: bool = True
     diagnostics: bool = False
-    max_fold_retries: int = 10
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -130,7 +137,6 @@ class EstimatorConfig:
             ("k_folds", self.k_folds >= 2, "at least 2"),
             ("alpha", 0.0 < self.alpha < 1.0, "strictly between 0 and 1"),
             ("clip", 0.0 < self.clip < 0.5, "strictly between 0 and 0.5"),
-            ("max_fold_retries", self.max_fold_retries >= 1, "at least 1"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")

@@ -29,12 +29,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .data import FourArmDataset, restrict_to_two_arm
-from .errors import (
-    DegenerateEstimate,
-    EmptyAgreementSet,
-    MissingTreatmentLevel,
-    SingularDesign,
-)
+from .errors import DegenerateEstimate, EmptySubset, MissingCell, SingularDesign
 from .estimation import (
     EffectEstimate,
     Estimand,
@@ -230,8 +225,13 @@ def direct_test_h0i(
     tests the outcome-channel coefficient against zero.  Classical
     standard errors with a t reference by default; ``robust`` switches to
     HC1 errors with a normal reference.  Raises ``ValueError`` unless
-    ``0 < alpha < 1``, as :class:`EstimatorConfig` does.
+    ``0 < alpha < 1``, as :class:`EstimatorConfig` does, and unless
+    ``0 <= mediator_index < ds.n_mediators``.
     """
+    if mediator_index not in range(ds.n_mediators):
+        raise ValueError(
+            f"mediator_index must be in [0, {ds.n_mediators}), got {mediator_index!r}"
+        )
     return _direct_test(
         "H0(i)", ds, ds.m[:, mediator_index], robust, basis, alpha,
         include_mediators=False, coef_index=1, mediator=mediator_index,
@@ -295,12 +295,12 @@ def _agreement_share(ds: FourArmDataset) -> float:
     """The share of rows whose two treatments agree."""
     agree_total = (ds.a_y == ds.a_m).sum()
     if agree_total == 0:
-        raise EmptyAgreementSet("no rows with matching treatment assignments")
+        raise EmptySubset("no rows with matching treatment assignments")
     return agree_total / ds.n
 
 
 def _agreement_split(
-    ds: FourArmDataset, split: int, config: EstimatorConfig, estimands, fitter=None
+    ds: FourArmDataset, split: int, config: EstimatorConfig, estimands
 ) -> dict:
     """The agreement-population contrasts on split ``split``: ``{estimand:
     (point, residual)}``, where ``point`` is the contrast's score sum over
@@ -309,10 +309,11 @@ def _agreement_split(
     agree = (ds.a_y == ds.a_m).astype(np.float64)
     agree_total = agree.sum()
     cells = estimand_cells(estimands)
-    fitter = fitter or (
-        lambda data, train: fit_nuisance_theta(data, train, config, cells)
+    scores, _, _ = split_scores_four(
+        ds, split, config,
+        lambda data, train: fit_nuisance_theta(data, train, config, cells),
+        cells, agreement=True,
     )
-    scores, _, _ = split_scores_four(ds, split, config, fitter, cells, agreement=True)
     out = {}
     for est in estimands:
         diff = est.contrast(scores)
@@ -325,7 +326,6 @@ def estimate_agreement_effects(
     ds: FourArmDataset,
     requests: list,
     config: EstimatorConfig | None = None,
-    fitter=None,
 ) -> list[EffectEstimate]:
     """Estimate agreement-population estimands from four-arm data.
 
@@ -336,7 +336,7 @@ def estimate_agreement_effects(
 
     Raises
     ------
-    EmptyAgreementSet
+    EmptySubset
         If no row has matching treatments.
     """
     config = config or EstimatorConfig()
@@ -344,7 +344,7 @@ def estimate_agreement_effects(
     estimands = [Estimand(*req) for req in requests]
 
     def split_fn(split: int) -> dict:
-        theta = _agreement_split(ds, split, config, estimands, fitter)
+        theta = _agreement_split(ds, split, config, estimands)
         return {
             est: centred(point + residual / pr_agree)
             for est, (point, residual) in theta.items()
@@ -385,9 +385,7 @@ def indirect_test_battery(
     pr_agree = _agreement_share(ds)
     ds2 = restrict_to_two_arm(ds)
     if np.ptp(ds2.a) == 0:
-        raise MissingTreatmentLevel(
-            "agreement rows contain a single treatment level"
-        )
+        raise MissingCell("agreement rows contain a single treatment level")
     cells = estimand_cells(estimands)
 
     def split_fn(split: int) -> dict:

@@ -30,6 +30,7 @@ own rows only.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from scipy.special import expit
 
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
-from .estimation import EstimatorConfig, JsonFields
+from .estimation import Estimand, EstimatorConfig, JsonFields
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
     direct_test_h0i,
@@ -139,10 +140,16 @@ class SimConfig(JsonFields):
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        # the estimator settings' own rule, applied once per study
+        # a process pool starts all its workers at once, however few the reps
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.threads <= cpus:
+            raise ValueError(f"threads must be between 1 and {cpus}, got {self.threads!r}")
+        # the estimator settings' and requests' own rules, applied once per study
         EstimatorConfig(
             k_folds=self.k_folds, splits=self.splits, alpha=self.alpha, clip=self.clip
         )
+        for kind in KINDS:
+            Estimand(kind, getattr(self, f"{kind}_level")).cells()
 
 
 @dataclass(frozen=True)
@@ -260,21 +267,13 @@ def true_effects(cfg: SimConfig) -> SimTruth:
     )
 
 
-def estimator_config_for(
-    learner: str,
-    seed: int,
-    k_folds: int = 2,
-    splits: int = 3,
-    alpha: float = 0.05,
-    clip: float = 0.01,
-    strategy: str = "ensemble",
-    diagnostics: bool = False,
-) -> EstimatorConfig:
+def estimator_config_for(learner: str, seed: int, **settings) -> EstimatorConfig:
     """Build an estimator configuration from a learner preset name.
 
     GLM presets model propensities with main effects only; forest and
     stacking presets use the outcome learner for both.  Per-row scores
-    are not kept.
+    are not kept.  The other ``settings`` pass through to
+    :class:`EstimatorConfig`, whose defaults apply to the rest.
     """
     outcome = make_spec(learner, seed=seed)
     if learner == "glm":
@@ -282,16 +281,7 @@ def estimator_config_for(
     else:
         propensity = outcome
     return EstimatorConfig(
-        outcome=outcome,
-        propensity=propensity,
-        k_folds=k_folds,
-        splits=splits,
-        alpha=alpha,
-        clip=clip,
-        seed=seed,
-        strategy=strategy,
-        keep_eif=False,
-        diagnostics=diagnostics,
+        outcome=outcome, propensity=propensity, seed=seed, keep_eif=False, **settings
     )
 
 

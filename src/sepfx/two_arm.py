@@ -31,7 +31,7 @@ import numpy as np
 
 from .crossfit import cross_fit_split
 from .data import TwoArmDataset
-from .errors import LearnerError, MissingTreatmentLevel
+from .errors import LearnerError, MissingCell
 from .estimation import (
     EffectEstimate,
     Estimand,
@@ -59,7 +59,6 @@ class NuisanceFitTwo:
     treat_given_x: FittedPredictor
     mu_fits: dict
     lam_fits: dict
-    strategy: str
 
     def rho(self, level: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
         p1 = self.treat_given_mx.predict(np.column_stack([m, x]))
@@ -82,7 +81,6 @@ class EnsembleNuisanceTwo:
 
     single: NuisanceFitTwo
     stratified: NuisanceFitTwo
-    strategy: str = "ensemble"
 
 
 @dataclass
@@ -131,9 +129,7 @@ def _fit_single_strategy(
         for level in (0, 1):
             arm = np.nonzero(a == level)[0]
             if arm.size == 0:
-                raise MissingTreatmentLevel(
-                    f"treatment level {level} absent from training rows"
-                )
+                raise MissingCell(f"treatment level {level} absent from training rows")
             arm_rows[level] = arm
             mu_fits[level] = fit_regressor(mx[arm], y[arm], config.outcome)
         for level in (0, 1):
@@ -150,7 +146,6 @@ def _fit_single_strategy(
         treat_given_x=treat_given_x,
         mu_fits=mu_fits,
         lam_fits=lam_fits,
-        strategy=strategy,
     )
 
 
@@ -168,13 +163,13 @@ def fit_nuisance_two(
 
     Raises
     ------
-    MissingTreatmentLevel
+    MissingCell
         If the training rows contain only one treatment level.
     """
     strategy = strategy or config.strategy
     a = ds.a[train_rows].astype(np.float64)
     if np.ptp(a) == 0.0:
-        raise MissingTreatmentLevel("training rows contain a single treatment level")
+        raise MissingCell("training rows contain a single treatment level")
     mx = np.column_stack([ds.m[train_rows], ds.x[train_rows]])
     treat_given_mx = fit_classifier(mx, a, config.propensity, clip=config.clip)
     treat_given_x = fit_classifier(
@@ -271,12 +266,12 @@ def estimate_effects_two(
 
     Raises
     ------
-    MissingTreatmentLevel
+    MissingCell
         If the dataset contains a single treatment level overall.
     """
     config = config or EstimatorConfig()
     if np.ptp(ds.a) == 0:
-        raise MissingTreatmentLevel("dataset contains a single treatment level")
+        raise MissingCell("dataset contains a single treatment level")
     estimands = [Estimand(*req) for req in requests]
     pairs = estimand_cells(estimands)
 

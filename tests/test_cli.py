@@ -144,6 +144,7 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
         (["falsify", "indirect", "--splits", "0"], "splits"),
         (["falsify", "direct", "--alpha", "0"], "alpha"),
         (["simulate", "--n", "200", "--reps", "1", "--splits", "0"], "splits"),
+        (["simulate", "--n", "200", "--reps", "1", "--threads", "0"], "threads"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
@@ -157,12 +158,20 @@ def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
     assert message in captured.err
 
 
-def test_data_error_exits_one(capsys, four_arm_csv):
+def test_data_error_exits_one(capsys, four_arm_csv, tmp_path):
     assert main(["estimate", "--data", "/no/such/file.csv",
                  "--design", "four-arm"]) == 1
     assert "error:" in capsys.readouterr().err
     # four-arm file lacks the two-arm treatment column
     assert main(["estimate", "--data", four_arm_csv, "--design", "two-arm"]) == 1
+    capsys.readouterr()
+    # a byte that is not UTF-8 in row 3
+    path = tmp_path / "f.csv"
+    path.write_bytes(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.4,0.3\n3,1,1,\xff,0.1\n")
+    assert main(["estimate", "--design", "four-arm", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not valid UTF-8")
 
 
 def test_zero_standard_error_exits_one(capsys, tmp_path):

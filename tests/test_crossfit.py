@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepfx import crossfit
 from sepfx.crossfit import cross_fit, cross_fit_split, make_folds, median_adjust
 from sepfx.errors import BadK, DegenerateFold, MissingCell
 from sepfx.estimation import EstimatorConfig, run_battery
@@ -137,9 +138,10 @@ def test_cross_fit_split_redraws_a_degenerate_partition():
         np.testing.assert_array_equal(fits[fold], expected.train_rows(fold))
 
 
-def test_cross_fit_split_gives_up_after_max_fold_retries():
+def test_cross_fit_split_gives_up_after_max_fold_retries(monkeypatch):
     ds = make_four_arm(n=20)
-    config = EstimatorConfig(max_fold_retries=3)
+    config = EstimatorConfig()
+    monkeypatch.setattr(crossfit, "MAX_FOLD_RETRIES", 3)
     attempts = []
 
     def fitter(dataset, train_rows):

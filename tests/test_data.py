@@ -16,7 +16,6 @@ from sepfx.data import (
     restrict_to_two_arm,
     save_four_arm,
     save_two_arm,
-    validate,
 )
 from sepfx.errors import (
     DataError,
@@ -35,10 +34,7 @@ def test_four_arm_accessors():
     ds = make_four_arm(n=40)
     assert ds.n == 40
     assert ds.n_mediators == 2
-    assert ds.n_covariates == 3
-    counts = ds.arm_counts()
-    assert set(counts) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-    assert sum(counts.values()) == 40
+    assert ds.x.shape == (40, 3)
     assert ds.column_names()[0] == "y"
     assert "m1" in ds.column_names() and "x3" in ds.column_names()
 
@@ -208,30 +204,6 @@ def test_restrict_to_two_arm_empty():
     )
     with pytest.raises(EmptySubset):
         restrict_to_two_arm(flipped)
-
-
-def test_validate_reports_thin_cells():
-    ds = make_four_arm(n=30)
-    report = validate(ds, min_cell=20)
-    assert report.schema_ok
-    assert report.arm_counts == ds.arm_counts()
-    assert any("has only" in w for w in report.warnings)
-
-    big = make_four_arm(n=400, seed=4)
-    assert validate(big, min_cell=20).warnings == ()
-
-
-def test_validate_flags_empty_cell():
-    ds = make_four_arm(n=40)
-    keep = np.nonzero(~((ds.a_y == 1) & (ds.a_m == 1)))[0]
-    sub = FourArmDataset(
-        y=ds.y[keep], a_y=ds.a_y[keep], a_m=ds.a_m[keep],
-        m=ds.m[keep], x=ds.x[keep],
-        outcome_name="y", a_y_name="aY", a_m_name="aM",
-        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
-    )
-    report = validate(sub)
-    assert any("empty" in w for w in report.warnings)
 
 
 # --- the numpy fast path against the strict row parser -----------------------
@@ -404,5 +376,31 @@ def test_bad_row_before_a_late_decode_error_is_reported(tmp_path):
     with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
         load_four_arm(path)
     path.write_bytes(b"y,aY,aM,m1,x1\r\n" + good + b"\xff\r\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(DataError, match="input is not valid UTF-8"):
         load_four_arm(path)
+
+
+def test_invalid_utf8_is_a_data_error(tmp_path):
+    text = b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,\xff,0.3\n"
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    with open(path, encoding="utf-8", newline="") as stream:
+        for source in (text, path, stream):
+            with pytest.raises(DataError, match="input is not valid UTF-8"):
+                load_four_arm(source)
+
+
+@pytest.mark.parametrize(
+    "load, schema",
+    [
+        (load_four_arm, ColumnMap(covariates=("y", "x1"))),
+        (load_four_arm, ColumnMap(covariates=("x1", "aM"))),
+        (load_four_arm, ColumnMap(mediators=("aY",))),
+        (load_two_arm, ColumnMap(mediators=("m1", "a"))),
+        (load_two_arm, ColumnMap(covariates=("y",))),
+    ],
+)
+def test_explicit_columns_cannot_take_the_outcome_or_a_treatment(load, schema):
+    src = b"y,aY,aM,a,m1,x1\n1,0,1,0,0.5,0.2\n2,1,0,1,0.4,0.3\n"
+    with pytest.raises(DataError, match="is the outcome or a treatment"):
+        load(src, schema)

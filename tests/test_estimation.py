@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepfx import crossfit, falsification
+from sepfx import crossfit, falsification, four_arm, two_arm
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.errors import DegenerateEstimate, MissingCell
 from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells, run_battery
@@ -56,6 +56,44 @@ def test_estimand_rejects_unknown_kind():
         estimate_effects_four(
             generate_dataset(SimConfig(n=200, reps=1), 0), [("nde", 1)]
         )
+
+
+# Each call asks for a treatment level or mediator outside the data's range.
+OUT_OF_RANGE = {
+    "two-arm-sde-2": lambda ds: estimate_effects_two(restrict_to_two_arm(ds), [("sde", 2)]),
+    "four-arm-sde-2": lambda ds: estimate_effects_four(ds, [("sde", 2)]),
+    "four-arm-sie-minus-1": lambda ds: estimate_effects_four(ds, [("sie", -1)]),
+    "four-arm-mean-one-level": lambda ds: estimate_effects_four(ds, [("mean", (1,))]),
+    "two-arm-mean-bare-level": lambda ds: estimate_effects_two(
+        restrict_to_two_arm(ds), [("mean", 1)]
+    ),
+    "agreement-mean-1-2": lambda ds: estimate_agreement_effects(ds, [("mean", (1, 2))]),
+    "indirect-sie-2": lambda ds: indirect_test_battery(ds, requests=[("sie", 2)]),
+    "sim-config-sde-level-2": lambda ds: SimConfig(reps=1, sde_level=2),
+    "sim-config-sie-level-minus-1": lambda ds: SimConfig(reps=1, sie_level=-1),
+    "h0i-mediator-minus-1": lambda ds: falsification.direct_test_h0i(ds, mediator_index=-1),
+    "h0i-mediator-past-the-end": lambda ds: falsification.direct_test_h0i(
+        ds, mediator_index=ds.n_mediators
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OUT_OF_RANGE))
+def test_out_of_range_levels_fail_before_any_fit(case, monkeypatch):
+    ds = generate_dataset(SimConfig(n=200, reps=1), 0)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the request was checked")
+
+    for module, name in (
+        (four_arm, "fit_nuisance_four"),
+        (two_arm, "fit_nuisance_two"),
+        (falsification, "fit_nuisance_theta"),
+        (falsification, "fit_ols"),
+    ):
+        monkeypatch.setattr(module, name, no_fit)
+    with pytest.raises(ValueError, match="level must be 0 or 1|mediator_index must be"):
+        OUT_OF_RANGE[case](ds)
 
 
 def test_estimand_cells_are_shared_in_request_order():
@@ -137,7 +175,6 @@ def test_indirect_test_takes_contrasts_only():
         ("clip", 0.0),
         ("clip", 0.5),
         ("clip", 0.6),
-        ("max_fold_retries", 0),
     ],
 )
 def test_estimator_config_rejects_bad_values(field, value):

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm, t as student_t
 
 from sepfx.data import FourArmDataset, restrict_to_two_arm
-from sepfx.errors import (
-    DegenerateEstimate,
-    EmptyAgreementSet,
-    MissingTreatmentLevel,
-    SingularDesign,
-)
+from sepfx.errors import DegenerateEstimate, EmptySubset, MissingCell, SingularDesign
 from sepfx.estimation import EstimatorConfig, z_value
 from sepfx.falsification import (
     _wald_test,
@@ -138,9 +133,9 @@ def test_agreement_requires_agreeing_rows():
         outcome_name="y", a_y_name="aY", a_m_name="aM",
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
-    with pytest.raises(EmptyAgreementSet):
+    with pytest.raises(EmptySubset):
         estimate_agreement_effects(flipped, [("sde", 1)], EstimatorConfig())[0]
-    with pytest.raises(EmptyAgreementSet):
+    with pytest.raises(EmptySubset):
         indirect_test_battery(flipped, EstimatorConfig())
 
 
@@ -202,7 +197,7 @@ def test_indirect_requires_both_arms_among_agreeing_rows():
         outcome_name="y", a_y_name="aY", a_m_name="aM",
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
-    with pytest.raises(MissingTreatmentLevel):
+    with pytest.raises(MissingCell):
         indirect_test_battery(stuck, EstimatorConfig())
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sepfx.crossfit import make_folds
 from sepfx.data import TwoArmDataset
-from sepfx.errors import LearnerError, MissingTreatmentLevel, SingleClassWarning, TooFewRows
+from sepfx.errors import LearnerError, MissingCell, SingleClassWarning, TooFewRows
 from sepfx.estimation import EstimatorConfig
 from sepfx.learners import (
     ConstantPredictor,
@@ -334,7 +334,7 @@ def test_strategies_recover_additive_effect():
         )
         for bundle in bundles:
             effect = np.mean(bundle.mu(1, ds.m, ds.x) - bundle.mu(0, ds.m, ds.x))
-            assert abs(effect - 1.0) < 0.05, (strategy, bundle.strategy)
+            assert abs(effect - 1.0) < 0.05, strategy
 
 
 def test_strategy_requires_both_arms():
@@ -342,7 +342,7 @@ def test_strategy_requires_both_arms():
     x = rng.normal(size=(60, 2))
     y = x[:, 0] + rng.normal(scale=0.1, size=60)
     ds = _strategy_data(x, np.ones(60), y)
-    with pytest.raises(MissingTreatmentLevel):
+    with pytest.raises(MissingCell):
         fit_nuisance_two(ds, np.arange(60), EstimatorConfig(), "T")
 
 

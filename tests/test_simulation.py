@@ -1,10 +1,11 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
 import sepfx.simulation
-from sepfx.errors import EmptyAgreementSet, EmptySubset
+from sepfx.errors import EmptySubset
 from sepfx.estimation import EstimatorConfig
 from sepfx.falsification import estimate_agreement_effects
 from sepfx.learners import LearnerSpec
@@ -142,30 +143,37 @@ def test_sim_config_validation():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("splits", 0), ("k_folds", 1), ("alpha", 0.0), ("clip", 0.6)]
+    "field, value",
+    [
+        ("splits", 0), ("k_folds", 1), ("alpha", 0.0), ("clip", 0.6),
+        ("threads", 0), ("threads", -3),
+        pytest.param("threads", (os.cpu_count() or 1) + 1, id="threads-above-cpus"),
+    ],
 )
 def test_sim_config_applies_the_estimator_rules(field, value):
     """Bad estimator settings fail when the study is configured, not once
-    per replication."""
+    per replication.  ``threads`` is checked against the CPU count, since a
+    process pool starts all its workers at once; only configs are built."""
     with pytest.raises(ValueError, match=field):
         SimConfig(reps=1, **{field: value})
 
 
 def test_estimator_config_for():
-    glm = estimator_config_for("glm", seed=1, k_folds=2, splits=3,
-                               alpha=0.05, clip=0.01, strategy="ensemble")
+    glm = estimator_config_for("glm", seed=1)
     assert glm.outcome.kind == "glm"
     assert glm.propensity == LearnerSpec(kind="glm", basis="main")
     assert glm.keep_eif is False
-    rf = estimator_config_for("rf", seed=1, k_folds=2, splits=3,
-                              alpha=0.05, clip=0.01, strategy="ensemble")
+    rf = estimator_config_for("rf", seed=1)
     assert rf.propensity == rf.outcome
     assert glm.diagnostics is False and rf.diagnostics is False
-    traced = estimator_config_for("glm", seed=1, diagnostics=True)
-    assert traced.diagnostics is True
+    # every other setting passes through; EstimatorConfig's defaults fill the rest
+    traced = estimator_config_for("glm", seed=1, splits=2, strategy="T", diagnostics=True)
     assert traced == EstimatorConfig(
-        outcome=glm.outcome, propensity=glm.propensity, seed=1,
-        keep_eif=False, diagnostics=True,
+        outcome=glm.outcome, propensity=glm.propensity, seed=1, splits=2,
+        strategy="T", keep_eif=False, diagnostics=True,
+    )
+    assert glm == EstimatorConfig(
+        outcome=glm.outcome, propensity=glm.propensity, seed=1, keep_eif=False
     )
 
 
@@ -235,7 +243,7 @@ def test_failing_family_fails_only_its_own_estimators(monkeypatch):
 
 def test_failing_indirect_battery_fails_only_the_indirect_rows(monkeypatch):
     def broken(*args, **kwargs):
-        raise EmptyAgreementSet("no agreeing rows")
+        raise EmptySubset("no agreeing rows")
 
     monkeypatch.setattr(sepfx.simulation, "indirect_test_battery", broken)
     report = run_falsification_study(SimConfig(n=300, reps=2))

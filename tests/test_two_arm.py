@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
-from sepfx.errors import MissingTreatmentLevel
+from sepfx.errors import MissingCell
 from sepfx.estimation import EstimatorConfig
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import SimConfig, generate_dataset, true_effects
@@ -138,7 +138,7 @@ def test_single_arm_dataset_rejected():
         outcome_name="y", a_name="a",
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
-    with pytest.raises(MissingTreatmentLevel):
+    with pytest.raises(MissingCell):
         estimate_effects_two(stuck, [("sde", 1)], EstimatorConfig())[0]
 
 
