@@ -188,21 +188,44 @@ def _source_lines(source):
     """The lines of a CSV source, split exactly as ``csv.reader`` sees them.
 
     Input that fails to decode gives an iterator instead: it yields the
-    lines of a text stream read before the failure and then raises it as a
-    :class:`DataError`, as a lazy ``csv.reader`` over the stream would, so
-    a bad row earlier in the file is still the error reported.
+    complete lines before the first invalid byte and then raises the
+    failure as a :class:`DataError`, as a lazy ``csv.reader`` would, so a
+    bad row earlier in the input is still the error reported.  Bytes and
+    files are re-read up to that byte on this path only; a text stream
+    yields the lines it had read before the failure.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as handle:
-            return _source_lines(handle)
     lines: list[str] = []
     try:
         if isinstance(source, (bytes, bytearray)):
             return io.StringIO(source.decode("utf-8")).readlines()
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8", newline="") as handle:
+                return handle.readlines()
         lines.extend(source)
     except UnicodeDecodeError as exc:
+        if isinstance(source, (bytes, bytearray, str, Path)):
+            return _lines_then_raise(*_lines_before_invalid_byte(source, exc))
         return _lines_then_raise(lines, exc)
     return lines
+
+
+def _lines_before_invalid_byte(source, error: UnicodeDecodeError) -> tuple:
+    """``(lines, error)``: the complete lines of bytes or a file before its
+    first invalid UTF-8 byte, split as the clean path splits that kind of
+    source, and the decode error, placed by its offset in the whole input."""
+    from_file = isinstance(source, (str, Path))
+    raw = Path(source).read_bytes() if from_file else source
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        error = whole
+    # the prefix is valid UTF-8 unless the file changed between the reads
+    text = raw[: error.start].decode("utf-8", errors="replace")
+    lines = io.StringIO(text, newline="" if from_file else "\n").readlines()
+    # the line holding the invalid byte cannot be read whole
+    if lines and not lines[-1].endswith(("\n", "\r")):
+        lines.pop()
+    return lines, error
 
 
 def _lines_then_raise(lines: list[str], exc: UnicodeDecodeError):

@@ -68,3 +68,8 @@ class DegenerateEstimate(SepfxError):
 
 class SingleClassWarning(UserWarning):
     """A classifier saw only one label and fell back to a constant."""
+
+
+class SeparationWarning(UserWarning):
+    """A logistic fit's linear predictor separated the training labels
+    completely, so the maximum-likelihood estimate does not exist."""

@@ -41,7 +41,12 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .four_arm import NuisanceFitFour, fit_nuisance_four, split_scores_four
+from .four_arm import (
+    NuisanceFitFour,
+    fit_nuisance_four,
+    require_cells,
+    split_scores_four,
+)
 from .learners import FittedPredictor, fit_classifier
 from .two_arm import split_scores_two
 
@@ -278,9 +283,19 @@ def fit_nuisance_theta(
     train_rows: np.ndarray,
     config: EstimatorConfig,
     required_cells,
+    four: NuisanceFitFour | None = None,
 ) -> ThetaNuisance:
-    """Fit the four-arm nuisances plus the treatment-agreement model."""
-    four = fit_nuisance_four(ds, train_rows, config, required_cells)
+    """Fit the four-arm nuisances plus the treatment-agreement model.
+
+    ``four`` is a four-arm bundle already fit on the same rows under the
+    same config; it is reused, so only the agreement model is fit.  A
+    required cell it has no model for raises :class:`MissingCell`, as a
+    fresh fit would.
+    """
+    if four is None:
+        four = fit_nuisance_four(ds, train_rows, config, required_cells)
+    else:
+        require_cells(four, required_cells)
     agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
     if agree.min() == 1.0:
         agree_fit = None
@@ -300,18 +315,21 @@ def _agreement_share(ds: FourArmDataset) -> float:
 
 
 def _agreement_split(
-    ds: FourArmDataset, split: int, config: EstimatorConfig, estimands
+    ds: FourArmDataset, split: int, config: EstimatorConfig, estimands, four_fits: dict
 ) -> dict:
     """The agreement-population contrasts on split ``split``: ``{estimand:
     (point, residual)}``, where ``point`` is the contrast's score sum over
     the agreement rows and ``residual`` divided by the agreement share is
-    the split's influence vector."""
+    the split's influence vector.  ``four_fits`` maps training rows (as
+    bytes) to four-arm bundles already fit on ``ds`` under ``config``."""
     agree = (ds.a_y == ds.a_m).astype(np.float64)
     agree_total = agree.sum()
     cells = estimand_cells(estimands)
     scores, _, _ = split_scores_four(
         ds, split, config,
-        lambda data, train: fit_nuisance_theta(data, train, config, cells),
+        lambda data, train: fit_nuisance_theta(
+            data, train, config, cells, four_fits.get(train.tobytes())
+        ),
         cells, agreement=True,
     )
     out = {}
@@ -339,12 +357,21 @@ def estimate_agreement_effects(
     EmptySubset
         If no row has matching treatments.
     """
-    config = config or EstimatorConfig()
+    return agreement_effects_reusing(ds, requests, config or EstimatorConfig(), {})
+
+
+def agreement_effects_reusing(
+    ds: FourArmDataset, requests: list, config: EstimatorConfig, four_fits: dict
+) -> list[EffectEstimate]:
+    """:func:`estimate_agreement_effects`, reusing the four-arm bundles in
+    ``four_fits`` (training rows as bytes -> bundle fit on ``ds`` under
+    ``config``), so that on rows it holds only the agreement model is fit.
+    The folds, redraws and numbers are those of a fresh fit."""
     pr_agree = _agreement_share(ds)
     estimands = [Estimand(*req) for req in requests]
 
     def split_fn(split: int) -> dict:
-        theta = _agreement_split(ds, split, config, estimands)
+        theta = _agreement_split(ds, split, config, estimands, four_fits)
         return {
             est: centred(point + residual / pr_agree)
             for est, (point, residual) in theta.items()
@@ -389,7 +416,7 @@ def indirect_test_battery(
     cells = estimand_cells(estimands)
 
     def split_fn(split: int) -> dict:
-        theta = _agreement_split(ds, split, config, estimands)
+        theta = _agreement_split(ds, split, config, estimands, {})
         two_scores = split_scores_two(ds2, split, config, cells)
         out = {}
         for est, (theta_point, residual) in theta.items():

@@ -48,8 +48,10 @@ class NuisanceFitFour:
     model for membership in that cell, or ``None`` when the cell had no
     training rows and was not required (its probability is a structural
     zero).  Cell probabilities are normalized to sum to one across cells;
-    the ``propensity`` accessor additionally clips to [clip, 1 - clip]
-    before the value is used in a denominator.
+    the ``propensities`` and ``propensity`` accessors additionally clip to
+    [clip, 1 - clip] before the value is used in a denominator.  Each call
+    predicts all four cell classifiers, so the score loop asks for every
+    cell's propensity at once, once per test block.
     """
 
     cell_classifiers: dict
@@ -63,9 +65,12 @@ class NuisanceFitFour:
             raw[:, j] = 0.0 if clf is None else clf.predict(x)
         return raw / raw.sum(axis=1, keepdims=True)
 
+    def propensities(self, x: np.ndarray) -> np.ndarray:
+        """Clipped cell probabilities, one column per cell of ``CELLS``."""
+        return np.clip(self.cell_probabilities(x), self.clip, 1.0 - self.clip)
+
     def propensity(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
-        probs = self.cell_probabilities(x)[:, CELLS.index((a_y, a_m))]
-        return np.clip(probs, self.clip, 1.0 - self.clip)
+        return self.propensities(x)[:, CELLS.index((a_y, a_m))]
 
     def outcome(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
         stacked = np.column_stack(
@@ -98,7 +103,7 @@ def fit_nuisance_four(
         labels = ((a_y == cell[0]) & (a_m == cell[1])).astype(np.float64)
         if labels.sum() == 0.0:
             if cell in required_cells:
-                raise MissingCell(f"no training rows in arm cell {cell}")
+                raise _missing(cell)
             classifiers[cell] = None
             continue
         classifiers[cell] = fit_classifier(
@@ -113,6 +118,19 @@ def fit_nuisance_four(
     )
 
 
+def _missing(cell) -> MissingCell:
+    return MissingCell(f"no training rows in arm cell {cell}")
+
+
+def require_cells(nuis: NuisanceFitFour, required_cells) -> None:
+    """Raise :class:`MissingCell` as :func:`fit_nuisance_four` would have
+    when asked for ``required_cells``: for the first of them, in ``CELLS``
+    order, that had no training rows."""
+    for cell in CELLS:
+        if cell in required_cells and nuis.cell_classifiers[cell] is None:
+            raise _missing(cell)
+
+
 def eif(
     ds: FourArmDataset,
     a_y: int,
@@ -122,6 +140,7 @@ def eif(
     s_hat=1.0,
     agree=1.0,
     terms: bool = False,
+    pi: np.ndarray | None = None,
 ):
     """Per-row scores whose mean estimates E[Y^(a_y, a_m)].
 
@@ -132,19 +151,31 @@ def eif(
     indicator ``agree``; at the defaults of 1.0 both products are exact,
     so the four-arm score is unchanged bit for bit.  With ``terms`` the
     inverse-probability-weighted outcome and the outcome prediction (the
-    two plug-in estimators' scores) are returned after the score.
+    two plug-in estimators' scores) are returned after the score.  ``pi``
+    is the cell's propensity on ``rows`` when the caller already has it.
     """
     if rows is None:
         rows = np.arange(ds.n)
     x = ds.x[rows]
     y = ds.y[rows]
     nu = nuis.outcome(a_y, a_m, x)
-    pi = nuis.propensity(a_y, a_m, x)
+    if pi is None:
+        pi = nuis.propensity(a_y, a_m, x)
     inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
     score = inside * (y - nu) * s_hat / pi + nu * agree
     if terms:
         return score, inside * y / pi, nu
     return score
+
+
+def _cell_propensities(nuis, cells: tuple, x: np.ndarray) -> dict:
+    """Each cell's propensity on the rows ``x``.  A fitted bundle predicts
+    its four cell classifiers once for all cells; any other nuisance object
+    (a ``fitter`` may return one) is asked cell by cell."""
+    if not isinstance(nuis, NuisanceFitFour):
+        return {cell: nuis.propensity(*cell, x) for cell in cells}
+    probs = nuis.propensities(x)
+    return {cell: probs[:, CELLS.index(cell)] for cell in cells}
 
 
 def split_scores_four(
@@ -169,6 +200,10 @@ def split_scores_four(
     counterfactual outcome on the agreement population.  Returns
     ``(scores, ipw, regression)`` dicts keyed by cell; the last two hold
     the plug-in scores with ``diagnostics`` and are ``None`` otherwise.
+
+    Within a fold every model is predicted once on the test block: the
+    cell probabilities serve all cells, and each cell's outcome prediction
+    and the agreement probability are made once.
     """
     folds, fits = cross_fit_split(ds, config, split, fitter)
     agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
@@ -178,12 +213,17 @@ def split_scores_four(
     for fold in range(folds.k):
         test = folds.test_rows(fold)
         nuis = fits[fold]
+        x = ds.x[test]
+        pis = _cell_propensities(nuis, cells, x)
         s_hat = agree_rows = 1.0
         if agreement:
-            s_hat = nuis.agreement_probability(ds.x[test])
+            s_hat = nuis.agreement_probability(x)
             agree_rows = agree[test]
         for cell in cells:
-            out = eif(ds, *cell, nuis, test, s_hat, agree_rows, terms=diagnostics)
+            out = eif(
+                ds, *cell, nuis, test, s_hat, agree_rows, terms=diagnostics,
+                pi=pis[cell],
+            )
             if diagnostics:
                 scores[cell][test], ipw[cell][test], reg[cell][test] = out
             else:

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 from .crossfit import make_folds
-from .errors import LearnerError, SingleClassWarning, TooFewRows
+from .errors import LearnerError, SeparationWarning, SingleClassWarning, TooFewRows
 from .forest import ForestPredictor, as_matrix, fit_forest, predict_forests
 from .seeding import derive_seed
 
@@ -119,39 +119,54 @@ def _fit_logistic(
     max_iter: int = 60,
     step_tol: float = 1e-11,
 ) -> np.ndarray:
-    mask = _penalty_mask(design.shape[1])
-    beta = np.zeros(design.shape[1])
+    """Ridge-penalized logistic coefficients by damped Newton steps.
 
-    def objective(b: np.ndarray) -> float:
+    Emits :class:`SeparationWarning` when the final linear predictor has
+    the sign of every label, that is when it separates the labels
+    completely (Albert & Anderson 1984); the fit is returned unchanged.
+    """
+    width = design.shape[1]
+    mask = _penalty_mask(width)
+    ridge = penalty * mask
+    diagonal = np.diag_indices(width)
+    beta = np.zeros(width)
+
+    def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         z = design @ b
-        return float(
-            np.sum(np.logaddexp(0.0, z))
-            - labels @ z
-            + 0.5 * penalty * np.sum(mask * b * b)
+        value = float(
+            np.logaddexp(0.0, z).sum() - labels @ z + 0.5 * penalty * (mask * b * b).sum()
         )
+        return value, z
 
-    current = objective(beta)
+    # each iteration starts from the linear predictor of the accepted candidate
+    current, z = objective(beta)
     for _ in range(max_iter):
-        z = design @ beta
         prob = expit(z)
-        grad = design.T @ (labels - prob) - penalty * mask * beta
+        grad = design.T @ (labels - prob) - ridge * beta
         weight = np.maximum(prob * (1.0 - prob), 1e-10)
         hess = (design * weight[:, None]).T @ design
-        hess[np.diag_indices_from(hess)] += penalty * mask
+        hess[diagonal] += ridge
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             step, *_ = np.linalg.lstsq(hess, grad, rcond=None)
         scale = 1.0
         candidate = beta + step
-        cand_obj = objective(candidate)
+        cand_obj, cand_z = objective(candidate)
         while cand_obj > current + 1e-12 and scale > 1e-8:
             scale *= 0.5
             candidate = beta + scale * step
-            cand_obj = objective(candidate)
-        beta, current = candidate, cand_obj
-        if np.max(np.abs(scale * step)) < step_tol:
+            cand_obj, cand_z = objective(candidate)
+        beta, current, z = candidate, cand_obj, cand_z
+        if np.abs(scale * step).max() < step_tol:
             break
+    if np.all(np.where(labels == 1.0, z > 0.0, z < 0.0)):
+        warnings.warn(
+            "logistic fit separates the labels completely: no maximum-likelihood "
+            "estimate exists, and the coefficients grow until the ridge penalty "
+            "or the iteration limit stops them",
+            SeparationWarning,
+        )
     return beta
 
 
@@ -247,7 +262,7 @@ def fit_classifier(
         raise LearnerError("features and labels disagree on row count")
     if y.shape[0] < 2:
         raise TooFewRows(f"need at least 2 rows, got {y.shape[0]}")
-    if not np.isin(y, (0.0, 1.0)).all():
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise LearnerError("labels must be binary 0/1")
     if np.ptp(y) == 0.0:
         warnings.warn(

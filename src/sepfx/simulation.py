@@ -26,6 +26,14 @@ requests, each result row's metadata and the true value it is scored
 against all derive from it.  Each family, and each falsification test,
 runs on its own inside one error guard, so a failure counts against its
 own rows only.
+
+Fits are shared where the numbers allow it.  Within one replication the
+agreement family reuses the four-arm family's nuisance bundles, since
+both draw the same fold partitions under the same specs, and fits only
+its agreement model; each family still redraws its own folds.  Within
+each estimator every fitted model predicts once per test block (see
+``four_arm.split_scores_four`` and ``two_arm.split_scores_two``).  The
+Monte Carlo and falsification studies share nothing with each other.
 """
 
 from __future__ import annotations
@@ -42,15 +50,15 @@ from scipy.special import expit
 
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
-from .estimation import Estimand, EstimatorConfig, JsonFields
+from .estimation import Estimand, EstimatorConfig, JsonFields, estimand_cells
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
+    agreement_effects_reusing,
     direct_test_h0i,
     direct_test_h0ii,
-    estimate_agreement_effects,
     indirect_test_battery,
 )
-from .four_arm import estimate_effects_four
+from .four_arm import estimate_effects_four, fit_nuisance_four
 from .learners import LearnerSpec, make_spec
 from .seeding import derive_seed, stream
 from .two_arm import estimate_effects_two
@@ -308,11 +316,20 @@ def _record(out: dict, keys: list, run, value) -> None:
     out.update({key: value(res) for key, res in zip(keys, results)})
 
 
-def _estimate_family(family: str, ds: FourArmDataset, requests: list, config):
+def _estimate_family(
+    family: str, ds: FourArmDataset, requests: list, config, four_fits: dict
+):
     if family == "four":
-        return estimate_effects_four(ds, requests, config)
+        cells = estimand_cells([Estimand(*req) for req in requests])
+
+        def fit_and_keep(data, train_rows):
+            bundle = fit_nuisance_four(data, train_rows, config, cells)
+            four_fits[train_rows.tobytes()] = bundle
+            return bundle
+
+        return estimate_effects_four(ds, requests, config, fitter=fit_and_keep)
     if family == "agreement":
-        return estimate_agreement_effects(ds, requests, config)
+        return agreement_effects_reusing(ds, requests, config, four_fits)
     return estimate_effects_two(restrict_to_two_arm(ds), requests, config)
 
 
@@ -321,9 +338,17 @@ def _simulate_one(cfg: SimConfig, rep: int) -> dict:
 
     Returns ``{estimator: (point, lo, hi)}``; a family that fails with an
     estimation error maps its own estimators to ``None``.
+
+    The four-arm and agreement families draw the same fold partitions
+    (both seed them from the split and attempt) and use the same specs, so
+    the four-arm family keeps its bundles by training rows and the
+    agreement family, which runs after it, reuses them and fits only its
+    agreement model.  Each family still counts its own fold redraws, and
+    the kept bundles hold predictors only and live for this replication.
     """
     ds = generate_dataset(cfg, rep)
     config = _rep_config(cfg, rep)
+    four_fits: dict = {}
     out: dict = {}
     for family in ESTIMATOR_FAMILIES:
         kinds = [kind for kind in KINDS if f"{kind}_{family}" in cfg.estimators]
@@ -333,7 +358,7 @@ def _simulate_one(cfg: SimConfig, rep: int) -> dict:
         _record(
             out,
             [f"{kind}_{family}" for kind in kinds],
-            partial(_estimate_family, family, ds, requests, config),
+            partial(_estimate_family, family, ds, requests, config, four_fits),
             lambda est: (est.point, est.ci[0], est.ci[1]),
         )
     return out

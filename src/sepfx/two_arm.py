@@ -77,7 +77,8 @@ class NuisanceFitTwo:
 
 @dataclass
 class EnsembleNuisanceTwo:
-    """Both outcome-model strategies, kept so scores can be averaged."""
+    """Both outcome-model strategies, kept so scores can be averaged.  The
+    two share one pair of treatment-probability fits."""
 
     single: NuisanceFitTwo
     stratified: NuisanceFitTwo
@@ -189,24 +190,49 @@ def fit_nuisance_two(
     )
 
 
-def _eif_single(
-    ds: TwoArmDataset,
-    a_y: int,
-    a_m: int,
-    nuis: NuisanceFitTwo,
-    rows: np.ndarray,
-) -> np.ndarray:
+def _treatment_probabilities(nuis, m: np.ndarray, x: np.ndarray) -> tuple:
+    """``(rho, omega)`` on one block of rows, each a dict from treatment level
+    to P(A = level | M, X) and P(A = level | X).  A fitted bundle predicts
+    each treatment model once and takes level 0 by the complement rule; any
+    other nuisance object (a ``fitter`` may return one) is asked level by
+    level."""
+    if isinstance(nuis, NuisanceFitTwo):
+        p_mx = nuis.treat_given_mx.predict(np.column_stack([m, x]))
+        p_x = nuis.treat_given_x.predict(x)
+        return {1: p_mx, 0: 1.0 - p_mx}, {1: p_x, 0: 1.0 - p_x}
+    rho = {level: nuis.rho(level, m, x) for level in (0, 1)}
+    omega = {level: nuis.omega(level, x) for level in (0, 1)}
+    return rho, omega
+
+
+def _pair_scores(nuis, pairs, a, y, m, x, rho: dict, omega: dict) -> dict:
+    """One single-strategy bundle's score of each (a_y, a_m) pair on one
+    block of rows, predicting each outcome model once."""
+    mu = {a_y: nuis.mu(a_y, m, x) for a_y in dict.fromkeys(a_y for a_y, _ in pairs)}
+    out = {}
+    for a_y, a_m in pairs:
+        lam = nuis.lam(a_y, a_m, x)
+        ratio = rho[a_m] / rho[a_y]
+        residual_term = (a == a_y) / omega[a_m] * ratio * (y - mu[a_y])
+        projection_term = (a == a_m) / omega[a_m] * (mu[a_y] - lam)
+        out[(a_y, a_m)] = residual_term + projection_term + lam
+    return out
+
+
+def _block_scores(ds: TwoArmDataset, nuis, pairs, rows: np.ndarray) -> dict:
+    """Each pair's scores on ``rows`` from one bundle.  An ensemble averages
+    its two strategies' scores row by row; they share the treatment fits,
+    so the treatment probabilities are predicted once for both."""
     m = ds.m[rows]
     x = ds.x[rows]
     y = ds.y[rows]
     a = ds.a[rows]
-    omega = nuis.omega(a_m, x)
-    ratio = nuis.rho(a_m, m, x) / nuis.rho(a_y, m, x)
-    mu = nuis.mu(a_y, m, x)
-    lam = nuis.lam(a_y, a_m, x)
-    residual_term = (a == a_y) / omega * ratio * (y - mu)
-    projection_term = (a == a_m) / omega * (mu - lam)
-    return residual_term + projection_term + lam
+    if isinstance(nuis, EnsembleNuisanceTwo):
+        treat = _treatment_probabilities(nuis.single, m, x)
+        single = _pair_scores(nuis.single, pairs, a, y, m, x, *treat)
+        stratified = _pair_scores(nuis.stratified, pairs, a, y, m, x, *treat)
+        return {pair: 0.5 * (single[pair] + stratified[pair]) for pair in pairs}
+    return _pair_scores(nuis, pairs, a, y, m, x, *_treatment_probabilities(nuis, m, x))
 
 
 def eif(
@@ -223,12 +249,7 @@ def eif(
     """
     if rows is None:
         rows = np.arange(ds.n)
-    if isinstance(nuis, EnsembleNuisanceTwo):
-        return 0.5 * (
-            _eif_single(ds, a_y, a_m, nuis.single, rows)
-            + _eif_single(ds, a_y, a_m, nuis.stratified, rows)
-        )
-    return _eif_single(ds, a_y, a_m, nuis, rows)
+    return _block_scores(ds, nuis, ((a_y, a_m),), rows)[(a_y, a_m)]
 
 
 def split_scores_two(
@@ -240,7 +261,8 @@ def split_scores_two(
 ) -> dict:
     """Out-of-fold score vectors for each requested (a_y, a_m) pair on
     split ``split``'s fold assignment (see
-    :func:`~sepfx.crossfit.cross_fit_split`)."""
+    :func:`~sepfx.crossfit.cross_fit_split`).  Within a fold each model is
+    predicted once on the test block, whatever the number of pairs."""
     nuisance_fitter = fitter or (
         lambda data, train: fit_nuisance_two(data, train, config)
     )
@@ -248,8 +270,8 @@ def split_scores_two(
     scores = {pair: np.empty(ds.n) for pair in pairs}
     for fold in range(folds.k):
         test = folds.test_rows(fold)
-        for pair in pairs:
-            scores[pair][test] = eif(ds, pair[0], pair[1], fits[fold], rows=test)
+        for pair, block in _block_scores(ds, fits[fold], pairs, test).items():
+            scores[pair][test] = block
     return scores
 
 

@@ -42,7 +42,8 @@ def test_trace_hooks_see_every_nuisance_fit(monkeypatch):
 def test_trace_hooks_see_one_monte_carlo_replication(monkeypatch):
     """Every estimator family of one replication goes through the traced
     module globals: one draw, one two-arm restriction, and the fit counts
-    of the four-arm, agreement and two-arm estimators."""
+    of the four-arm, agreement and two-arm estimators.  The agreement
+    family reuses the four-arm family's bundles, so no fit repeats."""
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
 
@@ -58,10 +59,10 @@ def test_trace_hooks_see_one_monte_carlo_replication(monkeypatch):
     assert calls["four_arm.score"] == 1
     assert calls["simulation.generate_dataset"] == 1
     assert calls["data.restrict_to_two_arm"] == 1
-    assert calls["four_arm.fit_nuisance_four"] == 12
+    assert calls["four_arm.fit_nuisance_four"] == 6
     assert calls["falsification.fit_nuisance_theta"] == 6
     assert calls["two_arm.fit_nuisance_two"] == 6
-    assert counters["nuisance.fits"] == 18
+    assert counters["nuisance.fits"] == 12
     assert counters["nuisance.unique_fits"] == 12
 
 

@@ -380,6 +380,25 @@ def test_bad_row_before_a_late_decode_error_is_reported(tmp_path):
         load_four_arm(path)
 
 
+@pytest.mark.parametrize("kind", ["bytes", "file"])
+@pytest.mark.parametrize("gap", [0, 100, 1000])
+def test_bad_row_before_invalid_utf8_wins_whatever_the_gap(gap, kind, tmp_path):
+    """The error reported is the first in the input, for bytes and files
+    alike and however many good rows (less or more than the decoder's
+    chunk) separate the short row from the invalid byte."""
+    text = (
+        b"y,aY,aM,m1,x1\r\n1,0,1,0.5\r\n"
+        + b"1,0,1,0.5,0.2\r\n" * gap
+        + b"\xff\r\n"
+    )
+    source = text
+    if kind == "file":
+        source = tmp_path / "d.csv"
+        source.write_bytes(text)
+    with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
+        load_four_arm(source)
+
+
 def test_invalid_utf8_is_a_data_error(tmp_path):
     text = b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,\xff,0.3\n"
     path = tmp_path / "d.csv"

@@ -5,7 +5,7 @@ from sepfx.data import FourArmDataset
 from sepfx.errors import DegenerateFold
 from sepfx.estimation import EstimatorConfig
 from sepfx.four_arm import eif, estimate_effects_four, fit_nuisance_four
-from sepfx.learners import LearnerSpec
+from sepfx.learners import GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, arm_probability, generate_dataset, true_effects
 
 from conftest import make_four_arm
@@ -249,3 +249,24 @@ def test_shared_nuisances_across_requests(sim_four_arm):
     solo_sie = estimate_effects_four(sim_four_arm, [("sie", 0)], config)[0]
     assert batch[0].point == solo_sde.point
     assert batch[1].point == solo_sie.point
+
+
+def test_each_model_predicts_once_per_test_block(monkeypatch):
+    """One fold scores three cells from four cell classifiers and one
+    outcome model: 4 classifier predicts serve every cell, plus one outcome
+    predict per cell."""
+    ds = generate_dataset(SimConfig(n=300, reps=1), 0)
+    calls = []
+    real_predict = GlmPredictor.predict
+
+    def counting_predict(self, features):
+        calls.append(self.link)
+        return real_predict(self, features)
+
+    monkeypatch.setattr(GlmPredictor, "predict", counting_predict)
+    k = 2
+    estimate_effects_four(
+        ds, [("sde", 1), ("sie", 1)], EstimatorConfig(splits=1, k_folds=k)
+    )
+    assert len(calls) == k * (4 + 3)
+    assert calls.count("logit") == k * 4

@@ -100,6 +100,15 @@ def test_forest_record_matches_golden_file(name):
     assert render(name) == (GOLDEN / f"{name}.json").read_bytes()
 
 
+def test_every_golden_file_has_a_case():
+    """A golden file no case produces would sit unchecked: each one must
+    be a CLI case or a forest record."""
+    from test_golden_cli import CASES
+
+    produced = {f"{name}.json" for name in (*CASES, *RECORDS)}
+    assert {path.name for path in GOLDEN.glob("*.json")} <= produced
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(RECORDS):

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from sepfx.crossfit import make_folds
 from sepfx.data import TwoArmDataset
-from sepfx.errors import LearnerError, MissingCell, SingleClassWarning, TooFewRows
+from sepfx.errors import (
+    LearnerError,
+    MissingCell,
+    SeparationWarning,
+    SingleClassWarning,
+    TooFewRows,
+)
 from sepfx.estimation import EstimatorConfig
 from sepfx.learners import (
     ConstantPredictor,
@@ -94,9 +100,32 @@ def test_classifier_predictions_are_clipped():
     rng = stream(5, "clip")
     x = rng.normal(size=(400, 1)) * 10.0
     y = (x[:, 0] > 0).astype(float)  # separable
-    fit = fit_classifier(x, y, LearnerSpec(kind="glm", basis="main"), clip=0.05)
+    with pytest.warns(SeparationWarning):
+        fit = fit_classifier(x, y, LearnerSpec(kind="glm", basis="main"), clip=0.05)
     p = fit.predict(x)
     assert p.min() >= 0.05 and p.max() <= 0.95
+
+
+def test_complete_separation_warns_and_leaves_the_fit_as_it_was():
+    """One covariate that separates the labels: no maximum-likelihood
+    estimate exists (Albert & Anderson 1984), Newton runs until the ridge
+    penalty stops the slope, and nearly every probability sits on a clip
+    bound.  The fit warns; its numbers stay as they were."""
+    x = np.random.default_rng(0).normal(size=(200, 1))
+    y = (x[:, 0] > 0).astype(float)
+    spec = LearnerSpec(kind="glm", basis="main")
+    with pytest.warns(SeparationWarning):
+        fit = fit_classifier(x, y, spec)
+    assert fit.beta[1] == pytest.approx(85.5267, abs=1e-4)
+    p = fit.predict(x)
+    assert np.mean((p == 0.01) | (p == 0.99)) == 0.965
+
+    # one label on the wrong side of zero: the labels overlap, no warning
+    nearest = np.argmin(np.abs(x[:, 0]))
+    y[nearest] = 1.0 - y[nearest]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SeparationWarning)
+        fit_classifier(x, y, spec)
 
 
 def test_single_class_warns_and_returns_constant():

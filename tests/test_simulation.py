@@ -4,10 +4,16 @@ import os
 import numpy as np
 import pytest
 
+import sepfx.crossfit
+import sepfx.falsification
 import sepfx.simulation
-from sepfx.errors import EmptySubset
+from sepfx.data import restrict_to_two_arm
+from sepfx.errors import EmptySubset, MissingCell
 from sepfx.estimation import EstimatorConfig
 from sepfx.falsification import estimate_agreement_effects
+from sepfx.four_arm import estimate_effects_four
+from sepfx.seeding import derive_seed
+from sepfx.two_arm import estimate_effects_two
 from sepfx.learners import LearnerSpec
 from sepfx.simulation import (
     ESTIMATOR_NAMES,
@@ -278,3 +284,78 @@ def test_rows_carry_their_family_metadata_and_truth():
     assert truth.sde_two != truth.sde_four
     assert row.bias == float(np.asarray([point]).mean() - truth.sde_two)
     assert row.rmse == abs(row.bias)
+
+
+def estimates_one_by_one(cfg, rep, estimators=ESTIMATOR_NAMES) -> dict:
+    """``_simulate_one``'s result from the three estimators called alone."""
+    ds = generate_dataset(cfg, rep)
+    config = sepfx.simulation._rep_config(cfg, rep)
+    runs = {
+        "four": lambda reqs: estimate_effects_four(ds, reqs, config),
+        "agreement": lambda reqs: estimate_agreement_effects(ds, reqs, config),
+        "two": lambda reqs: estimate_effects_two(restrict_to_two_arm(ds), reqs, config),
+    }
+    out = {}
+    for family, run in runs.items():
+        kinds = [kind for kind in ("sde", "sie") if f"{kind}_{family}" in estimators]
+        if kinds:
+            for est in run([(kind, getattr(cfg, f"{kind}_level")) for kind in kinds]):
+                out[f"{est.estimand}_{family}"] = (est.point, est.ci[0], est.ci[1])
+    return out
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {},
+        # the two families need different cells: (1, 0)/(0, 0) and (1, 1)/(1, 0)
+        {"estimators": ("sde_four", "sie_agreement"), "sde_level": 0},
+    ],
+)
+def test_shared_fits_leave_every_replication_bit_identical(settings):
+    """The agreement family reuses the four-arm family's bundles; every
+    number equals that of the estimators called one by one."""
+    cfg = SimConfig(n=300, reps=3, master_seed=4, **settings)
+    for rep in range(cfg.reps):
+        expected = estimates_one_by_one(cfg, rep, cfg.estimators)
+        assert sepfx.simulation._simulate_one(cfg, rep) == expected
+
+
+def test_agreement_redraw_does_not_move_the_four_arm_folds(monkeypatch):
+    """A degenerate agreement partition is redrawn by the agreement family
+    alone: the four-arm family keeps its first draws and its numbers, and
+    the agreement numbers equal a lone estimate with the same redraw."""
+    cfg = SimConfig(
+        n=300, reps=1,
+        estimators=("sde_four", "sie_four", "sde_agreement", "sie_agreement"),
+    )
+    config = sepfx.simulation._rep_config(cfg, 0)
+    alone_four = estimates_one_by_one(cfg, 0, ("sde_four", "sie_four"))
+    draws = []
+    real_make_folds = sepfx.crossfit.make_folds
+
+    def recording_make_folds(n, k, seed):
+        draws.append(seed)
+        return real_make_folds(n, k, seed)
+
+    real_fit = sepfx.falsification.fit_nuisance_theta
+    failed = []
+
+    def fit_failing_once(*args):
+        if not failed:
+            failed.append(True)
+            raise MissingCell("no training rows in arm cell (1, 1)")
+        return real_fit(*args)
+
+    monkeypatch.setattr(sepfx.crossfit, "make_folds", recording_make_folds)
+    monkeypatch.setattr(sepfx.falsification, "fit_nuisance_theta", fit_failing_once)
+    shared = sepfx.simulation._simulate_one(cfg, 0)
+    failed.clear()
+    alone_agreement = estimates_one_by_one(cfg, 0, ("sde_agreement", "sie_agreement"))
+
+    seed = {(s, a): derive_seed(config.seed, "folds", s, a) for s in range(3) for a in (0, 1)}
+    four_draws = [seed[0, 0], seed[1, 0], seed[2, 0]]
+    agreement_draws = [seed[0, 0], seed[0, 1], seed[1, 0], seed[2, 0]]
+    # the lone agreement estimate, run last, draws as the shared one did
+    assert draws == four_draws + agreement_draws + agreement_draws
+    assert shared == {**alone_four, **alone_agreement}

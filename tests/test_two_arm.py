@@ -4,7 +4,7 @@ import pytest
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
 from sepfx.errors import MissingCell
 from sepfx.estimation import EstimatorConfig
-from sepfx.learners import LearnerSpec
+from sepfx.learners import GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, generate_dataset, true_effects
 from sepfx.two_arm import eif, estimate_effects_two, fit_nuisance_two
 
@@ -153,3 +153,23 @@ def test_eif_mean_matches_point(sim_two_arm):
     est = estimate_effects_two(sim_two_arm, [("sde", 1)], config)[0]
     assert est.eif is not None and est.eif.shape == (sim_two_arm.n,)
     assert abs(est.eif.mean() - est.point) < 1e-10
+
+
+def test_each_model_predicts_once_per_test_block(monkeypatch):
+    """Per fold of an ensemble estimate of three pairs: fitting predicts
+    the two strategies' outcome models 4 times; scoring predicts the two
+    shared treatment models once each, and per strategy the outcome model
+    at each of the 2 a_y levels and the 3 pairs' projections once each."""
+    ds = restrict_to_two_arm(generate_dataset(SimConfig(n=300, reps=1), 0))
+    calls = []
+    real_predict = GlmPredictor.predict
+
+    def counting_predict(self, features):
+        calls.append(self.link)
+        return real_predict(self, features)
+
+    monkeypatch.setattr(GlmPredictor, "predict", counting_predict)
+    k = 2
+    estimate_effects_two(ds, [("sde", 1), ("sie", 1)], EstimatorConfig(splits=1, k_folds=k))
+    assert len(calls) == k * (4 + 2 + 2 * (2 + 3))
+    assert calls.count("logit") == k * 2
