@@ -295,7 +295,8 @@ def fit_nuisance_theta(
     if four is None:
         four = fit_nuisance_four(ds, train_rows, config, required_cells)
     else:
-        require_cells(four, required_cells)
+        empty = [cell for cell, fit in four.cell_classifiers.items() if fit is None]
+        require_cells(empty, required_cells)
     agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
     if agree.min() == 1.0:
         agree_fit = None
@@ -321,14 +322,15 @@ def _agreement_split(
     (point, residual)}``, where ``point`` is the contrast's score sum over
     the agreement rows and ``residual`` divided by the agreement share is
     the split's influence vector.  ``four_fits`` maps training rows (as
-    bytes) to four-arm bundles already fit on ``ds`` under ``config``."""
+    bytes) to four-arm bundles already fit on ``ds`` under ``config``;
+    each bundle used is taken out of it, so it is freed with its fold."""
     agree = (ds.a_y == ds.a_m).astype(np.float64)
     agree_total = agree.sum()
     cells = estimand_cells(estimands)
     scores, _, _ = split_scores_four(
         ds, split, config,
         lambda data, train: fit_nuisance_theta(
-            data, train, config, cells, four_fits.get(train.tobytes())
+            data, train, config, cells, four_fits.pop(train.tobytes(), None)
         ),
         cells, agreement=True,
     )
@@ -366,7 +368,8 @@ def agreement_effects_reusing(
     """:func:`estimate_agreement_effects`, reusing the four-arm bundles in
     ``four_fits`` (training rows as bytes -> bundle fit on ``ds`` under
     ``config``), so that on rows it holds only the agreement model is fit.
-    The folds, redraws and numbers are those of a fresh fit."""
+    Each bundle reused is taken out of ``four_fits``.  The folds, redraws
+    and numbers are those of a fresh fit."""
     pr_agree = _agreement_share(ds)
     estimands = [Estimand(*req) for req in requests]
 

@@ -98,17 +98,18 @@ def fit_nuisance_four(
     x = ds.x[train_rows]
     a_y = ds.a_y[train_rows]
     a_m = ds.a_m[train_rows]
-    classifiers = {}
-    for cell in CELLS:
-        labels = ((a_y == cell[0]) & (a_m == cell[1])).astype(np.float64)
-        if labels.sum() == 0.0:
-            if cell in required_cells:
-                raise _missing(cell)
-            classifiers[cell] = None
-            continue
-        classifiers[cell] = fit_classifier(
-            x, labels, config.propensity, clip=config.clip
-        )
+    labels = {
+        cell: ((a_y == cell[0]) & (a_m == cell[1])).astype(np.float64)
+        for cell in CELLS
+    }
+    empty = [cell for cell in CELLS if labels[cell].sum() == 0.0]
+    require_cells(empty, required_cells)
+    classifiers = {
+        cell: None
+        if cell in empty
+        else fit_classifier(x, labels[cell], config.propensity, clip=config.clip)
+        for cell in CELLS
+    }
     stacked = np.column_stack([a_y.astype(np.float64), a_m.astype(np.float64), x])
     outcome_fit = fit_regressor(
         stacked, ds.y[train_rows], config.outcome, interact_cols=(0, 1)
@@ -118,17 +119,14 @@ def fit_nuisance_four(
     )
 
 
-def _missing(cell) -> MissingCell:
-    return MissingCell(f"no training rows in arm cell {cell}")
-
-
-def require_cells(nuis: NuisanceFitFour, required_cells) -> None:
-    """Raise :class:`MissingCell` as :func:`fit_nuisance_four` would have
-    when asked for ``required_cells``: for the first of them, in ``CELLS``
-    order, that had no training rows."""
+def require_cells(empty_cells, required_cells) -> None:
+    """Raise :class:`MissingCell` for the first of ``required_cells``, in
+    ``CELLS`` order, among ``empty_cells`` (the cells with no training
+    rows).  :func:`fit_nuisance_four` checks its labels with it before
+    any fit, and a reused bundle is checked with it on its empty cells."""
     for cell in CELLS:
-        if cell in required_cells and nuis.cell_classifiers[cell] is None:
-            raise _missing(cell)
+        if cell in required_cells and cell in empty_cells:
+            raise MissingCell(f"no training rows in arm cell {cell}")
 
 
 def eif(

@@ -27,13 +27,14 @@ against all derive from it.  Each family, and each falsification test,
 runs on its own inside one error guard, so a failure counts against its
 own rows only.
 
-Fits are shared where the numbers allow it.  Within one replication the
-agreement family reuses the four-arm family's nuisance bundles, since
-both draw the same fold partitions under the same specs, and fits only
-its agreement model; each family still redraws its own folds.  Within
-each estimator every fitted model predicts once per test block (see
-``four_arm.split_scores_four`` and ``two_arm.split_scores_two``).  The
-Monte Carlo and falsification studies share nothing with each other.
+Fits are shared where the numbers allow it.  Within one replication
+under the GLM preset the agreement family reuses the four-arm family's
+nuisance bundles, since both draw the same fold partitions under the
+same specs, and fits only its agreement model; each family still redraws
+its own folds.  Within each estimator every fitted model predicts once
+per test block (see ``four_arm.split_scores_four`` and
+``two_arm.split_scores_two``).  The Monte Carlo and falsification
+studies share nothing with each other.
 """
 
 from __future__ import annotations
@@ -317,9 +318,11 @@ def _record(out: dict, keys: list, run, value) -> None:
 
 
 def _estimate_family(
-    family: str, ds: FourArmDataset, requests: list, config, four_fits: dict
+    family: str, ds: FourArmDataset, requests: list, config, four_fits: dict | None
 ):
     if family == "four":
+        if four_fits is None:
+            return estimate_effects_four(ds, requests, config)
         cells = estimand_cells([Estimand(*req) for req in requests])
 
         def fit_and_keep(data, train_rows):
@@ -329,7 +332,7 @@ def _estimate_family(
 
         return estimate_effects_four(ds, requests, config, fitter=fit_and_keep)
     if family == "agreement":
-        return agreement_effects_reusing(ds, requests, config, four_fits)
+        return agreement_effects_reusing(ds, requests, config, four_fits or {})
     return estimate_effects_two(restrict_to_two_arm(ds), requests, config)
 
 
@@ -341,14 +344,20 @@ def _simulate_one(cfg: SimConfig, rep: int) -> dict:
 
     The four-arm and agreement families draw the same fold partitions
     (both seed them from the split and attempt) and use the same specs, so
-    the four-arm family keeps its bundles by training rows and the
-    agreement family, which runs after it, reuses them and fits only its
-    agreement model.  Each family still counts its own fold redraws, and
-    the kept bundles hold predictors only and live for this replication.
+    with the GLM preset, when an agreement estimator is requested, the
+    four-arm family keeps its bundles by training rows and the agreement
+    family, which runs after it, takes each one out as it reuses it and
+    fits only its agreement model.  Each family still counts its own fold
+    redraws.  A GLM bundle holds a few coefficient vectors; a forest
+    bundle holds five forests, and keeping every split's would multiply
+    the replication's peak memory, so forest presets fit afresh.
     """
     ds = generate_dataset(cfg, rep)
     config = _rep_config(cfg, rep)
-    four_fits: dict = {}
+    shares_fits = cfg.learner == "glm" and any(
+        f"{kind}_agreement" in cfg.estimators for kind in KINDS
+    )
+    four_fits = {} if shares_fits else None
     out: dict = {}
     for family in ESTIMATOR_FAMILIES:
         kinds = [kind for kind in KINDS if f"{kind}_{family}" in cfg.estimators]

@@ -312,13 +312,58 @@ def estimates_one_by_one(cfg, rep, estimators=ESTIMATOR_NAMES) -> dict:
         {"estimators": ("sde_four", "sie_agreement"), "sde_level": 0},
     ],
 )
-def test_shared_fits_leave_every_replication_bit_identical(settings):
+def test_shared_fits_leave_every_replication_bit_identical(monkeypatch, settings):
     """The agreement family reuses the four-arm family's bundles; every
     number equals that of the estimators called one by one."""
     cfg = SimConfig(n=300, reps=3, master_seed=4, **settings)
+    real_reuse = sepfx.simulation.agreement_effects_reusing
+    left = []
+
+    def reuse_and_record(ds, requests, config, four_fits):
+        out = real_reuse(ds, requests, config, four_fits)
+        left.append(len(four_fits))
+        return out
+
+    monkeypatch.setattr(sepfx.simulation, "agreement_effects_reusing", reuse_and_record)
     for rep in range(cfg.reps):
         expected = estimates_one_by_one(cfg, rep, cfg.estimators)
         assert sepfx.simulation._simulate_one(cfg, rep) == expected
+    # every kept bundle was taken out by the agreement family as it reused it
+    assert left == [0] * cfg.reps
+
+
+@pytest.mark.parametrize(
+    "learner, estimators, kept",
+    [
+        ("glm", ("sde_four", "sde_agreement"), True),
+        ("glm", ("sde_four", "sde_two"), False),
+        ("rf", ("sde_four", "sde_agreement"), False),
+    ],
+)
+def test_bundles_are_kept_only_for_a_glm_agreement_run(monkeypatch, learner, estimators, kept):
+    """The four-arm family keeps its bundles only when an agreement
+    estimator will reuse them and they are GLM fits; forest bundles are
+    large, so forest presets fit afresh."""
+    seen = {}
+
+    def fake_four(ds, requests, config, fitter=None):
+        seen["four"] = fitter is not None
+        raise MissingCell("not fit in this test")
+
+    def fake_reuse(ds, requests, config, four_fits):
+        seen["agreement"] = four_fits
+        raise MissingCell("not fit in this test")
+
+    def fake_two(ds, requests, config):
+        raise MissingCell("not fit in this test")
+
+    monkeypatch.setattr(sepfx.simulation, "estimate_effects_four", fake_four)
+    monkeypatch.setattr(sepfx.simulation, "agreement_effects_reusing", fake_reuse)
+    monkeypatch.setattr(sepfx.simulation, "estimate_effects_two", fake_two)
+    cfg = SimConfig(n=200, reps=1, learner=learner, estimators=estimators)
+    assert sepfx.simulation._simulate_one(cfg, 0) == dict.fromkeys(estimators)
+    assert seen["four"] is kept
+    assert seen.get("agreement", {}) == {}
 
 
 def test_agreement_redraw_does_not_move_the_four_arm_folds(monkeypatch):
