@@ -73,3 +73,8 @@ class SingleClassWarning(UserWarning):
 class SeparationWarning(UserWarning):
     """A logistic fit's linear predictor separated the training labels
     completely, so the maximum-likelihood estimate does not exist."""
+
+
+class ConvergenceWarning(UserWarning):
+    """A logistic fit used up its Newton iterations before its steps fell
+    below the tolerance; the last iterate is returned."""

@@ -25,7 +25,13 @@ import numpy as np
 from scipy.special import expit
 
 from .crossfit import make_folds
-from .errors import LearnerError, SeparationWarning, SingleClassWarning, TooFewRows
+from .errors import (
+    ConvergenceWarning,
+    LearnerError,
+    SeparationWarning,
+    SingleClassWarning,
+    TooFewRows,
+)
 from .forest import ForestPredictor, as_matrix, fit_forest, predict_forests
 from .seeding import derive_seed
 
@@ -123,7 +129,9 @@ def _fit_logistic(
 
     Emits :class:`SeparationWarning` when the final linear predictor has
     the sign of every label, that is when it separates the labels
-    completely (Albert & Anderson 1984); the fit is returned unchanged.
+    completely (Albert & Anderson 1984), and :class:`ConvergenceWarning`
+    when ``max_iter`` steps run out with none below ``step_tol``; either
+    way the fit is returned unchanged.
     """
     width = design.shape[1]
     mask = _penalty_mask(width)
@@ -160,6 +168,12 @@ def _fit_logistic(
         beta, current, z = candidate, cand_obj, cand_z
         if np.abs(scale * step).max() < step_tol:
             break
+    else:
+        warnings.warn(
+            f"logistic fit did not converge: {max_iter} Newton steps ran out with "
+            f"none below {step_tol:g}",
+            ConvergenceWarning,
+        )
     if np.all(np.where(labels == 1.0, z > 0.0, z < 0.0)):
         warnings.warn(
             "logistic fit separates the labels completely: no maximum-likelihood "
@@ -201,6 +215,19 @@ class ConstantPredictor:
         return np.full(features.shape[0], self.value)
 
 
+def _checked_rows(features, targets, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Features and targets as float arrays with equal, finite rows."""
+    X = as_matrix(features)
+    y = np.asarray(targets, dtype=np.float64).ravel()
+    if X.shape[0] != y.shape[0]:
+        raise LearnerError(f"features and {name} disagree on row count")
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise LearnerError(f"features and {name} must be finite (no NaN or inf)")
+    if y.shape[0] < 2:
+        raise TooFewRows(f"need at least 2 rows, got {y.shape[0]}")
+    return X, y
+
+
 def _effective_ridge(spec: LearnerSpec, n: int) -> float:
     if spec.ridge is None:
         return DEFAULT_RIDGE_SCALE * n
@@ -217,14 +244,10 @@ def fit_regressor(
 
     Constant targets short-circuit to an exact constant predictor for
     every learner kind.  Identical inputs (data, spec, seed) produce
-    bit-identical predictors.
+    bit-identical predictors.  A NaN or infinite feature or target raises
+    :class:`LearnerError` before anything is fit.
     """
-    X = as_matrix(features)
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise LearnerError("features and targets disagree on row count")
-    if y.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 rows, got {y.shape[0]}")
+    X, y = _checked_rows(features, targets, "targets")
     if np.ptp(y) == 0.0:
         return ConstantPredictor(float(y[0]))
     if spec.kind == "glm":
@@ -254,14 +277,10 @@ def fit_classifier(
     """Fit a binary-probability model; predictions lie in [clip, 1-clip].
 
     If only one class is present the fit degenerates to a clipped constant
-    and a :class:`SingleClassWarning` is emitted.
+    and a :class:`SingleClassWarning` is emitted.  A NaN or infinite
+    feature or label raises :class:`LearnerError` before anything is fit.
     """
-    X = as_matrix(features)
-    y = np.asarray(labels, dtype=np.float64).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise LearnerError("features and labels disagree on row count")
-    if y.shape[0] < 2:
-        raise TooFewRows(f"need at least 2 rows, got {y.shape[0]}")
+    X, y = _checked_rows(features, labels, "labels")
     if not ((y == 0.0) | (y == 1.0)).all():
         raise LearnerError("labels must be binary 0/1")
     if np.ptp(y) == 0.0:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sepfx.crossfit import make_folds
 from sepfx.data import TwoArmDataset
 from sepfx.errors import (
+    ConvergenceWarning,
     LearnerError,
     MissingCell,
     SeparationWarning,
@@ -18,6 +19,7 @@ from sepfx.estimation import EstimatorConfig
 from sepfx.learners import (
     ConstantPredictor,
     LearnerSpec,
+    _fit_logistic,
     expand_basis,
     fit_classifier,
     fit_regressor,
@@ -125,6 +127,41 @@ def test_complete_separation_warns_and_leaves_the_fit_as_it_was():
     y[nearest] = 1.0 - y[nearest]
     with warnings.catch_warnings():
         warnings.simplefilter("error", SeparationWarning)
+        fit_classifier(x, y, spec)
+
+
+def test_newton_warns_when_its_iterations_run_out_and_keeps_the_last_iterate():
+    rng = stream(4, "newton-limit")
+    x = rng.normal(size=(300, 2))
+    y = (rng.random(300) < 1.0 / (1.0 + np.exp(-(0.5 + x[:, 0])))).astype(float)
+    design = expand_basis(x, "main")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        converged = _fit_logistic(design, y, 0.0)
+    with pytest.warns(ConvergenceWarning, match="1 Newton steps"):
+        one_step = _fit_logistic(design, y, 0.0, max_iter=1)
+    # the last iterate is returned: one Newton step, short of the optimum
+    assert np.abs(one_step - converged).max() > 1e-3
+
+
+@pytest.mark.parametrize("where", ["feature", "target"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "spec",
+    [LearnerSpec(kind="glm", basis="main"), LearnerSpec(kind="random_forest", trees=2)],
+    ids=["glm", "forest"],
+)
+def test_learners_refuse_non_finite_input_before_fitting(spec, bad, where):
+    rng = stream(7, "non-finite")
+    x = rng.normal(size=(200, 2))
+    y = (x[:, 0] + rng.normal(size=200) > 0).astype(float)
+    if where == "feature":
+        x[17, 1] = bad
+    else:
+        y[17] = bad
+    with pytest.raises(LearnerError, match="finite"):
+        fit_regressor(x, y, spec)
+    with pytest.raises(LearnerError, match="finite"):
         fit_classifier(x, y, spec)
 
 
