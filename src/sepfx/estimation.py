@@ -7,9 +7,10 @@ influence contributions out of fold, and reduce (point, variance) pairs
 across splits with the median rule.  :class:`Estimand` is the one place
 that knows which (a_y, a_m) cells an ``sde``/``sie``/``mean`` request
 needs and how their scores contrast.  Each design scores cells in one
-loop: ``four_arm.split_scores_four`` (shared with the agreement-population
-estimator) and ``two_arm.split_scores_two``; each draws its own fold
-assignment through ``crossfit.cross_fit_split``.  ``run_battery`` is the
+loop: ``four_arm.split_scores_four``, which scores the four-arm and the
+agreement populations from the same bundle per fold, and
+``two_arm.split_scores_two``; each draws its own fold assignment through
+``crossfit.cross_fit_split``.  ``run_battery`` is the
 one loop over splits: it serves the three estimators and the indirect
 falsification test, whose per-split value is a difference of two
 estimators.  ``build_estimates`` turns its output into
@@ -103,6 +104,9 @@ def estimand_cells(estimands) -> tuple:
     return tuple(dict.fromkeys(cell for est in estimands for cell in est.cells()))
 
 
+STRATEGIES = ("S", "T", "ensemble")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Settings shared by every effect estimator.
@@ -116,8 +120,9 @@ class EstimatorConfig:
     Raises
     ------
     ValueError
-        Unless ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1`` and
-        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross).
+        Unless ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
+        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross) and ``strategy``
+        is one of ``STRATEGIES``.
     """
 
     outcome: LearnerSpec = field(default_factory=LearnerSpec)
@@ -137,6 +142,7 @@ class EstimatorConfig:
             ("k_folds", self.k_folds >= 2, "at least 2"),
             ("alpha", 0.0 < self.alpha < 1.0, "strictly between 0 and 1"),
             ("clip", 0.0 < self.clip < 0.5, "strictly between 0 and 0.5"),
+            ("strategy", self.strategy in STRATEGIES, f"one of {STRATEGIES}"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")

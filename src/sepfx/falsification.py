@@ -15,10 +15,12 @@ subpopulation whose treatments agree: a weighted four-arm estimator that
 only uses the exclusion-free arms, and the two-arm estimator computed
 from the agreement rows.  Under the assumptions both converge to the same
 value, so their difference scaled by its standard error is asymptotically
-standard normal.  The agreement estimator and the test share one split
-scorer, and both run through ``estimation.run_battery``: the test's value
-on a split is the agreement point minus the two-arm point, with the
-difference of the two influence vectors as its deviations.
+standard normal.  The agreement estimator and the test score the
+agreement population with the four-arm split scorer, which can score the
+four-arm population in the same pass, and both run through
+``estimation.run_battery``: the test's value on a split is the agreement
+point minus the two-arm point, with the difference of the two influence
+vectors as its deviations.
 """
 
 from __future__ import annotations
@@ -29,22 +31,23 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .data import FourArmDataset, restrict_to_two_arm
-from .errors import DegenerateEstimate, EmptySubset, MissingCell, SingularDesign
+from .errors import DegenerateEstimate, MissingCell, SingularDesign
 from .estimation import (
     EffectEstimate,
     Estimand,
     EstimatorConfig,
     JsonFields,
     build_estimates,
-    centred,
     checked_se,
     estimand_cells,
     run_battery,
 )
 from .four_arm import (
     NuisanceFitFour,
+    agreement_contrasts,
+    agreement_share,
     fit_nuisance_four,
-    require_cells,
+    four_arm_battery,
     split_scores_four,
 )
 from .learners import FittedPredictor, fit_classifier
@@ -283,20 +286,9 @@ def fit_nuisance_theta(
     train_rows: np.ndarray,
     config: EstimatorConfig,
     required_cells,
-    four: NuisanceFitFour | None = None,
 ) -> ThetaNuisance:
-    """Fit the four-arm nuisances plus the treatment-agreement model.
-
-    ``four`` is a four-arm bundle already fit on the same rows under the
-    same config; it is reused, so only the agreement model is fit.  A
-    required cell it has no model for raises :class:`MissingCell`, as a
-    fresh fit would.
-    """
-    if four is None:
-        four = fit_nuisance_four(ds, train_rows, config, required_cells)
-    else:
-        empty = [cell for cell, fit in four.cell_classifiers.items() if fit is None]
-        require_cells(empty, required_cells)
+    """Fit the four-arm nuisances plus the treatment-agreement model."""
+    four = fit_nuisance_four(ds, train_rows, config, required_cells)
     agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
     if agree.min() == 1.0:
         agree_fit = None
@@ -305,41 +297,6 @@ def fit_nuisance_theta(
             ds.x[train_rows], agree, config.propensity, clip=config.clip
         )
     return ThetaNuisance(**vars(four), agree_fit=agree_fit)
-
-
-def _agreement_share(ds: FourArmDataset) -> float:
-    """The share of rows whose two treatments agree."""
-    agree_total = (ds.a_y == ds.a_m).sum()
-    if agree_total == 0:
-        raise EmptySubset("no rows with matching treatment assignments")
-    return agree_total / ds.n
-
-
-def _agreement_split(
-    ds: FourArmDataset, split: int, config: EstimatorConfig, estimands, four_fits: dict
-) -> dict:
-    """The agreement-population contrasts on split ``split``: ``{estimand:
-    (point, residual)}``, where ``point`` is the contrast's score sum over
-    the agreement rows and ``residual`` divided by the agreement share is
-    the split's influence vector.  ``four_fits`` maps training rows (as
-    bytes) to four-arm bundles already fit on ``ds`` under ``config``;
-    each bundle used is taken out of it, so it is freed with its fold."""
-    agree = (ds.a_y == ds.a_m).astype(np.float64)
-    agree_total = agree.sum()
-    cells = estimand_cells(estimands)
-    scores, _, _ = split_scores_four(
-        ds, split, config,
-        lambda data, train: fit_nuisance_theta(
-            data, train, config, cells, four_fits.pop(train.tobytes(), None)
-        ),
-        cells, agreement=True,
-    )
-    out = {}
-    for est in estimands:
-        diff = est.contrast(scores)
-        point = float(diff.sum() / agree_total)
-        out[est] = (point, diff - point * agree)
-    return out
 
 
 def estimate_agreement_effects(
@@ -359,30 +316,13 @@ def estimate_agreement_effects(
     EmptySubset
         If no row has matching treatments.
     """
-    return agreement_effects_reusing(ds, requests, config or EstimatorConfig(), {})
-
-
-def agreement_effects_reusing(
-    ds: FourArmDataset, requests: list, config: EstimatorConfig, four_fits: dict
-) -> list[EffectEstimate]:
-    """:func:`estimate_agreement_effects`, reusing the four-arm bundles in
-    ``four_fits`` (training rows as bytes -> bundle fit on ``ds`` under
-    ``config``), so that on rows it holds only the agreement model is fit.
-    Each bundle reused is taken out of ``four_fits``.  The folds, redraws
-    and numbers are those of a fresh fit."""
-    pr_agree = _agreement_share(ds)
+    config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
-
-    def split_fn(split: int) -> dict:
-        theta = _agreement_split(ds, split, config, estimands, four_fits)
-        return {
-            est: centred(point + residual / pr_agree)
-            for est, (point, residual) in theta.items()
-        }
-
-    combined = run_battery(config, split_fn)
+    combined = four_arm_battery(
+        ds, config, {"agreement": estimands}, fit_nuisance_theta
+    )
     return build_estimates(
-        combined, estimands, n=ds.n, config=config,
+        combined["agreement"], estimands, n=ds.n, config=config,
         design="four-arm", population="two-arm",
     )
 
@@ -412,14 +352,19 @@ def indirect_test_battery(
     estimands = [Estimand(*req) for req in requests]
     if any(est.kind not in ("sde", "sie") for est in estimands):
         raise ValueError("the indirect test compares sde and sie contrasts only")
-    pr_agree = _agreement_share(ds)
+    pr_agree = agreement_share(ds)
     ds2 = restrict_to_two_arm(ds)
     if np.ptp(ds2.a) == 0:
         raise MissingCell("agreement rows contain a single treatment level")
     cells = estimand_cells(estimands)
 
     def split_fn(split: int) -> dict:
-        theta = _agreement_split(ds, split, config, estimands, {})
+        scores = split_scores_four(
+            ds, split, config,
+            lambda data, train: fit_nuisance_theta(data, train, config, cells),
+            cells, agreement=True,
+        )
+        theta = agreement_contrasts(ds, scores["agreement"], estimands)
         two_scores = split_scores_two(ds2, split, config, cells)
         out = {}
         for est, (theta_point, residual) in theta.items():

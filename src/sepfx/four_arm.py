@@ -25,7 +25,7 @@ import numpy as np
 
 from .crossfit import cross_fit_split
 from .data import FourArmDataset
-from .errors import MissingCell
+from .errors import EmptySubset, MissingCell
 from .estimation import (
     EffectEstimate,
     Estimand,
@@ -93,7 +93,8 @@ def fit_nuisance_four(
 
     Cell probabilities are one-vs-rest classifiers normalized across the
     four cells.  A required cell with no training rows raises
-    :class:`MissingCell`; an unrequired empty cell gets probability zero.
+    :class:`MissingCell` (the first such cell in ``CELLS`` order) before
+    any fit; an unrequired empty cell gets probability zero.
     """
     x = ds.x[train_rows]
     a_y = ds.a_y[train_rows]
@@ -103,7 +104,9 @@ def fit_nuisance_four(
         for cell in CELLS
     }
     empty = [cell for cell in CELLS if labels[cell].sum() == 0.0]
-    require_cells(empty, required_cells)
+    for cell in empty:
+        if cell in required_cells:
+            raise MissingCell(f"no training rows in arm cell {cell}")
     classifiers = {
         cell: None
         if cell in empty
@@ -119,38 +122,26 @@ def fit_nuisance_four(
     )
 
 
-def require_cells(empty_cells, required_cells) -> None:
-    """Raise :class:`MissingCell` for the first of ``required_cells``, in
-    ``CELLS`` order, among ``empty_cells`` (the cells with no training
-    rows).  :func:`fit_nuisance_four` checks its labels with it before
-    any fit, and a reused bundle is checked with it on its empty cells."""
-    for cell in CELLS:
-        if cell in required_cells and cell in empty_cells:
-            raise MissingCell(f"no training rows in arm cell {cell}")
-
-
 def eif(
     ds: FourArmDataset,
     a_y: int,
     a_m: int,
     nuis,
     rows: np.ndarray | None = None,
-    s_hat=1.0,
-    agree=1.0,
-    terms: bool = False,
     pi: np.ndarray | None = None,
+    agreement: tuple | None = None,
+    terms: bool = False,
 ):
     """Per-row scores whose mean estimates E[Y^(a_y, a_m)].
 
     Rows outside the (a_y, a_m) cell contribute only their predicted
     outcome; rows inside add the inverse-probability-weighted residual.
-    The agreement-population score multiplies the residual term by the
-    agreement probability ``s_hat`` and the prediction by the agreement
-    indicator ``agree``; at the defaults of 1.0 both products are exact,
-    so the four-arm score is unchanged bit for bit.  With ``terms`` the
-    inverse-probability-weighted outcome and the outcome prediction (the
-    two plug-in estimators' scores) are returned after the score.  ``pi``
-    is the cell's propensity on ``rows`` when the caller already has it.
+    ``pi`` is the cell's propensity on ``rows`` when the caller already
+    has it.  With ``agreement``, the pair ``(s_hat, agree)`` of the
+    agreement probability and indicator on ``rows``, the agreement-
+    population score ``1{cell} * (Y - nu) * s_hat / pi + nu * agree``
+    follows, from the same residual term; with ``terms`` the two plug-in
+    estimators' scores (IPW outcome, outcome prediction) come last.
     """
     if rows is None:
         rows = np.arange(ds.n)
@@ -160,10 +151,14 @@ def eif(
     if pi is None:
         pi = nuis.propensity(a_y, a_m, x)
     inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
-    score = inside * (y - nu) * s_hat / pi + nu * agree
+    residual = inside * (y - nu)
+    scores = (residual / pi + nu,)
+    if agreement is not None:
+        s_hat, agree = agreement
+        scores += (residual * s_hat / pi + nu * agree,)
     if terms:
-        return score, inside * y / pi, nu
-    return score
+        scores += (inside * y / pi, nu)
+    return scores if len(scores) > 1 else scores[0]
 
 
 def _cell_propensities(nuis, cells: tuple, x: np.ndarray) -> dict:
@@ -184,49 +179,108 @@ def split_scores_four(
     cells: tuple,
     agreement: bool = False,
     diagnostics: bool = False,
-) -> tuple:
+) -> dict:
     """Out-of-fold scores of each cell on split ``split``'s fold assignment.
 
     ``fitter`` receives ``(dataset, train_rows)``; the folds are drawn, and
     redrawn on a degenerate fold, by :func:`~sepfx.crossfit.cross_fit_split`.
-    With ``agreement`` the fits must also provide ``agreement_probability``
-    and each score is
-
-        1{cell} * (Y - nu) * s(X) / pi + nu * 1{A_Y = A_M}
-
-    whose sum divided by the number of agreement rows estimates the mean
-    counterfactual outcome on the agreement population.  Returns
-    ``(scores, ipw, regression)`` dicts keyed by cell; the last two hold
-    the plug-in scores with ``diagnostics`` and are ``None`` otherwise.
-
-    Within a fold every model is predicted once on the test block: the
-    cell probabilities serve all cells, and each cell's outcome prediction
-    and the agreement probability are made once.
+    Returns dicts keyed by cell of the :func:`eif` scores: ``"four"``;
+    with ``agreement`` (the fits then provide ``agreement_probability``)
+    ``"agreement"``; with ``diagnostics`` ``"ipw"`` and
+    ``"outcome_regression"``.  Within a fold every model is predicted once
+    on the test block.
     """
     folds, fits = cross_fit_split(ds, config, split, fitter)
+    names = ("four",) + ("agreement",) * agreement
+    names += ("ipw", "outcome_regression") * diagnostics
+    scores = {name: {cell: np.empty(ds.n) for cell in cells} for name in names}
     agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
-    scores = {cell: np.empty(ds.n) for cell in cells}
-    ipw = {cell: np.empty(ds.n) for cell in cells} if diagnostics else None
-    reg = {cell: np.empty(ds.n) for cell in cells} if diagnostics else None
     for fold in range(folds.k):
         test = folds.test_rows(fold)
         nuis = fits[fold]
         x = ds.x[test]
         pis = _cell_propensities(nuis, cells, x)
-        s_hat = agree_rows = 1.0
-        if agreement:
-            s_hat = nuis.agreement_probability(x)
-            agree_rows = agree[test]
+        pair = (nuis.agreement_probability(x), agree[test]) if agreement else None
         for cell in cells:
-            out = eif(
-                ds, *cell, nuis, test, s_hat, agree_rows, terms=diagnostics,
-                pi=pis[cell],
-            )
+            values = eif(ds, *cell, nuis, test, pis[cell], pair, diagnostics)
+            if len(names) == 1:
+                values = (values,)
+            for name, value in zip(names, values):
+                scores[name][cell][test] = value
+    return scores
+
+
+def agreement_share(ds: FourArmDataset) -> float:
+    """The share of rows whose two treatments agree; :class:`EmptySubset`
+    if there are none."""
+    agree_total = (ds.a_y == ds.a_m).sum()
+    if agree_total == 0:
+        raise EmptySubset("no rows with matching treatment assignments")
+    return agree_total / ds.n
+
+
+def agreement_contrasts(ds: FourArmDataset, scores: dict, estimands) -> dict:
+    """The agreement-population contrasts of one split's ``scores`` (keyed
+    by cell): ``{estimand: (point, residual)}``, where ``point`` is the
+    contrast's score sum over the agreement rows and ``residual`` divided
+    by the agreement share is the split's influence vector."""
+    agree = (ds.a_y == ds.a_m).astype(np.float64)
+    agree_total = agree.sum()
+    out = {}
+    for est in estimands:
+        diff = est.contrast(scores)
+        point = float(diff.sum() / agree_total)
+        out[est] = (point, diff - point * agree)
+    return out
+
+
+def four_arm_battery(
+    ds: FourArmDataset, config: EstimatorConfig, families: dict, fit=None
+) -> dict:
+    """``run_battery`` output ``{family: {estimand: CombinedResult}}`` for
+    the estimands of ``"four"`` (the four-arm population) and
+    ``"agreement"`` (the rows whose treatments agree) in ``families``.
+
+    Each split fits one bundle per fold with ``fit(ds, train_rows, config,
+    required_cells)`` (:func:`fit_nuisance_four` by default) and scores
+    both families from it, so no bundle outlives its split.  The bundles
+    require the union of the families' cells, so a fold lacking a cell that
+    only one family needs is redrawn for both.  A bad estimand, or
+    :class:`EmptySubset` for an agreement family without agreeing rows, is
+    raised before any fit.
+    """
+    cells = estimand_cells([est for ests in families.values() for est in ests])
+    fit = fit or fit_nuisance_four
+    four = families.get("four", ())
+    agreement = families.get("agreement", ())
+    pr_agree = agreement_share(ds) if agreement else None
+    diagnostics = config.diagnostics and bool(four)
+
+    def split_fn(split: int) -> dict:
+        scores = split_scores_four(
+            ds, split, config, lambda data, train: fit(data, train, config, cells),
+            cells, bool(agreement), diagnostics,
+        )
+        out = {}
+        for est in four:
+            diag = None
             if diagnostics:
-                scores[cell][test], ipw[cell][test], reg[cell][test] = out
-            else:
-                scores[cell][test] = out
-    return scores, ipw, reg
+                diag = {
+                    name: float(np.mean(est.contrast(scores[name])))
+                    for name in ("ipw", "outcome_regression")
+                }
+            out["four", est] = centred(est.contrast(scores["four"]), diag)
+        if agreement:
+            theta = agreement_contrasts(ds, scores["agreement"], agreement)
+            for est, (point, residual) in theta.items():
+                out["agreement", est] = centred(point + residual / pr_agree)
+        return out
+
+    combined = run_battery(config, split_fn)
+    return {
+        family: {est: combined[family, est] for est in estimands}
+        for family, estimands in families.items()
+    }
 
 
 def estimate_effects_four(
@@ -245,28 +299,9 @@ def estimate_effects_four(
     """
     config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
-    cells = estimand_cells(estimands)
-    nuisance_fitter = fitter or (
-        lambda data, train: fit_nuisance_four(data, train, config, cells)
-    )
-
-    def split_fn(split: int) -> dict:
-        scores, ipw, reg = split_scores_four(
-            ds, split, config, nuisance_fitter, cells, diagnostics=config.diagnostics
-        )
-        out = {}
-        for est in estimands:
-            diag = None
-            if config.diagnostics:
-                diag = {
-                    "ipw": float(np.mean(est.contrast(ipw))),
-                    "outcome_regression": float(np.mean(est.contrast(reg))),
-                }
-            out[est] = centred(est.contrast(scores), diag)
-        return out
-
-    combined = run_battery(config, split_fn)
+    fit = None if fitter is None else (lambda data, train, *_: fitter(data, train))
+    combined = four_arm_battery(ds, config, {"four": estimands}, fit)
     return build_estimates(
-        combined, estimands, n=ds.n, config=config,
+        combined["four"], estimands, n=ds.n, config=config,
         design="four-arm", population="four-arm",
     )

@@ -24,17 +24,16 @@ The Monte Carlo study is driven by one table, ``ESTIMATOR_FAMILIES``:
 family -> (design, population).  The estimator names, each replication's
 requests, each result row's metadata and the true value it is scored
 against all derive from it.  Each family, and each falsification test,
-runs on its own inside one error guard, so a failure counts against its
-own rows only.
+fails on its own, so a failure counts against its own rows only; the
+one exception is a failure of the pass the four-arm and agreement
+families share.
 
-Fits are shared where the numbers allow it.  Within one replication
-under the GLM preset the agreement family reuses the four-arm family's
-nuisance bundles, since both draw the same fold partitions under the
-same specs, and fits only its agreement model; each family still redraws
-its own folds.  Within each estimator every fitted model predicts once
-per test block (see ``four_arm.split_scores_four`` and
-``two_arm.split_scores_two``).  The Monte Carlo and falsification
-studies share nothing with each other.
+Within one replication, for every learner, the four-arm and agreement
+families are scored in one pass per split from one set of nuisance
+bundles, the agreement model included; no bundle outlives its split.
+Every fitted model predicts once per test block (see
+``four_arm.split_scores_four`` and ``two_arm.split_scores_two``).  The
+Monte Carlo and falsification studies share nothing with each other.
 """
 
 from __future__ import annotations
@@ -51,15 +50,15 @@ from scipy.special import expit
 
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
-from .estimation import Estimand, EstimatorConfig, JsonFields, estimand_cells
+from .estimation import Estimand, EstimatorConfig, JsonFields, build_estimates
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
-    agreement_effects_reusing,
     direct_test_h0i,
     direct_test_h0ii,
+    fit_nuisance_theta,
     indirect_test_battery,
 )
-from .four_arm import estimate_effects_four, fit_nuisance_four
+from .four_arm import four_arm_battery
 from .learners import LearnerSpec, make_spec
 from .seeding import derive_seed, stream
 from .two_arm import estimate_effects_two
@@ -153,10 +152,13 @@ class SimConfig(JsonFields):
         cpus = os.cpu_count() or 1
         if not 1 <= self.threads <= cpus:
             raise ValueError(f"threads must be between 1 and {cpus}, got {self.threads!r}")
-        # the estimator settings' and requests' own rules, applied once per study
+        # the estimator settings', preset's and requests' own rules, applied
+        # once per study
         EstimatorConfig(
-            k_folds=self.k_folds, splits=self.splits, alpha=self.alpha, clip=self.clip
+            k_folds=self.k_folds, splits=self.splits, alpha=self.alpha,
+            clip=self.clip, strategy=self.strategy,
         )
+        make_spec(self.learner)
         for kind in KINDS:
             Estimand(kind, getattr(self, f"{kind}_level")).cells()
 
@@ -306,70 +308,75 @@ def _rep_config(cfg: SimConfig, rep: int) -> EstimatorConfig:
     )
 
 
-def _record(out: dict, keys: list, run, value) -> None:
-    """Map each key to ``value`` of its result from ``run()``, in order; if
-    ``run`` fails with an estimation error, map every key to ``None``."""
+def _attempt(run):
+    """``run()``, or ``None`` if it fails with an estimation error."""
     try:
-        results = run()
+        return run()
     except SepfxError:
+        return None
+
+
+def _record(out: dict, keys: list, results, value) -> None:
+    """Map each key to ``value`` of its entry in ``results``, in order; if
+    ``results`` is ``None`` (the run failed), map every key to ``None``."""
+    if results is None:
         out.update(dict.fromkeys(keys))
         return
     out.update({key: value(res) for key, res in zip(keys, results)})
 
 
-def _estimate_family(
-    family: str, ds: FourArmDataset, requests: list, config, four_fits: dict | None
-):
-    if family == "four":
-        if four_fits is None:
-            return estimate_effects_four(ds, requests, config)
-        cells = estimand_cells([Estimand(*req) for req in requests])
+def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
+    """Each family's estimates from its estimands in ``families``, or
+    ``None`` for a family that failed with an estimation error.
 
-        def fit_and_keep(data, train_rows):
-            bundle = fit_nuisance_four(data, train_rows, config, cells)
-            four_fits[train_rows.tobytes()] = bundle
-            return bundle
-
-        return estimate_effects_four(ds, requests, config, fitter=fit_and_keep)
-    if family == "agreement":
-        return agreement_effects_reusing(ds, requests, config, four_fits or {})
-    return estimate_effects_two(restrict_to_two_arm(ds), requests, config)
+    The four-arm and agreement families share one pass per split, over
+    ``fit_nuisance_theta`` bundles if the agreement family is asked for,
+    so a failure of that pass fails both.  No agreeing rows fails only the
+    agreement and two-arm families, and a standard error that is not
+    positive only its own family.
+    """
+    results = {}
+    shared = {f: families[f] for f in ("four", "agreement") if f in families}
+    if "agreement" in shared and not (ds.a_y == ds.a_m).any():
+        del shared["agreement"]
+        results["agreement"] = None
+    if shared:
+        fit = fit_nuisance_theta if "agreement" in shared else None
+        combined = _attempt(lambda: four_arm_battery(ds, config, shared, fit))
+        for family, estimands in shared.items():
+            population = ESTIMATOR_FAMILIES[family][1]
+            results[family] = None if combined is None else _attempt(
+                lambda: build_estimates(
+                    combined[family], estimands, n=ds.n, config=config,
+                    design="four-arm", population=population,
+                )
+            )
+    if "two" in families:
+        results["two"] = _attempt(
+            lambda: estimate_effects_two(restrict_to_two_arm(ds), families["two"], config)
+        )
+    return results
 
 
 def _simulate_one(cfg: SimConfig, rep: int) -> dict:
     """Estimate every configured estimator on one replication.
 
     Returns ``{estimator: (point, lo, hi)}``; a family that fails with an
-    estimation error maps its own estimators to ``None``.
-
-    The four-arm and agreement families draw the same fold partitions
-    (both seed them from the split and attempt) and use the same specs, so
-    with the GLM preset, when an agreement estimator is requested, the
-    four-arm family keeps its bundles by training rows and the agreement
-    family, which runs after it, takes each one out as it reuses it and
-    fits only its agreement model.  Each family still counts its own fold
-    redraws.  A GLM bundle holds a few coefficient vectors; a forest
-    bundle holds five forests, and keeping every split's would multiply
-    the replication's peak memory, so forest presets fit afresh.
+    estimation error maps its own estimators to ``None`` (see
+    :func:`_estimate_families` for which failures are shared).
     """
     ds = generate_dataset(cfg, rep)
     config = _rep_config(cfg, rep)
-    shares_fits = cfg.learner == "glm" and any(
-        f"{kind}_agreement" in cfg.estimators for kind in KINDS
-    )
-    four_fits = {} if shares_fits else None
+    families: dict = {}
+    for name in ESTIMATOR_NAMES:
+        if name in cfg.estimators:
+            kind, family = name.split("_")
+            level = getattr(cfg, f"{kind}_level")
+            families.setdefault(family, []).append(Estimand(kind, level))
     out: dict = {}
-    for family in ESTIMATOR_FAMILIES:
-        kinds = [kind for kind in KINDS if f"{kind}_{family}" in cfg.estimators]
-        if not kinds:
-            continue
-        requests = [(kind, getattr(cfg, f"{kind}_level")) for kind in kinds]
-        _record(
-            out,
-            [f"{kind}_{family}" for kind in kinds],
-            partial(_estimate_family, family, ds, requests, config, four_fits),
-            lambda est: (est.point, est.ci[0], est.ci[1]),
-        )
+    for family, results in _estimate_families(ds, families, config).items():
+        keys = [f"{est.kind}_{family}" for est in families[family]]
+        _record(out, keys, results, lambda est: (est.point, est.ci[0], est.ci[1]))
     return out
 
 
@@ -498,7 +505,7 @@ def _falsify_one(cfg: SimConfig, rep: int) -> dict:
     out: dict = {}
 
     def record(keys: list, run) -> None:
-        _record(out, keys, run, lambda res: (res.reject, res.estimate))
+        _record(out, keys, _attempt(run), lambda res: (res.reject, res.estimate))
 
     for med in range(ds.n_mediators):
         record(

@@ -175,6 +175,7 @@ def test_indirect_test_takes_contrasts_only():
         ("clip", 0.0),
         ("clip", 0.5),
         ("clip", 0.6),
+        ("strategy", "bogus"),
     ],
 )
 def test_estimator_config_rejects_bad_values(field, value):

@@ -6,10 +6,11 @@ import pytest
 
 import sepfx.crossfit
 import sepfx.falsification
+import sepfx.four_arm
 import sepfx.simulation
-from sepfx.data import restrict_to_two_arm
-from sepfx.errors import EmptySubset, MissingCell
-from sepfx.estimation import EstimatorConfig
+from sepfx.data import FourArmDataset, restrict_to_two_arm
+from sepfx.errors import DegenerateEstimate, EmptySubset, LearnerError, MissingCell
+from sepfx.estimation import Estimand, EstimatorConfig
 from sepfx.falsification import estimate_agreement_effects
 from sepfx.four_arm import estimate_effects_four
 from sepfx.seeding import derive_seed
@@ -152,7 +153,7 @@ def test_sim_config_validation():
     "field, value",
     [
         ("splits", 0), ("k_folds", 1), ("alpha", 0.0), ("clip", 0.6),
-        ("threads", 0), ("threads", -3),
+        ("strategy", "bogus"), ("threads", 0), ("threads", -3),
         pytest.param("threads", (os.cpu_count() or 1) + 1, id="threads-above-cpus"),
     ],
 )
@@ -162,6 +163,11 @@ def test_sim_config_applies_the_estimator_rules(field, value):
     process pool starts all its workers at once; only configs are built."""
     with pytest.raises(ValueError, match=field):
         SimConfig(reps=1, **{field: value})
+
+
+def test_sim_config_refuses_an_unknown_learner_preset():
+    with pytest.raises(LearnerError, match="unknown learner preset 'bogus'"):
+        SimConfig(reps=1, learner="bogus")
 
 
 def test_estimator_config_for():
@@ -312,70 +318,54 @@ def estimates_one_by_one(cfg, rep, estimators=ESTIMATOR_NAMES) -> dict:
         {"estimators": ("sde_four", "sie_agreement"), "sde_level": 0},
     ],
 )
-def test_shared_fits_leave_every_replication_bit_identical(monkeypatch, settings):
-    """The agreement family reuses the four-arm family's bundles; every
-    number equals that of the estimators called one by one."""
+def test_shared_fits_leave_every_replication_bit_identical(settings):
+    """The four-arm and agreement families are scored in one pass per split;
+    every number equals that of the estimators called one by one."""
     cfg = SimConfig(n=300, reps=3, master_seed=4, **settings)
-    real_reuse = sepfx.simulation.agreement_effects_reusing
-    left = []
-
-    def reuse_and_record(ds, requests, config, four_fits):
-        out = real_reuse(ds, requests, config, four_fits)
-        left.append(len(four_fits))
-        return out
-
-    monkeypatch.setattr(sepfx.simulation, "agreement_effects_reusing", reuse_and_record)
     for rep in range(cfg.reps):
         expected = estimates_one_by_one(cfg, rep, cfg.estimators)
         assert sepfx.simulation._simulate_one(cfg, rep) == expected
-    # every kept bundle was taken out by the agreement family as it reused it
-    assert left == [0] * cfg.reps
 
 
-@pytest.mark.parametrize(
-    "learner, estimators, kept",
-    [
-        ("glm", ("sde_four", "sde_agreement"), True),
-        ("glm", ("sde_four", "sde_two"), False),
-        ("rf", ("sde_four", "sde_agreement"), False),
-    ],
-)
-def test_bundles_are_kept_only_for_a_glm_agreement_run(monkeypatch, learner, estimators, kept):
-    """The four-arm family keeps its bundles only when an agreement
-    estimator will reuse them and they are GLM fits; forest bundles are
-    large, so forest presets fit afresh."""
-    seen = {}
+def test_one_pass_over_forest_bundles_equals_the_lone_estimators(monkeypatch):
+    """Forest bundles are shared too: the joint pass fits one bundle per
+    fold, half of what the two estimators fit alone, and its estimates
+    equal theirs bit for bit."""
+    ds = generate_dataset(SimConfig(n=400, reps=1, master_seed=2), 0)
+    forest = LearnerSpec(kind="random_forest", trees=20, seed=5)
+    config = EstimatorConfig(
+        outcome=forest, propensity=forest, splits=2, seed=5, keep_eif=False
+    )
+    families = {
+        "four": [Estimand("sde", 1), Estimand("sie", 1)],
+        "agreement": [Estimand("sde", 0), Estimand("sie", 1)],
+    }
+    real_fit = sepfx.falsification.fit_nuisance_four
+    fits = []
 
-    def fake_four(ds, requests, config, fitter=None):
-        seen["four"] = fitter is not None
-        raise MissingCell("not fit in this test")
+    def counting_fit(*args):
+        fits.append(args[1])
+        return real_fit(*args)
 
-    def fake_reuse(ds, requests, config, four_fits):
-        seen["agreement"] = four_fits
-        raise MissingCell("not fit in this test")
-
-    def fake_two(ds, requests, config):
-        raise MissingCell("not fit in this test")
-
-    monkeypatch.setattr(sepfx.simulation, "estimate_effects_four", fake_four)
-    monkeypatch.setattr(sepfx.simulation, "agreement_effects_reusing", fake_reuse)
-    monkeypatch.setattr(sepfx.simulation, "estimate_effects_two", fake_two)
-    cfg = SimConfig(n=200, reps=1, learner=learner, estimators=estimators)
-    assert sepfx.simulation._simulate_one(cfg, 0) == dict.fromkeys(estimators)
-    assert seen["four"] is kept
-    assert seen.get("agreement", {}) == {}
+    monkeypatch.setattr(sepfx.falsification, "fit_nuisance_four", counting_fit)
+    joint = sepfx.simulation._estimate_families(ds, families, config)
+    assert len(fits) == config.splits * config.k_folds
+    assert joint == {
+        "four": estimate_effects_four(ds, families["four"], config),
+        "agreement": estimate_agreement_effects(ds, families["agreement"], config),
+    }
 
 
-def test_agreement_redraw_does_not_move_the_four_arm_folds(monkeypatch):
-    """A degenerate agreement partition is redrawn by the agreement family
-    alone: the four-arm family keeps its first draws and its numbers, and
-    the agreement numbers equal a lone estimate with the same redraw."""
+def test_a_redraw_moves_both_families_together(monkeypatch):
+    """One pass per split serves both families, so a degenerate first
+    partition is redrawn for both: they draw attempt 1 of split 0, and each
+    equals its lone estimator under the same forced failure."""
     cfg = SimConfig(
         n=300, reps=1,
         estimators=("sde_four", "sie_four", "sde_agreement", "sie_agreement"),
     )
     config = sepfx.simulation._rep_config(cfg, 0)
-    alone_four = estimates_one_by_one(cfg, 0, ("sde_four", "sie_four"))
+    unforced = sepfx.simulation._simulate_one(cfg, 0)
     draws = []
     real_make_folds = sepfx.crossfit.make_folds
 
@@ -383,7 +373,7 @@ def test_agreement_redraw_does_not_move_the_four_arm_folds(monkeypatch):
         draws.append(seed)
         return real_make_folds(n, k, seed)
 
-    real_fit = sepfx.falsification.fit_nuisance_theta
+    real_fit = sepfx.four_arm.fit_nuisance_four
     failed = []
 
     def fit_failing_once(*args):
@@ -393,14 +383,71 @@ def test_agreement_redraw_does_not_move_the_four_arm_folds(monkeypatch):
         return real_fit(*args)
 
     monkeypatch.setattr(sepfx.crossfit, "make_folds", recording_make_folds)
-    monkeypatch.setattr(sepfx.falsification, "fit_nuisance_theta", fit_failing_once)
+    for module in (sepfx.four_arm, sepfx.falsification):
+        monkeypatch.setattr(module, "fit_nuisance_four", fit_failing_once)
     shared = sepfx.simulation._simulate_one(cfg, 0)
-    failed.clear()
-    alone_agreement = estimates_one_by_one(cfg, 0, ("sde_agreement", "sie_agreement"))
-
     seed = {(s, a): derive_seed(config.seed, "folds", s, a) for s in range(3) for a in (0, 1)}
-    four_draws = [seed[0, 0], seed[1, 0], seed[2, 0]]
-    agreement_draws = [seed[0, 0], seed[0, 1], seed[1, 0], seed[2, 0]]
-    # the lone agreement estimate, run last, draws as the shared one did
-    assert draws == four_draws + agreement_draws + agreement_draws
-    assert shared == {**alone_four, **alone_agreement}
+    assert draws == [seed[0, 0], seed[0, 1], seed[1, 0], seed[2, 0]]
+    alone = {}
+    for family in ("four", "agreement"):
+        failed.clear()
+        alone.update(estimates_one_by_one(cfg, 0, (f"sde_{family}", f"sie_{family}")))
+    assert shared == alone
+    assert shared != unforced
+
+
+def test_a_shared_pass_failure_fails_both_families(monkeypatch):
+    """A split that cannot be fit fails the four-arm and agreement families
+    together; the two-arm family fits its own bundles and survives."""
+    cfg = SimConfig(n=300, reps=1)
+
+    def no_fit(*args):
+        raise MissingCell("no training rows in arm cell (1, 1)")
+
+    monkeypatch.setattr(sepfx.falsification, "fit_nuisance_four", no_fit)
+    out = sepfx.simulation._simulate_one(cfg, 0)
+    shared = ("sde_four", "sie_four", "sde_agreement", "sie_agreement")
+    assert out == {
+        **dict.fromkeys(shared),
+        **estimates_one_by_one(cfg, 0, ("sde_two", "sie_two")),
+    }
+
+
+def test_a_family_whose_standard_error_fails_fails_alone(monkeypatch):
+    """A standard error refused for one family's estimates leaves the
+    other family's estimates from the same pass."""
+    cfg = SimConfig(n=300, reps=1, estimators=("sde_four", "sde_agreement"))
+    real_build = sepfx.simulation.build_estimates
+
+    def refuse_agreement(combined, estimands, **kwargs):
+        if kwargs["population"] == "two-arm":
+            raise DegenerateEstimate("standard error is 0.0")
+        return real_build(combined, estimands, **kwargs)
+
+    monkeypatch.setattr(sepfx.simulation, "build_estimates", refuse_agreement)
+    out = sepfx.simulation._simulate_one(cfg, 0)
+    assert out == {"sde_agreement": None, **estimates_one_by_one(cfg, 0, ("sde_four",))}
+
+
+def test_no_agreeing_rows_fails_only_the_families_on_agreeing_rows():
+    """With every row's treatments disagreeing, the agreement and two-arm
+    families fail before any fit and the four-arm family still estimates
+    its mean."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    disagree = FourArmDataset(
+        y=ds.y, a_y=1 - ds.a_m, a_m=ds.a_m, m=ds.m, x=ds.x,
+        outcome_name="y", a_y_name="aY", a_m_name="aM",
+        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
+    )
+    config = EstimatorConfig(splits=1, keep_eif=False)
+    families = {
+        "four": [Estimand("mean", (0, 1))],
+        "agreement": [Estimand("sde", 1)],
+        "two": [Estimand("sde", 1)],
+    }
+    out = sepfx.simulation._estimate_families(disagree, families, config)
+    assert out == {
+        "agreement": None,
+        "four": estimate_effects_four(disagree, families["four"], config),
+        "two": None,
+    }
