@@ -213,6 +213,8 @@ def _run_simulate(args, parser) -> dict:
 def _run_estimate(args, parser) -> dict:
     schema = _schema_from_args(args)
     requests = _parse_estimands(args.estimand, parser)
+    if args.diagnostics and args.design != "four-arm":
+        parser.error("--diagnostics is available for --design four-arm only")
     config = _estimator_config(args, parser, diagnostics=args.diagnostics)
     if args.design == "four-arm":
         ds = load_four_arm(args.data, schema)

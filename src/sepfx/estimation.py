@@ -10,12 +10,15 @@ needs and how their scores contrast.  Each design scores cells in one
 loop: ``four_arm.split_scores_four``, which scores the four-arm and the
 agreement populations from the same bundle per fold, and
 ``two_arm.split_scores_two``; each draws its own fold assignment through
-``crossfit.cross_fit_split``.  ``run_battery`` is the
-one loop over splits: it serves the three estimators and the indirect
-falsification test, whose per-split value is a difference of two
-estimators.  ``build_estimates`` turns its output into
-:class:`EffectEstimate` values, refusing a standard error that is not
-positive.
+``crossfit.cross_fit_split``.  The nuisances are always the package's own
+fitted bundles: ``split_scores_four`` fits ``four_arm.fit_nuisance_theta``
+when it scores the agreement population and ``four_arm.fit_nuisance_four``
+otherwise, and ``split_scores_two`` fits ``two_arm.fit_nuisance_two``.
+``run_battery`` is the one loop over splits: it serves the three
+estimators and the indirect falsification test, whose per-split value is
+a difference of two estimators.  ``build_estimates`` turns its output
+into :class:`EffectEstimate` values, refusing a standard error that is
+not positive.
 """
 
 from __future__ import annotations
@@ -116,6 +119,9 @@ class EstimatorConfig:
     probability away from 0 and 1 before it is used in a denominator.
     ``strategy`` selects how two-arm outcome models handle the treatment
     (single model with interactions, stratified, or an ensemble of both).
+    ``diagnostics`` applies to the four-arm estimator only: it adds the
+    IPW and outcome-regression plug-in points to each four-arm estimate,
+    and the two-arm and agreement estimators ignore it.
 
     Raises
     ------

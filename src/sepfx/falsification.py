@@ -20,7 +20,8 @@ agreement population with the four-arm split scorer, which can score the
 four-arm population in the same pass, and both run through
 ``estimation.run_battery``: the test's value on a split is the agreement
 point minus the two-arm point, with the difference of the two influence
-vectors as its deviations.
+vectors as its deviations.  The agreement nuisances and their fitter,
+``fit_nuisance_theta``, live in :mod:`sepfx.four_arm`.
 """
 
 from __future__ import annotations
@@ -42,15 +43,13 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .four_arm import (
-    NuisanceFitFour,
+from .four_arm import (  # noqa: F401  (bench/layers.py traces fit_nuisance_theta here)
     agreement_contrasts,
     agreement_share,
-    fit_nuisance_four,
+    fit_nuisance_theta,
     four_arm_battery,
     split_scores_four,
 )
-from .learners import FittedPredictor, fit_classifier
 from .two_arm import split_scores_two
 
 
@@ -263,42 +262,6 @@ def direct_test_h0ii(
     )
 
 
-@dataclass
-class ThetaNuisance(NuisanceFitFour):
-    """Four-arm nuisances plus the agreement model of the agreement estimator.
-
-    ``agree_fit`` models the probability that the two treatments agree
-    given covariates.  When every training row agrees it is ``None`` and
-    the probability is the exact constant one (it only ever multiplies,
-    so no clipping is needed).
-    """
-
-    agree_fit: FittedPredictor | None = None
-
-    def agreement_probability(self, x: np.ndarray) -> np.ndarray:
-        if self.agree_fit is None:
-            return np.ones(x.shape[0])
-        return self.agree_fit.predict(x)
-
-
-def fit_nuisance_theta(
-    ds: FourArmDataset,
-    train_rows: np.ndarray,
-    config: EstimatorConfig,
-    required_cells,
-) -> ThetaNuisance:
-    """Fit the four-arm nuisances plus the treatment-agreement model."""
-    four = fit_nuisance_four(ds, train_rows, config, required_cells)
-    agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
-    if agree.min() == 1.0:
-        agree_fit = None
-    else:
-        agree_fit = fit_classifier(
-            ds.x[train_rows], agree, config.propensity, clip=config.clip
-        )
-    return ThetaNuisance(**vars(four), agree_fit=agree_fit)
-
-
 def estimate_agreement_effects(
     ds: FourArmDataset,
     requests: list,
@@ -318,9 +281,7 @@ def estimate_agreement_effects(
     """
     config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
-    combined = four_arm_battery(
-        ds, config, {"agreement": estimands}, fit_nuisance_theta
-    )
+    combined = four_arm_battery(ds, config, {"agreement": estimands})
     return build_estimates(
         combined["agreement"], estimands, n=ds.n, config=config,
         design="four-arm", population="two-arm",
@@ -359,11 +320,7 @@ def indirect_test_battery(
     cells = estimand_cells(estimands)
 
     def split_fn(split: int) -> dict:
-        scores = split_scores_four(
-            ds, split, config,
-            lambda data, train: fit_nuisance_theta(data, train, config, cells),
-            cells, agreement=True,
-        )
+        scores = split_scores_four(ds, split, config, cells, agreement=True)
         theta = agreement_contrasts(ds, scores["agreement"], estimands)
         two_scores = split_scores_two(ds2, split, config, cells)
         out = {}

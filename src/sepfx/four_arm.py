@@ -15,6 +15,11 @@ The direct effect fixes the mediator channel and contrasts the outcome
 channel; the indirect effect does the reverse.  Variance comes from the
 empirical second moment of the score contrasts around the point estimate,
 with the median rule combining repeated sample splits.
+
+The nuisances are always this module's fitted bundles: the split scorer
+fits :func:`fit_nuisance_theta`, which adds the treatment-agreement model,
+when it scores the agreement population, and :func:`fit_nuisance_four`
+otherwise, looking either up as a module global when it runs.
 """
 
 from __future__ import annotations
@@ -48,10 +53,10 @@ class NuisanceFitFour:
     model for membership in that cell, or ``None`` when the cell had no
     training rows and was not required (its probability is a structural
     zero).  Cell probabilities are normalized to sum to one across cells;
-    the ``propensities`` and ``propensity`` accessors additionally clip to
-    [clip, 1 - clip] before the value is used in a denominator.  Each call
-    predicts all four cell classifiers, so the score loop asks for every
-    cell's propensity at once, once per test block.
+    ``propensities`` additionally clips them to [clip, 1 - clip] before
+    they are used in a denominator.  Each call predicts all four cell
+    classifiers, so the score loop asks for every cell's propensity at
+    once, once per test block.
     """
 
     cell_classifiers: dict
@@ -68,9 +73,6 @@ class NuisanceFitFour:
     def propensities(self, x: np.ndarray) -> np.ndarray:
         """Clipped cell probabilities, one column per cell of ``CELLS``."""
         return np.clip(self.cell_probabilities(x), self.clip, 1.0 - self.clip)
-
-    def propensity(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
-        return self.propensities(x)[:, CELLS.index((a_y, a_m))]
 
     def outcome(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
         stacked = np.column_stack(
@@ -122,34 +124,66 @@ def fit_nuisance_four(
     )
 
 
+@dataclass
+class ThetaNuisance(NuisanceFitFour):
+    """Four-arm nuisances plus the agreement model of the agreement estimator.
+
+    ``agree_fit`` models the probability that the two treatments agree
+    given covariates.  When every training row agrees it is ``None`` and
+    the probability is the exact constant one (it only ever multiplies,
+    so no clipping is needed).
+    """
+
+    agree_fit: FittedPredictor | None = None
+
+    def agreement_probability(self, x: np.ndarray) -> np.ndarray:
+        if self.agree_fit is None:
+            return np.ones(x.shape[0])
+        return self.agree_fit.predict(x)
+
+
+def fit_nuisance_theta(
+    ds: FourArmDataset,
+    train_rows: np.ndarray,
+    config: EstimatorConfig,
+    required_cells,
+) -> ThetaNuisance:
+    """Fit the four-arm nuisances plus the treatment-agreement model."""
+    four = fit_nuisance_four(ds, train_rows, config, required_cells)
+    agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
+    if agree.min() == 1.0:
+        agree_fit = None
+    else:
+        agree_fit = fit_classifier(
+            ds.x[train_rows], agree, config.propensity, clip=config.clip
+        )
+    return ThetaNuisance(**vars(four), agree_fit=agree_fit)
+
+
 def eif(
     ds: FourArmDataset,
     a_y: int,
     a_m: int,
-    nuis,
-    rows: np.ndarray | None = None,
-    pi: np.ndarray | None = None,
+    nuis: NuisanceFitFour,
+    rows: np.ndarray,
+    pi: np.ndarray,
     agreement: tuple | None = None,
     terms: bool = False,
-):
-    """Per-row scores whose mean estimates E[Y^(a_y, a_m)].
+) -> tuple:
+    """Per-row scores on ``rows``, first those whose mean estimates
+    E[Y^(a_y, a_m)].
 
     Rows outside the (a_y, a_m) cell contribute only their predicted
     outcome; rows inside add the inverse-probability-weighted residual.
-    ``pi`` is the cell's propensity on ``rows`` when the caller already
-    has it.  With ``agreement``, the pair ``(s_hat, agree)`` of the
-    agreement probability and indicator on ``rows``, the agreement-
-    population score ``1{cell} * (Y - nu) * s_hat / pi + nu * agree``
-    follows, from the same residual term; with ``terms`` the two plug-in
-    estimators' scores (IPW outcome, outcome prediction) come last.
+    ``pi`` is the cell's clipped propensity on ``rows``, a column of
+    ``nuis.propensities``.  With ``agreement``, the pair ``(s_hat,
+    agree)`` of the agreement probability and indicator on ``rows``, the
+    agreement-population score ``1{cell} * (Y - nu) * s_hat / pi + nu *
+    agree`` follows, from the same residual term; with ``terms`` the two
+    plug-in estimators' scores (IPW outcome, outcome prediction) come last.
     """
-    if rows is None:
-        rows = np.arange(ds.n)
-    x = ds.x[rows]
+    nu = nuis.outcome(a_y, a_m, ds.x[rows])
     y = ds.y[rows]
-    nu = nuis.outcome(a_y, a_m, x)
-    if pi is None:
-        pi = nuis.propensity(a_y, a_m, x)
     inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
     residual = inside * (y - nu)
     scores = (residual / pi + nu,)
@@ -158,39 +192,32 @@ def eif(
         scores += (residual * s_hat / pi + nu * agree,)
     if terms:
         scores += (inside * y / pi, nu)
-    return scores if len(scores) > 1 else scores[0]
-
-
-def _cell_propensities(nuis, cells: tuple, x: np.ndarray) -> dict:
-    """Each cell's propensity on the rows ``x``.  A fitted bundle predicts
-    its four cell classifiers once for all cells; any other nuisance object
-    (a ``fitter`` may return one) is asked cell by cell."""
-    if not isinstance(nuis, NuisanceFitFour):
-        return {cell: nuis.propensity(*cell, x) for cell in cells}
-    probs = nuis.propensities(x)
-    return {cell: probs[:, CELLS.index(cell)] for cell in cells}
+    return scores
 
 
 def split_scores_four(
     ds: FourArmDataset,
     split: int,
     config: EstimatorConfig,
-    fitter,
     cells: tuple,
     agreement: bool = False,
     diagnostics: bool = False,
 ) -> dict:
     """Out-of-fold scores of each cell on split ``split``'s fold assignment.
 
-    ``fitter`` receives ``(dataset, train_rows)``; the folds are drawn, and
-    redrawn on a degenerate fold, by :func:`~sepfx.crossfit.cross_fit_split`.
-    Returns dicts keyed by cell of the :func:`eif` scores: ``"four"``;
-    with ``agreement`` (the fits then provide ``agreement_probability``)
-    ``"agreement"``; with ``diagnostics`` ``"ipw"`` and
+    Each fold fits one bundle requiring ``cells``: with
+    :func:`fit_nuisance_theta` when ``agreement`` is set, else with
+    :func:`fit_nuisance_four`.  The folds are drawn, and redrawn on a
+    degenerate fold, by :func:`~sepfx.crossfit.cross_fit_split`.  Returns
+    dicts keyed by cell of the :func:`eif` scores: ``"four"``; with
+    ``agreement`` ``"agreement"``; with ``diagnostics`` ``"ipw"`` and
     ``"outcome_regression"``.  Within a fold every model is predicted once
     on the test block.
     """
-    folds, fits = cross_fit_split(ds, config, split, fitter)
+    fit = fit_nuisance_theta if agreement else fit_nuisance_four
+    folds, fits = cross_fit_split(
+        ds, config, split, lambda data, train: fit(data, train, config, cells)
+    )
     names = ("four",) + ("agreement",) * agreement
     names += ("ipw", "outcome_regression") * diagnostics
     scores = {name: {cell: np.empty(ds.n) for cell in cells} for name in names}
@@ -199,12 +226,11 @@ def split_scores_four(
         test = folds.test_rows(fold)
         nuis = fits[fold]
         x = ds.x[test]
-        pis = _cell_propensities(nuis, cells, x)
+        probs = nuis.propensities(x)
         pair = (nuis.agreement_probability(x), agree[test]) if agreement else None
         for cell in cells:
-            values = eif(ds, *cell, nuis, test, pis[cell], pair, diagnostics)
-            if len(names) == 1:
-                values = (values,)
+            pi = probs[:, CELLS.index(cell)]
+            values = eif(ds, *cell, nuis, test, pi, pair, diagnostics)
             for name, value in zip(names, values):
                 scores[name][cell][test] = value
     return scores
@@ -235,22 +261,21 @@ def agreement_contrasts(ds: FourArmDataset, scores: dict, estimands) -> dict:
 
 
 def four_arm_battery(
-    ds: FourArmDataset, config: EstimatorConfig, families: dict, fit=None
+    ds: FourArmDataset, config: EstimatorConfig, families: dict
 ) -> dict:
     """``run_battery`` output ``{family: {estimand: CombinedResult}}`` for
     the estimands of ``"four"`` (the four-arm population) and
     ``"agreement"`` (the rows whose treatments agree) in ``families``.
 
-    Each split fits one bundle per fold with ``fit(ds, train_rows, config,
-    required_cells)`` (:func:`fit_nuisance_four` by default) and scores
-    both families from it, so no bundle outlives its split.  The bundles
-    require the union of the families' cells, so a fold lacking a cell that
-    only one family needs is redrawn for both.  A bad estimand, or
+    Each split fits one bundle per fold (a :class:`ThetaNuisance` when the
+    agreement family is asked for) and scores both families from it, so no
+    bundle outlives its split.  The bundles require the union of the
+    families' cells, so a fold lacking a cell that only one family needs is
+    redrawn for both.  A bad estimand, or
     :class:`EmptySubset` for an agreement family without agreeing rows, is
     raised before any fit.
     """
     cells = estimand_cells([est for ests in families.values() for est in ests])
-    fit = fit or fit_nuisance_four
     four = families.get("four", ())
     agreement = families.get("agreement", ())
     pr_agree = agreement_share(ds) if agreement else None
@@ -258,8 +283,7 @@ def four_arm_battery(
 
     def split_fn(split: int) -> dict:
         scores = split_scores_four(
-            ds, split, config, lambda data, train: fit(data, train, config, cells),
-            cells, bool(agreement), diagnostics,
+            ds, split, config, cells, bool(agreement), diagnostics
         )
         out = {}
         for est in four:
@@ -287,20 +311,16 @@ def estimate_effects_four(
     ds: FourArmDataset,
     requests: list,
     config: EstimatorConfig | None = None,
-    fitter=None,
 ) -> list[EffectEstimate]:
     """Estimate several four-arm estimands from shared nuisance fits.
 
     ``requests`` is a list of ``("sde", a_m)``, ``("sie", a_y)``, or
     ``("mean", (a_y, a_m))`` tuples.  All requests within a split reuse the
-    same cross-fit nuisances.  ``fitter`` overrides the default nuisance
-    fitting; it receives ``(dataset, train_rows)`` and must return an
-    object with ``propensity`` and ``outcome`` accessors.
+    same cross-fit nuisances.
     """
     config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
-    fit = None if fitter is None else (lambda data, train, *_: fitter(data, train))
-    combined = four_arm_battery(ds, config, {"four": estimands}, fit)
+    combined = four_arm_battery(ds, config, {"four": estimands})
     return build_estimates(
         combined["four"], estimands, n=ds.n, config=config,
         design="four-arm", population="four-arm",

@@ -55,7 +55,6 @@ from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
     direct_test_h0i,
     direct_test_h0ii,
-    fit_nuisance_theta,
     indirect_test_battery,
 )
 from .four_arm import four_arm_battery
@@ -330,10 +329,10 @@ def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
     ``None`` for a family that failed with an estimation error.
 
     The four-arm and agreement families share one pass per split, over
-    ``fit_nuisance_theta`` bundles if the agreement family is asked for,
-    so a failure of that pass fails both.  No agreeing rows fails only the
-    agreement and two-arm families, and a standard error that is not
-    positive only its own family.
+    ``four_arm.fit_nuisance_theta`` bundles if the agreement family is
+    asked for, so a failure of that pass fails both.  No agreeing rows
+    fails only the agreement and two-arm families, and a standard error
+    that is not positive only its own family.
     """
     results = {}
     shared = {f: families[f] for f in ("four", "agreement") if f in families}
@@ -341,8 +340,7 @@ def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
         del shared["agreement"]
         results["agreement"] = None
     if shared:
-        fit = fit_nuisance_theta if "agreement" in shared else None
-        combined = _attempt(lambda: four_arm_battery(ds, config, shared, fit))
+        combined = _attempt(lambda: four_arm_battery(ds, config, shared))
         for family, estimands in shared.items():
             population = ESTIMATOR_FAMILIES[family][1]
             results[family] = None if combined is None else _attempt(

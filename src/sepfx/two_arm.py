@@ -26,6 +26,7 @@ averages the two scores row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -60,28 +61,11 @@ class NuisanceFitTwo:
     mu_fits: dict
     lam_fits: dict
 
-    def rho(self, level: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        p1 = self.treat_given_mx.predict(np.column_stack([m, x]))
-        return p1 if level == 1 else 1.0 - p1
-
-    def omega(self, level: int, x: np.ndarray) -> np.ndarray:
-        p1 = self.treat_given_x.predict(x)
-        return p1 if level == 1 else 1.0 - p1
-
     def mu(self, level: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
         return self.mu_fits[level].predict(np.column_stack([m, x]))
 
     def lam(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
         return self.lam_fits[(a_y, a_m)].predict(x)
-
-
-@dataclass
-class EnsembleNuisanceTwo:
-    """Both outcome-model strategies, kept so scores can be averaged.  The
-    two share one pair of treatment-probability fits."""
-
-    single: NuisanceFitTwo
-    stratified: NuisanceFitTwo
 
 
 @dataclass
@@ -154,20 +138,20 @@ def fit_nuisance_two(
     ds: TwoArmDataset,
     train_rows: np.ndarray,
     config: EstimatorConfig,
-    strategy: str | None = None,
-):
+) -> tuple:
     """Fit all two-arm nuisances on the given training rows.
 
-    The nested projection is fit on the same rows as the outcome model (no
-    further splitting).  With the ensemble strategy both bundles are
-    returned, sharing the treatment-probability fits.
+    Returns a tuple of :class:`NuisanceFitTwo` bundles, one per outcome-
+    model strategy: the one ``config.strategy`` names, or for the ensemble
+    the "S" bundle then the "T" bundle, sharing the treatment-probability
+    fits.  The nested projection is fit on the same rows as the outcome
+    model (no further splitting).
 
     Raises
     ------
     MissingCell
         If the training rows contain only one treatment level.
     """
-    strategy = strategy or config.strategy
     a = ds.a[train_rows].astype(np.float64)
     if np.ptp(a) == 0.0:
         raise MissingCell("training rows contain a single treatment level")
@@ -176,33 +160,12 @@ def fit_nuisance_two(
     treat_given_x = fit_classifier(
         ds.x[train_rows], a, config.propensity, clip=config.clip
     )
-    if strategy == "ensemble":
-        return EnsembleNuisanceTwo(
-            single=_fit_single_strategy(
-                ds, train_rows, config, treat_given_mx, treat_given_x, "S"
-            ),
-            stratified=_fit_single_strategy(
-                ds, train_rows, config, treat_given_mx, treat_given_x, "T"
-            ),
-        )
-    return _fit_single_strategy(
-        ds, train_rows, config, treat_given_mx, treat_given_x, strategy
+    fit = partial(
+        _fit_single_strategy, ds, train_rows, config, treat_given_mx, treat_given_x
     )
-
-
-def _treatment_probabilities(nuis, m: np.ndarray, x: np.ndarray) -> tuple:
-    """``(rho, omega)`` on one block of rows, each a dict from treatment level
-    to P(A = level | M, X) and P(A = level | X).  A fitted bundle predicts
-    each treatment model once and takes level 0 by the complement rule; any
-    other nuisance object (a ``fitter`` may return one) is asked level by
-    level."""
-    if isinstance(nuis, NuisanceFitTwo):
-        p_mx = nuis.treat_given_mx.predict(np.column_stack([m, x]))
-        p_x = nuis.treat_given_x.predict(x)
-        return {1: p_mx, 0: 1.0 - p_mx}, {1: p_x, 0: 1.0 - p_x}
-    rho = {level: nuis.rho(level, m, x) for level in (0, 1)}
-    omega = {level: nuis.omega(level, x) for level in (0, 1)}
-    return rho, omega
+    if config.strategy == "ensemble":
+        return fit("S"), fit("T")
+    return (fit(config.strategy),)
 
 
 def _pair_scores(nuis, pairs, a, y, m, x, rho: dict, omega: dict) -> dict:
@@ -219,37 +182,28 @@ def _pair_scores(nuis, pairs, a, y, m, x, rho: dict, omega: dict) -> dict:
     return out
 
 
-def _block_scores(ds: TwoArmDataset, nuis, pairs, rows: np.ndarray) -> dict:
-    """Each pair's scores on ``rows`` from one bundle.  An ensemble averages
-    its two strategies' scores row by row; they share the treatment fits,
-    so the treatment probabilities are predicted once for both."""
+def eif(ds: TwoArmDataset, bundles: tuple, pairs, rows: np.ndarray) -> dict:
+    """Per-row scores on ``rows`` of each (a_y, a_m) pair in ``pairs``,
+    ``{pair: scores}``, whose mean estimates E[Y^(a_y, a_m)].
+
+    ``bundles`` comes from :func:`fit_nuisance_two`.  Each treatment model
+    predicts once, and level 0 follows by the complement rule.  The
+    ensemble's two bundles share the treatment fits, so these
+    probabilities serve both, and their scores are averaged row by row
+    with equal weight.
+    """
     m = ds.m[rows]
     x = ds.x[rows]
     y = ds.y[rows]
     a = ds.a[rows]
-    if isinstance(nuis, EnsembleNuisanceTwo):
-        treat = _treatment_probabilities(nuis.single, m, x)
-        single = _pair_scores(nuis.single, pairs, a, y, m, x, *treat)
-        stratified = _pair_scores(nuis.stratified, pairs, a, y, m, x, *treat)
-        return {pair: 0.5 * (single[pair] + stratified[pair]) for pair in pairs}
-    return _pair_scores(nuis, pairs, a, y, m, x, *_treatment_probabilities(nuis, m, x))
-
-
-def eif(
-    ds: TwoArmDataset,
-    a_y: int,
-    a_m: int,
-    nuis,
-    rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-row scores whose mean estimates E[Y^(a_y, a_m)].
-
-    For an ensemble bundle the scores of the two strategies are averaged
-    row by row with equal weight.
-    """
-    if rows is None:
-        rows = np.arange(ds.n)
-    return _block_scores(ds, nuis, ((a_y, a_m),), rows)[(a_y, a_m)]
+    p_mx = bundles[0].treat_given_mx.predict(np.column_stack([m, x]))
+    p_x = bundles[0].treat_given_x.predict(x)
+    rho = {1: p_mx, 0: 1.0 - p_mx}
+    omega = {1: p_x, 0: 1.0 - p_x}
+    scores = [_pair_scores(b, pairs, a, y, m, x, rho, omega) for b in bundles]
+    if len(scores) == 1:
+        return scores[0]
+    return {pair: 0.5 * (scores[0][pair] + scores[1][pair]) for pair in pairs}
 
 
 def split_scores_two(
@@ -257,20 +211,19 @@ def split_scores_two(
     split: int,
     config: EstimatorConfig,
     pairs: tuple,
-    fitter=None,
 ) -> dict:
     """Out-of-fold score vectors for each requested (a_y, a_m) pair on
     split ``split``'s fold assignment (see
-    :func:`~sepfx.crossfit.cross_fit_split`).  Within a fold each model is
+    :func:`~sepfx.crossfit.cross_fit_split`), from one
+    :func:`fit_nuisance_two` fit per fold.  Within a fold each model is
     predicted once on the test block, whatever the number of pairs."""
-    nuisance_fitter = fitter or (
-        lambda data, train: fit_nuisance_two(data, train, config)
+    folds, fits = cross_fit_split(
+        ds, config, split, lambda data, train: fit_nuisance_two(data, train, config)
     )
-    folds, fits = cross_fit_split(ds, config, split, nuisance_fitter)
     scores = {pair: np.empty(ds.n) for pair in pairs}
     for fold in range(folds.k):
         test = folds.test_rows(fold)
-        for pair, block in _block_scores(ds, fits[fold], pairs, test).items():
+        for pair, block in eif(ds, fits[fold], pairs, test).items():
             scores[pair][test] = block
     return scores
 
@@ -279,7 +232,6 @@ def estimate_effects_two(
     ds: TwoArmDataset,
     requests: list,
     config: EstimatorConfig | None = None,
-    fitter=None,
 ) -> list[EffectEstimate]:
     """Estimate several two-arm estimands from shared nuisance fits.
 
@@ -298,7 +250,7 @@ def estimate_effects_two(
     pairs = estimand_cells(estimands)
 
     def split_fn(split: int) -> dict:
-        scores = split_scores_two(ds, split, config, pairs, fitter)
+        scores = split_scores_two(ds, split, config, pairs)
         return {est: centred(est.contrast(scores)) for est in estimands}
 
     combined = run_battery(config, split_fn)

@@ -1,8 +1,13 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
+from sepfx.four_arm import CELLS, NuisanceFitFour
+from sepfx.learners import ConstantPredictor
 from sepfx.simulation import SimConfig, generate_dataset
+from sepfx.two_arm import NuisanceFitTwo
 
 
 def make_four_arm(n=40, seed=0, n_mediators=2, n_covariates=3):
@@ -39,17 +44,88 @@ def make_two_arm(n=40, seed=0, n_mediators=2, n_covariates=3):
     )
 
 
-def collapsed_two_arm_score(ds, level, nuis):
+def collapsed_two_arm_score(ds, level, bundles):
     """The two-arm score at a_y = a_m = level in closed form,
     1{A=level} / omega(level, X) * (Y - lam) + lam, averaged over the two
-    strategies for an ensemble bundle."""
-    if hasattr(nuis, "single"):
-        return 0.5 * (
-            collapsed_two_arm_score(ds, level, nuis.single)
-            + collapsed_two_arm_score(ds, level, nuis.stratified)
-        )
-    lam = nuis.lam(level, level, ds.x)
-    return (ds.a == level) / nuis.omega(level, ds.x) * (ds.y - lam) + lam
+    strategies' bundles of an ensemble."""
+    scores = []
+    for bundle in bundles:
+        p1 = bundle.treat_given_x.predict(ds.x)
+        omega = p1 if level == 1 else 1.0 - p1
+        lam = bundle.lam(level, level, ds.x)
+        scores.append((ds.a == level) / omega * (ds.y - lam) + lam)
+    return scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])
+
+
+@dataclass
+class PatternLookup:
+    """A fitted predictor that looks each row up in ``table`` by the
+    pattern of its last ``width`` features.  Only valid for discrete
+    covariates; the saturated bundles below are built from it."""
+
+    table: dict
+    width: int
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return np.array([self.table[tuple(row[-self.width:].tolist())] for row in features])
+
+
+def _patterns(x):
+    """Row indices of each distinct covariate pattern."""
+    groups = {}
+    for i, row in enumerate(x):
+        groups.setdefault(tuple(row.tolist()), []).append(i)
+    return {pattern: np.asarray(rows) for pattern, rows in groups.items()}
+
+
+def saturated_four(ds):
+    """A four-arm bundle of exact empirical cell frequencies and cell means
+    per covariate pattern.
+
+    Fitting on the full sample makes the augmentation terms cancel exactly,
+    so the weighted estimator, the plug-in, and the doubly robust score all
+    agree.  The frequencies of each pattern sum to one, so the bundle's
+    normalization leaves them as they are.
+    """
+    pi = {cell: {} for cell in CELLS}
+    nu = {}
+    for pattern, rows in _patterns(ds.x).items():
+        for cell in CELLS:
+            inside = rows[(ds.a_y[rows] == cell[0]) & (ds.a_m[rows] == cell[1])]
+            pi[cell][pattern] = inside.size / rows.size
+            nu[cell + pattern] = float(ds.y[inside].mean()) if inside.size else 0.0
+    width = ds.x.shape[1]
+    return NuisanceFitFour(
+        cell_classifiers={cell: PatternLookup(pi[cell], width) for cell in CELLS},
+        outcome_fit=PatternLookup(nu, width + 2),
+        clip=0.01,
+    )
+
+
+def saturated_two(ds):
+    """Two-arm bundles, as :func:`sepfx.two_arm.fit_nuisance_two` returns
+    them, of one strategy: per-pattern arm frequencies and arm means.
+
+    The outcome model ignores the mediators, so it equals its own nested
+    projection; the treatment model given mediators is flat, so the density
+    ratio is one.
+    """
+    p1 = {}
+    means = {0: {}, 1: {}}
+    for pattern, rows in _patterns(ds.x).items():
+        p1[pattern] = float(np.mean(ds.a[rows] == 1))
+        for level in (0, 1):
+            inside = rows[ds.a[rows] == level]
+            means[level][pattern] = float(ds.y[inside].mean()) if inside.size else 0.0
+    width = ds.x.shape[1]
+    mu = {level: PatternLookup(means[level], width) for level in (0, 1)}
+    bundle = NuisanceFitTwo(
+        treat_given_mx=ConstantPredictor(0.5),
+        treat_given_x=PatternLookup(p1, width),
+        mu_fits=mu,
+        lam_fits={(a_y, a_m): mu[a_y] for a_y in (0, 1) for a_m in (0, 1)},
+    )
+    return (bundle,)
 
 
 @pytest.fixture(scope="session")

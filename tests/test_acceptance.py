@@ -18,6 +18,8 @@ import pytest
 from scipy.special import expit
 from scipy.stats import binom
 
+import sepfx.four_arm
+import sepfx.two_arm
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.estimation import EstimatorConfig
 from sepfx.falsification import estimate_agreement_effects
@@ -32,7 +34,7 @@ from sepfx.simulation import (
 )
 from sepfx.two_arm import eif as psi_score, estimate_effects_two, fit_nuisance_two
 
-from conftest import collapsed_two_arm_score
+from conftest import collapsed_two_arm_score, saturated_four, saturated_two
 
 THRESHOLDS = json.loads(
     (Path(__file__).parent / "data" / "falsification_thresholds.json").read_text()
@@ -133,92 +135,43 @@ def test_criterion_4_exact_truth_values():
     )
 
 
-class SaturatedFour:
-    """Empirical per-pattern frequencies and means over discrete covariates."""
-
-    def __init__(self, ds):
-        groups = {}
-        for i, row in enumerate(ds.x):
-            groups.setdefault(tuple(row.tolist()), []).append(i)
-        self.nu, self.pi = {}, {}
-        for pattern, rows in groups.items():
-            rows = np.asarray(rows)
-            for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                inside = rows[(ds.a_y[rows] == cell[0]) & (ds.a_m[rows] == cell[1])]
-                self.pi[pattern, cell] = inside.size / rows.size
-                self.nu[pattern, cell] = float(ds.y[inside].mean()) if inside.size else 0.0
-
-    def outcome(self, a_y, a_m, x):
-        return np.array([self.nu[tuple(r.tolist()), (a_y, a_m)] for r in x])
-
-    def propensity(self, a_y, a_m, x):
-        return np.array([self.pi[tuple(r.tolist()), (a_y, a_m)] for r in x])
-
-
-class SaturatedTwo:
-    """Two-arm analogue: per-pattern arm frequencies and arm means."""
-
-    strategy = "S"
-
-    def __init__(self, ds):
-        groups = {}
-        for i, row in enumerate(ds.x):
-            groups.setdefault(tuple(row.tolist()), []).append(i)
-        self._omega, self._lam = {}, {}
-        for pattern, rows in groups.items():
-            rows = np.asarray(rows)
-            for level in (0, 1):
-                inside = rows[ds.a[rows] == level]
-                self._omega[pattern, level] = inside.size / rows.size
-                self._lam[pattern, level] = float(ds.y[inside].mean()) if inside.size else 0.0
-
-    def omega(self, level, x):
-        return np.array([self._omega[tuple(r.tolist()), level] for r in x])
-
-    def rho(self, level, m, x):
-        return np.ones(m.shape[0])
-
-    def mu(self, level, m, x):
-        return np.array([self._lam[tuple(r.tolist()), level] for r in x])
-
-    def lam(self, a_y, a_m, x):
-        return np.array([self._lam[tuple(r.tolist()), a_y] for r in x])
-
-
-def test_criterion_5_algebraic_identities():
+def test_criterion_5_algebraic_identities(monkeypatch):
     ds4 = generate_dataset(SimConfig(n=1500, a_y_model=1, reps=1, master_seed=21), 0)
     ds2 = restrict_to_two_arm(ds4)
 
     # (a) matching levels collapse the general two-arm score exactly
-    config = EstimatorConfig(seed=3)
     worst = 0.0
     for strategy in ("S", "T", "ensemble"):
-        nuis = fit_nuisance_two(ds2, np.arange(ds2.n), config, strategy=strategy)
+        config = EstimatorConfig(seed=3, strategy=strategy)
+        nuis = fit_nuisance_two(ds2, np.arange(ds2.n), config)
         for level in (0, 1):
+            pair = (level, level)
             gap = np.max(np.abs(
-                psi_score(ds2, level, level, nuis) - collapsed_two_arm_score(ds2, level, nuis)
+                psi_score(ds2, nuis, (pair,), np.arange(ds2.n))[pair]
+                - collapsed_two_arm_score(ds2, level, nuis)
             ))
             worst = max(worst, gap)
     assert worst < 1e-12
 
     # (b) saturated nuisances collapse the four-arm estimator onto the plug-in
-    sat4 = SaturatedFour(ds4)
+    sat4 = saturated_four(ds4)
+    monkeypatch.setattr(sepfx.four_arm, "fit_nuisance_four", lambda *args: sat4)
     diag_config = EstimatorConfig(k_folds=2, splits=3, diagnostics=True)
     for est in estimate_effects_four(
         ds4, [("sde", 1), ("sie", 1), ("mean", (1, 1))], diag_config,
-        fitter=lambda data, train: sat4,
     ):
         assert abs(est.point - est.diagnostics["ipw"]) < 1e-10
         assert abs(est.point - est.diagnostics["outcome_regression"]) < 1e-10
+    monkeypatch.undo()
 
     # (c) same collapse for the two-arm estimator on the diagonal
-    sat2 = SaturatedTwo(ds2)
+    sat2 = saturated_two(ds2)
+    monkeypatch.setattr(sepfx.two_arm, "fit_nuisance_two", lambda *args: sat2)
     for level in (0, 1):
         est = estimate_effects_two(
             ds2, [("mean", (level, level))], EstimatorConfig(k_folds=2, splits=3),
-            fitter=lambda data, train: sat2,
         )[0]
-        plug_in = np.mean(sat2.lam(level, level, ds2.x))
+        plug_in = np.mean(sat2[0].lam(level, level, ds2.x))
         assert abs(est.point - plug_in) < 1e-10
 
     # (d) when every row agrees, the agreement-weighted estimator is the

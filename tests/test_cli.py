@@ -158,6 +158,18 @@ def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
     assert message in captured.err
 
 
+def test_two_arm_diagnostics_exit_two(capsys, two_arm_csv):
+    """The two-arm estimator has no diagnostics, so asking for them is a
+    usage error rather than a silently missing key."""
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--data", two_arm_csv, "--design", "two-arm",
+              "--col-a", "aY", "--diagnostics"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--diagnostics is available for --design four-arm only" in captured.err
+
+
 def test_data_error_exits_one(capsys, four_arm_csv, tmp_path):
     assert main(["estimate", "--data", "/no/such/file.csv",
                  "--design", "four-arm"]) == 1

@@ -88,7 +88,7 @@ def test_out_of_range_levels_fail_before_any_fit(case, monkeypatch):
     for module, name in (
         (four_arm, "fit_nuisance_four"),
         (two_arm, "fit_nuisance_two"),
-        (falsification, "fit_nuisance_theta"),
+        (four_arm, "fit_nuisance_theta"),
         (falsification, "fit_ols"),
     ):
         monkeypatch.setattr(module, name, no_fit)
@@ -255,7 +255,7 @@ def test_indirect_battery_sides_count_their_own_fold_redraws(monkeypatch):
         draws.append((n, seed))
         return real_make_folds(n, k, seed)
 
-    real_fit = falsification.fit_nuisance_theta
+    real_fit = four_arm.fit_nuisance_theta
     failed = []
 
     def fit_failing_once(*args):
@@ -265,7 +265,7 @@ def test_indirect_battery_sides_count_their_own_fold_redraws(monkeypatch):
         return real_fit(*args)
 
     monkeypatch.setattr(crossfit, "make_folds", recording_make_folds)
-    monkeypatch.setattr(falsification, "fit_nuisance_theta", fit_failing_once)
+    monkeypatch.setattr(four_arm, "fit_nuisance_theta", fit_failing_once)
     indirect_test_battery(ds, EstimatorConfig(splits=1, seed=3))
     seed = [derive_seed(3, "folds", 0, attempt) for attempt in (0, 1)]
     n_two = restrict_to_two_arm(ds).n

@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
+import sepfx.four_arm
 from sepfx.data import FourArmDataset
 from sepfx.errors import DegenerateFold
 from sepfx.estimation import EstimatorConfig
-from sepfx.four_arm import eif, estimate_effects_four, fit_nuisance_four
-from sepfx.learners import GlmPredictor, LearnerSpec
+from sepfx.four_arm import (
+    CELLS,
+    NuisanceFitFour,
+    eif,
+    estimate_effects_four,
+    fit_nuisance_four,
+)
+from sepfx.learners import ConstantPredictor, GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, arm_probability, generate_dataset, true_effects
 
-from conftest import make_four_arm
+from conftest import make_four_arm, saturated_four
 
 
 def one_row(y, a_y, a_m):
@@ -20,88 +27,64 @@ def one_row(y, a_y, a_m):
     )
 
 
-class FlatNuisance:
-    """Constant outcome and propensity, for score arithmetic checks."""
-
-    def __init__(self, nu, pi):
-        self._nu = nu
-        self._pi = pi
-
-    def outcome(self, a_y, a_m, x):
-        return np.full(len(x), self._nu)
-
-    def propensity(self, a_y, a_m, x):
-        return np.full(len(x), self._pi)
+def flat_nuisance(nu, pi):
+    """Constant outcome and cell probabilities, for score arithmetic checks."""
+    return NuisanceFitFour(
+        cell_classifiers={cell: ConstantPredictor(pi) for cell in CELLS},
+        outcome_fit=ConstantPredictor(nu),
+        clip=0.01,
+    )
 
 
-class SaturatedNuisance:
-    """Exact empirical frequencies and means per covariate pattern.
-
-    Only valid for discrete covariates.  Fitting on the full sample makes
-    the augmentation terms cancel exactly, so the weighted estimator, the
-    plug-in, and the doubly robust score all agree.
-    """
-
-    def __init__(self, ds):
-        groups = {}
-        for i, row in enumerate(ds.x):
-            groups.setdefault(tuple(row.tolist()), []).append(i)
-        self._nu = {}
-        self._pi = {}
-        for pattern, rows in groups.items():
-            rows = np.asarray(rows)
-            for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
-                inside = rows[(ds.a_y[rows] == cell[0]) & (ds.a_m[rows] == cell[1])]
-                self._pi[pattern, cell] = inside.size / rows.size
-                self._nu[pattern, cell] = float(ds.y[inside].mean()) if inside.size else 0.0
-
-    def _lookup(self, table, cell, x):
-        return np.array([table[tuple(row.tolist()), cell] for row in x])
-
-    def outcome(self, a_y, a_m, x):
-        return self._lookup(self._nu, (a_y, a_m), x)
-
-    def propensity(self, a_y, a_m, x):
-        return self._lookup(self._pi, (a_y, a_m), x)
+def full_sample_eif(ds, cell, nuis):
+    """The :func:`eif` scores of ``cell`` on every row of ``ds``."""
+    pi = nuis.propensities(ds.x)[:, CELLS.index(cell)]
+    return eif(ds, *cell, nuis, np.arange(ds.n), pi)[0]
 
 
 def test_score_inside_cell():
-    value = eif(one_row(2.0, 1, 1), 1, 1, FlatNuisance(nu=1.5, pi=0.25))
+    value = full_sample_eif(one_row(2.0, 1, 1), (1, 1), flat_nuisance(nu=1.5, pi=0.25))
     np.testing.assert_array_equal(value, [3.5])
 
 
 def test_score_outside_cell_is_model_prediction():
-    value = eif(one_row(2.0, 0, 1), 1, 1, FlatNuisance(nu=1.5, pi=0.25))
+    value = full_sample_eif(one_row(2.0, 0, 1), (1, 1), flat_nuisance(nu=1.5, pi=0.25))
     np.testing.assert_array_equal(value, [1.5])
 
 
 def test_score_vanishing_residual():
-    value = eif(one_row(1.5, 1, 1), 1, 1, FlatNuisance(nu=1.5, pi=0.25))
+    value = full_sample_eif(one_row(1.5, 1, 1), (1, 1), flat_nuisance(nu=1.5, pi=0.25))
     np.testing.assert_array_equal(value, [1.5])
 
 
 @pytest.fixture(scope="module")
 def saturated_setup():
     ds = generate_dataset(SimConfig(n=900, a_y_model=1, reps=1, master_seed=33), 0)
-    sat = SaturatedNuisance(ds)
-    return ds, (lambda data, train: sat)
+    return ds, saturated_four(ds)
 
 
-def test_saturated_nuisance_collapses_the_three_estimators(saturated_setup):
-    ds, fitter = saturated_setup
+@pytest.fixture
+def saturated_ds(saturated_setup, monkeypatch):
+    """The saturated draw, with every four-arm fit returning its saturated
+    bundle whatever the training rows."""
+    ds, sat = saturated_setup
+    monkeypatch.setattr(sepfx.four_arm, "fit_nuisance_four", lambda *args: sat)
+    return ds
+
+
+def test_saturated_nuisance_collapses_the_three_estimators(saturated_ds):
+    ds = saturated_ds
     config = EstimatorConfig(k_folds=2, splits=3, diagnostics=True)
     requests = [("sde", 1), ("sie", 1), ("mean", (1, 1))]
-    for est in estimate_effects_four(ds, requests, config, fitter=fitter):
+    for est in estimate_effects_four(ds, requests, config):
         assert abs(est.point - est.diagnostics["ipw"]) < 1e-10
         assert abs(est.point - est.diagnostics["outcome_regression"]) < 1e-10
 
 
-def test_saturated_nuisance_is_fold_invariant(saturated_setup):
-    ds, fitter = saturated_setup
+def test_saturated_nuisance_is_fold_invariant(saturated_ds):
+    ds = saturated_ds
     points = [
-        estimate_effects_four(
-            ds, [("sde", 1)], EstimatorConfig(k_folds=k, splits=3), fitter=fitter
-        )[0].point
+        estimate_effects_four(ds, [("sde", 1)], EstimatorConfig(k_folds=k, splits=3))[0].point
         for k in (2, 3, 5)
     ]
     assert max(points) - min(points) < 1e-12
@@ -123,7 +106,7 @@ def test_propensity_estimates_are_accurate(sim_four_arm_big):
     nuis = fit_nuisance_four(ds, np.arange(ds.n), config)
     # model 2 assigns the outcome arm by a fair coin
     true_pi = 0.5 * arm_probability(ds.x)
-    fitted = nuis.propensity(1, 1, ds.x)
+    fitted = nuis.propensities(ds.x)[:, CELLS.index((1, 1))]
     assert np.mean(np.abs(fitted - true_pi)) < 0.05
     # cell probabilities form a simplex before clipping
     probs = nuis.cell_probabilities(ds.x)

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -394,10 +395,7 @@ def test_strategies_recover_additive_effect():
     ds = _strategy_data(x, a, y)
     config = EstimatorConfig(outcome=LearnerSpec(kind="glm", basis="interactions"))
     for strategy in ("S", "T", "ensemble"):
-        nuis = fit_nuisance_two(ds, np.arange(n), config, strategy)
-        bundles = (
-            (nuis.single, nuis.stratified) if strategy == "ensemble" else (nuis,)
-        )
+        bundles = fit_nuisance_two(ds, np.arange(n), replace(config, strategy=strategy))
         for bundle in bundles:
             effect = np.mean(bundle.mu(1, ds.m, ds.x) - bundle.mu(0, ds.m, ds.x))
             assert abs(effect - 1.0) < 0.05, strategy
@@ -409,7 +407,7 @@ def test_strategy_requires_both_arms():
     y = x[:, 0] + rng.normal(scale=0.1, size=60)
     ds = _strategy_data(x, np.ones(60), y)
     with pytest.raises(MissingCell):
-        fit_nuisance_two(ds, np.arange(60), EstimatorConfig(), "T")
+        fit_nuisance_two(ds, np.arange(60), EstimatorConfig(strategy="T"))
 
 
 def test_make_spec():

@@ -1,5 +1,9 @@
 """The public surface of ``sepfx``, pinned so that any change to it shows
-up as a reviewed diff of this list."""
+up as a reviewed diff of these lists: the public names, the parameters of
+each public function, and the fields of each configuration record."""
+
+import dataclasses
+import inspect
 
 import sepfx
 
@@ -56,3 +60,64 @@ def test_public_names_are_pinned_and_resolve():
     assert len(set(sepfx.__all__)) == len(sepfx.__all__)
     for name in PUBLIC_NAMES:
         assert getattr(sepfx, name) is not None, name
+
+
+PUBLIC_PARAMETERS = {
+    "direct_test_h0i": ["ds", "mediator_index", "robust", "basis", "alpha"],
+    "direct_test_h0ii": ["ds", "robust", "basis", "alpha"],
+    "estimate_agreement_effects": ["ds", "requests", "config"],
+    "estimate_effects_four": ["ds", "requests", "config"],
+    "estimate_effects_two": ["ds", "requests", "config"],
+    "generate_dataset": ["cfg", "rep"],
+    "indirect_test_battery": ["ds", "config", "requests"],
+    "load_four_arm": ["source", "schema"],
+    "load_two_arm": ["source", "schema"],
+    "make_spec": ["name", "seed"],
+    "restrict_to_two_arm": ["ds"],
+    "run_falsification_study": ["cfg"],
+    "run_monte_carlo": ["cfg"],
+    "save_four_arm": ["ds", "target"],
+    "save_two_arm": ["ds", "target"],
+    "true_effects": ["cfg"],
+}
+
+CONFIG_FIELDS = {
+    "EstimatorConfig": [
+        "outcome", "propensity", "k_folds", "splits", "alpha", "clip", "seed",
+        "strategy", "keep_eif", "diagnostics",
+    ],
+    "SimConfig": [
+        "n", "a_y_model", "reps", "master_seed", "estimators", "learner",
+        "k_folds", "splits", "alpha", "clip", "strategy", "sde_level",
+        "sie_level", "violation", "threads",
+    ],
+    "LearnerSpec": [
+        "kind", "basis", "ridge", "trees", "mtry", "min_leaf", "candidates",
+        "v_folds", "seed",
+    ],
+    "ColumnMap": [
+        "outcome", "a_y", "a_m", "a", "mediator_prefix", "covariate_prefix",
+        "mediators", "covariates",
+    ],
+}
+
+
+def test_public_function_parameters_are_pinned():
+    """Every knob of a public function is listed, in order: 37 in all."""
+    functions = {
+        name: list(inspect.signature(getattr(sepfx, name)).parameters)
+        for name in sepfx.__all__
+        if inspect.isfunction(getattr(sepfx, name))
+    }
+    assert functions == PUBLIC_PARAMETERS
+    assert sum(len(params) for params in functions.values()) == 37
+
+
+def test_config_fields_are_pinned():
+    """Every field of a configuration record is listed, in order: 42 in all."""
+    found = {
+        name: [item.name for item in dataclasses.fields(getattr(sepfx, name))]
+        for name in CONFIG_FIELDS
+    }
+    assert found == CONFIG_FIELDS
+    assert sum(len(names) for names in found.values()) == 42

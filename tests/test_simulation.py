@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import sepfx.crossfit
-import sepfx.falsification
 import sepfx.four_arm
 import sepfx.simulation
 from sepfx.data import FourArmDataset, restrict_to_two_arm
@@ -340,14 +339,14 @@ def test_one_pass_over_forest_bundles_equals_the_lone_estimators(monkeypatch):
         "four": [Estimand("sde", 1), Estimand("sie", 1)],
         "agreement": [Estimand("sde", 0), Estimand("sie", 1)],
     }
-    real_fit = sepfx.falsification.fit_nuisance_four
+    real_fit = sepfx.four_arm.fit_nuisance_four
     fits = []
 
     def counting_fit(*args):
         fits.append(args[1])
         return real_fit(*args)
 
-    monkeypatch.setattr(sepfx.falsification, "fit_nuisance_four", counting_fit)
+    monkeypatch.setattr(sepfx.four_arm, "fit_nuisance_four", counting_fit)
     joint = sepfx.simulation._estimate_families(ds, families, config)
     assert len(fits) == config.splits * config.k_folds
     assert joint == {
@@ -383,8 +382,7 @@ def test_a_redraw_moves_both_families_together(monkeypatch):
         return real_fit(*args)
 
     monkeypatch.setattr(sepfx.crossfit, "make_folds", recording_make_folds)
-    for module in (sepfx.four_arm, sepfx.falsification):
-        monkeypatch.setattr(module, "fit_nuisance_four", fit_failing_once)
+    monkeypatch.setattr(sepfx.four_arm, "fit_nuisance_four", fit_failing_once)
     shared = sepfx.simulation._simulate_one(cfg, 0)
     seed = {(s, a): derive_seed(config.seed, "folds", s, a) for s in range(3) for a in (0, 1)}
     assert draws == [seed[0, 0], seed[0, 1], seed[1, 0], seed[2, 0]]
@@ -404,7 +402,7 @@ def test_a_shared_pass_failure_fails_both_families(monkeypatch):
     def no_fit(*args):
         raise MissingCell("no training rows in arm cell (1, 1)")
 
-    monkeypatch.setattr(sepfx.falsification, "fit_nuisance_four", no_fit)
+    monkeypatch.setattr(sepfx.four_arm, "fit_nuisance_four", no_fit)
     out = sepfx.simulation._simulate_one(cfg, 0)
     shared = ("sde_four", "sie_four", "sde_agreement", "sie_agreement")
     assert out == {

@@ -4,9 +4,9 @@ import pytest
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
 from sepfx.errors import MissingCell
 from sepfx.estimation import EstimatorConfig
-from sepfx.learners import GlmPredictor, LearnerSpec
+from sepfx.learners import ConstantPredictor, GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, generate_dataset, true_effects
-from sepfx.two_arm import eif, estimate_effects_two, fit_nuisance_two
+from sepfx.two_arm import NuisanceFitTwo, eif, estimate_effects_two, fit_nuisance_two
 
 from conftest import collapsed_two_arm_score, make_two_arm
 
@@ -20,42 +20,41 @@ def one_row(y, a):
     )
 
 
-class FlatNuisance:
-    strategy = "S"
+def flat_nuisance(omega, rho1, mu, lam):
+    """One-strategy bundles with constant treatment probabilities
+    P(A=1 | X) = ``omega`` and P(A=1 | M, X) = ``rho1``, and constant
+    outcome models, for score arithmetic checks."""
+    bundle = NuisanceFitTwo(
+        treat_given_mx=ConstantPredictor(rho1),
+        treat_given_x=ConstantPredictor(omega),
+        mu_fits={level: ConstantPredictor(mu) for level in (0, 1)},
+        lam_fits={(a_y, a_m): ConstantPredictor(lam) for a_y in (0, 1) for a_m in (0, 1)},
+    )
+    return (bundle,)
 
-    def __init__(self, omega, rho_by_level, mu, lam):
-        self._omega, self._rho, self._mu, self._lam = omega, rho_by_level, mu, lam
 
-    def omega(self, level, x):
-        return np.full(len(x), self._omega)
-
-    def rho(self, level, m, x):
-        return np.full(len(m), self._rho[level])
-
-    def mu(self, level, m, x):
-        return np.full(len(m), self._mu)
-
-    def lam(self, a_y, a_m, x):
-        return np.full(len(x), self._lam)
+def full_sample_eif(ds, pair, nuis):
+    """The :func:`eif` scores of ``pair`` on every row of ``ds``."""
+    return eif(ds, nuis, (pair,), np.arange(ds.n))[pair]
 
 
 def test_score_outcome_arm_term():
     # row in the a_y arm: density-ratio-weighted residual plus lambda
-    nuis = FlatNuisance(0.5, {0: 0.4, 1: 0.6}, mu=0.7, lam=0.2)
-    value = eif(one_row(1.0, 1), 1, 0, nuis)
+    nuis = flat_nuisance(0.5, 0.6, mu=0.7, lam=0.2)
+    value = full_sample_eif(one_row(1.0, 1), (1, 0), nuis)
     np.testing.assert_allclose(value, [(1 / 0.5) * (0.4 / 0.6) * 0.3 + 0.2])
 
 
 def test_score_mediator_arm_term():
-    nuis = FlatNuisance(0.5, {0: 0.4, 1: 0.6}, mu=0.7, lam=0.2)
-    value = eif(one_row(1.0, 0), 1, 0, nuis)
+    nuis = flat_nuisance(0.5, 0.6, mu=0.7, lam=0.2)
+    value = full_sample_eif(one_row(1.0, 0), (1, 0), nuis)
     np.testing.assert_allclose(value, [(1 / 0.5) * (0.7 - 0.2) + 0.2])
 
 
 def test_score_collapsed():
     """At a_y = a_m the score is 1{A=a}/omega * (Y - lam) + lam."""
-    nuis = FlatNuisance(0.5, {0: 0.4, 1: 0.6}, mu=0.7, lam=0.2)
-    value = eif(one_row(1.0, 1), 1, 1, nuis)
+    nuis = flat_nuisance(0.5, 0.6, mu=0.7, lam=0.2)
+    value = full_sample_eif(one_row(1.0, 1), (1, 1), nuis)
     np.testing.assert_allclose(value, [(1 / 0.5) * (1.0 - 0.2) + 0.2])
 
 
@@ -66,11 +65,11 @@ def test_collapsed_identity(sim_two_arm):
     The density ratio cancels exactly because numerator and denominator
     are the same fitted values, so the gap is pure float noise.
     """
-    config = EstimatorConfig(seed=3)
     for strategy in ("S", "T", "ensemble"):
-        nuis = fit_nuisance_two(sim_two_arm, np.arange(sim_two_arm.n), config, strategy=strategy)
+        config = EstimatorConfig(seed=3, strategy=strategy)
+        nuis = fit_nuisance_two(sim_two_arm, np.arange(sim_two_arm.n), config)
         for level in (0, 1):
-            full = eif(sim_two_arm, level, level, nuis)
+            full = full_sample_eif(sim_two_arm, (level, level), nuis)
             collapsed = collapsed_two_arm_score(sim_two_arm, level, nuis)
             assert np.max(np.abs(full - collapsed)) < 1e-12
 
