@@ -22,8 +22,12 @@ from datetime import datetime, timezone
 from . import __version__
 from .data import ColumnMap, load_four_arm, load_two_arm
 from .errors import SepfxError
-from .falsification import direct_test_h0i, direct_test_h0ii, indirect_test_battery
+from .estimation import STRATEGIES
+from .falsification import (
+    DIRECT_BASES, direct_test_h0i, direct_test_h0ii, indirect_test_battery,
+)
 from .four_arm import estimate_effects_four
+from .learners import PRESET_CHOICES
 from .simulation import (
     ESTIMATOR_NAMES,
     SimConfig,
@@ -32,8 +36,6 @@ from .simulation import (
     true_effects,
 )
 from .two_arm import estimate_effects_two
-
-LEARNER_CHOICES = ("glm", "rf", "sl")
 
 
 def _add_column_flags(parser: argparse.ArgumentParser) -> None:
@@ -52,14 +54,14 @@ def _add_column_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--learner", default="glm", choices=LEARNER_CHOICES)
+    parser.add_argument("--learner", default="glm", choices=PRESET_CHOICES)
     parser.add_argument("--k-folds", type=int, default=2)
     parser.add_argument("--splits", type=int, default=3)
     parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--clip", type=float, default=0.01)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--strategy", default="ensemble", choices=("S", "T", "ensemble"),
+        "--strategy", default="ensemble", choices=STRATEGIES,
         help="two-arm outcome-model strategy",
     )
 
@@ -117,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     fal.add_argument("--data", required=True)
     fal.add_argument("--robust", action="store_true", help="HC1 errors (direct tests)")
     fal.add_argument(
-        "--basis", default="main", choices=("main", "interactions"),
+        "--basis", default="main", choices=DIRECT_BASES,
         help="regression basis for the direct tests",
     )
     _add_estimation_flags(fal)

@@ -52,6 +52,8 @@ from .four_arm import (  # noqa: F401  (bench/layers.py traces fit_nuisance_thet
 )
 from .two_arm import split_scores_two
 
+DIRECT_BASES = ("main", "interactions")
+
 
 @dataclass(frozen=True)
 class TestResult(JsonFields):
@@ -202,6 +204,8 @@ def _direct_test(
     """Regress ``targets`` on the direct-test design and Wald-test the
     treatment coefficient at ``coef_index`` (1 for a_y, 2 for a_m)."""
     EstimatorConfig(alpha=alpha)  # raises ValueError unless 0 < alpha < 1
+    if basis not in DIRECT_BASES:
+        raise ValueError(f"basis must be one of {DIRECT_BASES}, got {basis!r}")
     try:
         fit = fit_ols(_direct_design(ds, include_mediators, basis), targets)
     except DegenerateEstimate as exc:
@@ -232,8 +236,8 @@ def direct_test_h0i(
     tests the outcome-channel coefficient against zero.  Classical
     standard errors with a t reference by default; ``robust`` switches to
     HC1 errors with a normal reference.  Raises ``ValueError`` unless
-    ``0 < alpha < 1``, as :class:`EstimatorConfig` does, and unless
-    ``0 <= mediator_index < ds.n_mediators``.
+    ``0 < alpha < 1`` (as :class:`EstimatorConfig` requires), ``basis`` is
+    one of ``DIRECT_BASES`` and ``0 <= mediator_index < ds.n_mediators``.
     """
     if mediator_index not in range(ds.n_mediators):
         raise ValueError(
@@ -255,7 +259,7 @@ def direct_test_h0ii(
 
     Regresses the outcome on both treatments, all mediators, and
     covariates, and tests the mediator-channel coefficient against zero.
-    ``alpha`` is checked as in :func:`direct_test_h0i`.
+    ``alpha`` and ``basis`` are checked as in :func:`direct_test_h0i`.
     """
     return _direct_test(
         "H0(ii)", ds, ds.y, robust, basis, alpha, include_mediators=True, coef_index=2

@@ -11,8 +11,9 @@ Three model families are available through one spec type:
   chosen by non-negative least squares on out-of-fold predictions.
   Forest candidates equal apart from ``trees`` share one grown forest.
 
-Binary-outcome models return probabilities clipped away from 0 and 1 so
-downstream inverse-probability weights stay bounded.
+A fit is a classification exactly when it has a ``clip``
+(``fit_classifier``; a GLM is then logistic): it returns probabilities in
+[clip, 1 - clip], so downstream inverse-probability weights stay bounded.
 """
 
 from __future__ import annotations
@@ -186,22 +187,18 @@ def _fit_logistic(
 
 @dataclass
 class GlmPredictor:
-    """Linear or logistic fit on a fixed basis expansion."""
+    """Linear fit on a fixed basis expansion; logistic when it has a ``clip``."""
 
     beta: np.ndarray
     basis: str
     interact_cols: tuple[int, ...]
-    link: str  # "identity" or "logit"
     clip: float | None = None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        design = expand_basis(features, self.basis, self.interact_cols)
-        z = design @ self.beta
-        if self.link == "logit":
-            z = expit(z)
-        if self.clip is not None:
-            z = np.clip(z, self.clip, 1.0 - self.clip)
-        return z
+        z = expand_basis(features, self.basis, self.interact_cols) @ self.beta
+        if self.clip is None:
+            return z
+        return np.clip(expit(z), self.clip, 1.0 - self.clip)
 
 
 @dataclass
@@ -234,6 +231,22 @@ def _effective_ridge(spec: LearnerSpec, n: int) -> float:
     return float(spec.ridge)
 
 
+def _fit(X, y, spec: LearnerSpec, interact_cols, clip: float | None) -> FittedPredictor:
+    """Fit ``spec`` to checked rows: a regression when ``clip`` is None,
+    a classification clipped to [clip, 1 - clip] otherwise."""
+    if spec.kind == "glm":
+        design = expand_basis(X, spec.basis, interact_cols)
+        solve = _solve_ridge if clip is None else _fit_logistic
+        beta = solve(design, y, _effective_ridge(spec, y.shape[0]))
+        return GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
+    if spec.kind == "random_forest":
+        return fit_forest(X, y, spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip=clip)
+    return fit_super_learner(
+        X, y, spec.candidates, spec.v_folds, seed=spec.seed,
+        interact_cols=interact_cols, clip=clip,
+    )
+
+
 def fit_regressor(
     features,
     targets,
@@ -250,21 +263,7 @@ def fit_regressor(
     X, y = _checked_rows(features, targets, "targets")
     if np.ptp(y) == 0.0:
         return ConstantPredictor(float(y[0]))
-    if spec.kind == "glm":
-        design = expand_basis(X, spec.basis, interact_cols)
-        beta = _solve_ridge(design, y, _effective_ridge(spec, y.shape[0]))
-        return GlmPredictor(
-            beta=beta,
-            basis=spec.basis,
-            interact_cols=tuple(interact_cols),
-            link="identity",
-        )
-    if spec.kind == "random_forest":
-        return fit_forest(X, y, spec.trees, spec.mtry, spec.min_leaf, spec.seed)
-    return fit_super_learner(
-        X, y, spec.candidates, spec.v_folds, seed=spec.seed,
-        interact_cols=interact_cols, task="regression",
-    )
+    return _fit(X, y, spec, interact_cols, None)
 
 
 def fit_classifier(
@@ -290,24 +289,7 @@ def fit_classifier(
         )
         value = float(np.clip(y[0], clip, 1.0 - clip))
         return ConstantPredictor(value)
-    if spec.kind == "glm":
-        design = expand_basis(X, spec.basis, interact_cols)
-        beta = _fit_logistic(design, y, _effective_ridge(spec, y.shape[0]))
-        return GlmPredictor(
-            beta=beta,
-            basis=spec.basis,
-            interact_cols=tuple(interact_cols),
-            link="logit",
-            clip=clip,
-        )
-    if spec.kind == "random_forest":
-        return fit_forest(
-            X, y, spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip=clip
-        )
-    return fit_super_learner(
-        X, y, spec.candidates, spec.v_folds, seed=spec.seed,
-        interact_cols=interact_cols, task="classification", clip=clip,
-    )
+    return _fit(X, y, spec, interact_cols, clip)
 
 
 @dataclass
@@ -332,35 +314,21 @@ class SuperLearnerFit:
         return out
 
 
-def _fit_candidate(
-    X: np.ndarray,
-    y: np.ndarray,
-    candidate: LearnerSpec,
-    task: str,
-    interact_cols: tuple[int, ...],
-    clip: float,
-) -> FittedPredictor:
-    if task == "classification":
-        return fit_classifier(X, y, candidate, interact_cols=interact_cols, clip=clip)
-    return fit_regressor(X, y, candidate, interact_cols=interact_cols)
-
-
-def _fit_candidates(
-    X: np.ndarray,
-    y: np.ndarray,
-    candidates,
-    task: str,
-    interact_cols: tuple[int, ...],
-    clip: float,
-) -> tuple[FittedPredictor, ...]:
-    """Fit every candidate, growing one forest per group of forest specs
-    that are equal apart from ``trees``.
+def _fit_library(X, y, candidates, interact_cols, clip) -> tuple[FittedPredictor, ...]:
+    """Fit every candidate, by :func:`fit_regressor` when ``clip`` is None
+    and by :func:`fit_classifier` otherwise, growing one forest per group
+    of forest specs that are equal apart from ``trees``.
 
     A forest is drawn tree by tree from its seed, so a smaller forest of a
     group is the leading slice of the group's largest; it shares those
     tree objects.  Data on which the largest fit is no forest (a single
     class or constant targets) is fit candidate by candidate.
     """
+    def fit(spec: LearnerSpec) -> FittedPredictor:
+        if clip is None:
+            return fit_regressor(X, y, spec, interact_cols=interact_cols)
+        return fit_classifier(X, y, spec, interact_cols=interact_cols, clip=clip)
+
     groups: dict = {}
     for j, spec in enumerate(candidates):
         # a forest spec with its tree count masked; any other spec stands alone
@@ -369,14 +337,14 @@ def _fit_candidates(
     fits: list = [None] * len(candidates)
     for members in groups.values():
         largest = max(members, key=lambda j: candidates[j].trees)
-        fit = _fit_candidate(X, y, candidates[largest], task, interact_cols, clip)
+        grown = fit(candidates[largest])
         for j in members:
             if j == largest:
-                fits[j] = fit
-            elif isinstance(fit, ForestPredictor):
-                fits[j] = ForestPredictor(trees=fit.trees[: candidates[j].trees], clip=fit.clip)
+                fits[j] = grown
+            elif isinstance(grown, ForestPredictor):
+                fits[j] = ForestPredictor(trees=grown.trees[: candidates[j].trees], clip=grown.clip)
             else:
-                fits[j] = _fit_candidate(X, y, candidates[j], task, interact_cols, clip)
+                fits[j] = fit(candidates[j])
     return tuple(fits)
 
 
@@ -395,33 +363,32 @@ def fit_super_learner(
     v_folds: int = 5,
     seed: int = 0,
     interact_cols: tuple[int, ...] = (),
-    task: str = "regression",
     clip: float | None = None,
 ) -> SuperLearnerFit:
     """Stack candidate learners by NNLS on out-of-fold predictions.
 
+    With a ``clip`` the candidates and the stack are classifications.
     Weights live on the simplex.  If the normalized NNLS solution would
     lose to the single best candidate in cross-validated squared error,
     the weights collapse to that candidate (ties break toward the lower
     index), so the ensemble's CV loss never exceeds the best candidate's.
+    Rows are checked as in :func:`fit_regressor` before anything is fit.
     """
-    X = as_matrix(features)
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    n = y.shape[0]
     if not candidates:
         raise LearnerError("super learner needs at least one candidate")
     if v_folds < 2:
         raise LearnerError("super learner needs at least 2 internal folds")
+    X, y = _checked_rows(features, targets, "targets")
+    n = y.shape[0]
     if n < v_folds:
         raise TooFewRows(f"need at least {v_folds} rows, got {n}")
 
     folds = make_folds(n, v_folds, derive_seed(seed, "super-learner-folds"))
-    fit_clip = clip if clip is not None else DEFAULT_CLIP
     oof = np.empty((n, len(candidates)))
     for fold in range(v_folds):
         train = folds.train_rows(fold)
         test = folds.test_rows(fold)
-        fits = _fit_candidates(X[train], y[train], candidates, task, interact_cols, fit_clip)
+        fits = _fit_library(X[train], y[train], candidates, interact_cols, clip)
         preds = _predict_candidates(fits, range(len(candidates)), X[test])
         for j, pred in enumerate(preds):
             oof[test, j] = pred
@@ -443,7 +410,7 @@ def fit_super_learner(
         weights[best] = 1.0
         ensemble_loss = float(cv_losses[best])
 
-    fits = _fit_candidates(X, y, candidates, task, interact_cols, fit_clip)
+    fits = _fit_library(X, y, candidates, interact_cols, clip)
     return SuperLearnerFit(
         candidate_fits=fits,
         weights=weights,
@@ -453,8 +420,11 @@ def fit_super_learner(
     )
 
 
+PRESET_CHOICES = ("glm", "rf", "sl")
+
+
 def make_spec(name: str, seed: int = 0) -> LearnerSpec:
-    """Named learner presets used by the CLI and simulation harness."""
+    """The learner presets ``PRESET_CHOICES`` of the CLI and simulations."""
     if name == "glm":
         return LearnerSpec(kind="glm", basis="interactions")
     if name == "rf":

@@ -18,9 +18,10 @@ score collapses to the standard augmented inverse-probability form
 
     1{A=a} / w(a, X) * (Y - lam(a, a, X)) + lam(a, a, X).
 
-The outcome regressions support three strategies: a single model with
-treatment interactions ("S"), per-arm models ("T"), or an ensemble that
-averages the two scores row by row.
+The outcome strategies differ only in how ``mu`` and ``lam`` are fit
+within each treatment arm: as views of one joint model with treatment
+interactions ("S") or as one model per arm ("T"); the ensemble averages
+the two scores row by row.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .crossfit import cross_fit_split
 from .data import TwoArmDataset
-from .errors import LearnerError, MissingCell
+from .errors import MissingCell
 from .estimation import (
     EffectEstimate,
     Estimand,
@@ -81,6 +82,21 @@ class _AtLevel:
         return self.fit.predict(np.column_stack([level, features]))
 
 
+def _fit_by_arm(features, targets, a, config: EstimatorConfig, strategy: str) -> dict:
+    """A model of ``targets`` within each treatment arm, ``{level: model}``:
+    views of one joint model with treatment interactions for "S", one
+    model on each arm's rows for "T"."""
+    if strategy == "S":
+        joint = fit_regressor(
+            np.column_stack([a, features]), targets, config.outcome, interact_cols=(0,)
+        )
+        return {level: _AtLevel(fit=joint, level=level) for level in (0, 1)}
+    return {
+        level: fit_regressor(features[a == level], targets[a == level], config.outcome)
+        for level in (0, 1)
+    }
+
+
 def _fit_single_strategy(
     ds: TwoArmDataset,
     rows: np.ndarray,
@@ -90,42 +106,14 @@ def _fit_single_strategy(
     strategy: str,
 ) -> NuisanceFitTwo:
     a = ds.a[rows].astype(np.float64)
-    y = ds.y[rows]
     mx = np.column_stack([ds.m[rows], ds.x[rows]])
     x = ds.x[rows]
-
-    mu_fits: dict = {}
-    lam_fits: dict = {}
-    if strategy == "S":
-        joint = fit_regressor(
-            np.column_stack([a, mx]), y, config.outcome, interact_cols=(0,)
-        )
-        for level in (0, 1):
-            mu_fits[level] = _AtLevel(fit=joint, level=level)
-            # project the level-specific predictions back onto (A, X)
-            targets = mu_fits[level].predict(mx)
-            stage2 = fit_regressor(
-                np.column_stack([a, x]), targets, config.outcome, interact_cols=(0,)
-            )
-            for prime in (0, 1):
-                lam_fits[(level, prime)] = _AtLevel(fit=stage2, level=prime)
-    elif strategy == "T":
-        arm_rows = {}
-        for level in (0, 1):
-            arm = np.nonzero(a == level)[0]
-            if arm.size == 0:
-                raise MissingCell(f"treatment level {level} absent from training rows")
-            arm_rows[level] = arm
-            mu_fits[level] = fit_regressor(mx[arm], y[arm], config.outcome)
-        for level in (0, 1):
-            predictions = mu_fits[level].predict(mx)
-            for prime in (0, 1):
-                arm = arm_rows[prime]
-                lam_fits[(level, prime)] = fit_regressor(
-                    x[arm], predictions[arm], config.outcome
-                )
-    else:
-        raise LearnerError(f"unknown strategy {strategy!r}")
+    mu_fits = _fit_by_arm(mx, ds.y[rows], a, config, strategy)
+    lam_fits = {}
+    for level in (0, 1):
+        # project the level's predictions onto the covariates within each arm
+        lam = _fit_by_arm(x, mu_fits[level].predict(mx), a, config, strategy)
+        lam_fits.update({(level, prime): fit for prime, fit in lam.items()})
     return NuisanceFitTwo(
         treat_given_mx=treat_given_mx,
         treat_given_x=treat_given_x,

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import sepfx
-from sepfx.cli import main
+from sepfx.cli import build_parser, main
+from sepfx.estimation import STRATEGIES
+from sepfx.falsification import DIRECT_BASES
+from sepfx.learners import PRESET_CHOICES
 from sepfx.data import FourArmDataset, restrict_to_two_arm, save_four_arm, save_two_arm
 from sepfx.simulation import SimConfig, generate_dataset
 
@@ -156,6 +159,17 @@ def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_choice_lists_are_the_librarys_tuples():
+    """Every subcommand offers the learner presets, strategies and direct-test
+    bases that the library itself checks against."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    for name in ("simulate", "estimate", "falsify"):
+        flags = commands[name]._option_string_actions
+        assert flags["--learner"].choices is PRESET_CHOICES
+        assert flags["--strategy"].choices is STRATEGIES
+    assert commands["falsify"]._option_string_actions["--basis"].choices is DIRECT_BASES
 
 
 def test_two_arm_diagnostics_exit_two(capsys, two_arm_csv):

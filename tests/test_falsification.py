@@ -7,6 +7,7 @@ from scipy.stats import norm, t as student_t
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.errors import DegenerateEstimate, EmptySubset, MissingCell, SingularDesign
 from sepfx.estimation import EstimatorConfig, z_value
+from sepfx import falsification
 from sepfx.falsification import (
     _wald_test,
     direct_test_h0i,
@@ -315,6 +316,28 @@ def test_direct_tests_refuse_alpha_outside_zero_one(sim_four_arm, alpha):
         direct_test_h0i(sim_four_arm, 0, alpha=alpha)
     with pytest.raises(ValueError, match="alpha must be strictly between 0 and 1"):
         direct_test_h0ii(sim_four_arm, robust=True, alpha=alpha)
+
+
+@pytest.mark.parametrize(
+    "test, basis",
+    [
+        (lambda ds, basis: direct_test_h0i(ds, 0, basis=basis), "bogus"),
+        (lambda ds, basis: direct_test_h0ii(ds, basis=basis), "Interactions"),
+        (lambda ds, basis: direct_test_h0ii(ds, robust=True, basis=basis), "intercept"),
+    ],
+    ids=["h0i-bogus", "h0ii-capitalised", "h0ii-intercept"],
+)
+def test_direct_tests_refuse_an_unknown_basis_before_any_fit(
+    sim_four_arm, monkeypatch, test, basis
+):
+    """An unknown basis used to run the main-effects regression silently."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a model was fit before the basis was checked")
+
+    monkeypatch.setattr(falsification, "fit_ols", no_fit)
+    with pytest.raises(ValueError, match="basis must be one of"):
+        test(sim_four_arm, basis)
 
 
 @pytest.mark.parametrize("value", [0.1, 0.7, 3.3, 1e6 + 0.1])

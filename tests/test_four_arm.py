@@ -243,7 +243,7 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     real_predict = GlmPredictor.predict
 
     def counting_predict(self, features):
-        calls.append(self.link)
+        calls.append("logit" if self.clip is not None else "identity")
         return real_predict(self, features)
 
     monkeypatch.setattr(GlmPredictor, "predict", counting_predict)

@@ -64,7 +64,7 @@ def record_super_learner() -> dict:
     for task, clip in (("regression", None), ("classification", 0.01)):
         x, y = task_data(task)
         sl = fit_super_learner(
-            x[:120], y[:120], SL_FORESTS, v_folds=3, seed=SL_SEED, task=task, clip=clip
+            x[:120], y[:120], SL_FORESTS, v_folds=3, seed=SL_SEED, clip=clip
         )
         out[task] = {
             "weights": sl.weights.tolist(),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sepfx import learners
 from sepfx.crossfit import make_folds
 from sepfx.data import TwoArmDataset
 from sepfx.errors import (
@@ -25,6 +26,7 @@ from sepfx.learners import (
     fit_classifier,
     fit_regressor,
     fit_super_learner,
+    PRESET_CHOICES,
     make_spec,
 )
 from sepfx.seeding import derive_seed, stream
@@ -164,6 +166,26 @@ def test_learners_refuse_non_finite_input_before_fitting(spec, bad, where):
         fit_regressor(x, y, spec)
     with pytest.raises(LearnerError, match="finite"):
         fit_classifier(x, y, spec)
+
+
+@pytest.mark.parametrize("rows, bad", [(80, None), (100, None), (90, np.nan)])
+@pytest.mark.parametrize("clip", [None, 0.02])
+def test_super_learner_refuses_bad_rows_before_fitting(monkeypatch, rows, bad, clip):
+    """Fewer feature rows than targets used to raise a bare IndexError in
+    the fold loop, and more rows passed until the final fit."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a candidate was fit before the rows were checked")
+
+    monkeypatch.setattr(learners, "fit_regressor", no_fit)
+    monkeypatch.setattr(learners, "fit_classifier", no_fit)
+    rng = stream(13, "sl-rows")
+    x = rng.normal(size=(rows, 2))
+    y = (rng.random(90) < 0.5).astype(float)
+    if bad is not None:
+        y[3] = bad
+    with pytest.raises(LearnerError, match="row count|finite"):
+        fit_super_learner(x, y, [LearnerSpec(basis="main")], v_folds=3, clip=clip)
 
 
 def test_single_class_warns_and_returns_constant():
@@ -306,7 +328,7 @@ def _check_against_solo_fits(x, y, candidates, task, seed):
     clip = SL_CLIP if task == "classification" else None
     train, test = x[:60], x[60:]
     sl = fit_super_learner(
-        train, y[:60], candidates, v_folds=3, seed=seed, task=task, clip=clip
+        train, y[:60], candidates, v_folds=3, seed=seed, clip=clip
     )
     want_losses = _reference_cv_losses(train, y[:60], candidates, 3, seed, task)
     assert sl.cv_losses.tobytes() == want_losses.tobytes()
@@ -369,8 +391,7 @@ def test_super_learner_single_class_gives_each_forest_a_constant():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sl = fit_super_learner(
-            x, np.ones(x.shape[0]), candidates, v_folds=3, seed=0,
-            task="classification", clip=SL_CLIP,
+            x, np.ones(x.shape[0]), candidates, v_folds=3, seed=0, clip=SL_CLIP
         )
     for fit in sl.candidate_fits:
         assert isinstance(fit, ConstantPredictor) and fit.value == 1.0 - SL_CLIP
@@ -418,3 +439,8 @@ def test_make_spec():
     assert len(sl.candidates) >= 2
     with pytest.raises(LearnerError):
         make_spec("mystery")
+
+
+@pytest.mark.parametrize("name", PRESET_CHOICES)
+def test_every_preset_choice_names_a_spec(name):
+    assert isinstance(make_spec(name, seed=1), LearnerSpec)

@@ -6,6 +6,7 @@ import dataclasses
 import inspect
 
 import sepfx
+from sepfx import forest, learners
 
 PUBLIC_NAMES = [
     "BadK",
@@ -111,6 +112,27 @@ def test_public_function_parameters_are_pinned():
     }
     assert functions == PUBLIC_PARAMETERS
     assert sum(len(params) for params in functions.values()) == 37
+
+
+LEARNER_PARAMETERS = {
+    "fit_regressor": ["features", "targets", "spec", "interact_cols"],
+    "fit_classifier": ["features", "labels", "spec", "interact_cols", "clip"],
+    "fit_super_learner": [
+        "features", "targets", "candidates", "v_folds", "seed", "interact_cols", "clip",
+    ],
+    "fit_forest": ["features", "targets", "n_trees", "mtry", "min_leaf", "seed", "clip"],
+}
+
+
+def test_learner_entry_points_are_pinned():
+    """README names the three learner fitters as importable from
+    ``sepfx.learners``, and ``bench/layers.py`` binds ``fit_forest``'s
+    arguments by name: 4, 5, 7 and 7 parameters, with no ``task``."""
+    found = {}
+    for name in LEARNER_PARAMETERS:
+        owner = forest if name == "fit_forest" else learners
+        found[name] = list(inspect.signature(getattr(owner, name)).parameters)
+    assert found == LEARNER_PARAMETERS
 
 
 def test_config_fields_are_pinned():
