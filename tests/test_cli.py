@@ -8,10 +8,10 @@ import pytest
 
 import sepfx
 from sepfx.cli import build_parser, main
+from sepfx.data import FourArmDataset, restrict_to_two_arm, save_four_arm, save_two_arm
 from sepfx.estimation import STRATEGIES
 from sepfx.falsification import DIRECT_BASES
 from sepfx.learners import PRESET_CHOICES
-from sepfx.data import FourArmDataset, restrict_to_two_arm, save_four_arm, save_two_arm
 from sepfx.simulation import SimConfig, generate_dataset
 
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, t as student_t
 
+from sepfx import falsification
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.errors import DegenerateEstimate, EmptySubset, MissingCell, SingularDesign
 from sepfx.estimation import EstimatorConfig, z_value
-from sepfx import falsification
 from sepfx.falsification import (
     _wald_test,
     direct_test_h0i,

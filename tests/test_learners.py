@@ -21,12 +21,12 @@ from sepfx.estimation import EstimatorConfig
 from sepfx.learners import (
     ConstantPredictor,
     LearnerSpec,
+    PRESET_CHOICES,
     _fit_logistic,
     expand_basis,
     fit_classifier,
     fit_regressor,
     fit_super_learner,
-    PRESET_CHOICES,
     make_spec,
 )
 from sepfx.seeding import derive_seed, stream
