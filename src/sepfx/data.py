@@ -197,7 +197,7 @@ def _source_lines(source):
     lines: list[str] = []
     try:
         if isinstance(source, (bytes, bytearray)):
-            return io.StringIO(source.decode("utf-8")).readlines()
+            return io.StringIO(source.decode("utf-8"), newline="").readlines()
         if isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8", newline="") as handle:
                 return handle.readlines()
@@ -211,17 +211,16 @@ def _source_lines(source):
 
 def _lines_before_invalid_byte(source, error: UnicodeDecodeError) -> tuple:
     """``(lines, error)``: the complete lines of bytes or a file before its
-    first invalid UTF-8 byte, split as the clean path splits that kind of
-    source, and the decode error, placed by its offset in the whole input."""
-    from_file = isinstance(source, (str, Path))
-    raw = Path(source).read_bytes() if from_file else source
+    first invalid UTF-8 byte, split as the clean path splits them, and the
+    decode error, placed by its offset in the whole input."""
+    raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as whole:
         error = whole
     # the prefix is valid UTF-8 unless the file changed between the reads
     text = raw[: error.start].decode("utf-8", errors="replace")
-    lines = io.StringIO(text, newline="" if from_file else "\n").readlines()
+    lines = io.StringIO(text, newline="").readlines()
     # the line holding the invalid byte cannot be read whole
     if lines and not lines[-1].endswith(("\n", "\r")):
         lines.pop()
@@ -238,6 +237,8 @@ def _read_header(reader) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise EmptyDataset("input has no header row") from None
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     header = [name.strip() for name in header]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
@@ -246,14 +247,17 @@ def _read_header(reader) -> list[str]:
 
 def _read_rows(reader, header: list[str]) -> list[list[str]]:
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if len(row) != len(header):
-            raise DataError(
-                f"line {lineno}: expected {len(header)} fields, found {len(row)}"
-            )
-        rows.append([cell.strip() for cell in row])
+    try:
+        for lineno, row in enumerate(reader, start=2):
+            if not row or all(cell.strip() == "" for cell in row):
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"line {lineno}: expected {len(header)} fields, found {len(row)}"
+                )
+            rows.append([cell.strip() for cell in row])
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise EmptyDataset("input has a header but no data rows")
     return rows

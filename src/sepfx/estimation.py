@@ -6,19 +6,21 @@ sample splits, cross-fit nuisance models over K folds, evaluate per-row
 influence contributions out of fold, and reduce (point, variance) pairs
 across splits with the median rule.  :class:`Estimand` is the one place
 that knows which (a_y, a_m) cells an ``sde``/``sie``/``mean`` request
-needs and how their scores contrast.  Each design scores cells in one
-loop: ``four_arm.split_scores_four``, which scores the four-arm and the
-agreement populations from the same bundle per fold, and
-``two_arm.split_scores_two``; each draws its own fold assignment through
-``crossfit.cross_fit_split``.  The nuisances are always the package's own
-fitted bundles: ``split_scores_four`` fits ``four_arm.fit_nuisance_theta``
-when it scores the agreement population and ``four_arm.fit_nuisance_four``
-otherwise, and ``split_scores_two`` fits ``two_arm.fit_nuisance_two``.
-``run_battery`` is the one loop over splits: it serves the three
-estimators and the indirect falsification test, whose per-split value is
-a difference of two estimators.  ``build_estimates`` turns its output
-into :class:`EffectEstimate` values, refusing a standard error that is
-not positive.
+needs and how their scores contrast.  Each design fits one nuisance
+bundle per fold and scores cells from it in one loop, drawing its own
+fold assignment through ``crossfit.cross_fit_split``:
+``four_arm.split_scores_four`` fits a ``four_arm.NuisanceFitFour`` (with
+``four_arm.fit_nuisance_theta``, which adds the agreement model, when it
+scores the agreement population, else ``four_arm.fit_nuisance_four``) and
+scores the four-arm and agreement populations from it;
+``two_arm.split_scores_two`` fits one ``two_arm.NuisanceFitTwo`` holding
+every outcome strategy's models.  ``run_battery`` is the one loop over
+splits, and a split's value per key is ``(point, deviations,
+contributions)``.  It serves the three estimators and the indirect
+falsification test, whose per-split value is a difference of two
+estimators.  ``build_estimates`` turns its output into
+:class:`EffectEstimate` values, refusing a standard error that is not
+positive.
 """
 
 from __future__ import annotations
@@ -220,54 +222,49 @@ class EffectEstimate(JsonFields):
 
 @dataclass
 class CombinedResult:
-    """Median-combined output of one estimand across splits."""
+    """Median-combined output of one estimand across splits;
+    ``diagnostics`` is set only by the four-arm battery."""
 
     point: float
     variance: float
     eif: np.ndarray | None
-    diagnostics: dict | None
+    diagnostics: dict | None = None
 
 
-def centred(contrib: np.ndarray, diagnostics: dict | None = None) -> tuple:
+def centred(contrib: np.ndarray) -> tuple:
     """One split's value for ``run_battery`` from contributions whose mean
-    is the split's point: the point, the deviations from it, the
-    contributions (kept for ``eif``) and the diagnostics."""
+    is the split's point: the point, the deviations from it and the
+    contributions (kept for ``eif``)."""
     point = float(np.mean(contrib))
-    return point, contrib - point, contrib, diagnostics
+    return point, contrib - point, contrib
 
 
 def run_battery(config: EstimatorConfig, split_fn: Callable[[int], dict]) -> dict:
     """Run the S-split pipeline for a family of estimands sharing fits.
 
     ``split_fn`` receives a split index and returns ``{key: (point,
-    deviations, contributions, diagnostics)}``; the split's variance is the
-    mean square of the length-n ``deviations``.  Points and variances are
-    combined by :func:`~sepfx.crossfit.median_adjust`.  ``eif`` holds the
-    contributions (or ``None``) of the split realizing the median point, or
-    the mean of the two middle splits' when S is even; each diagnostic
-    (a dict of floats, or ``None``) is its median over splits.
+    deviations, contributions)}``; the split's variance is the mean square
+    of the length-n ``deviations``.  Points and variances are combined by
+    :func:`~sepfx.crossfit.median_adjust`.  ``eif`` holds the contributions
+    (or ``None``) of the split realizing the median point, or the mean of
+    the two middle splits' when S is even.
     """
     per_key: dict = {}
     for split in range(config.splits):
-        for key, (point, deviations, contrib, diag) in split_fn(split).items():
+        for key, (point, deviations, contrib) in split_fn(split).items():
             variance = float(np.mean(deviations**2))
-            per_key.setdefault(key, []).append((point, variance, contrib, diag))
+            per_key.setdefault(key, []).append((point, variance, contrib))
 
     combined: dict = {}
     for key, values in per_key.items():
-        points, variances, contribs, diags = zip(*values)
+        points, variances, contribs = zip(*values)
         point, variance = median_adjust(points, variances)
         order = np.argsort(points, kind="stable")
         middle = order[(len(order) - 1) // 2 : len(order) // 2 + 1]
         eif = contribs[middle[0]]
         if len(middle) == 2 and eif is not None:
             eif = 0.5 * (eif + contribs[middle[1]])
-        diagnostics = None
-        if diags[0] is not None:
-            diagnostics = {
-                name: float(np.median([d[name] for d in diags])) for name in diags[0]
-            }
-        combined[key] = CombinedResult(point, variance, eif, diagnostics)
+        combined[key] = CombinedResult(point, variance, eif)
     return combined
 
 

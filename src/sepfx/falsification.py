@@ -20,8 +20,9 @@ agreement population with the four-arm split scorer, which can score the
 four-arm population in the same pass, and both run through
 ``estimation.run_battery``: the test's value on a split is the agreement
 point minus the two-arm point, with the difference of the two influence
-vectors as its deviations.  The agreement nuisances and their fitter,
-``fit_nuisance_theta``, live in :mod:`sepfx.four_arm`.
+vectors as its deviations, and no contributions.  The agreement model is
+the ``agree_fit`` field of the four-arm bundle,
+``four_arm.NuisanceFitFour``; ``four_arm.fit_nuisance_theta`` fits it.
 """
 
 from __future__ import annotations
@@ -334,7 +335,7 @@ def indirect_test_battery(
             centered_two = np.zeros(ds.n)
             centered_two[ds2.source_rows] = psi_diff - two_point
             deviations = (residual - centered_two) / pr_agree
-            out[est] = (theta_point - two_point, deviations, None, None)
+            out[est] = (theta_point - two_point, deviations, None)
         return out
 
     combined = run_battery(config, split_fn)

@@ -16,15 +16,16 @@ channel; the indirect effect does the reverse.  Variance comes from the
 empirical second moment of the score contrasts around the point estimate,
 with the median rule combining repeated sample splits.
 
-The nuisances are always this module's fitted bundles: the split scorer
-fits :func:`fit_nuisance_theta`, which adds the treatment-agreement model,
-when it scores the agreement population, and :func:`fit_nuisance_four`
-otherwise, looking either up as a module global when it runs.
+Each fold fits one :class:`NuisanceFitFour`: with
+:func:`fit_nuisance_theta`, which adds the treatment-agreement model, when
+the agreement population is scored, else with :func:`fit_nuisance_four`,
+either looked up as a module global when it runs.  The diagnostics'
+plug-in estimators are ``run_battery`` keys of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,9 +41,10 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import FittedPredictor, fit_classifier, fit_regressor
+from .learners import ConstantPredictor, FittedPredictor, fit_classifier, fit_regressor
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
+PLUG_INS = ("ipw", "outcome_regression")
 
 
 @dataclass
@@ -56,12 +58,15 @@ class NuisanceFitFour:
     ``propensities`` additionally clips them to [clip, 1 - clip] before
     they are used in a denominator.  Each call predicts all four cell
     classifiers, so the score loop asks for every cell's propensity at
-    once, once per test block.
+    once, once per test block.  ``agree_fit``, which only
+    :func:`fit_nuisance_theta` fits, models the probability that the two
+    treatments agree given covariates, for the agreement estimator.
     """
 
     cell_classifiers: dict
     outcome_fit: FittedPredictor
     clip: float
+    agree_fit: FittedPredictor | None = None
 
     def cell_probabilities(self, x: np.ndarray) -> np.ndarray:
         raw = np.empty((x.shape[0], len(CELLS)))
@@ -83,6 +88,9 @@ class NuisanceFitFour:
             ]
         )
         return self.outcome_fit.predict(stacked)
+
+    def agreement_probability(self, x: np.ndarray) -> np.ndarray:
+        return self.agree_fit.predict(x)
 
 
 def fit_nuisance_four(
@@ -124,40 +132,27 @@ def fit_nuisance_four(
     )
 
 
-@dataclass
-class ThetaNuisance(NuisanceFitFour):
-    """Four-arm nuisances plus the agreement model of the agreement estimator.
-
-    ``agree_fit`` models the probability that the two treatments agree
-    given covariates.  When every training row agrees it is ``None`` and
-    the probability is the exact constant one (it only ever multiplies,
-    so no clipping is needed).
-    """
-
-    agree_fit: FittedPredictor | None = None
-
-    def agreement_probability(self, x: np.ndarray) -> np.ndarray:
-        if self.agree_fit is None:
-            return np.ones(x.shape[0])
-        return self.agree_fit.predict(x)
-
-
 def fit_nuisance_theta(
     ds: FourArmDataset,
     train_rows: np.ndarray,
     config: EstimatorConfig,
     required_cells,
-) -> ThetaNuisance:
-    """Fit the four-arm nuisances plus the treatment-agreement model."""
+) -> NuisanceFitFour:
+    """The :func:`fit_nuisance_four` bundle with ``agree_fit`` set.
+
+    When every training row agrees, ``agree_fit`` is
+    ``ConstantPredictor(1.0)``: the probability is exactly one, unclipped,
+    since it only ever multiplies.
+    """
     four = fit_nuisance_four(ds, train_rows, config, required_cells)
     agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
     if agree.min() == 1.0:
-        agree_fit = None
+        agree_fit = ConstantPredictor(1.0)
     else:
         agree_fit = fit_classifier(
             ds.x[train_rows], agree, config.propensity, clip=config.clip
         )
-    return ThetaNuisance(**vars(four), agree_fit=agree_fit)
+    return replace(four, agree_fit=agree_fit)
 
 
 def eif(
@@ -219,7 +214,7 @@ def split_scores_four(
         ds, config, split, lambda data, train: fit(data, train, config, cells)
     )
     names = ("four",) + ("agreement",) * agreement
-    names += ("ipw", "outcome_regression") * diagnostics
+    names += PLUG_INS * diagnostics
     scores = {name: {cell: np.empty(ds.n) for cell in cells} for name in names}
     agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
     for fold in range(folds.k):
@@ -267,13 +262,15 @@ def four_arm_battery(
     the estimands of ``"four"`` (the four-arm population) and
     ``"agreement"`` (the rows whose treatments agree) in ``families``.
 
-    Each split fits one bundle per fold (a :class:`ThetaNuisance` when the
+    Each split fits one bundle per fold (with its agreement model when the
     agreement family is asked for) and scores both families from it, so no
     bundle outlives its split.  The bundles require the union of the
     families' cells, so a fold lacking a cell that only one family needs is
-    redrawn for both.  A bad estimand, or
-    :class:`EmptySubset` for an agreement family without agreeing rows, is
-    raised before any fit.
+    redrawn for both.  With ``config.diagnostics`` each plug-in of
+    ``PLUG_INS`` is a key ``(name, estimand)`` without contributions, whose
+    combined point goes into the four-arm result's ``diagnostics``.  A bad
+    estimand, or :class:`EmptySubset` for an agreement family without
+    agreeing rows, is raised before any fit.
     """
     cells = estimand_cells([est for ests in families.values() for est in ests])
     four = families.get("four", ())
@@ -287,13 +284,10 @@ def four_arm_battery(
         )
         out = {}
         for est in four:
-            diag = None
-            if diagnostics:
-                diag = {
-                    name: float(np.mean(est.contrast(scores[name])))
-                    for name in ("ipw", "outcome_regression")
-                }
-            out["four", est] = centred(est.contrast(scores["four"]), diag)
+            out["four", est] = centred(est.contrast(scores["four"]))
+            for name in PLUG_INS * diagnostics:
+                point, deviations, _ = centred(est.contrast(scores[name]))
+                out[name, est] = point, deviations, None
         if agreement:
             theta = agreement_contrasts(ds, scores["agreement"], agreement)
             for est, (point, residual) in theta.items():
@@ -301,6 +295,11 @@ def four_arm_battery(
         return out
 
     combined = run_battery(config, split_fn)
+    if diagnostics:
+        for est in four:
+            combined["four", est].diagnostics = {
+                name: combined[name, est].point for name in PLUG_INS
+            }
     return {
         family: {est: combined[family, est] for est in estimands}
         for family, estimands in families.items()

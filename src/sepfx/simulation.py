@@ -29,9 +29,10 @@ one exception is a failure of the pass the four-arm and agreement
 families share.
 
 Within one replication, for every learner, the four-arm and agreement
-families are scored in one pass per split from one set of nuisance
-bundles, the agreement model included; no bundle outlives its split.
-Every fitted model predicts once per test block (see
+families are scored in one pass per split from one nuisance bundle per
+fold, the agreement model included, and the two-arm family from one
+bundle per fold holding every outcome strategy's models; no bundle
+outlives its split.  Every fitted model predicts once per test block (see
 ``four_arm.split_scores_four`` and ``two_arm.split_scores_two``).  The
 Monte Carlo and falsification studies share nothing with each other.
 """
@@ -329,10 +330,10 @@ def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
     ``None`` for a family that failed with an estimation error.
 
     The four-arm and agreement families share one pass per split, over
-    ``four_arm.fit_nuisance_theta`` bundles if the agreement family is
-    asked for, so a failure of that pass fails both.  No agreeing rows
-    fails only the agreement and two-arm families, and a standard error
-    that is not positive only its own family.
+    bundles with the agreement model (``four_arm.fit_nuisance_theta``) if
+    the agreement family is asked for, so a failure of that pass fails
+    both.  No agreeing rows fails only the agreement and two-arm families,
+    and a standard error that is not positive only its own family.
     """
     results = {}
     shared = {f: families[f] for f in ("four", "agreement") if f in families}

@@ -21,13 +21,14 @@ score collapses to the standard augmented inverse-probability form
 The outcome strategies differ only in how ``mu`` and ``lam`` are fit
 within each treatment arm: as views of one joint model with treatment
 interactions ("S") or as one model per arm ("T"); the ensemble averages
-the two scores row by row.
+the two scores row by row.  Each fold fits one :class:`NuisanceFitTwo`,
+which holds the two treatment-probability models once and the outcome
+models of every strategy in use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -48,25 +49,20 @@ from .learners import FittedPredictor, fit_classifier, fit_regressor
 
 @dataclass
 class NuisanceFitTwo:
-    """Single-strategy nuisance bundle for a two-arm dataset.
+    """Nuisance bundle for a two-arm dataset.
 
     ``treat_given_mx`` and ``treat_given_x`` model P(A=1 | ...) given the
     mediator-plus-covariate and covariate-only feature sets, and are
-    queried at either level through the complement rule.  ``mu_fits`` maps
-    a treatment level to an outcome model over (mediators, covariates);
-    ``lam_fits`` maps (a_y, a_m) to the nested projection over covariates.
+    queried at either level through the complement rule.  ``outcomes``
+    holds one ``(mu_fits, lam_fits)`` pair per outcome strategy ("S" then
+    "T" for the ensemble): ``mu_fits`` maps a treatment level to an
+    outcome model over (mediators, covariates), and ``lam_fits`` maps
+    (a_y, a_m) to the nested projection over covariates.
     """
 
     treat_given_mx: FittedPredictor
     treat_given_x: FittedPredictor
-    mu_fits: dict
-    lam_fits: dict
-
-    def mu(self, level: int, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return self.mu_fits[level].predict(np.column_stack([m, x]))
-
-    def lam(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
-        return self.lam_fits[(a_y, a_m)].predict(x)
+    outcomes: tuple
 
 
 @dataclass
@@ -97,14 +93,10 @@ def _fit_by_arm(features, targets, a, config: EstimatorConfig, strategy: str) ->
     }
 
 
-def _fit_single_strategy(
-    ds: TwoArmDataset,
-    rows: np.ndarray,
-    config: EstimatorConfig,
-    treat_given_mx: FittedPredictor,
-    treat_given_x: FittedPredictor,
-    strategy: str,
-) -> NuisanceFitTwo:
+def _fit_outcomes(
+    ds: TwoArmDataset, rows: np.ndarray, config: EstimatorConfig, strategy: str
+) -> tuple:
+    """One strategy's ``(mu_fits, lam_fits)`` on the given rows."""
     a = ds.a[rows].astype(np.float64)
     mx = np.column_stack([ds.m[rows], ds.x[rows]])
     x = ds.x[rows]
@@ -114,26 +106,21 @@ def _fit_single_strategy(
         # project the level's predictions onto the covariates within each arm
         lam = _fit_by_arm(x, mu_fits[level].predict(mx), a, config, strategy)
         lam_fits.update({(level, prime): fit for prime, fit in lam.items()})
-    return NuisanceFitTwo(
-        treat_given_mx=treat_given_mx,
-        treat_given_x=treat_given_x,
-        mu_fits=mu_fits,
-        lam_fits=lam_fits,
-    )
+    return mu_fits, lam_fits
 
 
 def fit_nuisance_two(
     ds: TwoArmDataset,
     train_rows: np.ndarray,
     config: EstimatorConfig,
-) -> tuple:
+) -> NuisanceFitTwo:
     """Fit all two-arm nuisances on the given training rows.
 
-    Returns a tuple of :class:`NuisanceFitTwo` bundles, one per outcome-
-    model strategy: the one ``config.strategy`` names, or for the ensemble
-    the "S" bundle then the "T" bundle, sharing the treatment-probability
-    fits.  The nested projection is fit on the same rows as the outcome
-    model (no further splitting).
+    Returns one :class:`NuisanceFitTwo`: the two treatment-probability
+    fits, then the outcome models of the strategy ``config.strategy``
+    names, or for the ensemble those of "S" then "T".  The nested
+    projection is fit on the same rows as the outcome model (no further
+    splitting).
 
     Raises
     ------
@@ -148,47 +135,44 @@ def fit_nuisance_two(
     treat_given_x = fit_classifier(
         ds.x[train_rows], a, config.propensity, clip=config.clip
     )
-    fit = partial(
-        _fit_single_strategy, ds, train_rows, config, treat_given_mx, treat_given_x
+    strategies = ("S", "T") if config.strategy == "ensemble" else (config.strategy,)
+    return NuisanceFitTwo(
+        treat_given_mx=treat_given_mx,
+        treat_given_x=treat_given_x,
+        outcomes=tuple(_fit_outcomes(ds, train_rows, config, s) for s in strategies),
     )
-    if config.strategy == "ensemble":
-        return fit("S"), fit("T")
-    return (fit(config.strategy),)
 
 
-def _pair_scores(nuis, pairs, a, y, m, x, rho: dict, omega: dict) -> dict:
-    """One single-strategy bundle's score of each (a_y, a_m) pair on one
-    block of rows, predicting each outcome model once."""
-    mu = {a_y: nuis.mu(a_y, m, x) for a_y in dict.fromkeys(a_y for a_y, _ in pairs)}
-    out = {}
-    for a_y, a_m in pairs:
-        lam = nuis.lam(a_y, a_m, x)
-        ratio = rho[a_m] / rho[a_y]
-        residual_term = (a == a_y) / omega[a_m] * ratio * (y - mu[a_y])
-        projection_term = (a == a_m) / omega[a_m] * (mu[a_y] - lam)
-        out[(a_y, a_m)] = residual_term + projection_term + lam
-    return out
-
-
-def eif(ds: TwoArmDataset, bundles: tuple, pairs, rows: np.ndarray) -> dict:
+def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dict:
     """Per-row scores on ``rows`` of each (a_y, a_m) pair in ``pairs``,
     ``{pair: scores}``, whose mean estimates E[Y^(a_y, a_m)].
 
-    ``bundles`` comes from :func:`fit_nuisance_two`.  Each treatment model
-    predicts once, and level 0 follows by the complement rule.  The
-    ensemble's two bundles share the treatment fits, so these
-    probabilities serve both, and their scores are averaged row by row
-    with equal weight.
+    Each treatment model predicts once, and level 0 follows by the
+    complement rule; each strategy's outcome models then predict once per
+    level or pair.  The ensemble's two strategies share the treatment
+    probabilities, and their scores are averaged row by row with equal
+    weight.
     """
-    m = ds.m[rows]
     x = ds.x[rows]
     y = ds.y[rows]
     a = ds.a[rows]
-    p_mx = bundles[0].treat_given_mx.predict(np.column_stack([m, x]))
-    p_x = bundles[0].treat_given_x.predict(x)
+    mx = np.column_stack([ds.m[rows], x])
+    p_mx = nuis.treat_given_mx.predict(mx)
+    p_x = nuis.treat_given_x.predict(x)
     rho = {1: p_mx, 0: 1.0 - p_mx}
     omega = {1: p_x, 0: 1.0 - p_x}
-    scores = [_pair_scores(b, pairs, a, y, m, x, rho, omega) for b in bundles]
+    levels = dict.fromkeys(a_y for a_y, _ in pairs)
+    scores = []
+    for mu_fits, lam_fits in nuis.outcomes:
+        mu = {a_y: mu_fits[a_y].predict(mx) for a_y in levels}
+        out = {}
+        for a_y, a_m in pairs:
+            lam = lam_fits[a_y, a_m].predict(x)
+            ratio = rho[a_m] / rho[a_y]
+            residual_term = (a == a_y) / omega[a_m] * ratio * (y - mu[a_y])
+            projection_term = (a == a_m) / omega[a_m] * (mu[a_y] - lam)
+            out[a_y, a_m] = residual_term + projection_term + lam
+        scores.append(out)
     if len(scores) == 1:
         return scores[0]
     return {pair: 0.5 * (scores[0][pair] + scores[1][pair]) for pair in pairs}

@@ -44,15 +44,15 @@ def make_two_arm(n=40, seed=0, n_mediators=2, n_covariates=3):
     )
 
 
-def collapsed_two_arm_score(ds, level, bundles):
+def collapsed_two_arm_score(ds, level, nuis):
     """The two-arm score at a_y = a_m = level in closed form,
     1{A=level} / omega(level, X) * (Y - lam) + lam, averaged over the two
-    strategies' bundles of an ensemble."""
+    strategies' outcome models of an ensemble."""
+    p1 = nuis.treat_given_x.predict(ds.x)
+    omega = p1 if level == 1 else 1.0 - p1
     scores = []
-    for bundle in bundles:
-        p1 = bundle.treat_given_x.predict(ds.x)
-        omega = p1 if level == 1 else 1.0 - p1
-        lam = bundle.lam(level, level, ds.x)
+    for _, lam_fits in nuis.outcomes:
+        lam = lam_fits[level, level].predict(ds.x)
         scores.append((ds.a == level) / omega * (ds.y - lam) + lam)
     return scores[0] if len(scores) == 1 else 0.5 * (scores[0] + scores[1])
 
@@ -103,8 +103,9 @@ def saturated_four(ds):
 
 
 def saturated_two(ds):
-    """Two-arm bundles, as :func:`sepfx.two_arm.fit_nuisance_two` returns
-    them, of one strategy: per-pattern arm frequencies and arm means.
+    """A two-arm bundle of one outcome strategy, as
+    :func:`sepfx.two_arm.fit_nuisance_two` returns it: per-pattern arm
+    frequencies and arm means.
 
     The outcome model ignores the mediators, so it equals its own nested
     projection; the treatment model given mediators is flat, so the density
@@ -119,13 +120,12 @@ def saturated_two(ds):
             means[level][pattern] = float(ds.y[inside].mean()) if inside.size else 0.0
     width = ds.x.shape[1]
     mu = {level: PatternLookup(means[level], width) for level in (0, 1)}
-    bundle = NuisanceFitTwo(
+    lam = {(a_y, a_m): mu[a_y] for a_y in (0, 1) for a_m in (0, 1)}
+    return NuisanceFitTwo(
         treat_given_mx=ConstantPredictor(0.5),
         treat_given_x=PatternLookup(p1, width),
-        mu_fits=mu,
-        lam_fits={(a_y, a_m): mu[a_y] for a_y in (0, 1) for a_m in (0, 1)},
+        outcomes=((mu, lam),),
     )
-    return (bundle,)
 
 
 @pytest.fixture(scope="session")

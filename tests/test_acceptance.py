@@ -171,7 +171,7 @@ def test_criterion_5_algebraic_identities(monkeypatch):
         est = estimate_effects_two(
             ds2, [("mean", (level, level))], EstimatorConfig(k_folds=2, splits=3),
         )[0]
-        plug_in = np.mean(sat2[0].lam(level, level, ds2.x))
+        plug_in = np.mean(sat2.outcomes[0][1][level, level].predict(ds2.x))
         assert abs(est.point - plug_in) < 1e-10
 
     # (d) when every row agrees, the agreement-weighted estimator is the

@@ -200,6 +200,16 @@ def test_data_error_exits_one(capsys, four_arm_csv, tmp_path):
     assert captured.err.startswith("error: input is not valid UTF-8")
 
 
+def test_overlong_field_exits_one_with_its_line(capsys, tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_bytes(b"y,aY,aM,m1,x1\n1,0,1,0.5," + b"a" * 200_000 + b"\n")
+    assert main(["estimate", "--design", "four-arm", "--data", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: field larger than field limit")
+    assert "Traceback" not in captured.err
+
+
 def test_zero_standard_error_exits_one(capsys, tmp_path):
     """An all-zero outcome gives every score 0 and so a zero standard error."""
     ds = generate_dataset(SimConfig(n=400, reps=1), 0)

@@ -172,7 +172,7 @@ def _marked_splits(points):
 
     def split_fn(split):
         contrib = np.full(2, float(split))
-        return {"key": (points[split], np.zeros(2), contrib, None)}
+        return {"key": (points[split], np.zeros(2), contrib)}
 
     return split_fn
 

@@ -399,6 +399,46 @@ def test_bad_row_before_invalid_utf8_wins_whatever_the_gap(gap, kind, tmp_path):
         load_four_arm(source)
 
 
+@pytest.mark.parametrize("kind", ["bytes", "file"])
+def test_lone_carriage_returns_end_lines_in_bytes_and_files(kind, tmp_path):
+    """Bytes split lines as files do, on a lone \\r too, also on the path
+    that reads the lines before an invalid byte."""
+    text = b"y,aY,aM,m1,x1\r1.0,1,0,0.5,1\r2.0,0,1,0.25,0\r"
+    bad = b"y,aY,aM,m1,x1\r1,0,1,0.5\r\xff\r"
+    sources = [text, bad]
+    if kind == "file":
+        sources = [tmp_path / "good.csv", tmp_path / "bad.csv"]
+        sources[0].write_bytes(text)
+        sources[1].write_bytes(bad)
+    ds = load_four_arm(sources[0])
+    np.testing.assert_array_equal(ds.y, [1.0, 2.0])
+    np.testing.assert_array_equal(ds.x[:, 0], [1.0, 0.0])
+    with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
+        load_four_arm(sources[1])
+
+
+@pytest.mark.parametrize(
+    "template, line",
+    [
+        ("y,aY,aM,m1,x1\n1,0,1,0.5,{a}\n", 2),
+        ('y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n1,0,1,0.5,"{1}"\n', 3),
+        ("y,aY,aM,m1,x{1}\n1,0,1,0.5,0.2\n", 1),
+    ],
+    ids=["row", "quoted", "header"],
+)
+def test_overlong_field_is_a_data_error(template, line, tmp_path):
+    """A field over the csv module's size limit is reported with its line,
+    as a DataError, not as a bare csv.Error."""
+    text = template.replace("{a}", "a" * 200_000).replace("{1}", "1" * 200_000)
+    text = text.encode("utf-8")
+    path = tmp_path / "d.csv"
+    path.write_bytes(text)
+    message = f"^line {line}: field larger than field limit"
+    for source in (text, path):
+        with pytest.raises(DataError, match=message):
+            load_four_arm(source)
+
+
 def test_invalid_utf8_is_a_data_error(tmp_path):
     text = b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,\xff,0.3\n"
     path = tmp_path / "d.csv"

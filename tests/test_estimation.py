@@ -198,9 +198,8 @@ def _stub_split(split):
             POINTS[split],
             np.array(DEVIATIONS[split]),
             np.full(3, float(split)),
-            {"d": float(split)},
         ),
-        "no-eif": (POINTS[split], np.array(DEVIATIONS[split]), None, None),
+        "no-eif": (POINTS[split], np.array(DEVIATIONS[split]), None),
     }
 
 
@@ -224,7 +223,6 @@ def test_run_battery_median_rule(splits, point, variance, eif_split):
     assert result.point == point
     assert result.variance == variance
     np.testing.assert_array_equal(result.eif, np.full(3, eif_split))
-    assert result.diagnostics == {"d": float(np.median(range(splits)))}
     bare = combined["no-eif"]
     assert (bare.point, bare.variance) == (point, variance)
     assert bare.eif is None and bare.diagnostics is None

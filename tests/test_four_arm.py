@@ -4,13 +4,14 @@ import pytest
 import sepfx.four_arm
 from sepfx.data import FourArmDataset
 from sepfx.errors import DegenerateFold
-from sepfx.estimation import EstimatorConfig
+from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells
 from sepfx.four_arm import (
     CELLS,
     NuisanceFitFour,
     eif,
     estimate_effects_four,
     fit_nuisance_four,
+    split_scores_four,
 )
 from sepfx.learners import ConstantPredictor, GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, arm_probability, generate_dataset, true_effects
@@ -222,6 +223,25 @@ def test_diagnostics_only_when_requested(sim_four_arm):
     assert set(with_diag.diagnostics) == {"ipw", "outcome_regression"}
     payload = with_diag.to_json_dict()
     assert payload["diagnostics"] == with_diag.diagnostics
+
+
+@pytest.mark.parametrize("splits", [3, 4])
+def test_diagnostics_are_medians_of_split_plug_ins(sim_four_arm, splits):
+    """Each diagnostic is the median over splits of that split's plug-in
+    contrast mean, bit for bit, at odd and at even ``splits``."""
+    config = EstimatorConfig(seed=1, splits=splits, diagnostics=True)
+    requests = [("sde", 1), ("sie", 0), ("mean", (1, 1))]
+    estimands = [Estimand(*req) for req in requests]
+    cells = estimand_cells(estimands)
+    per_split = [
+        split_scores_four(sim_four_arm, split, config, cells, diagnostics=True)
+        for split in range(splits)
+    ]
+    results = estimate_effects_four(sim_four_arm, requests, config)
+    for est, result in zip(estimands, results):
+        for name in ("ipw", "outcome_regression"):
+            means = [np.mean(est.contrast(scores[name])) for scores in per_split]
+            assert result.diagnostics[name] == float(np.median(means))
 
 
 def test_shared_nuisances_across_requests(sim_four_arm):

@@ -416,9 +416,10 @@ def test_strategies_recover_additive_effect():
     ds = _strategy_data(x, a, y)
     config = EstimatorConfig(outcome=LearnerSpec(kind="glm", basis="interactions"))
     for strategy in ("S", "T", "ensemble"):
-        bundles = fit_nuisance_two(ds, np.arange(n), replace(config, strategy=strategy))
-        for bundle in bundles:
-            effect = np.mean(bundle.mu(1, ds.m, ds.x) - bundle.mu(0, ds.m, ds.x))
+        nuis = fit_nuisance_two(ds, np.arange(n), replace(config, strategy=strategy))
+        mx = np.column_stack([ds.m, ds.x])
+        for mu_fits, _ in nuis.outcomes:
+            effect = np.mean(mu_fits[1].predict(mx) - mu_fits[0].predict(mx))
             assert abs(effect - 1.0) < 0.05, strategy
 
 

@@ -7,6 +7,8 @@ import inspect
 
 import sepfx
 from sepfx import forest, learners
+from sepfx.four_arm import NuisanceFitFour
+from sepfx.two_arm import NuisanceFitTwo
 
 PUBLIC_NAMES = [
     "BadK",
@@ -143,3 +145,20 @@ def test_config_fields_are_pinned():
     }
     assert found == CONFIG_FIELDS
     assert sum(len(names) for names in found.values()) == 42
+
+
+BUNDLE_FIELDS = {
+    NuisanceFitFour: ["cell_classifiers", "outcome_fit", "clip", "agree_fit"],
+    NuisanceFitTwo: ["treat_given_mx", "treat_given_x", "outcomes"],
+}
+
+
+def test_nuisance_bundle_fields_are_pinned():
+    """README tells callers who need custom nuisances to patch a fitter
+    that returns a bundle of its own, so each bundle's fields are listed,
+    in order."""
+    found = {
+        bundle: [item.name for item in dataclasses.fields(bundle)]
+        for bundle in BUNDLE_FIELDS
+    }
+    assert found == BUNDLE_FIELDS

@@ -21,16 +21,16 @@ def one_row(y, a):
 
 
 def flat_nuisance(omega, rho1, mu, lam):
-    """One-strategy bundles with constant treatment probabilities
+    """A one-strategy bundle with constant treatment probabilities
     P(A=1 | X) = ``omega`` and P(A=1 | M, X) = ``rho1``, and constant
     outcome models, for score arithmetic checks."""
-    bundle = NuisanceFitTwo(
+    mu_fits = {level: ConstantPredictor(mu) for level in (0, 1)}
+    lam_fits = {(a_y, a_m): ConstantPredictor(lam) for a_y in (0, 1) for a_m in (0, 1)}
+    return NuisanceFitTwo(
         treat_given_mx=ConstantPredictor(rho1),
         treat_given_x=ConstantPredictor(omega),
-        mu_fits={level: ConstantPredictor(mu) for level in (0, 1)},
-        lam_fits={(a_y, a_m): ConstantPredictor(lam) for a_y in (0, 1) for a_m in (0, 1)},
+        outcomes=((mu_fits, lam_fits),),
     )
-    return (bundle,)
 
 
 def full_sample_eif(ds, pair, nuis):
