@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 from . import __version__
 from .data import ColumnMap, load_four_arm, load_two_arm
 from .errors import SepfxError
-from .estimation import STRATEGIES
+from .estimation import STRATEGIES, EstimatorConfig, shared_settings
 from .falsification import (
     DIRECT_BASES, direct_test_h0i, direct_test_h0ii, indirect_test_battery,
 )
@@ -55,13 +55,13 @@ def _add_column_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--learner", default="glm", choices=PRESET_CHOICES)
-    parser.add_argument("--k-folds", type=int, default=2)
-    parser.add_argument("--splits", type=int, default=3)
-    parser.add_argument("--alpha", type=float, default=0.05)
-    parser.add_argument("--clip", type=float, default=0.01)
+    parser.add_argument("--k-folds", type=int, default=EstimatorConfig.k_folds)
+    parser.add_argument("--splits", type=int, default=EstimatorConfig.splits)
+    parser.add_argument("--alpha", type=float, default=EstimatorConfig.alpha)
+    parser.add_argument("--clip", type=float, default=EstimatorConfig.clip)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--strategy", default="ensemble", choices=STRATEGIES,
+        "--strategy", default=EstimatorConfig.strategy, choices=STRATEGIES,
         help="two-arm outcome-model strategy",
     )
 
@@ -152,9 +152,7 @@ def _schema_from_args(args) -> ColumnMap:
 def _estimator_config(args, parser, diagnostics: bool = False):
     try:
         return estimator_config_for(
-            args.learner, args.seed, k_folds=args.k_folds, splits=args.splits,
-            alpha=args.alpha, clip=args.clip, strategy=args.strategy,
-            diagnostics=diagnostics,
+            args.learner, args.seed, diagnostics=diagnostics, **shared_settings(args)
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -198,13 +196,9 @@ def _run_simulate(args, parser) -> dict:
             master_seed=args.seed,
             estimators=estimators,
             learner=args.learner,
-            k_folds=args.k_folds,
-            splits=args.splits,
-            alpha=args.alpha,
-            clip=args.clip,
-            strategy=args.strategy,
             violation=args.violation,
             threads=args.threads,
+            **shared_settings(args),
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -307,10 +301,7 @@ def main(argv=None) -> int:
     }
     try:
         result = handlers[args.command](args, parser)
-    except SepfxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SepfxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -333,11 +324,9 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        if args.pretty:
-            print("\n".join(_pretty_lines(args.command, result)))
-    elif args.pretty:
+    if args.pretty:
         print("\n".join(_pretty_lines(args.command, result)))
-    else:
+    elif not args.out:
         sys.stdout.write(text)
     return 0
 

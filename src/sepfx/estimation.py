@@ -33,7 +33,7 @@ from scipy.special import ndtri
 
 from .crossfit import median_adjust
 from .errors import DegenerateEstimate
-from .learners import LearnerSpec
+from .learners import DEFAULT_CLIP, LearnerSpec
 
 Z_95 = 1.96
 
@@ -138,7 +138,7 @@ class EstimatorConfig:
     k_folds: int = 2
     splits: int = 3
     alpha: float = 0.05
-    clip: float = 0.01
+    clip: float = DEFAULT_CLIP
     seed: int = 0
     strategy: str = "ensemble"
     keep_eif: bool = True
@@ -154,6 +154,15 @@ class EstimatorConfig:
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
+
+# What a Monte Carlo study or the command line passes on to every estimator.
+SHARED_SETTINGS = ("k_folds", "splits", "alpha", "clip", "strategy")
+
+
+def shared_settings(source) -> dict:
+    """``SHARED_SETTINGS`` read off a ``SimConfig`` or parsed CLI arguments."""
+    return {name: getattr(source, name) for name in SHARED_SETTINGS}
 
 
 def _json_value(value):

@@ -40,6 +40,7 @@ from .estimation import (
     EstimatorConfig,
     JsonFields,
     build_estimates,
+    centred,
     checked_se,
     estimand_cells,
     run_battery,
@@ -120,10 +121,10 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     scale = np.abs(np.diag(r))
     if scale.min() <= max(n, p) * np.finfo(np.float64).eps * scale.max():
         raise SingularDesign("design matrix is rank deficient")
-    centred = targets - targets.mean()
-    qty = q.T @ centred
-    resid = centred - q @ qty
-    centred_norm = np.linalg.norm(centred)
+    y_centred = targets - targets.mean()
+    qty = q.T @ y_centred
+    resid = y_centred - q @ qty
+    centred_norm = np.linalg.norm(y_centred)
     if np.ptp(targets) == 0.0 or np.linalg.norm(resid) <= EXACT_FIT_RTOL * centred_norm:
         raise DegenerateEstimate(
             "the regressors reproduce the target exactly, so the residuals "
@@ -330,10 +331,9 @@ def indirect_test_battery(
         two_scores = split_scores_two(ds2, split, config, cells)
         out = {}
         for est, (theta_point, residual) in theta.items():
-            psi_diff = est.contrast(two_scores)
-            two_point = float(np.mean(psi_diff))
+            two_point, two_deviations, _ = centred(est.contrast(two_scores))
             centered_two = np.zeros(ds.n)
-            centered_two[ds2.source_rows] = psi_diff - two_point
+            centered_two[ds2.source_rows] = two_deviations
             deviations = (residual - centered_two) / pr_agree
             out[est] = (theta_point - two_point, deviations, None)
         return out

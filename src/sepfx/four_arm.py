@@ -25,6 +25,7 @@ plug-in estimators are ``run_battery`` keys of their own.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -164,29 +165,29 @@ def eif(
     pi: np.ndarray,
     agreement: tuple | None = None,
     terms: bool = False,
-) -> tuple:
-    """Per-row scores on ``rows``, first those whose mean estimates
-    E[Y^(a_y, a_m)].
+) -> dict:
+    """Per-row scores on ``rows`` by name: under ``"four"`` those whose
+    mean estimates E[Y^(a_y, a_m)].
 
     Rows outside the (a_y, a_m) cell contribute only their predicted
     outcome; rows inside add the inverse-probability-weighted residual.
     ``pi`` is the cell's clipped propensity on ``rows``, a column of
     ``nuis.propensities``.  With ``agreement``, the pair ``(s_hat,
-    agree)`` of the agreement probability and indicator on ``rows``, the
-    agreement-population score ``1{cell} * (Y - nu) * s_hat / pi + nu *
-    agree`` follows, from the same residual term; with ``terms`` the two
-    plug-in estimators' scores (IPW outcome, outcome prediction) come last.
+    agree)`` of the agreement probability and indicator on ``rows``,
+    ``"agreement"`` holds the agreement-population score ``1{cell} * (Y -
+    nu) * s_hat / pi + nu * agree``, from the same residual term; with
+    ``terms`` each plug-in of ``PLUG_INS`` holds its own.
     """
     nu = nuis.outcome(a_y, a_m, ds.x[rows])
     y = ds.y[rows]
     inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
     residual = inside * (y - nu)
-    scores = (residual / pi + nu,)
+    scores = {"four": residual / pi + nu}
     if agreement is not None:
         s_hat, agree = agreement
-        scores += (residual * s_hat / pi + nu * agree,)
+        scores["agreement"] = residual * s_hat / pi + nu * agree
     if terms:
-        scores += (inside * y / pi, nu)
+        scores.update(zip(PLUG_INS, (inside * y / pi, nu)))
     return scores
 
 
@@ -204,18 +205,15 @@ def split_scores_four(
     :func:`fit_nuisance_theta` when ``agreement`` is set, else with
     :func:`fit_nuisance_four`.  The folds are drawn, and redrawn on a
     degenerate fold, by :func:`~sepfx.crossfit.cross_fit_split`.  Returns
-    dicts keyed by cell of the :func:`eif` scores: ``"four"``; with
-    ``agreement`` ``"agreement"``; with ``diagnostics`` ``"ipw"`` and
-    ``"outcome_regression"``.  Within a fold every model is predicted once
-    on the test block.
+    ``{name: {cell: scores}}`` for the names :func:`eif` returns, with
+    ``terms=diagnostics``.  Within a fold every model is predicted once on
+    the test block.
     """
     fit = fit_nuisance_theta if agreement else fit_nuisance_four
     folds, fits = cross_fit_split(
         ds, config, split, lambda data, train: fit(data, train, config, cells)
     )
-    names = ("four",) + ("agreement",) * agreement
-    names += PLUG_INS * diagnostics
-    scores = {name: {cell: np.empty(ds.n) for cell in cells} for name in names}
+    scores = defaultdict(lambda: {cell: np.empty(ds.n) for cell in cells})
     agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
     for fold in range(folds.k):
         test = folds.test_rows(fold)
@@ -225,10 +223,9 @@ def split_scores_four(
         pair = (nuis.agreement_probability(x), agree[test]) if agreement else None
         for cell in cells:
             pi = probs[:, CELLS.index(cell)]
-            values = eif(ds, *cell, nuis, test, pi, pair, diagnostics)
-            for name, value in zip(names, values):
+            for name, value in eif(ds, *cell, nuis, test, pi, pair, diagnostics).items():
                 scores[name][cell][test] = value
-    return scores
+    return dict(scores)
 
 
 def agreement_share(ds: FourArmDataset) -> float:

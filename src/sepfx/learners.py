@@ -241,10 +241,7 @@ def _fit(X, y, spec: LearnerSpec, interact_cols, clip: float | None) -> FittedPr
         return GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
     if spec.kind == "random_forest":
         return fit_forest(X, y, spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip=clip)
-    return fit_super_learner(
-        X, y, spec.candidates, spec.v_folds, seed=spec.seed,
-        interact_cols=interact_cols, clip=clip,
-    )
+    return fit_super_learner(X, y, spec, interact_cols, clip)
 
 
 def fit_regressor(
@@ -359,13 +356,11 @@ def _predict_candidates(fits, indices, features: np.ndarray) -> list[np.ndarray]
 def fit_super_learner(
     features,
     targets,
-    candidates: tuple[LearnerSpec, ...],
-    v_folds: int = 5,
-    seed: int = 0,
+    spec: LearnerSpec,
     interact_cols: tuple[int, ...] = (),
     clip: float | None = None,
 ) -> SuperLearnerFit:
-    """Stack candidate learners by NNLS on out-of-fold predictions.
+    """Stack ``spec.candidates`` by NNLS on out-of-fold predictions.
 
     With a ``clip`` the candidates and the stack are classifications.
     Weights live on the simplex.  If the normalized NNLS solution would
@@ -374,18 +369,17 @@ def fit_super_learner(
     index), so the ensemble's CV loss never exceeds the best candidate's.
     Rows are checked as in :func:`fit_regressor` before anything is fit.
     """
-    if not candidates:
-        raise LearnerError("super learner needs at least one candidate")
-    if v_folds < 2:
-        raise LearnerError("super learner needs at least 2 internal folds")
+    if spec.kind != "super_learner":
+        raise LearnerError(f"need a super_learner spec, got {spec.kind!r}")
     X, y = _checked_rows(features, targets, "targets")
     n = y.shape[0]
-    if n < v_folds:
-        raise TooFewRows(f"need at least {v_folds} rows, got {n}")
+    if n < spec.v_folds:
+        raise TooFewRows(f"need at least {spec.v_folds} rows, got {n}")
 
-    folds = make_folds(n, v_folds, derive_seed(seed, "super-learner-folds"))
+    candidates = spec.candidates
+    folds = make_folds(n, spec.v_folds, derive_seed(spec.seed, "super-learner-folds"))
     oof = np.empty((n, len(candidates)))
-    for fold in range(v_folds):
+    for fold in range(spec.v_folds):
         train = folds.train_rows(fold)
         test = folds.test_rows(fold)
         fits = _fit_library(X[train], y[train], candidates, interact_cols, clip)

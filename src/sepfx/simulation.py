@@ -51,7 +51,9 @@ from scipy.special import expit
 
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
-from .estimation import Estimand, EstimatorConfig, JsonFields, build_estimates
+from .estimation import (
+    Estimand, EstimatorConfig, JsonFields, build_estimates, shared_settings,
+)
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
     direct_test_h0i,
@@ -128,11 +130,11 @@ class SimConfig(JsonFields):
     master_seed: int = 0
     estimators: tuple[str, ...] = ESTIMATOR_NAMES
     learner: str = "glm"
-    k_folds: int = 2
-    splits: int = 3
-    alpha: float = 0.05
-    clip: float = 0.01
-    strategy: str = "ensemble"
+    k_folds: int = EstimatorConfig.k_folds
+    splits: int = EstimatorConfig.splits
+    alpha: float = EstimatorConfig.alpha
+    clip: float = EstimatorConfig.clip
+    strategy: str = EstimatorConfig.strategy
     sde_level: int = 1
     sie_level: int = 1
     violation: float | None = None
@@ -154,10 +156,7 @@ class SimConfig(JsonFields):
             raise ValueError(f"threads must be between 1 and {cpus}, got {self.threads!r}")
         # the estimator settings', preset's and requests' own rules, applied
         # once per study
-        EstimatorConfig(
-            k_folds=self.k_folds, splits=self.splits, alpha=self.alpha,
-            clip=self.clip, strategy=self.strategy,
-        )
+        EstimatorConfig(**shared_settings(self))
         make_spec(self.learner)
         for kind in KINDS:
             Estimand(kind, getattr(self, f"{kind}_level")).cells()
@@ -300,11 +299,7 @@ def _rep_config(cfg: SimConfig, rep: int) -> EstimatorConfig:
     return estimator_config_for(
         cfg.learner,
         seed=derive_seed(cfg.master_seed, "estimation", rep),
-        k_folds=cfg.k_folds,
-        splits=cfg.splits,
-        alpha=cfg.alpha,
-        clip=cfg.clip,
-        strategy=cfg.strategy,
+        **shared_settings(cfg),
     )
 
 

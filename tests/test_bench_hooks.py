@@ -79,10 +79,11 @@ def test_trace_hooks_see_one_forest_per_super_learner_prefix_group(monkeypatch):
     x = g.integers(0, 2, size=(120, 4)).astype(float)
     y = x[:, 0] + g.normal(size=120)
     forests = tuple(sepfx.learners.LearnerSpec(kind="random_forest", trees=t, seed=3) for t in (1, 2, 3))
+    stack = sepfx.learners.LearnerSpec(kind="super_learner", candidates=forests, v_folds=3, seed=3)
     tracer = layers.Tracer()
     tracer.install()
     try:
-        sepfx.learners.fit_super_learner(x, y, forests, v_folds=3, seed=3)
+        sepfx.learners.fit_super_learner(x, y, stack)
         calls, _, _ = layers.span_totals(tracer.spans)
         counters = layers.summarize([tracer.snapshot()])
     finally:

@@ -9,7 +9,7 @@ import pytest
 import sepfx
 from sepfx.cli import build_parser, main
 from sepfx.data import FourArmDataset, restrict_to_two_arm, save_four_arm, save_two_arm
-from sepfx.estimation import STRATEGIES
+from sepfx.estimation import STRATEGIES, EstimatorConfig, shared_settings
 from sepfx.falsification import DIRECT_BASES
 from sepfx.learners import PRESET_CHOICES
 from sepfx.simulation import SimConfig, generate_dataset
@@ -87,6 +87,17 @@ def test_estimate_writes_out_file(capsys, four_arm_csv, tmp_path):
     assert capsys.readouterr().out == ""
     payload = json.loads(out.read_text())
     assert payload["result"]["estimates"][0]["estimand"] == "sde"
+
+
+def test_pretty_table_with_out_file(capsys, four_arm_csv, tmp_path):
+    out = tmp_path / "est.json"
+    code = main([
+        "estimate", "--data", four_arm_csv, "--design", "four-arm",
+        "--estimand", "sde:aM=1", "--pretty", "--out", str(out),
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("estimand")
+    assert json.loads(out.read_text())["result"]["estimates"][0]["estimand"] == "sde"
 
 
 def test_pretty_table(capsys, four_arm_csv):
@@ -170,6 +181,20 @@ def test_choice_lists_are_the_librarys_tuples():
         assert flags["--learner"].choices is PRESET_CHOICES
         assert flags["--strategy"].choices is STRATEGIES
     assert commands["falsify"]._option_string_actions["--basis"].choices is DIRECT_BASES
+
+
+def test_shared_settings_default_to_the_estimator_config():
+    """``SimConfig`` and every subcommand's estimator flags take their
+    defaults from ``EstimatorConfig``, the one place they are written."""
+    defaults = shared_settings(EstimatorConfig())
+    assert shared_settings(SimConfig(reps=1)) == defaults
+    parser = build_parser()
+    for argv in (
+        ["simulate"],
+        ["estimate", "--data", "d.csv", "--design", "four-arm"],
+        ["falsify", "direct", "--data", "d.csv"],
+    ):
+        assert shared_settings(parser.parse_args(argv)) == defaults
 
 
 def test_two_arm_diagnostics_exit_two(capsys, two_arm_csv):

@@ -40,7 +40,7 @@ def flat_nuisance(nu, pi):
 def full_sample_eif(ds, cell, nuis):
     """The :func:`eif` scores of ``cell`` on every row of ``ds``."""
     pi = nuis.propensities(ds.x)[:, CELLS.index(cell)]
-    return eif(ds, *cell, nuis, np.arange(ds.n), pi)[0]
+    return eif(ds, *cell, nuis, np.arange(ds.n), pi)["four"]
 
 
 def test_score_inside_cell():

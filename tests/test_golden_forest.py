@@ -63,9 +63,8 @@ def record_super_learner() -> dict:
     out = {}
     for task, clip in (("regression", None), ("classification", 0.01)):
         x, y = task_data(task)
-        sl = fit_super_learner(
-            x[:120], y[:120], SL_FORESTS, v_folds=3, seed=SL_SEED, clip=clip
-        )
+        spec = LearnerSpec(kind="super_learner", candidates=SL_FORESTS, v_folds=3, seed=SL_SEED)
+        sl = fit_super_learner(x[:120], y[:120], spec, clip=clip)
         out[task] = {
             "weights": sl.weights.tolist(),
             "cv_losses": sl.cv_losses.tolist(),

@@ -168,6 +168,18 @@ def test_learners_refuse_non_finite_input_before_fitting(spec, bad, where):
         fit_classifier(x, y, spec)
 
 
+def _stack(candidates, v_folds, seed=0) -> LearnerSpec:
+    return LearnerSpec(
+        kind="super_learner", candidates=tuple(candidates), v_folds=v_folds, seed=seed
+    )
+
+
+def test_super_learner_takes_only_a_super_learner_spec():
+    x = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(LearnerError, match="need a super_learner spec, got 'glm'"):
+        fit_super_learner(x, x[:, 0], LearnerSpec(kind="glm"))
+
+
 @pytest.mark.parametrize("rows, bad", [(80, None), (100, None), (90, np.nan)])
 @pytest.mark.parametrize("clip", [None, 0.02])
 def test_super_learner_refuses_bad_rows_before_fitting(monkeypatch, rows, bad, clip):
@@ -185,7 +197,7 @@ def test_super_learner_refuses_bad_rows_before_fitting(monkeypatch, rows, bad, c
     if bad is not None:
         y[3] = bad
     with pytest.raises(LearnerError, match="row count|finite"):
-        fit_super_learner(x, y, [LearnerSpec(basis="main")], v_folds=3, clip=clip)
+        fit_super_learner(x, y, _stack([LearnerSpec(basis="main")], v_folds=3), clip=clip)
 
 
 def test_single_class_warns_and_returns_constant():
@@ -252,7 +264,7 @@ def test_super_learner_prefers_correct_model():
     y = 1.0 + x @ np.array([0.5, -0.25, 0.1]) + rng.normal(scale=0.3, size=n)
     good = LearnerSpec(kind="glm", basis="main")
     weak = LearnerSpec(kind="glm", basis="intercept")
-    sl = fit_super_learner(x, y, [good, weak], v_folds=5, seed=0)
+    sl = fit_super_learner(x, y, _stack([good, weak], v_folds=5))
     assert sl.weights[0] > 0.9
     assert abs(sum(sl.weights) - 1.0) < 1e-9
     assert sl.ensemble_cv_loss <= min(sl.cv_losses) + 1e-9
@@ -262,7 +274,7 @@ def test_super_learner_single_candidate():
     rng = stream(10, "sl1")
     x = rng.normal(size=(200, 2))
     y = x[:, 0] + rng.normal(scale=0.2, size=200)
-    sl = fit_super_learner(x, y, [LearnerSpec(kind="glm", basis="main")], v_folds=3, seed=0)
+    sl = fit_super_learner(x, y, _stack([LearnerSpec(kind="glm", basis="main")], v_folds=3))
     np.testing.assert_allclose(sl.weights, [1.0])
 
 
@@ -271,7 +283,7 @@ def test_super_learner_identical_candidates():
     x = rng.normal(size=(300, 2))
     y = x[:, 0] - x[:, 1] + rng.normal(scale=0.2, size=300)
     spec = LearnerSpec(kind="glm", basis="main")
-    sl = fit_super_learner(x, y, [spec, spec], v_folds=3, seed=0)
+    sl = fit_super_learner(x, y, _stack([spec, spec], v_folds=3))
     assert abs(sum(sl.weights) - 1.0) < 1e-9
     assert sl.ensemble_cv_loss <= min(sl.cv_losses) + 1e-9
 
@@ -284,8 +296,8 @@ def test_super_learner_deterministic_by_seed():
         LearnerSpec(kind="glm", basis="main"),
         LearnerSpec(kind="random_forest", trees=20, seed=5),
     ]
-    a = fit_super_learner(x, y, cands, v_folds=3, seed=7)
-    b = fit_super_learner(x, y, cands, v_folds=3, seed=7)
+    a = fit_super_learner(x, y, _stack(cands, v_folds=3, seed=7))
+    b = fit_super_learner(x, y, _stack(cands, v_folds=3, seed=7))
     np.testing.assert_array_equal(a.weights, b.weights)
     np.testing.assert_array_equal(a.predict(x), b.predict(x))
 
@@ -327,9 +339,7 @@ def _check_against_solo_fits(x, y, candidates, task, seed):
     each candidate predicts bit for bit like its spec fit alone."""
     clip = SL_CLIP if task == "classification" else None
     train, test = x[:60], x[60:]
-    sl = fit_super_learner(
-        train, y[:60], candidates, v_folds=3, seed=seed, clip=clip
-    )
+    sl = fit_super_learner(train, y[:60], _stack(candidates, v_folds=3, seed=seed), clip=clip)
     want_losses = _reference_cv_losses(train, y[:60], candidates, 3, seed, task)
     assert sl.cv_losses.tobytes() == want_losses.tobytes()
     want = np.zeros(test.shape[0])
@@ -391,7 +401,7 @@ def test_super_learner_single_class_gives_each_forest_a_constant():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         sl = fit_super_learner(
-            x, np.ones(x.shape[0]), candidates, v_folds=3, seed=0, clip=SL_CLIP
+            x, np.ones(x.shape[0]), _stack(candidates, v_folds=3), clip=SL_CLIP
         )
     for fit in sl.candidate_fits:
         assert isinstance(fit, ConstantPredictor) and fit.value == 1.0 - SL_CLIP

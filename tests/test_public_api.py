@@ -119,9 +119,7 @@ def test_public_function_parameters_are_pinned():
 LEARNER_PARAMETERS = {
     "fit_regressor": ["features", "targets", "spec", "interact_cols"],
     "fit_classifier": ["features", "labels", "spec", "interact_cols", "clip"],
-    "fit_super_learner": [
-        "features", "targets", "candidates", "v_folds", "seed", "interact_cols", "clip",
-    ],
+    "fit_super_learner": ["features", "targets", "spec", "interact_cols", "clip"],
     "fit_forest": ["features", "targets", "n_trees", "mtry", "min_leaf", "seed", "clip"],
 }
 
@@ -129,7 +127,7 @@ LEARNER_PARAMETERS = {
 def test_learner_entry_points_are_pinned():
     """README names the three learner fitters as importable from
     ``sepfx.learners``, and ``bench/layers.py`` binds ``fit_forest``'s
-    arguments by name: 4, 5, 7 and 7 parameters, with no ``task``."""
+    arguments by name: 4, 5, 5 and 7 parameters, with no ``task``."""
     found = {}
     for name in LEARNER_PARAMETERS:
         owner = forest if name == "fit_forest" else learners
