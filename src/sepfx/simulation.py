@@ -264,16 +264,19 @@ def true_effects(cfg: SimConfig) -> SimTruth:
     """Exact estimand values implied by the generator.
 
     The four-arm direct effect and both indirect effects are closed-form
-    constants.  The two-arm direct effect reweights the effect curve by
-    the per-pattern agreement probability, computed by enumerating all
-    covariate patterns; under model 2 agreement is independent of the
-    covariates and the value collapses to the base effect.
+    constants; a ``violation`` adds itself to every row's indirect
+    contrast, in both populations.  The two-arm direct effect reweights
+    the effect curve by the per-pattern agreement probability, computed
+    by enumerating all covariate patterns; under model 2 agreement is
+    independent of the covariates and the value collapses to the base
+    effect.
     """
+    sie = N_MEDIATORS * MEDIATOR_SHIFT + (cfg.violation or 0.0)
     return SimTruth(
         sde_four=EFFECT_BASE,
-        sie_four=N_MEDIATORS * MEDIATOR_SHIFT,
+        sie_four=sie,
         sde_two=_agreement_weighted_effect(cfg.a_y_model),
-        sie_two=N_MEDIATORS * MEDIATOR_SHIFT,
+        sie_two=sie,
     )
 
 

@@ -67,6 +67,19 @@ def test_model_one_agreement_truth_matches_enumeration():
     assert truth.sde_two < 2.0
 
 
+@pytest.mark.parametrize("violation", [None, 0.5])
+def test_indirect_truths_match_the_potential_outcomes(violation):
+    """Each row's indirect contrast is one constant, a violation included,
+    so both populations' sie truths equal its mean over a draw."""
+    cfg = SimConfig(n=500, reps=1, master_seed=3, violation=violation)
+    truth = true_effects(cfg)
+    pot = draw_potentials(cfg, 0)
+    for a in (0, 1):
+        contrast = float(np.mean(pot.outcomes[(a, 1)] - pot.outcomes[(a, 0)]))
+        assert abs(truth.sie_four - contrast) < 1e-12
+        assert abs(truth.sie_two - contrast) < 1e-12
+
+
 def test_curves_are_centered():
     rng = np.random.default_rng(0)
     x = (rng.random((200000, 5)) < 0.5).astype(np.float64)
