@@ -118,6 +118,10 @@ class _Dataset:
             object.__setattr__(self, field, _freeze(value))
         object.__setattr__(self, "mediator_names", tuple(med_names))
         object.__setattr__(self, "covariate_names", tuple(cov_names))
+        names = self.column_names()
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        if repeated:
+            raise DataError(f"duplicate column names: {', '.join(repeated)}")
 
     @property
     def n(self) -> int:

@@ -225,6 +225,14 @@ def test_data_error_exits_one(capsys, four_arm_csv, tmp_path):
     assert captured.err.startswith("error: input is not valid UTF-8")
 
 
+def test_a_column_taken_twice_exits_one(capsys, four_arm_csv):
+    for argv in (["estimate", "--design", "four-arm"], ["falsify", "direct"]):
+        assert main(argv + ["--data", four_arm_csv, "--col-mediators", "m1,m1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate column names: m1\n"
+
+
 def test_overlong_field_exits_one_with_its_line(capsys, tmp_path):
     path = tmp_path / "long.csv"
     path.write_bytes(b"y,aY,aM,m1,x1\n1,0,1,0.5," + b"a" * 200_000 + b"\n")

@@ -11,6 +11,7 @@ from sepfx import data as data_module
 from sepfx.data import (
     ColumnMap,
     FourArmDataset,
+    TwoArmDataset,
     load_four_arm,
     load_two_arm,
     restrict_to_two_arm,
@@ -141,6 +142,28 @@ def test_load_rejects_nan_token():
 def test_load_duplicate_header():
     with pytest.raises(DataError):
         load_four_arm(b"y,aY,aM,m1,m1,x1\n1,0,1,0.5,0.5,0.2\n")
+
+
+@pytest.mark.parametrize(
+    "schema, name",
+    [(ColumnMap(mediators=("m1", "m1")), "m1"), (ColumnMap(covariates=("x1", "x1")), "x1")],
+)
+def test_a_column_taken_twice_is_refused(schema, name):
+    """A dataset with a repeated name would save a header that no load accepts."""
+    with pytest.raises(DataError, match=f"duplicate column names: {name}$"):
+        load_four_arm(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.4,0.3\n", schema)
+
+
+def test_datasets_refuse_repeated_names():
+    ds = generate_dataset(SimConfig(n=100, reps=1), 0)
+    with pytest.raises(DataError, match="duplicate column names: x1$"):
+        FourArmDataset(y=ds.y, a_y=ds.a_y, a_m=ds.a_m, m=ds.m, x=ds.x, outcome_name="x1")
+    two = restrict_to_two_arm(ds)
+    with pytest.raises(DataError, match="duplicate column names: m, x$"):
+        TwoArmDataset(
+            y=two.y, a=two.a, m=two.m, x=two.x[:, :2],
+            mediator_names=("m", "x"), covariate_names=("x", "m"),
+        )
 
 
 def test_load_empty_body():
