@@ -59,6 +59,19 @@ def checked_se(se: float, label: str) -> float:
     return se
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer that is not a bool (``True`` passes as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integers(record, names) -> None:
+    """Raise ``ValueError`` unless each field of ``record`` in ``names``
+    :func:`is_integer`, so a fraction fails here and not inside numpy."""
+    for name in names:
+        if not is_integer(getattr(record, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(record, name)!r}")
+
+
 class Estimand(NamedTuple):
     """One requested contrast: ``("sde", a_m)``, ``("sie", a_y)`` or
     ``("mean", (a_y, a_m))``.
@@ -75,8 +88,8 @@ class Estimand(NamedTuple):
     def cells(self) -> tuple:
         """The (a_y, a_m) cells the contrast combines: the plus cell first.
 
-        Raises ``ValueError`` unless each level is 0 or 1 (for ``mean``, an
-        (a_y, a_m) pair of them).
+        Raises ``ValueError`` unless each level is an integer 0 or 1 (for
+        ``mean``, an (a_y, a_m) pair of them).
         """
         if self.kind == "sde":
             cells = ((1, self.level), (0, self.level))
@@ -86,7 +99,8 @@ class Estimand(NamedTuple):
             cells = (tuple(self.level) if np.ndim(self.level) == 1 else (),)
         else:
             raise ValueError(f"unknown estimand kind {self.kind!r}")
-        if any(len(cell) != 2 or any(v not in (0, 1) for v in cell) for cell in cells):
+        if not all(len(cell) == 2 and all(is_integer(v) and v in (0, 1) for v in cell)
+                   for cell in cells):
             pair = " as an (a_y, a_m) pair" if self.kind == "mean" else ""
             raise ValueError(f"{self.kind} level must be 0 or 1{pair}, got {self.level!r}")
         return cells
@@ -128,7 +142,8 @@ class EstimatorConfig:
     Raises
     ------
     ValueError
-        Unless ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
+        Unless ``k_folds``, ``splits`` and ``seed`` are integers (not
+        bools), ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
         ``0 < clip < 0.5`` (at 0.5 the clip bounds cross) and ``strategy``
         is one of ``STRATEGIES``.
     """
@@ -145,6 +160,7 @@ class EstimatorConfig:
     diagnostics: bool = False
 
     def __post_init__(self):
+        check_integers(self, ("k_folds", "splits", "seed"))
         for name, ok, rule in (
             ("splits", self.splits >= 1, "at least 1"),
             ("k_folds", self.k_folds >= 2, "at least 2"),

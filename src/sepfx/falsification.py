@@ -43,6 +43,7 @@ from .estimation import (
     centred,
     checked_se,
     estimand_cells,
+    is_integer,
     run_battery,
 )
 from .four_arm import (  # noqa: F401  (bench/layers.py traces fit_nuisance_theta here)
@@ -239,11 +240,13 @@ def direct_test_h0i(
     standard errors with a t reference by default; ``robust`` switches to
     HC1 errors with a normal reference.  Raises ``ValueError`` unless
     ``0 < alpha < 1`` (as :class:`EstimatorConfig` requires), ``basis`` is
-    one of ``DIRECT_BASES`` and ``0 <= mediator_index < ds.n_mediators``.
+    one of ``DIRECT_BASES`` and ``mediator_index`` is an integer in
+    ``[0, ds.n_mediators)``.
     """
-    if mediator_index not in range(ds.n_mediators):
+    if not is_integer(mediator_index) or mediator_index not in range(ds.n_mediators):
         raise ValueError(
-            f"mediator_index must be in [0, {ds.n_mediators}), got {mediator_index!r}"
+            f"mediator_index must be an integer in [0, {ds.n_mediators}), "
+            f"got {mediator_index!r}"
         )
     return _direct_test(
         "H0(i)", ds, ds.m[:, mediator_index], robust, basis, alpha,

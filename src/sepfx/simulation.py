@@ -52,7 +52,7 @@ from scipy.special import expit
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
 from .estimation import (
-    Estimand, EstimatorConfig, JsonFields, build_estimates, shared_settings,
+    Estimand, EstimatorConfig, JsonFields, build_estimates, check_integers, shared_settings,
 )
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
@@ -141,6 +141,7 @@ class SimConfig(JsonFields):
     threads: int = 1
 
     def __post_init__(self):
+        check_integers(self, ("n", "a_y_model", "reps", "master_seed", "threads"))
         if self.n < 100:
             raise ValueError("n must be at least 100")
         if self.reps < 1:

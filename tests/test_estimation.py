@@ -75,6 +75,17 @@ OUT_OF_RANGE = {
     "h0i-mediator-past-the-end": lambda ds: falsification.direct_test_h0i(
         ds, mediator_index=ds.n_mediators
     ),
+    # a bool passes as 0 or 1 and a whole float as an integer unless refused
+    "four-arm-sde-true": lambda ds: estimate_effects_four(ds, [("sde", True)]),
+    "four-arm-sie-one-point-zero": lambda ds: estimate_effects_four(ds, [("sie", 1.0)]),
+    "two-arm-sde-false": lambda ds: estimate_effects_two(restrict_to_two_arm(ds), [("sde", False)]),
+    "agreement-mean-true-0": lambda ds: estimate_agreement_effects(ds, [("mean", (True, 0))]),
+    "indirect-sie-true": lambda ds: indirect_test_battery(ds, requests=[("sie", True)]),
+    "sim-config-sie-level-true": lambda ds: SimConfig(reps=1, sie_level=True),
+    "h0i-mediator-true": lambda ds: falsification.direct_test_h0i(ds, mediator_index=True),
+    "h0i-mediator-one-point-zero": lambda ds: falsification.direct_test_h0i(
+        ds, mediator_index=1.0
+    ),
 }
 
 
@@ -176,6 +187,12 @@ def test_indirect_test_takes_contrasts_only():
         ("clip", 0.5),
         ("clip", 0.6),
         ("strategy", "bogus"),
+        ("splits", True),
+        ("splits", 2.5),
+        ("k_folds", True),
+        ("k_folds", 2.0),
+        ("seed", False),
+        ("seed", 0.5),
     ],
 )
 def test_estimator_config_rejects_bad_values(field, value):

@@ -159,6 +159,12 @@ def test_sim_config_validation():
         SimConfig(reps=0)
     with pytest.raises(ValueError):
         SimConfig(reps=1, estimators=("sde_four", "mystery"))
+    for field, value in (
+        ("n", 2000.0), ("reps", 2.5), ("a_y_model", True),
+        ("master_seed", True), ("master_seed", 1.5),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(**({"reps": 1} | {field: value}))
 
 
 @pytest.mark.parametrize(
@@ -166,6 +172,7 @@ def test_sim_config_validation():
     [
         ("splits", 0), ("k_folds", 1), ("alpha", 0.0), ("clip", 0.6),
         ("strategy", "bogus"), ("threads", 0), ("threads", -3),
+        ("splits", True), ("k_folds", 2.5), ("threads", True), ("threads", 1.0),
         pytest.param("threads", (os.cpu_count() or 1) + 1, id="threads-above-cpus"),
     ],
 )
