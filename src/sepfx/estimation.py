@@ -1,24 +1,12 @@
-"""Shared estimand type, estimator configuration, results, and split loop.
+"""Estimand type, estimator settings, results, and the one split loop.
 
-The estimators in :mod:`sepfx.four_arm`, :mod:`sepfx.two_arm`, and
-:mod:`sepfx.falsification` all follow the same recipe: for each of S
-sample splits, cross-fit nuisance models over K folds, evaluate per-row
-influence contributions out of fold, and reduce (point, variance) pairs
-across splits with the median rule.  :class:`Estimand` is the one place
-that knows which (a_y, a_m) cells an ``sde``/``sie``/``mean`` request
-needs and how their scores contrast.  Each design fits one nuisance
-bundle per fold and scores cells from it in one loop, drawing its own
-fold assignment through ``crossfit.cross_fit_split``:
-``four_arm.split_scores_four`` fits a ``four_arm.NuisanceFitFour`` (with
-``four_arm.fit_nuisance_theta``, which adds the agreement model, when it
-scores the agreement population, else ``four_arm.fit_nuisance_four``) and
-scores the four-arm and agreement populations from it;
-``two_arm.split_scores_two`` fits one ``two_arm.NuisanceFitTwo`` holding
-every outcome strategy's models.  ``run_battery`` is the one loop over
-splits, and a split's value per key is ``(point, deviations,
-contributions)``.  It serves the three estimators and the indirect
-falsification test, whose per-split value is a difference of two
-estimators.  ``build_estimates`` turns its output into
+:class:`Estimand` knows which (a_y, a_m) cells an ``sde``/``sie``/``mean``
+request needs and how their scores contrast.  :class:`EstimatorConfig`
+holds and checks the settings every estimator takes, and
+``SHARED_SETTINGS`` names those a study or the command line passes on.
+:func:`run_battery` is the one loop over sample splits: each split gives
+``{key: (point, deviations, contributions)}``, and the splits combine by
+the median rule.  :func:`build_estimates` turns its output into
 :class:`EffectEstimate` values, refusing a standard error that is not
 positive.
 """

@@ -15,14 +15,9 @@ subpopulation whose treatments agree: a weighted four-arm estimator that
 only uses the exclusion-free arms, and the two-arm estimator computed
 from the agreement rows.  Under the assumptions both converge to the same
 value, so their difference scaled by its standard error is asymptotically
-standard normal.  The agreement estimator and the test score the
-agreement population with the four-arm split scorer, which can score the
-four-arm population in the same pass, and both run through
-``estimation.run_battery``: the test's value on a split is the agreement
-point minus the two-arm point, with the difference of the two influence
-vectors as its deviations, and no contributions.  The agreement model is
-the ``agree_fit`` field of the four-arm bundle,
-``four_arm.NuisanceFitFour``; ``four_arm.fit_nuisance_theta`` fits it.
+standard normal.  On each split the test's point is the agreement point
+minus the two-arm point, and its deviations are the difference of the
+two influence vectors.
 """
 
 from __future__ import annotations

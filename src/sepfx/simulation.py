@@ -18,23 +18,17 @@ each replication is fully reproducible in isolation.
 
 An optional violation adds a direct mediator-channel edge into the
 outcome with a chosen coefficient, which breaks the exclusion restriction
-that the falsification tests target.
+that the falsification tests target; the coefficient adds to the true
+indirect effects.
 
 The Monte Carlo study is driven by one table, ``ESTIMATOR_FAMILIES``:
 family -> (design, population).  The estimator names, each replication's
 requests, each result row's metadata and the true value it is scored
 against all derive from it.  Each family, and each falsification test,
 fails on its own, so a failure counts against its own rows only; the
-one exception is a failure of the pass the four-arm and agreement
-families share.
-
-Within one replication, for every learner, the four-arm and agreement
-families are scored in one pass per split from one nuisance bundle per
-fold, the agreement model included, and the two-arm family from one
-bundle per fold holding every outcome strategy's models; no bundle
-outlives its split.  Every fitted model predicts once per test block (see
-``four_arm.split_scores_four`` and ``two_arm.split_scores_two``).  The
-Monte Carlo and falsification studies share nothing with each other.
+one exception is a failure of the one pass per split that the four-arm
+and agreement families share.  The Monte Carlo and falsification studies
+share nothing with each other.
 """
 
 from __future__ import annotations
