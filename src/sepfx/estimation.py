@@ -22,6 +22,7 @@ from scipy.special import ndtri
 from .crossfit import median_adjust
 from .errors import DegenerateEstimate
 from .learners import DEFAULT_CLIP, LearnerSpec
+from .seeding import check_integers, is_integer
 
 Z_95 = 1.96
 
@@ -45,19 +46,6 @@ def checked_se(se: float, label: str) -> float:
             f"{label}: standard error is {se!r}, so no interval or statistic exists"
         )
     return se
-
-
-def is_integer(value) -> bool:
-    """A Python or numpy integer that is not a bool (``True`` passes as 1)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_integers(record, names) -> None:
-    """Raise ``ValueError`` unless each field of ``record`` in ``names``
-    :func:`is_integer`, so a fraction fails here and not inside numpy."""
-    for name in names:
-        if not is_integer(getattr(record, name)):
-            raise ValueError(f"{name} must be an integer, got {getattr(record, name)!r}")
 
 
 class Estimand(NamedTuple):

@@ -38,7 +38,6 @@ from .estimation import (
     centred,
     checked_se,
     estimand_cells,
-    is_integer,
     run_battery,
 )
 from .four_arm import (  # noqa: F401  (bench/layers.py traces fit_nuisance_theta here)
@@ -48,6 +47,7 @@ from .four_arm import (  # noqa: F401  (bench/layers.py traces fit_nuisance_thet
     four_arm_battery,
     split_scores_four,
 )
+from .seeding import is_integer
 from .two_arm import split_scores_two
 
 DIRECT_BASES = ("main", "interactions")

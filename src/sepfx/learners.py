@@ -34,7 +34,7 @@ from .errors import (
     TooFewRows,
 )
 from .forest import ForestPredictor, as_matrix, fit_forest, predict_forests
-from .seeding import derive_seed
+from .seeding import check_integers, derive_seed
 
 DEFAULT_CLIP = 0.01
 DEFAULT_RIDGE_SCALE = 1e-6
@@ -48,7 +48,8 @@ class LearnerSpec:
 
     ``ridge`` is an absolute penalty on non-intercept coefficients; when
     ``None`` it defaults to ``1e-6 * n`` at fit time.  ``ridge=0`` requests
-    an unpenalized least-squares fit.
+    an unpenalized least-squares fit.  ``trees``, ``mtry``, ``min_leaf``,
+    ``v_folds`` and ``seed`` must be integers, whatever the kind.
     """
 
     kind: str = "glm"
@@ -66,6 +67,7 @@ class LearnerSpec:
             raise LearnerError(f"unknown learner kind {self.kind!r}")
         if self.basis not in BASIS_CHOICES:
             raise LearnerError(f"unknown basis {self.basis!r}")
+        check_integers(self, ("trees", "mtry", "min_leaf", "v_folds", "seed"))
         if self.kind == "super_learner" and not self.candidates:
             raise LearnerError("super_learner spec needs at least one candidate")
         if self.kind == "random_forest" and min(self.trees, self.mtry, self.min_leaf) < 1:

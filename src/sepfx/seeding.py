@@ -1,9 +1,12 @@
-"""Deterministic seed derivation for nested random streams.
+"""Deterministic seed derivation for nested random streams, and the
+package's rule for integer settings.
 
 Every stochastic component (fold shuffles, bootstrap draws, simulation
 stages) derives its seed from a base seed plus a structured key, so that
 reruns with the same configuration are bit-identical and independent
-components never share a stream.
+components never share a stream.  Seeds, sizes and counts given by a
+caller must be Python or numpy integers (:func:`check_integers`), so a
+bool or a fraction is refused where it is set and not inside a fit.
 """
 
 from __future__ import annotations
@@ -28,6 +31,19 @@ def _encode(part) -> str:
     if isinstance(part, str):
         return f"s:{part}"
     raise TypeError(f"unsupported seed part {part!r}")
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer that is not a bool (``True`` passes as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_integers(record, names) -> None:
+    """Raise ``ValueError`` unless each field of ``record`` in ``names``
+    :func:`is_integer`, so a fraction fails here and not inside numpy."""
+    for name in names:
+        if not is_integer(getattr(record, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(record, name)!r}")
 
 
 def stream(*parts) -> np.random.Generator:

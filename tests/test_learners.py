@@ -44,6 +44,18 @@ def test_spec_validation():
         LearnerSpec(kind="super_learner", candidates=())
 
 
+@pytest.mark.parametrize("field", ["trees", "mtry", "min_leaf", "v_folds", "seed"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0])
+def test_spec_refuses_a_bool_or_fraction_in_an_integer_field(field, value):
+    """A forest, a super learner and a GLM all check their integer fields
+    when the spec is made, by the rule the estimator settings use."""
+    forest = LearnerSpec(kind="random_forest", trees=2)
+    for spec in (forest, LearnerSpec(kind="super_learner", candidates=(forest,)), LearnerSpec()):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            replace(spec, **{field: value})
+    assert replace(forest, **{field: np.int64(3)}).kind == "random_forest"
+
+
 def test_expand_basis_shapes():
     x = np.arange(12.0).reshape(4, 3)
     assert expand_basis(x, "intercept").shape == (4, 1)
