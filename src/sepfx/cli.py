@@ -6,7 +6,8 @@ direct or indirect falsification tests, and ``truth`` prints the exact
 estimand values implied by the synthetic generator.  Every command emits
 a single JSON document (stdout by default, ``--out`` to a file) embedding
 the resolved configuration, the seed, and the library version.  With
-``--deterministic`` the timestamp is omitted so reruns are byte-identical.
+``--deterministic`` the timestamp, the wall time and the worker count are
+omitted so reruns are byte-identical.
 
 Exit codes: 0 on success (including falsification tests that reject),
 2 on usage errors, 1 on data or estimation errors.
@@ -96,7 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {','.join(ESTIMATOR_NAMES)}",
     )
     sim.add_argument("--violation", type=float, default=None)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument(
+        "--threads", type=int, default=SimConfig.threads,
+        help="worker processes (default: every usable CPU, at most one per "
+        "replication; one runs the study in this process); every study runs "
+        "under one BLAS thread, so this changes wall time only",
+    )
     _add_estimation_flags(sim)
     _add_output_flags(sim)
 
@@ -312,7 +318,9 @@ def main(argv=None) -> int:
         "result": result,
     }
     if args.deterministic:
+        # neither the wall time nor the worker count is a result
         result.pop("runtime_seconds", None)
+        result.get("config", {}).pop("threads", None)
     else:
         payload["generated_at"] = datetime.now(timezone.utc).isoformat()
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

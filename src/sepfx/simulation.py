@@ -29,16 +29,27 @@ fails on its own, so a failure counts against its own rows only; the
 one exception is a failure of the one pass per split that the four-arm
 and agreement families share.  The Monte Carlo and falsification studies
 share nothing with each other.
+
+Replications run in forked worker processes, one per usable CPU unless
+``SimConfig.threads`` says otherwise, whose warnings are raised again in
+the caller.  Every study runs under one OpenBLAS thread, so its results
+do not depend on the worker count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
+import multiprocessing
 import os
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 from scipy.special import expit
@@ -46,7 +57,7 @@ from scipy.special import expit
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
 from .estimation import (
-    Estimand, EstimatorConfig, JsonFields, build_estimates, check_integers, shared_settings,
+    Estimand, EstimatorConfig, JsonFields, build_estimates, shared_settings,
 )
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
@@ -56,7 +67,7 @@ from .falsification import (
 )
 from .four_arm import four_arm_battery
 from .learners import LearnerSpec, make_spec
-from .seeding import derive_seed, stream
+from .seeding import check_integers, derive_seed, stream
 from .two_arm import estimate_effects_two
 
 N_COVARIATES = 5
@@ -116,7 +127,11 @@ def baseline_curve(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig(JsonFields):
-    """Settings for one Monte Carlo study."""
+    """Settings for one Monte Carlo study.
+
+    ``threads`` is how many worker processes run the replications, one per
+    usable CPU when ``None``; it changes the wall time only.
+    """
 
     n: int = 2000
     a_y_model: int = 1
@@ -132,10 +147,10 @@ class SimConfig(JsonFields):
     sde_level: int = 1
     sie_level: int = 1
     violation: float | None = None
-    threads: int = 1
+    threads: int | None = None
 
     def __post_init__(self):
-        check_integers(self, ("n", "a_y_model", "reps", "master_seed", "threads"))
+        check_integers(self, ("n", "a_y_model", "reps", "master_seed"))
         if self.n < 100:
             raise ValueError("n must be at least 100")
         if self.reps < 1:
@@ -145,10 +160,19 @@ class SimConfig(JsonFields):
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
-        # a process pool starts all its workers at once, however few the reps
-        cpus = os.cpu_count() or 1
-        if not 1 <= self.threads <= cpus:
-            raise ValueError(f"threads must be between 1 and {cpus}, got {self.threads!r}")
+        v = self.violation
+        if v is not None and (
+            isinstance(v, bool)
+            or not isinstance(v, (int, float, np.integer, np.floating))
+            or not math.isfinite(v)
+        ):
+            raise ValueError(f"violation must be a finite number or None, got {v!r}")
+        # None means every usable CPU; more workers than CPUs only contend
+        if self.threads is not None:
+            check_integers(self, ("threads",))
+            cpus = _usable_cpus()
+            if not 1 <= self.threads <= cpus:
+                raise ValueError(f"threads must be between 1 and {cpus}, got {self.threads!r}")
         # the estimator settings', preset's and requests' own rules, applied
         # once per study
         EstimatorConfig(**shared_settings(self))
@@ -456,14 +480,99 @@ def run_monte_carlo(cfg: SimConfig) -> SimReport:
     )
 
 
+def _usable_cpus() -> int:
+    """How many CPUs this process may run on: its affinity set where the
+    platform has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@cache
+def _blas_thread_calls():
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
+    wheels bundle (64- or 32-bit integer build), or ``None`` where none is
+    found, as when numpy is linked to another BLAS."""
+    # loading a library numpy has already loaded returns that same library
+    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS at one thread, then restore the
+    caller's count; do nothing where no OpenBLAS is found."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _workers(cfg: SimConfig) -> int:
+    """How many processes run the replications: ``cfg.threads`` (every
+    usable CPU if ``None``), at most one per replication.  1, meaning in
+    this process, where ``fork`` is missing or this process is daemonic
+    and so may not start children."""
+    if (
+        "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+    ):
+        return 1
+    return min(cfg.threads or _usable_cpus(), cfg.reps)
+
+
 def _map_reps(worker, cfg: SimConfig) -> list:
-    if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            chunk = max(1, cfg.reps // (cfg.threads * 8))
-            return list(
-                pool.map(partial(worker, cfg), range(cfg.reps), chunksize=chunk)
-            )
-    return [worker(cfg, rep) for rep in range(cfg.reps)]
+    """``worker(cfg, rep)`` for every replication, in order.
+
+    Replications are seeded independently and the whole study runs under
+    one OpenBLAS thread, in this process or in forked workers that inherit
+    that count, so the results do not depend on the worker count.  Workers
+    are forked so that they start with the parent's imports in place; a
+    BLAS pool in each of them would only contend for the same CPUs.
+    """
+    workers = _workers(cfg)
+    with _one_blas_thread():
+        if workers == 1:
+            return [worker(cfg, rep) for rep in range(cfg.reps)]
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            chunk = max(1, cfg.reps // (workers * 8))
+            done = list(pool.map(
+                partial(_rep_and_warnings, worker, cfg), range(cfg.reps), chunksize=chunk
+            ))
+    # the caller's filters, and any record it keeps, see the workers'
+    # warnings only once they are raised again here; the registry shows a
+    # repeated warning once, as in one process
+    registry = globals().setdefault("__warningregistry__", {})
+    for _, caught in done:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    return [result for result, _ in done]
+
+
+def _rep_and_warnings(worker, cfg: SimConfig, rep: int) -> tuple:
+    """``worker(cfg, rep)`` in a worker process, and the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = worker(cfg, rep)
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 @dataclass(frozen=True)

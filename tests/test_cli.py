@@ -159,6 +159,8 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
         (["falsify", "direct", "--alpha", "0"], "alpha"),
         (["simulate", "--n", "200", "--reps", "1", "--splits", "0"], "splits"),
         (["simulate", "--n", "200", "--reps", "1", "--threads", "0"], "threads"),
+        (["simulate", "--n", "200", "--reps", "1", "--violation", "nan"], "violation"),
+        (["simulate", "--n", "200", "--reps", "1", "--violation", "inf"], "violation"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):

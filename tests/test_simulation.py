@@ -1,5 +1,8 @@
 import itertools
+import json
 import os
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -184,6 +187,19 @@ def test_sim_config_applies_the_estimator_rules(field, value):
         SimConfig(reps=1, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -np.inf, True, np.bool_(False), "x", [0.5]]
+)
+def test_sim_config_refuses_a_violation_that_is_not_a_finite_number(value):
+    with pytest.raises(ValueError, match="violation must be a finite number"):
+        SimConfig(reps=1, violation=value)
+
+
+@pytest.mark.parametrize("value", [None, 0, 0.5, -2, np.float64(0.25), np.int64(1)])
+def test_sim_config_takes_a_finite_violation_or_none(value):
+    assert SimConfig(reps=1, violation=value).violation == value
+
+
 def test_sim_config_refuses_an_unknown_learner_preset():
     with pytest.raises(LearnerError, match="unknown learner preset 'bogus'"):
         SimConfig(reps=1, learner="bogus")
@@ -255,6 +271,77 @@ def test_run_falsification_study_small():
     for row in report.rows:
         assert 0.0 <= row.rejection_rate <= 1.0
         assert row.failures == 0
+
+
+def _blas_threads():
+    calls = sepfx.simulation._blas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+pool_path = pytest.mark.skipif(
+    sepfx.simulation._usable_cpus() < 2 or sepfx.simulation._blas_thread_calls() is None,
+    reason="needs two usable CPUs and numpy's OpenBLAS thread-count functions",
+)
+
+# With 48 folds at n = 100, replications 2 and 3 have fewer two-arm rows
+# than folds, so their two-arm family and indirect tests fail.
+SOME_FAIL = SimConfig(n=100, reps=4, master_seed=1, k_folds=48, splits=1)
+# At the default 2 folds some logistic fits separate their labels and warn.
+SEPARATES = SimConfig(n=100, reps=4, master_seed=1)
+# At this size a second BLAS thread moves the last bits of the fits.
+LARGE = SimConfig(n=60000, reps=2, master_seed=1, splits=1)
+
+
+@pool_path
+@pytest.mark.parametrize("study", [run_monte_carlo, run_falsification_study])
+@pytest.mark.parametrize(
+    "cfg", [SOME_FAIL, SEPARATES, LARGE], ids=["some-fail", "separates", "n60000"]
+)
+def test_workers_give_the_rows_and_warnings_of_one_process(study, cfg):
+    """Rows bit for bit, and the replications' warnings in order."""
+    assert sepfx.simulation._workers(replace(cfg, threads=2)) == 2
+    runs = []
+    for threads in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rows = study(replace(cfg, threads=threads)).rows
+        runs.append((
+            json.dumps([row.to_json_dict() for row in rows]),
+            [(w.category, str(w.message)) for w in caught],
+        ))
+    assert runs[1] == runs[0]
+    if cfg is SOME_FAIL:
+        assert 0 < max(row.failures for row in rows) < cfg.reps
+    if cfg is SEPARATES:
+        assert runs[0][1]
+
+
+@pool_path
+def test_a_study_gives_the_caller_back_its_blas_threads():
+    get, put = sepfx.simulation._blas_thread_calls()
+    before = get()
+    try:
+        put(2)
+        run_falsification_study(replace(SOME_FAIL, threads=2))
+        assert get() == 2
+    finally:
+        put(before)
+
+
+def test_one_replication_runs_in_this_process_under_one_blas_thread(monkeypatch):
+    """So an in-process tracer sees every span of a one-replication study."""
+    seen = []
+    draw = sepfx.simulation.generate_dataset
+
+    def recording_draw(cfg, rep):
+        seen.append((os.getpid(), _blas_threads()))
+        return draw(cfg, rep)
+
+    monkeypatch.setattr(sepfx.simulation, "generate_dataset", recording_draw)
+    before = _blas_threads()
+    run_monte_carlo(SimConfig(n=300, reps=1, estimators=("sde_four",)))
+    assert seen == [(os.getpid(), None if before is None else 1)]
+    assert _blas_threads() == before
 
 
 def test_failing_family_fails_only_its_own_estimators(monkeypatch):
