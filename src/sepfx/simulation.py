@@ -528,7 +528,7 @@ def _one_blas_thread():
 
 def _workers(cfg: SimConfig) -> int:
     """How many processes run the replications: ``cfg.threads`` (every
-    usable CPU if ``None``), at most one per replication.  1, meaning in
+    usable CPU if ``None``), at most one per replication.  It is 1, meaning
     this process, where ``fork`` is missing or this process is daemonic
     and so may not start children."""
     if (

@@ -181,8 +181,8 @@ def test_sim_config_validation():
 )
 def test_sim_config_applies_the_estimator_rules(field, value):
     """Bad estimator settings fail when the study is configured, not once
-    per replication.  ``threads`` is checked against the CPU count, since a
-    process pool starts all its workers at once; only configs are built."""
+    per replication.  An explicit ``threads`` is checked against the CPUs
+    this process may use; only configs are built."""
     with pytest.raises(ValueError, match=field):
         SimConfig(reps=1, **{field: value})
 
