@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo study")
-    sim.add_argument("--model", type=int, default=1, choices=(1, 2))
-    sim.add_argument("--n", type=int, default=2000)
-    sim.add_argument("--reps", type=int, default=1000)
+    sim.add_argument("--model", type=int, default=SimConfig.a_y_model, choices=(1, 2))
+    sim.add_argument("--n", type=int, default=SimConfig.n)
+    sim.add_argument("--reps", type=int, default=SimConfig.reps)
     sim.add_argument(
         "--estimators",
         default=None,
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(fal)
 
     tru = sub.add_parser("truth", help="print exact estimands of the generator")
-    tru.add_argument("--model", type=int, default=1, choices=(1, 2))
+    tru.add_argument("--model", type=int, default=SimConfig.a_y_model, choices=(1, 2))
     _add_output_flags(tru)
 
     return parser

@@ -188,52 +188,47 @@ class TwoArmDataset(_Dataset):
             object.__setattr__(self, "source_rows", _freeze(rows))
 
 
-def _source_lines(source):
+def _source_lines(source) -> list[str]:
     """The lines of a CSV source, split exactly as ``csv.reader`` sees them.
 
-    Input that fails to decode gives an iterator instead: it yields the
-    complete lines before the first invalid byte and then raises the
-    failure as a :class:`DataError`, as a lazy ``csv.reader`` would, so a
-    bad row earlier in the input is still the error reported.  Bytes and
-    files are re-read up to that byte on this path only; a text stream
-    yields the lines it had read before the failure.
+    Every source is decoded whole before any row is read, so input that is
+    not valid UTF-8 is refused first, wherever its invalid byte lies: a
+    :class:`DataError` names the line of that byte for bytes and paths (a
+    path is read again as bytes on this path only) and no line for a text
+    stream, whose decoder reports no offset in the whole input.  One
+    leading byte-order mark (U+FEFF), as spreadsheet programs write, is
+    dropped from the first line.
     """
-    lines: list[str] = []
     try:
         if isinstance(source, (bytes, bytearray)):
-            return io.StringIO(source.decode("utf-8"), newline="").readlines()
-        if isinstance(source, (str, Path)):
+            lines = io.StringIO(source.decode("utf-8"), newline="").readlines()
+        elif isinstance(source, (str, Path)):
             with open(source, "r", encoding="utf-8", newline="") as handle:
-                return handle.readlines()
-        lines.extend(source)
+                lines = handle.readlines()
+        else:
+            lines = list(source)
     except UnicodeDecodeError as exc:
-        if isinstance(source, (bytes, bytearray, str, Path)):
-            return _lines_then_raise(*_lines_before_invalid_byte(source, exc))
-        return _lines_then_raise(lines, exc)
+        raise _not_utf8(source, exc) from exc
+    if lines and lines[0].startswith("\ufeff"):
+        lines[0] = lines[0][1:]
     return lines
 
 
-def _lines_before_invalid_byte(source, error: UnicodeDecodeError) -> tuple:
-    """``(lines, error)``: the complete lines of bytes or a file before its
-    first invalid UTF-8 byte, split as the clean path splits them, and the
-    decode error, placed by its offset in the whole input."""
+def _not_utf8(source, error: UnicodeDecodeError) -> DataError:
+    """The error for input that fails to decode.  A file's decoder reads in
+    chunks, so its offset is found again in the file's bytes."""
+    if not isinstance(source, (bytes, bytearray, str, Path)):
+        return DataError(f"input is not valid UTF-8: {error}")
     raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source
     try:
         raw.decode("utf-8")
     except UnicodeDecodeError as whole:
         error = whole
     # the prefix is valid UTF-8 unless the file changed between the reads
-    text = raw[: error.start].decode("utf-8", errors="replace")
-    lines = io.StringIO(text, newline="").readlines()
-    # the line holding the invalid byte cannot be read whole
-    if lines and not lines[-1].endswith(("\n", "\r")):
-        lines.pop()
-    return lines, error
-
-
-def _lines_then_raise(lines: list[str], exc: UnicodeDecodeError):
-    yield from lines
-    raise DataError(f"input is not valid UTF-8: {exc}") from exc
+    before = raw[: error.start].decode("utf-8", errors="replace")
+    # lines end at \n, \r\n or a lone \r, as csv.reader splits them
+    line = 1 + before.count("\n") + before.count("\r") - before.count("\r\n")
+    return DataError(f"input is not valid UTF-8 at line {line}: {error}")
 
 
 def _read_header(reader) -> list[str]:
@@ -241,8 +236,6 @@ def _read_header(reader) -> list[str]:
         header = next(reader)
     except StopIteration:
         raise EmptyDataset("input has no header row") from None
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
     header = [name.strip() for name in header]
     if len(set(header)) != len(header):
         raise DataError("duplicate column names in header")
@@ -251,17 +244,14 @@ def _read_header(reader) -> list[str]:
 
 def _read_rows(reader, header: list[str]) -> list[list[str]]:
     rows = []
-    try:
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {lineno}: expected {len(header)} fields, found {len(row)}"
-                )
-            rows.append([cell.strip() for cell in row])
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(
+                f"line {lineno}: expected {len(header)} fields, found {len(row)}"
+            )
+        rows.append([cell.strip() for cell in row])
     if not rows:
         raise EmptyDataset("input has a header but no data rows")
     return rows
@@ -322,6 +312,8 @@ def _resolve_columns(
 
     def discover(prefix: str, explicit: tuple[str, ...] | None, role: str) -> list[str]:
         if explicit is not None:
+            if not explicit:
+                raise MissingColumn(f"the explicit {role} column list is empty")
             for name in explicit:
                 if name not in header:
                     raise MissingColumn(f"{role} column {name!r} not found in header")
@@ -352,11 +344,12 @@ def _load(
     schema = schema or ColumnMap()
     lines = _source_lines(source)
     reader = csv.reader(lines)
-    header = _read_header(reader)
-    table = None
-    if isinstance(lines, list):
+    try:
+        header = _read_header(reader)
         table = _parse_body(lines[reader.line_num:], len(header))
-    rows = _read_rows(reader, header) if table is None else None
+        rows = _read_rows(reader, header) if table is None else None
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
     mediators, covariates = _resolve_columns(header, schema, design)
 
     def column(name: str) -> np.ndarray:

@@ -160,6 +160,10 @@ class SimConfig(JsonFields):
         unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if not self.estimators:
+            raise ValueError("estimators must name at least one estimator")
+        if len(set(self.estimators)) != len(self.estimators):
+            raise ValueError(f"estimators must not repeat, got {list(self.estimators)}")
         v = self.violation
         if v is not None and (
             isinstance(v, bool)

@@ -161,6 +161,10 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
         (["simulate", "--n", "200", "--reps", "1", "--threads", "0"], "threads"),
         (["simulate", "--n", "200", "--reps", "1", "--violation", "nan"], "violation"),
         (["simulate", "--n", "200", "--reps", "1", "--violation", "inf"], "violation"),
+        (["simulate", "--n", "200", "--reps", "1", "--estimators", "sde_four,sde_four"],
+         "estimators must not repeat"),
+        (["simulate", "--n", "200", "--reps", "1", "--estimators", ","],
+         "estimators must name at least one"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):

@@ -208,6 +208,15 @@ def test_requires_mediator_and_covariate():
         load_four_arm(b"y,aY,aM,m1\n1,0,1,0.2\n")
 
 
+@pytest.mark.parametrize(
+    "schema", [ColumnMap(mediators=()), ColumnMap(covariates=())],
+    ids=["mediators", "covariates"],
+)
+def test_an_empty_explicit_column_list_is_a_missing_column(schema):
+    with pytest.raises(MissingColumn, match="column list is empty"):
+        load_four_arm(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n", schema)
+
+
 def test_restrict_to_two_arm_keeps_source_rows():
     ds = make_four_arm(n=60, seed=9)
     two = restrict_to_two_arm(ds)
@@ -391,53 +400,67 @@ def test_save_matches_row_writer():
 
 
 def test_bad_row_before_a_late_decode_error_is_reported(tmp_path):
-    """The file is decoded lazily, as the row parser reads it, so a bad row
-    is reported before invalid UTF-8 further down the file."""
+    """The file is decoded whole before any row is read, so invalid UTF-8
+    far down the file is reported, with its line, before an earlier bad
+    row."""
     good = b"1,0,1,0.5,0.2\r\n" * 2000
     path = tmp_path / "d.csv"
     path.write_bytes(b"y,aY,aM,m1,x1\r\n1,0,1,0.5\r\n" + good + b"\xff\r\n")
-    with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
+    with pytest.raises(DataError, match="input is not valid UTF-8 at line 2003: "):
         load_four_arm(path)
     path.write_bytes(b"y,aY,aM,m1,x1\r\n" + good + b"\xff\r\n")
-    with pytest.raises(DataError, match="input is not valid UTF-8"):
+    with pytest.raises(DataError, match="input is not valid UTF-8 at line 2002: "):
         load_four_arm(path)
 
 
-@pytest.mark.parametrize("kind", ["bytes", "file"])
+def _source(kind: str, text: bytes, path):
+    """``text`` as bytes, as a file at ``path``, or as a text stream."""
+    if kind == "file":
+        path.write_bytes(text)
+        return path
+    if kind == "stream":
+        return io.TextIOWrapper(io.BytesIO(text), encoding="utf-8", newline="")
+    return text
+
+
+@pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
 @pytest.mark.parametrize("gap", [0, 100, 1000])
 def test_bad_row_before_invalid_utf8_wins_whatever_the_gap(gap, kind, tmp_path):
-    """The error reported is the first in the input, for bytes and files
-    alike and however many good rows (less or more than the decoder's
-    chunk) separate the short row from the invalid byte."""
+    """Invalid UTF-8 is reported before a bad row earlier in the input, for
+    every kind of source and however many good rows (less or more than the
+    decoder's chunk) separate the short row from the invalid byte.  Bytes
+    and files name the invalid byte's line; a stream names none."""
     text = (
         b"y,aY,aM,m1,x1\r\n1,0,1,0.5\r\n"
         + b"1,0,1,0.5,0.2\r\n" * gap
         + b"\xff\r\n"
     )
-    source = text
-    if kind == "file":
-        source = tmp_path / "d.csv"
-        source.write_bytes(text)
-    with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
-        load_four_arm(source)
+    where = "" if kind == "stream" else f" at line {gap + 3}"
+    with pytest.raises(DataError, match=f"^input is not valid UTF-8{where}: "):
+        load_four_arm(_source(kind, text, tmp_path / "d.csv"))
 
 
 @pytest.mark.parametrize("kind", ["bytes", "file"])
 def test_lone_carriage_returns_end_lines_in_bytes_and_files(kind, tmp_path):
-    """Bytes split lines as files do, on a lone \\r too, also on the path
-    that reads the lines before an invalid byte."""
+    """Bytes split lines as files do, on a lone \\r too, also when counting
+    the line of an invalid byte."""
     text = b"y,aY,aM,m1,x1\r1.0,1,0,0.5,1\r2.0,0,1,0.25,0\r"
     bad = b"y,aY,aM,m1,x1\r1,0,1,0.5\r\xff\r"
-    sources = [text, bad]
-    if kind == "file":
-        sources = [tmp_path / "good.csv", tmp_path / "bad.csv"]
-        sources[0].write_bytes(text)
-        sources[1].write_bytes(bad)
-    ds = load_four_arm(sources[0])
+    ds = load_four_arm(_source(kind, text, tmp_path / "good.csv"))
     np.testing.assert_array_equal(ds.y, [1.0, 2.0])
     np.testing.assert_array_equal(ds.x[:, 0], [1.0, 0.0])
-    with pytest.raises(DataError, match="line 2: expected 5 fields, found 4"):
-        load_four_arm(sources[1])
+    with pytest.raises(DataError, match="input is not valid UTF-8 at line 3: "):
+        load_four_arm(_source(kind, bad, tmp_path / "bad.csv"))
+
+
+@pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
+def test_a_leading_byte_order_mark_is_dropped(kind, tmp_path):
+    """Spreadsheet programs start a "CSV UTF-8" export with U+FEFF; the
+    mark is not part of the first column name."""
+    text = "\ufeffy,aY,aM,m1,x1\r\n1,0,1,0.5,0.2\r\n2,1,0,0.1,0.3\r\n".encode("utf-8")
+    ds = load_four_arm(_source(kind, text, tmp_path / "d.csv"))
+    assert ds.column_names() == ("y", "aY", "aM", "m1", "x1")
+    np.testing.assert_array_equal(ds.y, [1.0, 2.0])
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,15 @@ def test_sim_config_validation():
 
 
 @pytest.mark.parametrize(
+    "estimators, message",
+    [((), "must name at least one"), (("sde_four", "sie_two", "sde_four"), "must not repeat")],
+)
+def test_sim_config_refuses_empty_or_repeated_estimators(estimators, message):
+    with pytest.raises(ValueError, match=f"estimators {message}"):
+        SimConfig(reps=1, estimators=estimators)
+
+
+@pytest.mark.parametrize(
     "field, value",
     [
         ("splits", 0), ("k_folds", 1), ("alpha", 0.0), ("clip", 0.6),
