@@ -39,19 +39,30 @@ from .simulation import (
 from .two_arm import estimate_effects_two
 
 
+def _names(value: str) -> tuple[str, ...]:
+    """A comma-separated list of names, blanks dropped: ``,`` and ``""``
+    give an empty list, which the library refuses."""
+    return tuple(v.strip() for v in value.split(",") if v.strip())
+
+
+# Each column flag, the ColumnMap field it sets and takes its default from,
+# and its help text.
+_COLUMN_FLAGS = (
+    ("--col-outcome", "outcome", "outcome column name"),
+    ("--col-a-y", "a_y", "outcome-channel treatment column"),
+    ("--col-a-m", "a_m", "mediator-channel treatment column"),
+    ("--col-a", "a", "two-arm treatment column"),
+    ("--col-mediators", "mediators", "comma-separated mediator columns"),
+    ("--col-covariates", "covariates", "comma-separated covariate columns"),
+    ("--mediator-prefix", "mediator_prefix", None),
+    ("--covariate-prefix", "covariate_prefix", None),
+)
+
+
 def _add_column_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--col-outcome", default="y", help="outcome column name")
-    parser.add_argument("--col-a-y", default="aY", help="outcome-channel treatment column")
-    parser.add_argument("--col-a-m", default="aM", help="mediator-channel treatment column")
-    parser.add_argument("--col-a", default="a", help="two-arm treatment column")
-    parser.add_argument(
-        "--col-mediators", default=None, help="comma-separated mediator columns"
-    )
-    parser.add_argument(
-        "--col-covariates", default=None, help="comma-separated covariate columns"
-    )
-    parser.add_argument("--mediator-prefix", default="m")
-    parser.add_argument("--covariate-prefix", default="x")
+    for flag, field, text in _COLUMN_FLAGS:
+        kind = _names if field in ("mediators", "covariates") else str
+        parser.add_argument(flag, type=kind, default=getattr(ColumnMap, field), help=text)
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
@@ -75,7 +86,8 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--deterministic",
         action="store_true",
-        help="omit the timestamp so reruns are byte-identical",
+        help="omit the timestamp, the wall time and the worker count so reruns "
+        "are byte-identical",
     )
 
 
@@ -93,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--reps", type=int, default=SimConfig.reps)
     sim.add_argument(
         "--estimators",
-        default=None,
+        type=_names,
+        default=SimConfig.estimators,
         help=f"comma-separated subset of {','.join(ESTIMATOR_NAMES)}",
     )
     sim.add_argument("--violation", type=float, default=None)
@@ -140,19 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _schema_from_args(args) -> ColumnMap:
-    def split(value):
-        return tuple(v.strip() for v in value.split(",") if v.strip()) or None
-
-    return ColumnMap(
-        outcome=args.col_outcome,
-        a_y=args.col_a_y,
-        a_m=args.col_a_m,
-        a=args.col_a,
-        mediator_prefix=args.mediator_prefix,
-        covariate_prefix=args.covariate_prefix,
-        mediators=split(args.col_mediators) if args.col_mediators else None,
-        covariates=split(args.col_covariates) if args.col_covariates else None,
-    )
+    # argparse keeps each flag's value under its name, dashes made underscores
+    return ColumnMap(**{
+        field: getattr(args, flag[2:].replace("-", "_")) for flag, field, _ in _COLUMN_FLAGS
+    })
 
 
 def _estimator_config(args, parser, diagnostics: bool = False):
@@ -189,18 +193,13 @@ def _parse_estimands(specs, parser) -> list:
 
 
 def _run_simulate(args, parser) -> dict:
-    estimators = (
-        tuple(v.strip() for v in args.estimators.split(",") if v.strip())
-        if args.estimators
-        else ESTIMATOR_NAMES
-    )
     try:
         cfg = SimConfig(
             n=args.n,
             a_y_model=args.model,
             reps=args.reps,
             master_seed=args.seed,
-            estimators=estimators,
+            estimators=args.estimators,
             learner=args.learner,
             violation=args.violation,
             threads=args.threads,

@@ -7,7 +7,8 @@ types share one validate-and-freeze body; each names its treatment fields
 in ``treatment_fields``, which also fixes the treatment columns the loader
 and writer use.  Loaders are strict: every cell must parse as a finite
 number, treatments must be exactly 0 or 1, and missing values are
-rejected rather than imputed.
+rejected rather than imputed.  A loader hands its parsed float columns
+to the dataset type, whose body checks and casts each treatment once.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ def _check_binary(values: np.ndarray, name: str) -> np.ndarray:
     if bad.any():
         idx = int(np.nonzero(bad)[0][0])
         raise NonBinaryTreatment(
-            f"column {name!r} must contain only 0/1; row {idx} has {values[idx]!r}"
+            f"column {name!r} must contain only 0/1; "
+            f"row {idx + 1} has {values.item(idx)!r}"
         )
     return values.astype(np.int64)
 
@@ -218,7 +220,9 @@ def _not_utf8(source, error: UnicodeDecodeError) -> DataError:
     """The error for input that fails to decode.  A file's decoder reads in
     chunks, so its offset is found again in the file's bytes."""
     if not isinstance(source, (bytes, bytearray, str, Path)):
-        return DataError(f"input is not valid UTF-8: {error}")
+        # a stream's position is one inside its decoder's chunk, so none is given
+        byte = error.object[error.start]
+        return DataError(f"input is not valid UTF-8: byte 0x{byte:02x}: {error.reason}")
     raw = Path(source).read_bytes() if isinstance(source, (str, Path)) else source
     try:
         raw.decode("utf-8")
@@ -359,8 +363,6 @@ def _load(
     outcome, *treatments = schema.special_names(design)
     y = column(outcome)
     arms = [column(name) for name in treatments]
-    for name, col in zip(treatments, arms):
-        _check_binary(col, name)
     m = np.column_stack([column(c) for c in mediators])
     x = np.column_stack([column(c) for c in covariates])
     dataset = _DESIGNS[design]
@@ -372,7 +374,7 @@ def _load(
         outcome_name=outcome,
         mediator_names=tuple(mediators),
         covariate_names=tuple(covariates),
-        **{field: col.astype(np.int64) for field, col in zip(fields, arms)},
+        **dict(zip(fields, arms)),
         **{f"{field}_name": name for field, name in zip(fields, treatments)},
     )
 

@@ -6,9 +6,11 @@ holds and checks the settings every estimator takes, and
 ``SHARED_SETTINGS`` names those a study or the command line passes on.
 :func:`run_battery` is the one loop over sample splits: each split gives
 ``{key: (point, deviations, contributions)}``, and the splits combine by
-the median rule.  :func:`build_estimates` turns its output into
-:class:`EffectEstimate` values, refusing a standard error that is not
-positive.
+the median rule.  ``ESTIMATOR_FAMILIES`` maps each estimator family to
+the design its data come from and the population its estimands refer
+to; :func:`build_estimates` reads both off it when it turns a family's
+``run_battery`` output into :class:`EffectEstimate` values, refusing a
+standard error that is not positive.
 """
 
 from __future__ import annotations
@@ -100,6 +102,17 @@ def estimand_cells(estimands) -> tuple:
 
 
 STRATEGIES = ("S", "T", "ensemble")
+
+# Estimator family -> (design the data come from, population the estimand
+# refers to).  Family f runs the estimators "sde_f" and "sie_f"; each is
+# scored against the SimTruth field of its kind and population, so the
+# agreement family (four-arm data, two-arm population) shares the two-arm
+# truths.
+ESTIMATOR_FAMILIES = {
+    "four": ("four-arm", "four-arm"),
+    "two": ("two-arm", "two-arm"),
+    "agreement": ("four-arm", "two-arm"),
+}
 
 
 @dataclass(frozen=True)
@@ -275,17 +288,20 @@ def build_estimates(
     *,
     n: int,
     config: EstimatorConfig,
-    design: str,
-    population: str,
-    strategy: str | None = None,
+    family: str,
 ) -> list[EffectEstimate]:
     """Turn ``run_battery`` output into one estimate per requested estimand.
+
+    The estimates name the design and population of ``family`` in
+    ``ESTIMATOR_FAMILIES``; a two-arm estimate also names the strategy.
 
     Raises
     ------
     DegenerateEstimate
         If an estimate's standard error is not positive.
     """
+    design, population = ESTIMATOR_FAMILIES[family]
+    strategy = config.strategy if design == "two-arm" else None
     z = z_value(config.alpha)
     estimates = []
     for est in estimands:

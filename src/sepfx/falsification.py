@@ -287,8 +287,7 @@ def estimate_agreement_effects(
     estimands = [Estimand(*req) for req in requests]
     combined = four_arm_battery(ds, config, {"agreement": estimands})
     return build_estimates(
-        combined["agreement"], estimands, n=ds.n, config=config,
-        design="four-arm", population="two-arm",
+        combined["agreement"], estimands, n=ds.n, config=config, family="agreement"
     )
 
 

@@ -318,6 +318,5 @@ def estimate_effects_four(
     estimands = [Estimand(*req) for req in requests]
     combined = four_arm_battery(ds, config, {"four": estimands})
     return build_estimates(
-        combined["four"], estimands, n=ds.n, config=config,
-        design="four-arm", population="four-arm",
+        combined["four"], estimands, n=ds.n, config=config, family="four"
     )

@@ -22,7 +22,8 @@ that the falsification tests target; the coefficient adds to the true
 indirect effects.
 
 The Monte Carlo study is driven by one table, ``ESTIMATOR_FAMILIES``:
-family -> (design, population).  The estimator names, each replication's
+family -> (design, population), declared in :mod:`sepfx.estimation`
+beside the estimates it labels.  The estimator names, each replication's
 requests, each result row's metadata and the true value it is scored
 against all derive from it.  Each family, and each falsification test,
 fails on its own, so a failure counts against its own rows only; the
@@ -57,7 +58,8 @@ from scipy.special import expit
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
 from .estimation import (
-    Estimand, EstimatorConfig, JsonFields, build_estimates, shared_settings,
+    ESTIMATOR_FAMILIES, Estimand, EstimatorConfig, JsonFields, build_estimates,
+    shared_settings,
 )
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
@@ -66,7 +68,7 @@ from .falsification import (
     indirect_test_battery,
 )
 from .four_arm import four_arm_battery
-from .learners import LearnerSpec, make_spec
+from .learners import make_spec
 from .seeding import check_integers, derive_seed, stream
 from .two_arm import estimate_effects_two
 
@@ -85,16 +87,6 @@ EFFECT_X_LAST = -0.1
 BASELINE_X_FIRST = 0.2
 BASELINE_X_LAST = 0.6
 
-# Estimator family -> (design the data come from, population the estimand
-# refers to).  Family f runs the estimators "sde_f" and "sie_f"; each is
-# scored against the SimTruth field of its kind and population, so the
-# agreement family (four-arm data, two-arm population) shares the two-arm
-# truths.
-ESTIMATOR_FAMILIES = {
-    "four": ("four-arm", "four-arm"),
-    "two": ("two-arm", "two-arm"),
-    "agreement": ("four-arm", "two-arm"),
-}
 KINDS = ("sde", "sie")
 ESTIMATOR_NAMES = tuple(
     f"{kind}_{family}" for family in ESTIMATOR_FAMILIES for kind in KINDS
@@ -306,19 +298,15 @@ def true_effects(cfg: SimConfig) -> SimTruth:
 def estimator_config_for(learner: str, seed: int, **settings) -> EstimatorConfig:
     """Build an estimator configuration from a learner preset name.
 
-    GLM presets model propensities with main effects only; forest and
-    stacking presets use the outcome learner for both.  Per-row scores
-    are not kept.  The other ``settings`` pass through to
-    :class:`EstimatorConfig`, whose defaults apply to the rest.
+    GLM presets keep :class:`EstimatorConfig`'s main-effects GLM for the
+    propensities; forest and stacking presets use the outcome learner for
+    both.  Per-row scores are not kept.  The other ``settings`` pass
+    through to :class:`EstimatorConfig`, whose defaults apply to the rest.
     """
     outcome = make_spec(learner, seed=seed)
-    if learner == "glm":
-        propensity = LearnerSpec(kind="glm", basis="main")
-    else:
-        propensity = outcome
-    return EstimatorConfig(
-        outcome=outcome, propensity=propensity, seed=seed, keep_eif=False, **settings
-    )
+    if learner != "glm":
+        settings["propensity"] = outcome
+    return EstimatorConfig(outcome=outcome, seed=seed, keep_eif=False, **settings)
 
 
 def _rep_config(cfg: SimConfig, rep: int) -> EstimatorConfig:
@@ -364,11 +352,9 @@ def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
     if shared:
         combined = _attempt(lambda: four_arm_battery(ds, config, shared))
         for family, estimands in shared.items():
-            population = ESTIMATOR_FAMILIES[family][1]
             results[family] = None if combined is None else _attempt(
                 lambda: build_estimates(
-                    combined[family], estimands, n=ds.n, config=config,
-                    design="four-arm", population=population,
+                    combined[family], estimands, n=ds.n, config=config, family=family
                 )
             )
     if "two" in families:

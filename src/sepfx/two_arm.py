@@ -226,7 +226,4 @@ def estimate_effects_two(
         return {est: centred(est.contrast(scores)) for est in estimands}
 
     combined = run_battery(config, split_fn)
-    return build_estimates(
-        combined, estimands, n=ds.n, config=config,
-        design="two-arm", population="two-arm", strategy=config.strategy,
-    )
+    return build_estimates(combined, estimands, n=ds.n, config=config, family="two")

@@ -165,6 +165,8 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
          "estimators must not repeat"),
         (["simulate", "--n", "200", "--reps", "1", "--estimators", ","],
          "estimators must name at least one"),
+        (["simulate", "--n", "200", "--reps", "1", "--estimators", ""],
+         "estimators must name at least one"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
@@ -237,6 +239,20 @@ def test_a_column_taken_twice_exits_one(capsys, four_arm_csv):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: duplicate column names: m1\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, role",
+    [("--col-mediators", ",", "mediator"), ("--col-covariates", "", "covariate")],
+)
+def test_an_explicit_empty_column_list_exits_one(capsys, four_arm_csv, flag, value, role):
+    """A column flag that names no column is refused, not read as absent:
+    prefix discovery runs only when the flag is not given."""
+    for argv in (["estimate", "--design", "four-arm"], ["falsify", "direct"]):
+        assert main(argv + ["--data", four_arm_csv, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: the explicit {role} column list is empty\n"
 
 
 def test_overlong_field_exits_one_with_its_line(capsys, tmp_path):

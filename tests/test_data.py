@@ -174,6 +174,9 @@ def test_load_empty_body():
 def test_load_treatment_must_be_binary():
     with pytest.raises(NonBinaryTreatment):
         load_four_arm(b"y,aY,aM,m1,x1\n1,0.5,1,0.5,0.2\n")
+    # rows count from 1 with blank lines skipped, as in NonNumericCell
+    with pytest.raises(NonBinaryTreatment, match="row 2 has 2.0$"):
+        load_four_arm(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n\n2,1,2,0.5,0.2\n")
 
 
 def test_prefix_discovery_and_explicit_lists():
@@ -429,15 +432,17 @@ def test_bad_row_before_invalid_utf8_wins_whatever_the_gap(gap, kind, tmp_path):
     """Invalid UTF-8 is reported before a bad row earlier in the input, for
     every kind of source and however many good rows (less or more than the
     decoder's chunk) separate the short row from the invalid byte.  Bytes
-    and files name the invalid byte's line; a stream names none."""
+    and files name the invalid byte's line and position; a stream names
+    neither, as its decoder's position is one inside its current chunk."""
     text = (
         b"y,aY,aM,m1,x1\r\n1,0,1,0.5\r\n"
         + b"1,0,1,0.5,0.2\r\n" * gap
         + b"\xff\r\n"
     )
     where = "" if kind == "stream" else f" at line {gap + 3}"
-    with pytest.raises(DataError, match=f"^input is not valid UTF-8{where}: "):
+    with pytest.raises(DataError, match=f"^input is not valid UTF-8{where}: ") as exc:
         load_four_arm(_source(kind, text, tmp_path / "d.csv"))
+    assert ("position" in str(exc.value)) == (kind != "stream")
 
 
 @pytest.mark.parametrize("kind", ["bytes", "file"])

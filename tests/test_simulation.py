@@ -534,7 +534,7 @@ def test_a_family_whose_standard_error_fails_fails_alone(monkeypatch):
     real_build = sepfx.simulation.build_estimates
 
     def refuse_agreement(combined, estimands, **kwargs):
-        if kwargs["population"] == "two-arm":
+        if kwargs["family"] == "agreement":
             raise DegenerateEstimate("standard error is 0.0")
         return real_build(combined, estimands, **kwargs)
 
