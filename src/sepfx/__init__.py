@@ -19,10 +19,8 @@ from .data import (
     save_two_arm,
 )
 from .errors import (
-    BadK,
     DataError,
     DegenerateEstimate,
-    DegenerateFold,
     EmptyDataset,
     EmptySubset,
     LearnerError,
@@ -32,7 +30,6 @@ from .errors import (
     NonNumericCell,
     SepfxError,
     SingleClassWarning,
-    SingularDesign,
     TooFewRows,
 )
 from .estimation import EffectEstimate, EstimatorConfig
@@ -60,11 +57,9 @@ from .two_arm import estimate_effects_two
 
 __all__ = [
     "__version__",
-    "BadK",
     "ColumnMap",
     "DataError",
     "DegenerateEstimate",
-    "DegenerateFold",
     "ESTIMATOR_NAMES",
     "EffectEstimate",
     "EmptyDataset",
@@ -83,7 +78,6 @@ __all__ = [
     "SimReport",
     "SimTruth",
     "SingleClassWarning",
-    "SingularDesign",
     "TestResult",
     "TooFewRows",
     "TwoArmDataset",

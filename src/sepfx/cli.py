@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     fal.add_argument("--data", required=True)
     fal.add_argument("--robust", action="store_true", help="HC1 errors (direct tests)")
     fal.add_argument(
-        "--basis", default="main", choices=DIRECT_BASES,
+        "--basis", default=None, choices=DIRECT_BASES,
         help="regression basis for the direct tests",
     )
     _add_estimation_flags(fal)
@@ -229,20 +229,17 @@ def _run_estimate(args, parser) -> dict:
 def _run_falsify(args, parser) -> dict:
     schema = _schema_from_args(args)
     config = _estimator_config(args, parser)
+    if args.kind == "indirect" and (args.robust or args.basis):
+        parser.error("--robust and --basis are available for falsify direct only")
     ds = load_four_arm(args.data, schema)
     if args.kind == "direct":
+        options = {"robust": args.robust, "basis": args.basis or DIRECT_BASES[0],
+                   "alpha": args.alpha}
         results = [
-            direct_test_h0i(
-                ds, mediator_index=j, robust=args.robust,
-                basis=args.basis, alpha=args.alpha,
-            )
+            direct_test_h0i(ds, mediator_index=j, **options)
             for j in range(ds.n_mediators)
         ]
-        results.append(
-            direct_test_h0ii(
-                ds, robust=args.robust, basis=args.basis, alpha=args.alpha
-            )
-        )
+        results.append(direct_test_h0ii(ds, **options))
     else:
         results = indirect_test_battery(ds, config)
     return {"tests": [res.to_json_dict() for res in results]}

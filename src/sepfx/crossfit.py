@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BadK, DegenerateFold, MissingCell
+from .errors import MissingCell, TooFewRows
 from .seeding import derive_seed
 
 MAX_FOLD_RETRIES = 10
@@ -42,11 +42,15 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
 
     Raises
     ------
-    BadK
-        If ``k`` is outside ``[2, n]``.
+    ValueError
+        If ``k < 2``.
+    TooFewRows
+        If ``k > n``, so some fold would be empty.
     """
-    if not 2 <= k <= n:
-        raise BadK(f"k must satisfy 2 <= k <= n, got k={k}, n={n}")
+    if k < 2:
+        raise ValueError(f"k must be at least 2, got {k}")
+    if k > n:
+        raise TooFewRows(f"{k} folds need at least {k} rows, got {n}")
     rng = np.random.default_rng(seed)
     assignment = np.empty(n, dtype=np.int64)
     assignment[rng.permutation(n)] = np.arange(n) % k
@@ -58,18 +62,15 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
 def cross_fit(dataset, folds: FoldAssignment, fitter: Callable) -> list:
     """Fit ``fitter(dataset, train_rows)`` once per fold.
 
-    A fitter failing because a treatment cell or level is absent from its
-    training rows raises :class:`DegenerateFold` carrying the fold index;
-    other fitter errors propagate with the fold index prepended to their
-    message.
+    A fitter error propagates with its type, its message prefixed with
+    ``fold k:``; a treatment cell or level absent from the training rows
+    raises :class:`MissingCell`.
     """
     fits = []
     for fold in range(folds.k):
         train = folds.train_rows(fold)
         try:
             fits.append(fitter(dataset, train))
-        except MissingCell as exc:
-            raise DegenerateFold(fold, str(exc)) from exc
         except Exception as exc:
             exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
             raise
@@ -81,9 +82,10 @@ def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
 
     Returns ``(folds, fits)``.  Attempt ``a`` draws its folds from
     ``derive_seed(config.seed, "folds", split, a)``; an attempt raising
-    :class:`DegenerateFold` moves on to the next, up to
-    ``MAX_FOLD_RETRIES`` attempts.  Each call counts its own
-    attempts, so a redraw on one dataset never shifts another's folds.
+    :class:`MissingCell` moves on to the next, up to ``MAX_FOLD_RETRIES``
+    attempts, after which the last attempt's failure is raised again in a
+    :class:`MissingCell` naming its fold and cell.  Each call counts its
+    own attempts, so a redraw on one dataset never shifts another's folds.
     """
     for attempt in range(MAX_FOLD_RETRIES):
         folds = make_folds(
@@ -91,12 +93,11 @@ def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
         )
         try:
             return folds, cross_fit(dataset, folds, fitter)
-        except DegenerateFold as exc:
+        except MissingCell as exc:
             failure = exc
-    raise DegenerateFold(
-        failure.fold,
-        f"no usable fold assignment after {MAX_FOLD_RETRIES} attempts",
-    )
+    raise MissingCell(
+        f"no usable fold assignment after {MAX_FOLD_RETRIES} attempts; last: {failure}"
+    ) from failure
 
 
 def median_adjust(points: Sequence[float], variances: Sequence[float]) -> tuple:

@@ -2,6 +2,9 @@
 
 Everything raised on bad input or a failed estimation derives from
 :class:`SepfxError`, so callers (and the CLI) can catch one base class.
+Each failure condition has one type, whose message names what failed: a
+cell missing from a training fold its fold (``fold k: ...``), a direct
+test without a standard error its test (``H0(i): ...``).
 """
 
 
@@ -38,19 +41,7 @@ class LearnerError(SepfxError):
 
 
 class TooFewRows(LearnerError):
-    """Not enough rows to fit the requested model."""
-
-
-class BadK(SepfxError):
-    """Fold count outside the valid range for the sample size."""
-
-
-class DegenerateFold(SepfxError):
-    """A cross-fitting training fold lacks a needed treatment cell."""
-
-    def __init__(self, fold: int, message: str):
-        super().__init__(f"fold {fold}: {message}")
-        self.fold = fold
+    """Not enough rows to fit the requested model or to fill its folds."""
 
 
 class MissingCell(SepfxError):
@@ -58,12 +49,10 @@ class MissingCell(SepfxError):
     treatment level."""
 
 
-class SingularDesign(SepfxError):
-    """The regression design matrix is rank deficient."""
-
-
 class DegenerateEstimate(SepfxError):
-    """An estimate or test statistic has a standard error that is not positive."""
+    """An estimate or test statistic has no positive standard error: the
+    one computed is not positive, or its regression design is rank
+    deficient or fits the target exactly."""
 
 
 class SingleClassWarning(UserWarning):

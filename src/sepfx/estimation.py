@@ -97,7 +97,11 @@ class Estimand(NamedTuple):
 
 
 def estimand_cells(estimands) -> tuple:
-    """Distinct cells needed by ``estimands``, in request order."""
+    """Distinct cells needed by ``estimands``, in request order; raises
+    ``ValueError`` if there are none, so an empty request list fails before
+    any fit."""
+    if not estimands:
+        raise ValueError("no estimand requested: the request list is empty")
     return tuple(dict.fromkeys(cell for est in estimands for cell in est.cells()))
 
 
@@ -173,17 +177,19 @@ def shared_settings(source) -> dict:
 def _json_value(value):
     if hasattr(value, "to_json_dict"):
         return value.to_json_dict()
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_json_value(item) for item in value]
+    if isinstance(value, np.generic):
+        return value.item()
     return value
 
 
 class JsonFields:
     """``to_json_dict`` read off a dataclass's own fields, in field order.
 
-    Tuples become lists and nested records their JSON dicts.  Fields named
-    in ``json_skip`` are left out, and those in ``json_omit_none`` are left
-    out when they are None.  Values are read one field at a time, so arrays
+    Tuples become lists, numpy scalars Python ones and nested records their
+    JSON dicts.  Fields named in ``json_skip`` are left out, and those in
+    ``json_omit_none`` are left out when they are None.  Values are read one field at a time, so arrays
     held by a skipped field are never copied.
     """
 

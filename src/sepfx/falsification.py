@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .data import FourArmDataset, restrict_to_two_arm
-from .errors import DegenerateEstimate, MissingCell, SingularDesign
+from .errors import DegenerateEstimate, MissingCell
 from .estimation import (
     EffectEstimate,
     Estimand,
@@ -100,11 +100,10 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
 
     Raises
     ------
-    SingularDesign
-        If a diagonal entry of R is at most ``max(n, p)`` machine epsilons
-        times the largest one: the design matrix is rank deficient.
     DegenerateEstimate
-        If the fit is exact: the target is constant, or the residual norm
+        If a diagonal entry of R is at most ``max(n, p)`` machine epsilons
+        times the largest one: the design matrix is rank deficient.  Also
+        if the fit is exact: the target is constant, or the residual norm
         is at most ``EXACT_FIT_RTOL`` (the square root of machine epsilon,
         about 1.5e-8) times the norm of the centred target, i.e. 1 - R^2
         is below machine epsilon.  The residuals are then rounding noise,
@@ -116,7 +115,7 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     q, r = np.linalg.qr(np.column_stack([design[:, 0], design[:, 1:] - shift]))
     scale = np.abs(np.diag(r))
     if scale.min() <= max(n, p) * np.finfo(np.float64).eps * scale.max():
-        raise SingularDesign("design matrix is rank deficient")
+        raise DegenerateEstimate("design matrix is rank deficient")
     y_centred = targets - targets.mean()
     qty = q.T @ y_centred
     resid = y_centred - q @ qty

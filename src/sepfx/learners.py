@@ -34,7 +34,7 @@ from .errors import (
     TooFewRows,
 )
 from .forest import ForestPredictor, as_matrix, fit_forest, predict_forests
-from .seeding import check_integers, derive_seed
+from .seeding import check_integers, derive_seed, is_finite_number
 
 DEFAULT_CLIP = 0.01
 DEFAULT_RIDGE_SCALE = 1e-6
@@ -48,8 +48,10 @@ class LearnerSpec:
 
     ``ridge`` is an absolute penalty on non-intercept coefficients; when
     ``None`` it defaults to ``1e-6 * n`` at fit time.  ``ridge=0`` requests
-    an unpenalized least-squares fit.  ``trees``, ``mtry``, ``min_leaf``,
-    ``v_folds`` and ``seed`` must be integers, whatever the kind.
+    an unpenalized least-squares fit; a negative, non-finite or bool
+    ``ridge`` raises :class:`LearnerError`.  ``trees``, ``mtry``,
+    ``min_leaf``, ``v_folds`` and ``seed`` must be integers, whatever the
+    kind.
     """
 
     kind: str = "glm"
@@ -68,6 +70,8 @@ class LearnerSpec:
         if self.basis not in BASIS_CHOICES:
             raise LearnerError(f"unknown basis {self.basis!r}")
         check_integers(self, ("trees", "mtry", "min_leaf", "v_folds", "seed"))
+        if self.ridge is not None and not (is_finite_number(self.ridge) and self.ridge >= 0):
+            raise LearnerError(f"ridge must be a finite number >= 0 or None, got {self.ridge!r}")
         if self.kind == "super_learner" and not self.candidates:
             raise LearnerError("super_learner spec needs at least one candidate")
         if self.kind == "random_forest" and min(self.trees, self.mtry, self.min_leaf) < 1:
@@ -369,15 +373,13 @@ def fit_super_learner(
     lose to the single best candidate in cross-validated squared error,
     the weights collapse to that candidate (ties break toward the lower
     index), so the ensemble's CV loss never exceeds the best candidate's.
-    Rows are checked as in :func:`fit_regressor` before anything is fit.
+    Rows are checked as in :func:`fit_regressor` before anything is fit,
+    and fewer rows than ``spec.v_folds`` raise :class:`TooFewRows`.
     """
     if spec.kind != "super_learner":
         raise LearnerError(f"need a super_learner spec, got {spec.kind!r}")
     X, y = _checked_rows(features, targets, "targets")
     n = y.shape[0]
-    if n < spec.v_folds:
-        raise TooFewRows(f"need at least {spec.v_folds} rows, got {n}")
-
     candidates = spec.candidates
     folds = make_folds(n, spec.v_folds, derive_seed(spec.seed, "super-learner-folds"))
     oof = np.empty((n, len(candidates)))

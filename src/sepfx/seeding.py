@@ -1,17 +1,20 @@
 """Deterministic seed derivation for nested random streams, and the
-package's rule for integer settings.
+package's rules for integer and real-number settings.
 
 Every stochastic component (fold shuffles, bootstrap draws, simulation
 stages) derives its seed from a base seed plus a structured key, so that
 reruns with the same configuration are bit-identical and independent
 components never share a stream.  Seeds, sizes and counts given by a
 caller must be Python or numpy integers (:func:`check_integers`), so a
-bool or a fraction is refused where it is set and not inside a fit.
+bool or a fraction is refused where it is set and not inside a fit; a
+real-number setting must be finite and not a bool
+(:func:`is_finite_number`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -36,6 +39,15 @@ def _encode(part) -> str:
 def is_integer(value) -> bool:
     """A Python or numpy integer that is not a bool (``True`` passes as 1)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """A finite Python or numpy real number that is not a bool."""
+    return (
+        isinstance(value, (int, float, np.integer, np.floating))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def check_integers(record, names) -> None:

@@ -40,7 +40,6 @@ do not depend on the worker count.
 from __future__ import annotations
 
 import ctypes
-import math
 import multiprocessing
 import os
 import time
@@ -69,7 +68,7 @@ from .falsification import (
 )
 from .four_arm import four_arm_battery
 from .learners import make_spec
-from .seeding import check_integers, derive_seed, stream
+from .seeding import check_integers, derive_seed, is_finite_number, stream
 from .two_arm import estimate_effects_two
 
 N_COVARIATES = 5
@@ -156,13 +155,10 @@ class SimConfig(JsonFields):
             raise ValueError("estimators must name at least one estimator")
         if len(set(self.estimators)) != len(self.estimators):
             raise ValueError(f"estimators must not repeat, got {list(self.estimators)}")
-        v = self.violation
-        if v is not None and (
-            isinstance(v, bool)
-            or not isinstance(v, (int, float, np.integer, np.floating))
-            or not math.isfinite(v)
-        ):
-            raise ValueError(f"violation must be a finite number or None, got {v!r}")
+        if self.violation is not None and not is_finite_number(self.violation):
+            raise ValueError(
+                f"violation must be a finite number or None, got {self.violation!r}"
+            )
         # None means every usable CPU; more workers than CPUs only contend
         if self.threads is not None:
             check_integers(self, ("threads",))

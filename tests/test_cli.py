@@ -112,6 +112,30 @@ def test_pretty_table(capsys, four_arm_csv):
         json.loads(out)
 
 
+@pytest.mark.parametrize(
+    "argv, header, row",
+    [
+        (["simulate", "--n", "200", "--reps", "1", "--estimators", "sde_four",
+          "--threads", "1"],
+         "estimator             bias      rmse  coverage  failures", "sde_four "),
+        (["falsify", "direct"],
+         "test            target        estimate   statistic         p  reject", "H0(ii) "),
+        (["truth", "--model", "2"], None, "sde_two     2.000000"),
+    ],
+    ids=["simulate", "falsify", "truth"],
+)
+def test_pretty_table_of_each_command(capsys, four_arm_csv, argv, header, row):
+    """simulate and falsify print a header, a rule and a row per result;
+    truth prints one row per truth."""
+    if argv[0] == "falsify":
+        argv = argv + ["--data", four_arm_csv]
+    assert main(argv + ["--pretty"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if header is not None:
+        assert lines[:2] == [header, "-" * len(header)]
+    assert any(line.startswith(row) for line in lines)
+
+
 def test_falsify_direct(capsys, four_arm_csv):
     code, payload = run_json(capsys, [
         "falsify", "direct", "--data", four_arm_csv, "--deterministic",
@@ -167,6 +191,15 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
          "estimators must name at least one"),
         (["simulate", "--n", "200", "--reps", "1", "--estimators", ""],
          "estimators must name at least one"),
+        # a bad estimand, and direct-test flags given to the indirect test
+        (["estimate", "--design", "four-arm", "--estimand", "sde:aM=2"],
+         "bad --estimand 'sde:aM=2'; level must be 0 or 1"),
+        (["estimate", "--design", "four-arm", "--estimand", "sde:aY=1"],
+         "bad --estimand 'sde:aY=1'; expected sde:aM=L or sie:aY=L"),
+        (["falsify", "indirect", "--robust"],
+         "--robust and --basis are available for falsify direct only"),
+        (["falsify", "indirect", "--basis", "main"],
+         "--robust and --basis are available for falsify direct only"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):

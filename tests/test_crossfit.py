@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sepfx import crossfit
 from sepfx.crossfit import cross_fit, cross_fit_split, make_folds, median_adjust
-from sepfx.errors import BadK, DegenerateFold, MissingCell
+from sepfx.errors import MissingCell, TooFewRows
 from sepfx.estimation import EstimatorConfig, run_battery
 from sepfx.seeding import derive_seed, stream
 
@@ -60,7 +60,7 @@ def test_make_folds_partition_and_sizes():
 )
 def test_make_folds_property(n, k, seed):
     if k > n:
-        with pytest.raises(BadK):
+        with pytest.raises(TooFewRows):
             make_folds(n, k, seed)
         return
     folds = make_folds(n, k, seed)
@@ -72,10 +72,22 @@ def test_make_folds_property(n, k, seed):
 
 
 def test_make_folds_bad_k():
-    with pytest.raises(BadK):
+    with pytest.raises(ValueError, match="k must be at least 2, got 1"):
         make_folds(10, 1, seed=0)
-    with pytest.raises(BadK):
+    with pytest.raises(TooFewRows, match="11 folds need at least 11 rows, got 10"):
         make_folds(10, 11, seed=0)
+
+
+def test_more_folds_than_rows_fail_naming_both_counts():
+    """An estimator asked for more folds than the data have rows fails
+    with TooFewRows naming both counts, before any fit."""
+    ds = make_four_arm(n=20)
+
+    def no_fit(dataset, train_rows):
+        raise AssertionError("a model was fit")
+
+    with pytest.raises(TooFewRows, match="21 folds need at least 21 rows, got 20"):
+        cross_fit_split(ds, EstimatorConfig(k_folds=21), 0, no_fit)
 
 
 def test_cross_fit_no_leakage():
@@ -105,17 +117,15 @@ def test_cross_fit_wraps_fold_in_errors():
 
 
 def test_cross_fit_degenerate_fold_keeps_type():
-    from sepfx.errors import MissingCell
-
     ds = make_four_arm(n=20)
     folds = make_folds(ds.n, 2, seed=0)
 
     def missing_fitter(dataset, train_rows):
         raise MissingCell("cell (1, 1) empty in training rows")
 
-    with pytest.raises(DegenerateFold) as exc:
+    with pytest.raises(MissingCell) as exc:
         cross_fit(ds, folds, missing_fitter)
-    assert exc.value.fold == 0
+    assert str(exc.value) == "fold 0: cell (1, 1) empty in training rows"
 
 
 def test_cross_fit_split_redraws_a_degenerate_partition():
@@ -148,9 +158,13 @@ def test_cross_fit_split_gives_up_after_max_fold_retries(monkeypatch):
         attempts.append(train_rows)
         raise MissingCell("cell (1, 1) empty in training rows")
 
-    with pytest.raises(DegenerateFold, match="after 3 attempts"):
+    with pytest.raises(MissingCell) as exc:
         cross_fit_split(ds, config, 0, fitter)
     assert len(attempts) == 3
+    assert str(exc.value) == (
+        "no usable fold assignment after 3 attempts; "
+        "last: fold 0: cell (1, 1) empty in training rows"
+    )
 
 
 def test_median_adjust_examples():

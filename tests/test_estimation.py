@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,11 @@ OUT_OF_RANGE = {
     "h0i-mediator-one-point-zero": lambda ds: falsification.direct_test_h0i(
         ds, mediator_index=1.0
     ),
+    # an empty request list asks for nothing, so no fit is made for it
+    "four-arm-no-request": lambda ds: estimate_effects_four(ds, []),
+    "agreement-no-request": lambda ds: estimate_agreement_effects(ds, []),
+    "two-arm-no-request": lambda ds: estimate_effects_two(restrict_to_two_arm(ds), []),
+    "indirect-no-request": lambda ds: indirect_test_battery(ds, requests=[]),
 }
 
 
@@ -103,8 +110,34 @@ def test_out_of_range_levels_fail_before_any_fit(case, monkeypatch):
         (falsification, "fit_ols"),
     ):
         monkeypatch.setattr(module, name, no_fit)
-    with pytest.raises(ValueError, match="level must be 0 or 1|mediator_index must be"):
+    with pytest.raises(
+        ValueError, match="level must be 0 or 1|mediator_index must be|request list is empty"
+    ):
         OUT_OF_RANGE[case](ds)
+
+
+# Each call takes a numpy integer where a Python one is usual, and returns a
+# record whose JSON should hold the plain number: (record, field, value).
+NUMPY_INTEGERS = {
+    "h0i-mediator": lambda ds: (
+        falsification.direct_test_h0i(ds, mediator_index=np.int64(1)), "mediator", 1
+    ),
+    "four-arm-sde-level": lambda ds: (
+        estimate_effects_four(ds, [("sde", np.int64(1))])[0], "fixed_level", 1
+    ),
+    "four-arm-mean-level": lambda ds: (
+        estimate_effects_four(ds, [("mean", (np.int64(1), np.int64(0)))])[0],
+        "fixed_level", [1, 0],
+    ),
+    "sim-config-n": lambda ds: (SimConfig(n=np.int64(300), reps=1), "n", 300),
+}
+
+
+@pytest.mark.parametrize("case", list(NUMPY_INTEGERS))
+def test_numpy_integers_become_json_numbers(case):
+    record, name, value = NUMPY_INTEGERS[case](generate_dataset(SimConfig(n=200, reps=1), 0))
+    text = json.dumps(record.to_json_dict())
+    assert json.loads(text)[name] == value
 
 
 def test_estimand_cells_are_shared_in_request_order():

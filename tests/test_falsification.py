@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from scipy.stats import norm, t as student_t
 
 from sepfx import falsification
 from sepfx.data import FourArmDataset, restrict_to_two_arm
-from sepfx.errors import DegenerateEstimate, EmptySubset, MissingCell, SingularDesign
+from sepfx.errors import DegenerateEstimate, EmptySubset, MissingCell
 from sepfx.estimation import EstimatorConfig, z_value
 from sepfx.falsification import (
     _wald_test,
@@ -35,7 +37,7 @@ def test_fit_ols_matches_lstsq():
 
 def test_fit_ols_rejects_singular_design():
     x = np.ones((20, 2))  # duplicated intercept
-    with pytest.raises(SingularDesign):
+    with pytest.raises(DegenerateEstimate, match="design matrix is rank deficient"):
         fit_ols(x, np.zeros(20))
 
 
@@ -265,6 +267,21 @@ def test_indirect_battery_rejects_zero_standard_error(sim_four_arm):
     config = EstimatorConfig(k_folds=2, splits=1, seed=0)
     with pytest.raises(DegenerateEstimate, match="indirect-SDE"):
         indirect_test_battery(flat_y, config)
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_direct_tests_name_themselves_on_a_rank_deficient_design(robust):
+    """A repeated covariate makes both designs rank deficient; the error
+    names the test, as an exact fit's does."""
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    repeated = dataclasses.replace(
+        ds, x=np.column_stack([ds.x, ds.x[:, 0]]),
+        covariate_names=ds.covariate_names + ("x1_again",),
+    )
+    with pytest.raises(DegenerateEstimate, match=r"^H0\(i\): design matrix is rank deficient$"):
+        direct_test_h0i(repeated, 0, robust=robust)
+    with pytest.raises(DegenerateEstimate, match=r"^H0\(ii\): design matrix is rank deficient$"):
+        direct_test_h0ii(repeated, robust=robust)
 
 
 # --- an exact fit fails loudly ---------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 import sepfx.four_arm
 from sepfx.data import FourArmDataset
-from sepfx.errors import DegenerateFold
+from sepfx.errors import MissingCell
 from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells
 from sepfx.four_arm import (
     CELLS,
@@ -196,7 +196,9 @@ def test_label_swap_negates_the_direct_effect(sim_four_arm):
     assert abs(original.point + mirrored.point) < 1e-10
 
 
-def test_missing_cell_raises_degenerate_fold():
+def test_a_cell_missing_from_every_partition_is_named():
+    """With no (1, 1) row, every fold redraw fails, and the error names the
+    fold and the cell of the last attempt."""
     ds = make_four_arm(n=60, seed=1)
     keep = np.nonzero(~((ds.a_y == 1) & (ds.a_m == 1)))[0]
     sub = FourArmDataset(
@@ -205,7 +207,11 @@ def test_missing_cell_raises_degenerate_fold():
         outcome_name="y", a_y_name="aY", a_m_name="aM",
         mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
     )
-    with pytest.raises(DegenerateFold):
+    with pytest.raises(
+        MissingCell,
+        match=r"no usable fold assignment after 10 attempts; "
+        r"last: fold 0: no training rows in arm cell \(1, 1\)$",
+    ):
         estimate_effects_four(
             sub, [("sde", 1)], EstimatorConfig(k_folds=2, splits=2, seed=0)
         )

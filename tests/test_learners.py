@@ -56,6 +56,15 @@ def test_spec_refuses_a_bool_or_fraction_in_an_integer_field(field, value):
     assert replace(forest, **{field: np.int64(3)}).kind == "random_forest"
 
 
+@pytest.mark.parametrize("ridge", [-1e6, -1e-12, float("nan"), float("inf"), True, "1"])
+def test_spec_refuses_a_ridge_that_is_not_a_finite_non_negative_number(ridge):
+    """A NaN ridge used to fit all-NaN coefficients without a word."""
+    with pytest.raises(LearnerError, match="ridge must be a finite number >= 0 or None"):
+        LearnerSpec(kind="glm", ridge=ridge)
+    for ok in (None, 0, 0.0, 1e6, np.float64(0.5), np.int64(2)):
+        assert LearnerSpec(kind="glm", ridge=ok).ridge == ok
+
+
 def test_expand_basis_shapes():
     x = np.arange(12.0).reshape(4, 3)
     assert expand_basis(x, "intercept").shape == (4, 1)

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sepfx.data import restrict_to_two_arm
-from sepfx.errors import SingularDesign
+from sepfx.errors import DegenerateEstimate
 from sepfx.estimation import EstimatorConfig
 from sepfx.falsification import (
     direct_test_h0i,
@@ -143,7 +143,7 @@ def test_a_constant_covariate_changes_no_estimate(ds):
         assert_allclose([widened[key].point, widened[key].se], [est.point, est.se], rtol=RTOL)
     for key, test in base_tests.items():
         assert_allclose(widened_tests[key].statistic, test.statistic, rtol=RTOL)
-    with pytest.raises(SingularDesign):
+    with pytest.raises(DegenerateEstimate, match=r"^H0\(i\): design matrix is rank deficient"):
         direct_test_h0i(moved)
-    with pytest.raises(SingularDesign):
+    with pytest.raises(DegenerateEstimate, match=r"^H0\(ii\): design matrix is rank deficient"):
         direct_test_h0ii(moved)

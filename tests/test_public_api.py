@@ -11,11 +11,9 @@ from sepfx.four_arm import NuisanceFitFour
 from sepfx.two_arm import NuisanceFitTwo
 
 PUBLIC_NAMES = [
-    "BadK",
     "ColumnMap",
     "DataError",
     "DegenerateEstimate",
-    "DegenerateFold",
     "ESTIMATOR_NAMES",
     "EffectEstimate",
     "EmptyDataset",
@@ -34,7 +32,6 @@ PUBLIC_NAMES = [
     "SimReport",
     "SimTruth",
     "SingleClassWarning",
-    "SingularDesign",
     "TestResult",
     "TooFewRows",
     "TwoArmDataset",
