@@ -133,7 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_column_flags(est)
     _add_output_flags(est)
 
-    fal = sub.add_parser("falsify", help="run falsification tests")
+    fal = sub.add_parser(
+        "falsify",
+        help="run falsification tests",
+        description="Run the direct tests or the indirect test battery. The direct "
+        "tests read --robust, --basis and --alpha; they check --learner, --k-folds, "
+        "--splits, --clip, --strategy and --seed but use none of them, so the seed "
+        "their output echoes was used for nothing.",
+    )
     fal.add_argument("kind", choices=("direct", "indirect"))
     fal.add_argument("--data", required=True)
     fal.add_argument("--robust", action="store_true", help="HC1 errors (direct tests)")

@@ -9,18 +9,23 @@ tree's leaf value is the within-leaf class frequency.
 Each feature is binned once per forest, on the forest's training rows: a
 feature with at most ``MAX_BINS`` distinct values gets one bin per value,
 so every node sees the same candidate partitions as an exhaustive search;
-one with more gets at most ``MAX_BINS`` quantile bins.  A tree grows one
-depth level at a time.  Per level, one ``np.bincount`` over (node, drawn
-feature, bin) gives every node's histogram, cumulative sums over the bins
-score every cut, one generator call draws the feature subsets of all
-splittable nodes in node order, and the rows move to their children in
-one step.  Ties go to the lowest feature index, then the lowest cut.  A
-level with many nodes is scored in blocks of nodes, so that no histogram
-has more cells than the tree has rows times features.
+one with more gets at most ``MAX_BINS`` quantile bins.  Trees grow one
+depth level at a time, and several trees can grow in one pass.  Per
+level, one ``np.bincount`` over (node, drawn feature, bin) gives every
+node's histogram, cumulative sums over the bins score every cut, one
+generator call per tree draws the feature subsets of its splittable
+nodes in node order, and the rows move to their children in one step.
+Ties go to the lowest feature index, then the lowest cut.  A level with
+many nodes is scored in blocks of nodes, so that no histogram has more
+cells than the trees have rows times features.
 
 A forest is drawn tree by tree from its seed, so a forest of t trees is
 the first t trees of a larger forest with the same data and settings.
 :func:`predict_forests` predicts such nested forests in one pass.
+Forests with the same settings on different rows, such as a super
+learner's internal-fold and full-data forests, grow together through
+:func:`fit_forests`: tree t of every forest grows in the same pass, and
+each forest comes out bit for bit as it grows alone.
 """
 
 from __future__ import annotations
@@ -119,9 +124,11 @@ def _best_cuts(
     """
     nodes, k = drawn.shape
     shape = (nodes, k, width)
-    bins = codes[drawn[slot], rows[:, None]]
-    cell = ((slot[:, None] * k + np.arange(k)) * width + bins).ravel()
-    y = np.repeat(targets, k)
+    # one run of rows per drawn feature slot, so every inner loop is over rows
+    feature = drawn.T.copy().take(slot, axis=1)
+    bins = codes.ravel().take(feature * codes.shape[1] + rows)
+    cell = (bins + slot * (k * width) + (np.arange(k) * width)[:, None]).ravel()
+    y = np.concatenate([targets] * k)
     nl = np.bincount(cell, minlength=nodes * k * width).reshape(shape).cumsum(axis=2)
     s1 = np.bincount(cell, weights=y, minlength=nodes * k * width).reshape(shape).cumsum(axis=2)
     nr = nl[:, :, -1:] - nl
@@ -134,38 +141,51 @@ def _best_cuts(
     return np.where(found, best // width, -1), np.where(found, best % width, 0)
 
 
-def _grow_tree(
-    codes: np.ndarray,
-    cuts: np.ndarray,
-    targets: np.ndarray,
-    rng: np.random.Generator,
-    mtry: int,
-    min_leaf: int,
-) -> _Tree:
-    """Grow one tree level by level on binned features (``codes`` and
-    ``cuts`` from :func:`_bin_features`); nodes are numbered breadth first."""
+def _grow_trees(jobs, mtry: int, min_leaf: int) -> list[_Tree]:
+    """Grow one tree per job ``(codes, cuts, targets, rng)`` on binned
+    features (``codes`` and ``cuts`` from :func:`_bin_features`, with the
+    same features in every job); each tree's nodes are numbered breadth
+    first.
+
+    The trees grow together, one depth level of every tree per step, and
+    each comes out as if grown alone: its rows sit in one increasing run,
+    so every node's sums add its own rows in increasing order, and its
+    generator draws the feature subsets of its own splittable nodes, in
+    node order, with one call per level.  Histograms are as wide as the
+    widest job's; the bins past a job's last one are empty, so no cut
+    there is admissible.
+    """
+    codes = np.concatenate([job[0] for job in jobs], axis=1)
+    targets = np.concatenate([job[2] for job in jobs])
     p, n = codes.shape
     k = min(mtry, p)
-    width = cuts.shape[1] + 1
+    width = max(job[1].shape[1] for job in jobs) + 1
     block = max(1, n * p // max(1, k * width))  # nodes per histogram, so cells <= n * p
     levels = []
     rows = np.arange(n)  # rows of the nodes still growing, in increasing order
-    node = np.zeros(n, dtype=np.intp)  # each row's node, numbered within its level
-    count, first_id = 1, 0
-    while count:
+    # each row's node, numbered within the level; the roots are the jobs
+    node = np.repeat(np.arange(len(jobs)), [job[2].size for job in jobs])
+    tree = np.arange(len(jobs))  # each node's job; a level's nodes come job by job
+    first_id = 0  # nodes are numbered across jobs until each job's are renumbered at the end
+    while tree.size:
+        count = tree.size
         y = targets[rows]
         size = np.bincount(node, minlength=count)
         value = np.bincount(node, weights=y, minlength=count) / size
-        low = np.full(count, np.inf)
-        high = np.full(count, -np.inf)
-        np.minimum.at(low, node, y)
-        np.maximum.at(high, node, y)
+        some = np.empty(count)
+        some[node] = y  # one of each node's targets; the node varies where another differs
+        varies = np.bincount(node[y != some[node]], minlength=count) > 0
         feature = np.full(count, -1, dtype=np.int64)
         cut = np.zeros(count, dtype=np.intp)
-        drawable = np.flatnonzero((size >= 2 * min_leaf) & (high > low))
+        drawable = np.flatnonzero((size >= 2 * min_leaf) & varies)
         if drawable.size and k:
-            # one draw for the level: each node's k features, in node order
-            drawn = np.sort(np.argsort(rng.random((drawable.size, p)), axis=1)[:, :k], axis=1)
+            # each job's draw for the level: its nodes' k features, in node order
+            draws = np.empty((drawable.size, p))
+            ends = np.cumsum(np.bincount(tree[drawable], minlength=len(jobs))).tolist()
+            for job, lo, hi in zip(jobs, [0] + ends, ends):
+                if hi > lo:
+                    job[3].random(out=draws[lo:hi])
+            drawn = np.sort(np.argsort(draws, axis=1)[:, :k], axis=1)
             slot = np.full(count, -1)
             slot[drawable] = np.arange(drawable.size)
             row_slot = slot[node]
@@ -180,22 +200,27 @@ def _grow_tree(
                 feature[nodes] = drawn[lo:hi][found, at[found]]
                 cut[nodes] = best_cut[found]
         split = feature >= 0
-        n_split = int(split.sum())
-        left = np.full(count, -1, dtype=np.int64)
-        left[split] = first_id + count + 2 * np.arange(n_split)
-        right = np.where(split, left + 1, -1)
-        threshold = np.zeros(count)
-        threshold[split] = cuts[feature[split], cut[split]]
-        levels.append((feature, threshold, left, right, value))
+        rank = np.cumsum(split) - 1
+        left = np.where(split, first_id + count + 2 * rank, -1)
+        levels.append((tree, feature, cut, left, value))
         # rows of split nodes move to their children, in the same row order
         keep = split[node]
         rows, node = rows[keep], node[keep]
-        rank = np.cumsum(split) - 1
-        goes_right = codes[feature[node], rows] > cut[node]
+        goes_right = codes.ravel().take(feature.take(node) * n + rows) > cut.take(node)
         node = 2 * rank[node] + goes_right
         first_id += count
-        count = 2 * n_split
-    return _Tree(*(np.concatenate(parts) for parts in zip(*levels)))
+        tree = np.repeat(tree[split], 2)
+    tree, feature, cut, left, value = (np.concatenate(parts) for parts in zip(*levels))
+    trees = []
+    for j, (_, cuts, _, _) in enumerate(jobs):
+        mine = np.flatnonzero(tree == j)  # the job's nodes, breadth first
+        split = feature[mine] >= 0
+        own_left = np.where(split, np.searchsorted(mine, left[mine]), -1)
+        threshold = np.zeros(mine.size)
+        threshold[split] = cuts[feature[mine[split]], cut[mine[split]]]
+        right = np.where(split, own_left + 1, -1)
+        trees.append(_Tree(feature[mine], threshold, own_left, right, value[mine]))
+    return trees
 
 
 @dataclass
@@ -244,6 +269,36 @@ def predict_forests(forests, features) -> list[np.ndarray]:
     return out
 
 
+def fit_forests(
+    blocks,
+    n_trees: int,
+    mtry: int,
+    min_leaf: int,
+    seed: int,
+    clip: float | None = None,
+) -> list[ForestPredictor]:
+    """``[fit_forest(x, y, n_trees, mtry, min_leaf, seed, clip) for x, y in
+    blocks]``, bit for bit, with tree t of every block grown in one step.
+
+    Each block has its own generator; tree t's bootstrap is drawn from it
+    before tree t grows, and the growth makes that tree's own draws.
+    """
+    data = []
+    for features, targets in blocks:
+        codes, cuts = _bin_features(as_matrix(features))
+        targets = np.asarray(targets, dtype=np.float64).ravel()
+        data.append((codes, cuts, targets, np.random.default_rng(derive_seed(seed, "forest"))))
+    forests = [[] for _ in data]
+    for _ in range(n_trees):
+        jobs = []
+        for codes, cuts, targets, rng in data:
+            rows = rng.integers(0, codes.shape[1], size=codes.shape[1])
+            jobs.append((codes[:, rows], cuts, targets[rows], rng))
+        for trees, tree in zip(forests, _grow_trees(jobs, mtry, min_leaf)):
+            trees.append(tree)
+    return [ForestPredictor(trees=trees, clip=clip) for trees in forests]
+
+
 def fit_forest(
     features: np.ndarray,
     targets: np.ndarray,
@@ -258,13 +313,4 @@ def fit_forest(
     The features are binned once, on these rows, and every tree grows on
     a bootstrap resample of their bins.
     """
-    features = as_matrix(features)
-    targets = np.asarray(targets, dtype=np.float64).ravel()
-    n = features.shape[0]
-    codes, cuts = _bin_features(features)
-    rng = np.random.default_rng(derive_seed(seed, "forest"))
-    trees = []
-    for _ in range(n_trees):
-        rows = rng.integers(0, n, size=n)
-        trees.append(_grow_tree(codes[:, rows], cuts, targets[rows], rng, mtry, min_leaf))
-    return ForestPredictor(trees=trees, clip=clip)
+    return fit_forests([(features, targets)], n_trees, mtry, min_leaf, seed, clip)[0]

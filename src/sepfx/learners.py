@@ -9,7 +9,10 @@ Three model families are available through one spec type:
 * ``random_forest`` -- bagged CART trees (see :mod:`sepfx.forest`).
 * ``super_learner`` -- a convex stack of candidate specs with weights
   chosen by non-negative least squares on out-of-fold predictions.
-  Forest candidates equal apart from ``trees`` share one grown forest.
+  Forest candidates equal apart from ``trees`` share one grown forest,
+  and the forests of the internal folds and of the full data grow
+  together (:func:`sepfx.forest.fit_forests`), bit-identically to
+  growing each alone.
 
 A fit is a classification exactly when it has a ``clip``
 (``fit_classifier``; a GLM is then logistic): it returns probabilities in
@@ -33,7 +36,7 @@ from .errors import (
     SingleClassWarning,
     TooFewRows,
 )
-from .forest import ForestPredictor, as_matrix, fit_forest, predict_forests
+from .forest import ForestPredictor, as_matrix, fit_forest, fit_forests, predict_forests
 from .seeding import check_integers, derive_seed, is_finite_number
 
 DEFAULT_CLIP = 0.01
@@ -250,6 +253,23 @@ def _fit(X, y, spec: LearnerSpec, interact_cols, clip: float | None) -> FittedPr
     return fit_super_learner(X, y, spec, interact_cols, clip)
 
 
+def _constant_fit(targets: np.ndarray, clip: float | None) -> ConstantPredictor | None:
+    """The exact fit of constant targets, clipped for a classification
+    (which warns of its single class); None for targets that vary.  Labels
+    that are not all 0 or 1 raise :class:`LearnerError`."""
+    if clip is not None and not ((targets == 0.0) | (targets == 1.0)).all():
+        raise LearnerError("labels must be binary 0/1")
+    if np.ptp(targets) != 0.0:
+        return None
+    if clip is None:
+        return ConstantPredictor(float(targets[0]))
+    warnings.warn(
+        "classifier saw a single class; using a clipped constant",
+        SingleClassWarning,
+    )
+    return ConstantPredictor(float(np.clip(targets[0], clip, 1.0 - clip)))
+
+
 def fit_regressor(
     features,
     targets,
@@ -264,9 +284,8 @@ def fit_regressor(
     :class:`LearnerError` before anything is fit.
     """
     X, y = _checked_rows(features, targets, "targets")
-    if np.ptp(y) == 0.0:
-        return ConstantPredictor(float(y[0]))
-    return _fit(X, y, spec, interact_cols, None)
+    fit = _constant_fit(y, None)
+    return _fit(X, y, spec, interact_cols, None) if fit is None else fit
 
 
 def fit_classifier(
@@ -283,16 +302,8 @@ def fit_classifier(
     feature or label raises :class:`LearnerError` before anything is fit.
     """
     X, y = _checked_rows(features, labels, "labels")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise LearnerError("labels must be binary 0/1")
-    if np.ptp(y) == 0.0:
-        warnings.warn(
-            "classifier saw a single class; using a clipped constant",
-            SingleClassWarning,
-        )
-        value = float(np.clip(y[0], clip, 1.0 - clip))
-        return ConstantPredictor(value)
-    return _fit(X, y, spec, interact_cols, clip)
+    fit = _constant_fit(y, clip)
+    return _fit(X, y, spec, interact_cols, clip) if fit is None else fit
 
 
 @dataclass
@@ -317,38 +328,50 @@ class SuperLearnerFit:
         return out
 
 
-def _fit_library(X, y, candidates, interact_cols, clip) -> tuple[FittedPredictor, ...]:
-    """Fit every candidate, by :func:`fit_regressor` when ``clip`` is None
-    and by :func:`fit_classifier` otherwise, growing one forest per group
-    of forest specs that are equal apart from ``trees``.
+def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list[FittedPredictor]]:
+    """Every candidate fit on every block of rows ``(X, y)``, as
+    :func:`fit_regressor` fits it when ``clip`` is None and as
+    :func:`fit_classifier` does otherwise, bit for bit.
 
-    A forest is drawn tree by tree from its seed, so a smaller forest of a
-    group is the leading slice of the group's largest; it shares those
-    tree objects.  Data on which the largest fit is no forest (a single
-    class or constant targets) is fit candidate by candidate.
+    Forest specs equal apart from ``trees`` form a group that grows only
+    its largest forest: a forest is drawn tree by tree from its seed, so a
+    smaller forest of the group is the leading slice of the largest and
+    shares those tree objects.  Block by block, in the order of separate
+    fits, the rows are checked, constant targets or a single class give
+    each member its constant (with its warning), and every other
+    candidate is fit; only the groups' forests wait, and each group grows
+    them on all its blocks in one :func:`fit_forests` call.  Every block's
+    forests are held at once, so the peak memory is that of all of them.
     """
-    def fit(spec: LearnerSpec) -> FittedPredictor:
-        if clip is None:
-            return fit_regressor(X, y, spec, interact_cols=interact_cols)
-        return fit_classifier(X, y, spec, interact_cols=interact_cols, clip=clip)
-
+    name = "targets" if clip is None else "labels"
     groups: dict = {}
     for j, spec in enumerate(candidates):
         # a forest spec with its tree count masked; any other spec stands alone
         key = replace(spec, trees=1) if spec.kind == "random_forest" else j
         groups.setdefault(key, []).append(j)
-    fits: list = [None] * len(candidates)
-    for members in groups.values():
-        largest = max(members, key=lambda j: candidates[j].trees)
-        grown = fit(candidates[largest])
-        for j in members:
-            if j == largest:
-                fits[j] = grown
-            elif isinstance(grown, ForestPredictor):
-                fits[j] = ForestPredictor(trees=grown.trees[: candidates[j].trees], clip=grown.clip)
-            else:
-                fits[j] = fit(candidates[j])
-    return tuple(fits)
+    fits: list = [[None] * len(candidates) for _ in blocks]
+    grow: dict = {}  # (largest, members) of a group -> the blocks its forest grows on
+    for b, (X, y) in enumerate(blocks):
+        X, y = _checked_rows(X, y, name)
+        for members in groups.values():
+            largest = max(members, key=lambda j: candidates[j].trees)
+            for j in [largest] + [j for j in members if j != largest]:
+                fit = _constant_fit(y, clip)
+                if fit is None and candidates[j].kind == "random_forest":
+                    grow.setdefault((j, tuple(members)), []).append(b)
+                    break
+                if fit is None:
+                    fit = _fit(X, y, candidates[j], interact_cols, clip)
+                fits[b][j] = fit
+    for (largest, members), grown in grow.items():
+        spec = candidates[largest]
+        forests = fit_forests(
+            [blocks[b] for b in grown], spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip
+        )
+        for b, forest in zip(grown, forests):
+            for j in members:
+                fits[b][j] = ForestPredictor(trees=forest.trees[: candidates[j].trees], clip=clip)
+    return fits
 
 
 def _predict_candidates(fits, indices, features: np.ndarray) -> list[np.ndarray]:
@@ -382,12 +405,14 @@ def fit_super_learner(
     n = y.shape[0]
     candidates = spec.candidates
     folds = make_folds(n, spec.v_folds, derive_seed(spec.seed, "super-learner-folds"))
+    train = [folds.train_rows(fold) for fold in range(spec.v_folds)]
+    fits = _fit_libraries(
+        [(X[rows], y[rows]) for rows in train] + [(X, y)], candidates, interact_cols, clip
+    )
     oof = np.empty((n, len(candidates)))
     for fold in range(spec.v_folds):
-        train = folds.train_rows(fold)
         test = folds.test_rows(fold)
-        fits = _fit_library(X[train], y[train], candidates, interact_cols, clip)
-        preds = _predict_candidates(fits, range(len(candidates)), X[test])
+        preds = _predict_candidates(fits[fold], range(len(candidates)), X[test])
         for j, pred in enumerate(preds):
             oof[test, j] = pred
 
@@ -408,9 +433,8 @@ def fit_super_learner(
         weights[best] = 1.0
         ensemble_loss = float(cv_losses[best])
 
-    fits = _fit_library(X, y, candidates, interact_cols, clip)
     return SuperLearnerFit(
-        candidate_fits=fits,
+        candidate_fits=tuple(fits[-1]),
         weights=weights,
         cv_losses=cv_losses,
         ensemble_cv_loss=ensemble_loss,

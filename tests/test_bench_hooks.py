@@ -68,26 +68,25 @@ def test_trace_hooks_see_one_monte_carlo_replication(monkeypatch):
     assert counters["nuisance.unique_fits"] == 12
 
 
-def test_trace_hooks_see_one_forest_per_super_learner_prefix_group(monkeypatch):
-    """Forests of 1, 2 and 3 trees on one seed grow only the 3-tree forest,
-    once per internal fold and once on the full data, so no traced tree
-    is a duplicate."""
+def test_trace_hooks_see_the_forest_of_a_random_forest_spec(monkeypatch):
+    """A plain forest spec grows its forest through ``fit_forest``, so the
+    trace sees one span and every tree once.  A super learner's forests
+    grow through ``fit_forests``, which the benchmark does not trace."""
     monkeypatch.syspath_prepend(str(BENCH))
     import layers
 
     g = np.random.default_rng(0)
     x = g.integers(0, 2, size=(120, 4)).astype(float)
     y = x[:, 0] + g.normal(size=120)
-    forests = tuple(sepfx.learners.LearnerSpec(kind="random_forest", trees=t, seed=3) for t in (1, 2, 3))
-    stack = sepfx.learners.LearnerSpec(kind="super_learner", candidates=forests, v_folds=3, seed=3)
+    spec = sepfx.learners.LearnerSpec(kind="random_forest", trees=3, seed=3)
     tracer = layers.Tracer()
     tracer.install()
     try:
-        sepfx.learners.fit_super_learner(x, y, stack)
+        sepfx.learners.fit_regressor(x, y, spec)
         calls, _, _ = layers.span_totals(tracer.spans)
         counters = layers.summarize([tracer.snapshot()])
     finally:
         tracer.uninstall()
 
-    assert calls["forest.fit_forest"] == 4
-    assert counters["forest.trees"] == counters["forest.unique_trees"] == 12
+    assert calls["forest.fit_forest"] == 1
+    assert counters["forest.trees"] == counters["forest.unique_trees"] == 3

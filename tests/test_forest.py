@@ -6,9 +6,10 @@ from sepfx.forest import (
     MAX_BINS,
     ForestPredictor,
     _bin_features,
-    _grow_tree,
+    _grow_trees,
     _Tree,
     fit_forest,
+    fit_forests,
     predict_forests,
 )
 
@@ -17,7 +18,7 @@ TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 def reference_grow_tree(features, cuts, targets, rng, mtry, min_leaf) -> _Tree:
     """Node-by-node growth, breadth first, under the level-wise grower's
-    rules: the tree ``_grow_tree`` must reproduce bit for bit.
+    rules: the tree ``_grow_trees`` must reproduce bit for bit.
 
     Bins are read off the thresholds (``x <= cuts[f, c]`` for bins 0..c)
     and rows move by comparing raw values with the chosen threshold.  Each
@@ -92,31 +93,75 @@ def feature_matrix(kind, g, n, p):
     return g.normal(size=(n, p))
 
 
+KINDS = ["binary", "levels", "rounded", "continuous", "quantiles"]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    n=st.integers(2, 300),
+    jobs=st.lists(
+        st.tuples(
+            st.integers(2, 300),
+            st.sampled_from(KINDS),
+            st.booleans(),
+            st.integers(0, 2**32 - 2),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
     p=st.integers(1, 7),
-    kind=st.sampled_from(["binary", "levels", "rounded", "continuous", "quantiles"]),
-    labels=st.booleans(),
     mtry=st.integers(1, 5),
     min_leaf=st.integers(1, 8),
+)
+def test_level_wise_growth_matches_the_node_by_node_search(jobs, p, mtry, min_leaf):
+    """Trees grown together, each job with its own rows, feature kind,
+    labels and generator, equal the node-by-node search on each job
+    alone."""
+    grow, want, ends = [], [], []
+    for n, kind, labels, seed in jobs:
+        g = np.random.default_rng(seed)
+        x = feature_matrix(kind, g, n, p)
+        n = x.shape[0]
+        y = (g.random(n) < 0.4).astype(float) if labels else x[:, 0] + g.normal(size=n)
+        codes, cuts = _bin_features(x)
+        grow.append((codes, cuts, y, np.random.default_rng(seed + 1)))
+        rng_ref = np.random.default_rng(seed + 1)
+        want.append(reference_grow_tree(x, cuts, y, rng_ref, mtry, min_leaf))
+        ends.append(rng_ref.bit_generator.state)
+    grown = _grow_trees(grow, mtry, min_leaf)
+    assert len(grown) == len(jobs)
+    for tree, reference, job, end in zip(grown, want, grow, ends):
+        assert tree_bytes(tree) == tree_bytes(reference)
+        # the same draws were made, so the next tree of a forest is the same too
+        assert job[3].bit_generator.state == end
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.integers(2, 150), min_size=1, max_size=4),
+    kind=st.sampled_from(KINDS),
+    labels=st.booleans(),
+    n_trees=st.integers(1, 4),
+    mtry=st.integers(1, 4),
+    min_leaf=st.integers(1, 6),
+    clip=st.sampled_from([None, 0.05]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_level_wise_growth_matches_the_node_by_node_search(
-    n, p, kind, labels, mtry, min_leaf, seed
+def test_forests_grown_together_equal_forests_grown_alone(
+    rows, kind, labels, n_trees, mtry, min_leaf, clip, seed
 ):
     g = np.random.default_rng(seed)
-    x = feature_matrix(kind, g, n, p)
-    n = x.shape[0]
-    y = (g.random(n) < 0.4).astype(float) if labels else x[:, 0] + g.normal(size=n)
-    codes, cuts = _bin_features(x)
-    rng_new = np.random.default_rng(seed + 1)
-    rng_ref = np.random.default_rng(seed + 1)
-    grown = _grow_tree(codes, cuts, y, rng_new, mtry, min_leaf)
-    reference = reference_grow_tree(x, cuts, y, rng_ref, mtry, min_leaf)
-    assert tree_bytes(grown) == tree_bytes(reference)
-    # the same draws were made, so the next tree of a forest is the same too
-    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+    blocks = []
+    for n in rows:
+        x = feature_matrix(kind, g, n, 3)
+        n = x.shape[0]
+        y = (g.random(n) < 0.4).astype(float) if labels else x[:, 0] + g.normal(size=n)
+        blocks.append((x, y))
+    together = fit_forests(blocks, n_trees, mtry, min_leaf, seed, clip)
+    alone = [fit_forest(x, y, n_trees, mtry, min_leaf, seed, clip) for x, y in blocks]
+    assert len(together) == len(alone)
+    for a, b in zip(together, alone):
+        assert a.clip == b.clip and len(a.trees) == len(b.trees) == n_trees
+        assert [tree_bytes(t) for t in a.trees] == [tree_bytes(t) for t in b.trees]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -178,7 +223,7 @@ def test_growth_sees_only_the_order_of_a_features_values(
     trees, states = [], []
     for data in (x, x_mapped):
         rng = np.random.default_rng(seed + 1)
-        trees.append(_grow_tree(*_bin_features(data), y, rng, mtry, min_leaf))
+        trees.append(_grow_trees([(*_bin_features(data), y, rng)], mtry, min_leaf)[0])
         states.append(rng.bit_generator.state)
     fields = ("feature", "left", "right", "value")
     assert tree_bytes(trees[0], fields) == tree_bytes(trees[1], fields)
@@ -197,7 +242,7 @@ def test_rows_move_with_the_thresholds_they_are_predicted_by():
     y = np.array([0.0, 1.0] * 10)
     codes, cuts = _bin_features(x)
     assert cuts[0, 0] == low
-    tree = _grow_tree(codes, cuts, y, np.random.default_rng(0), 1, 1)
+    (tree,) = _grow_trees([(codes, cuts, y, np.random.default_rng(0))], 1, 1)
     assert np.array_equal(tree.predict(x), y)
 
 

@@ -18,6 +18,7 @@ from sepfx.errors import (
     TooFewRows,
 )
 from sepfx.estimation import EstimatorConfig
+from sepfx.forest import _grow_trees
 from sepfx.learners import (
     ConstantPredictor,
     LearnerSpec,
@@ -210,8 +211,8 @@ def test_super_learner_refuses_bad_rows_before_fitting(monkeypatch, rows, bad, c
     def no_fit(*args, **kwargs):
         raise AssertionError("a candidate was fit before the rows were checked")
 
-    monkeypatch.setattr(learners, "fit_regressor", no_fit)
-    monkeypatch.setattr(learners, "fit_classifier", no_fit)
+    monkeypatch.setattr(learners, "_fit", no_fit)
+    monkeypatch.setattr(learners, "fit_forests", no_fit)
     rng = stream(13, "sl-rows")
     x = rng.normal(size=(rows, 2))
     y = (rng.random(90) < 0.5).astype(float)
@@ -428,6 +429,108 @@ def test_super_learner_single_class_gives_each_forest_a_constant():
         assert isinstance(fit, ConstantPredictor) and fit.value == 1.0 - SL_CLIP
     # every candidate warns once per internal fold and once on the full data
     assert [w.category for w in caught] == [SingleClassWarning] * 3 * 4
+
+
+def _libraries_alone(blocks, candidates, interact_cols, clip):
+    """Every candidate fit on its own, block by block, as separate
+    ``fit_regressor`` or ``fit_classifier`` calls would fit it."""
+    fits = []
+    for x, y in blocks:
+        if clip is None:
+            fits.append([fit_regressor(x, y, spec, interact_cols) for spec in candidates])
+        else:
+            fits.append([fit_classifier(x, y, spec, interact_cols, clip) for spec in candidates])
+    return fits
+
+
+def _fit_twice(monkeypatch, x, y, stack, clip):
+    """The super learner, and the one built from candidates fit alone,
+    each with the warnings it emitted."""
+    out = []
+    for library in (learners._fit_libraries, _libraries_alone):
+        monkeypatch.setattr(learners, "_fit_libraries", library)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sl = fit_super_learner(x, y, stack, interact_cols=(0,), clip=clip)
+        out.append((sl, [w.category for w in caught]))
+    return out
+
+
+MIXED = (
+    _forest(3, mtry=2, seed=5),
+    LearnerSpec(kind="glm", basis="main"),
+    _forest(1, mtry=2, seed=5),
+    _forest(2, mtry=2, seed=5),
+)
+
+
+def _one_positive(seed, n):
+    """Labels with a single 1: the internal fold that holds it out trains
+    on a single class, and the GLM sees the lone positive separated."""
+    x, _ = _sl_data(seed, "classification", binary=True, n=n)
+    y = np.zeros(n)
+    y[17] = 1.0
+    return x, y
+
+
+@pytest.mark.parametrize(
+    "task, data",
+    [
+        ("regression", lambda: _sl_data(7, "regression", binary=True, n=120)),
+        ("classification", lambda: _sl_data(7, "classification", binary=True, n=120)),
+        ("classification", lambda: _one_positive(3, 60)),
+    ],
+    ids=["regression", "classification", "partly-single-class"],
+)
+def test_a_glm_beside_a_forest_prefix_group_fits_as_each_candidate_alone(monkeypatch, task, data):
+    """Weights, losses, predictions and the warnings, category by category
+    and in order, equal those of candidates fit alone, block by block."""
+    x, y = data()
+    clip = SL_CLIP if task == "classification" else None
+    (sl, got), (ref, want) = _fit_twice(monkeypatch, x, y, _stack(MIXED, v_folds=3, seed=2), clip)
+    assert got == want
+    if y.sum() == 1.0:
+        assert SingleClassWarning in got and len(set(got)) > 1
+    assert sl.weights.tobytes() == ref.weights.tobytes()
+    assert sl.cv_losses.tobytes() == ref.cv_losses.tobytes()
+    assert sl.ensemble_cv_loss == ref.ensemble_cv_loss
+    assert sl.predict(x).tobytes() == ref.predict(x).tobytes()
+    for fit, alone in zip(sl.candidate_fits, ref.candidate_fits):
+        assert fit.predict(x).tobytes() == alone.predict(x).tobytes()
+
+
+def test_labels_that_are_not_binary_fail_before_any_tree_grows(monkeypatch):
+    def no_growth(*args, **kwargs):
+        raise AssertionError("a tree grew before the labels were checked")
+
+    monkeypatch.setattr(learners, "fit_forests", no_growth)
+    monkeypatch.setattr(learners, "fit_forest", no_growth)
+    x, y = _sl_data(4, "classification", binary=True)
+    y[50] = 0.5
+    forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
+    with pytest.raises(LearnerError, match="labels must be binary"):
+        fit_super_learner(x, y, _stack(forests, v_folds=3), clip=SL_CLIP)
+
+
+def test_a_super_learner_grows_each_prefix_group_once_per_block(monkeypatch):
+    """Forests of 1, 2 and 3 trees on one seed grow only the 3-tree forest,
+    once per internal fold and once on the full data: 12 trees, none
+    grown twice."""
+    grown = []
+
+    def counting(jobs, mtry, min_leaf):
+        grown.extend(job[2].size for job in jobs)
+        return _grow_trees(jobs, mtry, min_leaf)
+
+    monkeypatch.setattr("sepfx.forest._grow_trees", counting)
+    g = np.random.default_rng(0)
+    x = g.integers(0, 2, size=(120, 4)).astype(float)
+    y = x[:, 0] + g.normal(size=120)
+    forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
+    fit_super_learner(x, y, _stack(forests, v_folds=3, seed=3))
+    assert len(grown) == 12
+    # three trees on each of the three 80-row training sets and on all 120 rows
+    assert sorted(grown) == [80] * 9 + [120] * 3
 
 
 def _strategy_data(features, treatment, targets) -> TwoArmDataset:
