@@ -2,12 +2,12 @@
 
 Four subcommands: ``simulate`` runs the Monte Carlo study, ``estimate``
 computes effect estimates from a CSV dataset, ``falsify`` runs the
-direct or indirect falsification tests, and ``truth`` prints the exact
-estimand values implied by the synthetic generator.  Every command emits
+direct or the indirect tests, each on only the flags it reads, and
+``truth`` prints the generator's exact estimands.  Every command emits
 a single JSON document (stdout by default, ``--out`` to a file) embedding
-the resolved configuration, the seed, and the library version.  With
-``--deterministic`` the timestamp, the wall time and the worker count are
-omitted so reruns are byte-identical.
+the resolved configuration, the seed (null if none is drawn) and the
+library version.  With ``--deterministic`` the timestamp, the wall time
+and the worker count are omitted so reruns are byte-identical.
 
 Exit codes: 0 on success (including falsification tests that reject),
 2 on usage errors, 1 on data or estimation errors.
@@ -59,8 +59,10 @@ _COLUMN_FLAGS = (
 )
 
 
-def _add_column_flags(parser: argparse.ArgumentParser) -> None:
+def _add_column_flags(parser: argparse.ArgumentParser, omit: tuple = ()) -> None:
     for flag, field, text in _COLUMN_FLAGS:
+        if field in omit:
+            continue
         kind = _names if field in ("mediators", "covariates") else str
         parser.add_argument(flag, type=kind, default=getattr(ColumnMap, field), help=text)
 
@@ -133,24 +135,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_column_flags(est)
     _add_output_flags(est)
 
-    fal = sub.add_parser(
-        "falsify",
-        help="run falsification tests",
-        description="Run the direct tests or the indirect test battery. The direct "
-        "tests read --robust, --basis and --alpha; they check --learner, --k-folds, "
-        "--splits, --clip, --strategy and --seed but use none of them, so the seed "
-        "their output echoes was used for nothing.",
-    )
-    fal.add_argument("kind", choices=("direct", "indirect"))
-    fal.add_argument("--data", required=True)
-    fal.add_argument("--robust", action="store_true", help="HC1 errors (direct tests)")
-    fal.add_argument(
-        "--basis", default=None, choices=DIRECT_BASES,
-        help="regression basis for the direct tests",
-    )
-    _add_estimation_flags(fal)
-    _add_column_flags(fal)
-    _add_output_flags(fal)
+    fal = sub.add_parser("falsify", help="run falsification tests")
+    tests = fal.add_subparsers(dest="kind", required=True)
+    for kind in ("direct", "indirect"):
+        # exact flags: --col-a is unrecognized, not a prefix of --col-a-y/--col-a-m
+        test = tests.add_parser(kind, help=f"run the {kind} tests", allow_abbrev=False)
+        test.add_argument("--data", required=True)
+        if kind == "direct":
+            test.add_argument("--robust", action="store_true", help="HC1 standard errors")
+            test.add_argument("--basis", default=DIRECT_BASES[0], choices=DIRECT_BASES,
+                              help="regression basis")
+            test.add_argument("--alpha", type=float, default=EstimatorConfig.alpha)
+        else:
+            _add_estimation_flags(test)
+        _add_column_flags(test, omit=("a",))  # both tests read four-arm data
+        _add_output_flags(test)
 
     tru = sub.add_parser("truth", help="print exact estimands of the generator")
     tru.add_argument("--model", type=int, default=SimConfig.a_y_model, choices=(1, 2))
@@ -162,12 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _schema_from_args(args) -> ColumnMap:
     # argparse keeps each flag's value under its name, dashes made underscores
     return ColumnMap(**{
-        field: getattr(args, flag[2:].replace("-", "_")) for flag, field, _ in _COLUMN_FLAGS
+        field: getattr(args, flag[2:].replace("-", "_"), getattr(ColumnMap, field))
+        for flag, field, _ in _COLUMN_FLAGS
     })
 
 
 def _estimator_config(args, parser, diagnostics: bool = False):
     try:
+        if args.command == "falsify" and args.kind == "direct":  # it reads --alpha alone
+            return EstimatorConfig(alpha=args.alpha)
         return estimator_config_for(
             args.learner, args.seed, diagnostics=diagnostics, **shared_settings(args)
         )
@@ -234,14 +236,10 @@ def _run_estimate(args, parser) -> dict:
 
 
 def _run_falsify(args, parser) -> dict:
-    schema = _schema_from_args(args)
     config = _estimator_config(args, parser)
-    if args.kind == "indirect" and (args.robust or args.basis):
-        parser.error("--robust and --basis are available for falsify direct only")
-    ds = load_four_arm(args.data, schema)
+    ds = load_four_arm(args.data, _schema_from_args(args))
     if args.kind == "direct":
-        options = {"robust": args.robust, "basis": args.basis or DIRECT_BASES[0],
-                   "alpha": args.alpha}
+        options = {"robust": args.robust, "basis": args.basis, "alpha": config.alpha}
         results = [
             direct_test_h0i(ds, mediator_index=j, **options)
             for j in range(ds.n_mediators)

@@ -87,11 +87,12 @@ def _bin_features(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
         if values.size <= MAX_BINS:
             last = np.arange(values.size - 1)  # index of each bin's largest value
+            codes[f] = inverse
         else:
             # a bin ends where the running count first reaches a multiple of n / MAX_BINS
             reach = np.searchsorted(MAX_BINS * np.cumsum(counts), np.arange(1, MAX_BINS) * n)
             last = np.unique(reach[reach < values.size - 1])
-        codes[f] = np.searchsorted(last, np.arange(values.size))[inverse]
+            codes[f] = np.searchsorted(last, np.arange(values.size))[inverse]
         below, above = values[last], values[last + 1]
         with np.errstate(over="ignore"):
             mid = 0.5 * (below + above)

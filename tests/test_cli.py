@@ -144,6 +144,7 @@ def test_falsify_direct(capsys, four_arm_csv):
     tests = payload["result"]["tests"]
     assert [t["test"] for t in tests] == ["H0(i)", "H0(i)", "H0(ii)"]
     assert tests[0]["mediator"] == 0 and tests[1]["mediator"] == 1
+    assert payload["seed"] is None  # the direct tests draw nothing
 
 
 def test_falsify_indirect_exit_zero_even_when_rejecting(capsys, tmp_path):
@@ -166,6 +167,9 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--design", "four-arm"])  # missing --data
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["falsify", "--data", four_arm_csv])  # no test named
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--n", "10"])  # below the generator minimum
@@ -191,15 +195,22 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
          "estimators must name at least one"),
         (["simulate", "--n", "200", "--reps", "1", "--estimators", ""],
          "estimators must name at least one"),
-        # a bad estimand, and direct-test flags given to the indirect test
+        # a bad estimand
         (["estimate", "--design", "four-arm", "--estimand", "sde:aM=2"],
          "bad --estimand 'sde:aM=2'; level must be 0 or 1"),
         (["estimate", "--design", "four-arm", "--estimand", "sde:aY=1"],
          "bad --estimand 'sde:aY=1'; expected sde:aM=L or sie:aY=L"),
-        (["falsify", "indirect", "--robust"],
-         "--robust and --basis are available for falsify direct only"),
-        (["falsify", "indirect", "--basis", "main"],
-         "--robust and --basis are available for falsify direct only"),
+        # a flag that the test given it does not read
+        (["falsify", "indirect", "--robust"], "unrecognized arguments: --robust"),
+        (["falsify", "indirect", "--basis", "main"], "unrecognized arguments: --basis main"),
+        (["falsify", "indirect", "--col-a", "a"], "unrecognized arguments: --col-a a"),
+        (["falsify", "direct", "--learner", "glm"], "unrecognized arguments: --learner glm"),
+        (["falsify", "direct", "--k-folds", "3"], "unrecognized arguments: --k-folds 3"),
+        (["falsify", "direct", "--splits", "2"], "unrecognized arguments: --splits 2"),
+        (["falsify", "direct", "--clip", "0.05"], "unrecognized arguments: --clip 0.05"),
+        (["falsify", "direct", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["falsify", "direct", "--strategy", "T"], "unrecognized arguments: --strategy T"),
+        (["falsify", "direct", "--col-a", "a"], "unrecognized arguments: --col-a a"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
@@ -213,15 +224,21 @@ def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
     assert message in captured.err
 
 
+def subcommands(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
 def test_choice_lists_are_the_librarys_tuples():
-    """Every subcommand offers the learner presets, strategies and direct-test
-    bases that the library itself checks against."""
-    commands = build_parser()._subparsers._group_actions[0].choices
-    for name in ("simulate", "estimate", "falsify"):
-        flags = commands[name]._option_string_actions
+    """Every command that estimates offers the learner presets and
+    strategies, and ``falsify direct`` the bases, that the library itself
+    checks against."""
+    commands = subcommands(build_parser())
+    tests = subcommands(commands["falsify"])
+    for parser in (commands["simulate"], commands["estimate"], tests["indirect"]):
+        flags = parser._option_string_actions
         assert flags["--learner"].choices is PRESET_CHOICES
         assert flags["--strategy"].choices is STRATEGIES
-    assert commands["falsify"]._option_string_actions["--basis"].choices is DIRECT_BASES
+    assert tests["direct"]._option_string_actions["--basis"].choices is DIRECT_BASES
 
 
 def test_shared_settings_default_to_the_estimator_config():
@@ -233,7 +250,7 @@ def test_shared_settings_default_to_the_estimator_config():
     for argv in (
         ["simulate"],
         ["estimate", "--data", "d.csv", "--design", "four-arm"],
-        ["falsify", "direct", "--data", "d.csv"],
+        ["falsify", "indirect", "--data", "d.csv"],
     ):
         assert shared_settings(parser.parse_args(argv)) == defaults
 
