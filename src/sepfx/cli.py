@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Four subcommands: ``simulate`` runs the Monte Carlo study, ``estimate``
-computes effect estimates from a CSV dataset, ``falsify`` runs the
-direct or the indirect tests, each on only the flags it reads, and
+computes effect estimates from a CSV dataset and refuses the flags its
+``--design`` ignores, ``falsify`` runs the direct or the indirect tests,
+each on only the flags it reads, and
 ``truth`` prints the generator's exact estimands.  Every command emits
 a single JSON document (stdout by default, ``--out`` to a file) embedding
 the resolved configuration, the seed (null if none is drawn) and the
@@ -59,12 +60,30 @@ _COLUMN_FLAGS = (
 )
 
 
+# The flags of ``estimate`` that only one design reads; the other refuses them.
+_DESIGN_FLAGS = {
+    "--diagnostics": "four-arm", "--col-a-y": "four-arm", "--col-a-m": "four-arm",
+    "--strategy": "two-arm", "--col-a": "two-arm",
+}
+
+
+class _Given(argparse.Action):
+    """Stores a flag's value and adds the flag to ``args.given``, so that a
+    flag given at its default still counts as given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", set()) | {self.option_strings[0]}
+
+
 def _add_column_flags(parser: argparse.ArgumentParser, omit: tuple = ()) -> None:
     for flag, field, text in _COLUMN_FLAGS:
         if field in omit:
             continue
         kind = _names if field in ("mediators", "covariates") else str
-        parser.add_argument(flag, type=kind, default=getattr(ColumnMap, field), help=text)
+        parser.add_argument(
+            flag, type=kind, default=getattr(ColumnMap, field), help=text, action=_Given
+        )
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +95,7 @@ def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--strategy", default=EstimatorConfig.strategy, choices=STRATEGIES,
-        help="two-arm outcome-model strategy",
+        help="two-arm outcome-model strategy", action=_Given,
     )
 
 
@@ -223,8 +242,11 @@ def _run_simulate(args, parser) -> dict:
 def _run_estimate(args, parser) -> dict:
     schema = _schema_from_args(args)
     requests = _parse_estimands(args.estimand, parser)
-    if args.diagnostics and args.design != "four-arm":
-        parser.error("--diagnostics is available for --design four-arm only")
+    given = getattr(args, "given", set()) | ({"--diagnostics"} if args.diagnostics else set())
+    for flag in sorted(given):
+        design = _DESIGN_FLAGS.get(flag, args.design)
+        if design != args.design:
+            parser.error(f"{flag} is available for --design {design} only")
     config = _estimator_config(args, parser, diagnostics=args.diagnostics)
     if args.design == "four-arm":
         ds = load_four_arm(args.data, schema)

@@ -1,17 +1,20 @@
 """Sample splitting, cross-fitting, and median aggregation across splits.
 
 Estimators in this package cross-fit their nuisance models: the data are
-partitioned into K folds, nuisances are fit on the complement of each
-fold, and each row is evaluated only with models that never saw it.  The
-whole procedure is repeated over S independent partitions, each redrawn
-when a training fold lacks a needed treatment cell, and the per-split
-(point, variance) pairs are combined by the median rule, which adds the
-squared distance of each split's point from the median point to that
-split's variance before taking the median of the adjusted variances.
+partitioned into K folds, and each design hands :func:`cross_fit` a fold
+scorer that fits its nuisances on the complement of one fold and scores
+that fold's rows, so each row is evaluated only with models that never
+saw it and each fold's models are freed before the next fold is fit.
+The whole procedure is repeated over S independent partitions, each
+redrawn when a training fold lacks a needed treatment cell, and the
+per-split (point, variance) pairs are combined by the median rule, which
+adds the squared distance of each split's point from the median point to
+that split's variance before taking the median of the adjusted variances.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,29 +62,34 @@ def make_folds(n: int, k: int, seed: int) -> FoldAssignment:
     return out
 
 
-def cross_fit(dataset, folds: FoldAssignment, fitter: Callable) -> list:
-    """Fit ``fitter(dataset, train_rows)`` once per fold.
+def cross_fit(dataset, folds: FoldAssignment, fold_scores: Callable) -> dict:
+    """Out-of-fold vectors from ``fold_scores(train_rows, test_rows)``.
 
-    A fitter error propagates with its type, its message prefixed with
-    ``fold k:``; a treatment cell or level absent from the training rows
-    raises :class:`MissingCell`.
+    The fold scorer runs once per fold, in fold order, and returns
+    ``{key: values on the test rows}``; each key's blocks fill one vector of
+    length ``dataset.n``.  Only those blocks are kept, so nothing the scorer
+    fits outlives its fold.  An error propagates with its type, its message
+    prefixed with ``fold k:``; a treatment cell or level absent from the
+    training rows raises :class:`MissingCell`.
     """
-    fits = []
+    out = defaultdict(lambda: np.empty(dataset.n))
     for fold in range(folds.k):
-        train = folds.train_rows(fold)
+        test = folds.test_rows(fold)
         try:
-            fits.append(fitter(dataset, train))
+            blocks = fold_scores(folds.train_rows(fold), test)
         except Exception as exc:
             exc.args = (f"fold {fold}: {exc}",) + exc.args[1:]
             raise
-    return fits
+        for key, values in blocks.items():
+            out[key][test] = values
+    return dict(out)
 
 
-def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
-    """Draw split ``split``'s fold assignment and cross-fit ``fitter`` on it.
+def cross_fit_split(dataset, config, split: int, fold_scores: Callable) -> dict:
+    """Cross-fit ``fold_scores`` on split ``split``'s fold assignment.
 
-    Returns ``(folds, fits)``.  Attempt ``a`` draws its folds from
-    ``derive_seed(config.seed, "folds", split, a)``; an attempt raising
+    Returns the :func:`cross_fit` vectors.  Attempt ``a`` draws its folds
+    from ``derive_seed(config.seed, "folds", split, a)``; an attempt raising
     :class:`MissingCell` moves on to the next, up to ``MAX_FOLD_RETRIES``
     attempts, after which the last attempt's failure is raised again in a
     :class:`MissingCell` naming its fold and cell.  Each call counts its
@@ -92,7 +100,7 @@ def cross_fit_split(dataset, config, split: int, fitter: Callable) -> tuple:
             dataset.n, config.k_folds, derive_seed(config.seed, "folds", split, attempt)
         )
         try:
-            return folds, cross_fit(dataset, folds, fitter)
+            return cross_fit(dataset, folds, fold_scores)
         except MissingCell as exc:
             failure = exc
     raise MissingCell(

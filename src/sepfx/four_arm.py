@@ -16,16 +16,16 @@ channel; the indirect effect does the reverse.  Variance comes from the
 empirical second moment of the score contrasts around the point estimate,
 with the median rule combining repeated sample splits.
 
-Each fold fits one :class:`NuisanceFitFour`: with
-:func:`fit_nuisance_theta`, which adds the treatment-agreement model, when
-the agreement population is scored, else with :func:`fit_nuisance_four`,
-either looked up as a module global when it runs.  The diagnostics'
-plug-in estimators are ``run_battery`` keys of their own.
+The fold scorer of :func:`split_scores_four` fits one
+:class:`NuisanceFitFour` per fold, with :func:`fit_nuisance_theta`, which
+adds the treatment-agreement model, when the agreement population is
+scored, else with :func:`fit_nuisance_four`, either looked up as a module
+global when it runs, and scores the fold's test rows from it.  The
+diagnostics' plug-in estimators are ``run_battery`` keys of their own.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,9 +57,7 @@ class NuisanceFitFour:
     training rows and was not required (its probability is a structural
     zero).  Cell probabilities are normalized to sum to one across cells;
     ``propensities`` additionally clips them to [clip, 1 - clip] before
-    they are used in a denominator.  Each call predicts all four cell
-    classifiers, so the score loop asks for every cell's propensity at
-    once, once per test block.  ``agree_fit``, which only
+    they are used in a denominator.  ``agree_fit``, which only
     :func:`fit_nuisance_theta` fits, models the probability that the two
     treatments agree given covariates, for the agreement estimator.
     """
@@ -89,9 +87,6 @@ class NuisanceFitFour:
             ]
         )
         return self.outcome_fit.predict(stacked)
-
-    def agreement_probability(self, x: np.ndarray) -> np.ndarray:
-        return self.agree_fit.predict(x)
 
 
 def fit_nuisance_four(
@@ -199,33 +194,33 @@ def split_scores_four(
     agreement: bool = False,
     diagnostics: bool = False,
 ) -> dict:
-    """Out-of-fold scores of each cell on split ``split``'s fold assignment.
+    """Out-of-fold scores of each cell on split ``split``'s folds.
 
-    Each fold fits one bundle requiring ``cells``: with
-    :func:`fit_nuisance_theta` when ``agreement`` is set, else with
-    :func:`fit_nuisance_four`.  The folds are drawn, and redrawn on a
-    degenerate fold, by :func:`~sepfx.crossfit.cross_fit_split`.  Returns
-    ``{name: {cell: scores}}`` for the names :func:`eif` returns, with
-    ``terms=diagnostics``.  Within a fold every model is predicted once on
-    the test block.
+    The fold scorer handed to :func:`~sepfx.crossfit.cross_fit_split` fits
+    one bundle requiring ``cells``, with :func:`fit_nuisance_theta` when
+    ``agreement`` is set, else with :func:`fit_nuisance_four`, and predicts
+    each of its models once on the fold's test rows.  Returns ``{name:
+    {cell: scores}}`` for the names :func:`eif` returns, with
+    ``terms=diagnostics``.
     """
     fit = fit_nuisance_theta if agreement else fit_nuisance_four
-    folds, fits = cross_fit_split(
-        ds, config, split, lambda data, train: fit(data, train, config, cells)
-    )
-    scores = defaultdict(lambda: {cell: np.empty(ds.n) for cell in cells})
     agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
-    for fold in range(folds.k):
-        test = folds.test_rows(fold)
-        nuis = fits[fold]
+
+    def fold_scores(train: np.ndarray, test: np.ndarray) -> dict:
+        nuis = fit(ds, train, config, cells)
         x = ds.x[test]
         probs = nuis.propensities(x)
-        pair = (nuis.agreement_probability(x), agree[test]) if agreement else None
+        pair = (nuis.agree_fit.predict(x), agree[test]) if agreement else None
+        blocks = {}
         for cell in cells:
             pi = probs[:, CELLS.index(cell)]
             for name, value in eif(ds, *cell, nuis, test, pi, pair, diagnostics).items():
-                scores[name][cell][test] = value
-    return dict(scores)
+                blocks[name, cell] = value
+        return blocks
+
+    flat = cross_fit_split(ds, config, split, fold_scores)
+    names = dict.fromkeys(name for name, _ in flat)
+    return {name: {cell: flat[name, cell] for cell in cells} for name in names}
 
 
 def agreement_share(ds: FourArmDataset) -> float:
@@ -261,7 +256,7 @@ def four_arm_battery(
 
     Each split fits one bundle per fold (with its agreement model when the
     agreement family is asked for) and scores both families from it, so no
-    bundle outlives its split.  The bundles require the union of the
+    bundle outlives its fold.  The bundles require the union of the
     families' cells, so a fold lacking a cell that only one family needs is
     redrawn for both.  With ``config.diagnostics`` each plug-in of
     ``PLUG_INS`` is a key ``(name, estimand)`` without contributions, whose

@@ -21,9 +21,10 @@ score collapses to the standard augmented inverse-probability form
 The outcome strategies differ only in how ``mu`` and ``lam`` are fit
 within each treatment arm: as views of one joint model with treatment
 interactions ("S") or as one model per arm ("T"); the ensemble averages
-the two scores row by row.  Each fold fits one :class:`NuisanceFitTwo`,
-which holds the two treatment-probability models once and the outcome
-models of every strategy in use.
+the two scores row by row.  The fold scorer of :func:`split_scores_two`
+fits one :class:`NuisanceFitTwo`, which holds the two treatment-probability
+models once and the outcome models of every strategy in use, and scores
+the fold's test rows from it.
 """
 
 from __future__ import annotations
@@ -185,19 +186,13 @@ def split_scores_two(
     pairs: tuple,
 ) -> dict:
     """Out-of-fold score vectors for each requested (a_y, a_m) pair on
-    split ``split``'s fold assignment (see
-    :func:`~sepfx.crossfit.cross_fit_split`), from one
-    :func:`fit_nuisance_two` fit per fold.  Within a fold each model is
-    predicted once on the test block, whatever the number of pairs."""
-    folds, fits = cross_fit_split(
-        ds, config, split, lambda data, train: fit_nuisance_two(data, train, config)
+    split ``split``'s folds, from :func:`~sepfx.crossfit.cross_fit_split`
+    with a fold scorer that fits one :func:`fit_nuisance_two` bundle and
+    scores the fold's test rows with :func:`eif`."""
+    return cross_fit_split(
+        ds, config, split,
+        lambda train, test: eif(ds, fit_nuisance_two(ds, train, config), pairs, test),
     )
-    scores = {pair: np.empty(ds.n) for pair in pairs}
-    for fold in range(folds.k):
-        test = folds.test_rows(fold)
-        for pair, block in eif(ds, fits[fold], pairs, test).items():
-            scores[pair][test] = block
-    return scores
 
 
 def estimate_effects_two(

@@ -211,6 +211,17 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
         (["falsify", "direct", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["falsify", "direct", "--strategy", "T"], "unrecognized arguments: --strategy T"),
         (["falsify", "direct", "--col-a", "a"], "unrecognized arguments: --col-a a"),
+        # a flag that the estimate's design does not read, even at its default
+        (["estimate", "--design", "four-arm", "--strategy", "T"],
+         "--strategy is available for --design two-arm only"),
+        (["estimate", "--design", "four-arm", "--strategy", "ensemble"],
+         "--strategy is available for --design two-arm only"),
+        (["estimate", "--design", "four-arm", "--col-a", "zzz"],
+         "--col-a is available for --design two-arm only"),
+        (["estimate", "--design", "two-arm", "--col-a", "aY", "--col-a-y", "q"],
+         "--col-a-y is available for --design four-arm only"),
+        (["estimate", "--design", "two-arm", "--col-a", "aY", "--col-a-m", "r"],
+         "--col-a-m is available for --design four-arm only"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
