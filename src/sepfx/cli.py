@@ -3,12 +3,15 @@
 Four subcommands: ``simulate`` runs the Monte Carlo study, ``estimate``
 computes effect estimates from a CSV dataset and refuses the flags its
 ``--design`` ignores, ``falsify`` runs the direct or the indirect tests,
-each on only the flags it reads, and
-``truth`` prints the generator's exact estimands.  Every command emits
-a single JSON document (stdout by default, ``--out`` to a file) embedding
-the resolved configuration, the seed (null if none is drawn) and the
-library version.  With ``--deterministic`` the timestamp, the wall time
-and the worker count are omitted so reruns are byte-identical.
+each on only the flags it reads, and ``truth`` prints the generator's
+exact estimands.  ``--strategy``, ``--diagnostics`` and the column flags
+are absent from the parsed arguments unless given, so a design-only flag
+is refused even at its default; a bad ``--estimand`` is an argparse error
+of ``estimate`` (``argument --estimand: bad --estimand ...``).  Every
+command emits a single JSON document (stdout by default, ``--out`` to a
+file) embedding the resolved configuration, the seed (null if none is
+drawn) and the library version.  With ``--deterministic`` the timestamp,
+the wall time and the worker count are omitted so reruns are byte-identical.
 
 Exit codes: 0 on success (including falsification tests that reject),
 2 on usage errors, 1 on data or estimation errors.
@@ -60,20 +63,13 @@ _COLUMN_FLAGS = (
 )
 
 
-# The flags of ``estimate`` that only one design reads; the other refuses them.
+# The dests of the ``estimate`` flags that only one design reads; the other
+# refuses them.  Their default is argparse.SUPPRESS, so a dest is in the
+# parsed namespace exactly when its flag is given, even at its default value.
 _DESIGN_FLAGS = {
-    "--diagnostics": "four-arm", "--col-a-y": "four-arm", "--col-a-m": "four-arm",
-    "--strategy": "two-arm", "--col-a": "two-arm",
+    "diagnostics": "four-arm", "col_a_y": "four-arm", "col_a_m": "four-arm",
+    "strategy": "two-arm", "col_a": "two-arm",
 }
-
-
-class _Given(argparse.Action):
-    """Stores a flag's value and adds the flag to ``args.given``, so that a
-    flag given at its default still counts as given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", set()) | {self.option_strings[0]}
 
 
 def _add_column_flags(parser: argparse.ArgumentParser, omit: tuple = ()) -> None:
@@ -81,9 +77,7 @@ def _add_column_flags(parser: argparse.ArgumentParser, omit: tuple = ()) -> None
         if field in omit:
             continue
         kind = _names if field in ("mediators", "covariates") else str
-        parser.add_argument(
-            flag, type=kind, default=getattr(ColumnMap, field), help=text, action=_Given
-        )
+        parser.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=text)
 
 
 def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
@@ -93,10 +87,8 @@ def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=EstimatorConfig.alpha)
     parser.add_argument("--clip", type=float, default=EstimatorConfig.clip)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--strategy", default=EstimatorConfig.strategy, choices=STRATEGIES,
-        help="two-arm outcome-model strategy", action=_Given,
-    )
+    parser.add_argument("--strategy", default=argparse.SUPPRESS, choices=STRATEGIES,
+                        help="two-arm outcome-model strategy")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -110,6 +102,24 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
         help="omit the timestamp, the wall time and the worker count so reruns "
         "are byte-identical",
     )
+
+
+def _estimand(spec: str) -> tuple[str, int]:
+    """One ``--estimand``, ``sde:aM=L`` or ``sie:aY=L``, the kind case-blind and
+    blanks dropped; a level other than 0 or 1 is named before a bad kind or key."""
+    expected = f"bad --estimand {spec!r}; expected sde:aM=L or sie:aY=L"
+    try:
+        kind, assignment = spec.split(":", 1)
+        key, value = assignment.split("=", 1)
+        level = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(expected) from None
+    if level not in (0, 1):
+        raise argparse.ArgumentTypeError(f"bad --estimand {spec!r}; level must be 0 or 1")
+    kind = kind.strip().lower()
+    if key.strip() not in {"sde": ("aM", "am"), "sie": ("aY", "ay")}.get(kind, ()):
+        raise argparse.ArgumentTypeError(expected)
+    return kind, level
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,13 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate effects from a CSV dataset")
     est.add_argument("--data", required=True)
     est.add_argument("--design", required=True, choices=("four-arm", "two-arm"))
-    est.add_argument(
-        "--estimand",
-        action="append",
-        default=None,
-        help="sde:aM={0,1} or sie:aY={0,1}; repeatable",
-    )
-    est.add_argument("--diagnostics", action="store_true")
+    est.add_argument("--estimand", type=_estimand, action="append",
+                     help="sde:aM={0,1} or sie:aY={0,1}; repeatable")
+    est.add_argument("--diagnostics", action="store_true", default=argparse.SUPPRESS)
     _add_estimation_flags(est)
     _add_column_flags(est)
     _add_output_flags(est)
@@ -196,30 +202,6 @@ def _estimator_config(args, parser, diagnostics: bool = False):
         parser.error(str(exc))
 
 
-def _parse_estimands(specs, parser) -> list:
-    if not specs:
-        return [("sde", 1), ("sie", 1)]
-    out = []
-    for spec in specs:
-        try:
-            kind, assignment = spec.split(":", 1)
-            key, value = assignment.split("=", 1)
-            level = int(value)
-        except ValueError:
-            parser.error(f"bad --estimand {spec!r}; expected sde:aM=L or sie:aY=L")
-        kind = kind.strip().lower()
-        key = key.strip()
-        if level not in (0, 1):
-            parser.error(f"bad --estimand {spec!r}; level must be 0 or 1")
-        if kind == "sde" and key in ("aM", "am"):
-            out.append(("sde", level))
-        elif kind == "sie" and key in ("aY", "ay"):
-            out.append(("sie", level))
-        else:
-            parser.error(f"bad --estimand {spec!r}; expected sde:aM=L or sie:aY=L")
-    return out
-
-
 def _run_simulate(args, parser) -> dict:
     try:
         cfg = SimConfig(
@@ -241,13 +223,11 @@ def _run_simulate(args, parser) -> dict:
 
 def _run_estimate(args, parser) -> dict:
     schema = _schema_from_args(args)
-    requests = _parse_estimands(args.estimand, parser)
-    given = getattr(args, "given", set()) | ({"--diagnostics"} if args.diagnostics else set())
-    for flag in sorted(given):
-        design = _DESIGN_FLAGS.get(flag, args.design)
-        if design != args.design:
-            parser.error(f"{flag} is available for --design {design} only")
-    config = _estimator_config(args, parser, diagnostics=args.diagnostics)
+    requests = args.estimand or [("sde", 1), ("sie", 1)]
+    for dest, design in sorted(_DESIGN_FLAGS.items()):
+        if design != args.design and dest in args:
+            parser.error(f"--{dest.replace('_', '-')} is available for --design {design} only")
+    config = _estimator_config(args, parser, diagnostics="diagnostics" in args)
     if args.design == "four-arm":
         ds = load_four_arm(args.data, schema)
         estimates = estimate_effects_four(ds, requests, config)
@@ -277,45 +257,41 @@ def _run_truth(args, parser) -> dict:
     return true_effects(cfg).to_json_dict()
 
 
+def _target(test: dict):
+    """A test's target cell: its mediator, else its fixed level, else blank."""
+    if test.get("mediator") is not None:
+        return test["mediator"]
+    return "" if test.get("fixed_level") is None else f"level={test['fixed_level']}"
+
+
+# Each command's --pretty table: the result list holding its rows (None: the
+# result's own items), the cells computed per row, the header and the row template.
+_TABLES = {
+    "simulate": (
+        "rows", {}, f"{'estimator':<16}{'bias':>10}{'rmse':>10}{'coverage':>10}{'failures':>10}",
+        "{estimator:<16}{bias:>10.4f}{rmse:>10.4f}{coverage:>10.3f}{failures:>10d}",
+    ),
+    "estimate": (
+        "estimates", {"interval": lambda est: "[{:.4f}, {:.4f}]".format(*est["ci"])},
+        f"{'estimand':<10}{'level':>6}{'point':>12}{'se':>10}{'ci':>26}",
+        "{estimand:<10}{fixed_level!s:>6}{point:>12.4f}{se:>10.4f}{interval:>26}",
+    ),
+    "falsify": (
+        "tests", {"target": _target},
+        f"{'test':<16}{'target':<10}{'estimate':>12}{'statistic':>12}{'p':>10}{'reject':>8}",
+        "{test:<16}{target:<10}{estimate:>12.4f}{statistic:>12.3f}{p_value:>10.4f}{reject!s:>8}",
+    ),
+    "truth": (None, {}, "", "{key:<12}{value:.6f}"),
+}
+
+
 def _pretty_lines(command: str, result: dict) -> list[str]:
-    lines = []
-    if command == "simulate":
-        header = f"{'estimator':<16}{'bias':>10}{'rmse':>10}{'coverage':>10}{'failures':>10}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for row in result["rows"]:
-            lines.append(
-                f"{row['estimator']:<16}{row['bias']:>10.4f}{row['rmse']:>10.4f}"
-                f"{row['coverage']:>10.3f}{row['failures']:>10d}"
-            )
-    elif command == "estimate":
-        header = f"{'estimand':<10}{'level':>6}{'point':>12}{'se':>10}{'ci':>26}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for est in result["estimates"]:
-            ci = f"[{est['ci'][0]:.4f}, {est['ci'][1]:.4f}]"
-            lines.append(
-                f"{est['estimand']:<10}{est['fixed_level']!s:>6}{est['point']:>12.4f}"
-                f"{est['se']:>10.4f}{ci:>26}"
-            )
-    elif command == "falsify":
-        header = f"{'test':<16}{'target':<10}{'estimate':>12}{'statistic':>12}{'p':>10}{'reject':>8}"
-        lines.append(header)
-        lines.append("-" * len(header))
-        for res in result["tests"]:
-            if res.get("mediator") is not None:
-                target = res["mediator"]
-            elif res.get("fixed_level") is not None:
-                target = f"level={res['fixed_level']}"
-            else:
-                target = ""
-            lines.append(
-                f"{res['test']:<16}{target:<10}{res['estimate']:>12.4f}"
-                f"{res['statistic']:>12.3f}{res['p_value']:>10.4f}{str(res['reject']):>8}"
-            )
-    else:
-        for key, value in result.items():
-            lines.append(f"{key:<12}{value:.6f}")
+    rows, cells, header, template = _TABLES[command]
+    items = result[rows] if rows else [{"key": k, "value": v} for k, v in result.items()]
+    lines = [header, "-" * len(header)] if header else []
+    for item in items:
+        computed = {name: cell(item) for name, cell in cells.items()}
+        lines.append(template.format_map({**item, **computed}))
     return lines
 
 

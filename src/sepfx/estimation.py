@@ -170,8 +170,10 @@ SHARED_SETTINGS = ("k_folds", "splits", "alpha", "clip", "strategy")
 
 
 def shared_settings(source) -> dict:
-    """``SHARED_SETTINGS`` read off a ``SimConfig`` or parsed CLI arguments."""
-    return {name: getattr(source, name) for name in SHARED_SETTINGS}
+    """``SHARED_SETTINGS`` read off a ``SimConfig`` or parsed CLI arguments;
+    a setting the source lacks takes ``EstimatorConfig``'s default."""
+    return {name: getattr(source, name, getattr(EstimatorConfig, name))
+            for name in SHARED_SETTINGS}
 
 
 def _json_value(value):

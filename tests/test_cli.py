@@ -165,6 +165,11 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
         main(["estimate", "--data", four_arm_csv, "--design", "four-arm",
               "--estimand", "bogus"])
     assert exc.value.code == 2
+    # the estimate parser reports a bad value, under its own usage line
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sepfx estimate ")
+    assert err.endswith("\nsepfx estimate: error: argument --estimand: bad --estimand "
+                        "'bogus'; expected sde:aM=L or sie:aY=L\n")
     with pytest.raises(SystemExit) as exc:
         main(["estimate", "--design", "four-arm"])  # missing --data
     assert exc.value.code == 2
@@ -174,6 +179,42 @@ def test_usage_error_exits_two(capsys, four_arm_csv):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--n", "10"])  # below the generator minimum
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [("sde:aM=1", ("sde", 1)), ("sie:aY=0", ("sie", 0)), ("SDE:am=0", ("sde", 0)),
+     (" sie : ay = 1 ", ("sie", 1))],
+)
+def test_estimand_grammar_accepts(capsys, monkeypatch, four_arm_csv, spec, expected):
+    """The kind is read case-blind, the key as aM/am or aY/ay, and blanks
+    around each part are dropped."""
+    asked = []
+
+    def estimate(ds, requests, config):
+        asked.extend(requests)
+        return []
+
+    monkeypatch.setattr("sepfx.cli.estimate_effects_four", estimate)
+    assert main(["estimate", "--data", four_arm_csv, "--design", "four-arm",
+                 "--estimand", spec, "--deterministic"]) == 0
+    assert asked == [expected]
+
+
+@pytest.mark.parametrize(
+    "spec, reason",
+    [(spec, "expected sde:aM=L or sie:aY=L")
+     for spec in ("bogus", "sde:aY=1", "sde:aM", "sde:aM=1.0", ":=1", "mean:aM=1")]
+    + [(spec, "level must be 0 or 1") for spec in ("sde:aM=2", "sie:aY=-1", "sde:aY=2")],
+)
+def test_estimand_grammar_refuses(capsys, four_arm_csv, spec, reason):
+    """A bad level is named before a bad kind or key (``sde:aY=2``)."""
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--data", four_arm_csv, "--design", "four-arm", "--estimand", spec])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad --estimand {spec!r}; {reason}\n" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -250,6 +291,40 @@ def test_choice_lists_are_the_librarys_tuples():
         assert flags["--learner"].choices is PRESET_CHOICES
         assert flags["--strategy"].choices is STRATEGIES
     assert tests["direct"]._option_string_actions["--basis"].choices is DIRECT_BASES
+
+
+# The option strings of each command path, in the order ``--help`` lists them.
+_ESTIMATION = ["--learner", "--k-folds", "--splits", "--alpha", "--clip", "--seed", "--strategy"]
+_COLUMNS = ["--col-outcome", "--col-a-y", "--col-a-m", "--col-a", "--col-mediators",
+            "--col-covariates", "--mediator-prefix", "--covariate-prefix"]
+_FOUR_ARM_COLUMNS = [flag for flag in _COLUMNS if flag != "--col-a"]
+_OUTPUT = ["--out", "--pretty", "--deterministic"]
+COMMAND_OPTIONS = {
+    "simulate": ["--model", "--n", "--reps", "--estimators", "--violation", "--threads",
+                 *_ESTIMATION, *_OUTPUT],
+    "estimate": ["--data", "--design", "--estimand", "--diagnostics", *_ESTIMATION,
+                 *_COLUMNS, *_OUTPUT],
+    "falsify direct": ["--data", "--robust", "--basis", "--alpha", *_FOUR_ARM_COLUMNS,
+                       *_OUTPUT],
+    "falsify indirect": ["--data", *_ESTIMATION, *_FOUR_ARM_COLUMNS, *_OUTPUT],
+    "truth": ["--model", *_OUTPUT],
+}
+
+
+def test_each_command_path_offers_its_pinned_options():
+    """Every option of every command path, so that a flag added, dropped or
+    moved between commands shows up as a reviewed diff of this list."""
+    commands = dict(subcommands(build_parser()))
+    paths = {"falsify " + kind: parser
+             for kind, parser in subcommands(commands.pop("falsify")).items()}
+    paths.update(commands)
+    got = {
+        path: [flag for action in parser._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")]
+        for path, parser in paths.items()
+    }
+    assert got == COMMAND_OPTIONS
+    assert [len(got[path]) for path in COMMAND_OPTIONS] == [16, 22, 14, 18, 4]
 
 
 def test_shared_settings_default_to_the_estimator_config():

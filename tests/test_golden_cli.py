@@ -1,5 +1,6 @@
 """Byte-for-byte checks of ``--deterministic`` CLI output against files
-stored in ``tests/golden/``.
+stored in ``tests/golden/``: each case's JSON document in ``<name>.json``
+and its ``--pretty`` table in ``<name>.txt``.
 
 A refactor that should not change any number must leave these files as
 they are.  When a change is meant to alter the output, regenerate them
@@ -10,6 +11,8 @@ with
 and say in the change why the bytes moved.
 """
 
+import contextlib
+import io
 from pathlib import Path
 
 import pytest
@@ -52,10 +55,13 @@ def write_dataset(directory: Path) -> Path:
     return path
 
 
-def run_case(name: str, data: Path, out: Path) -> bytes:
+def run_case(name: str, data: Path, out: Path) -> tuple[bytes, str]:
+    """The case's JSON bytes, written to ``out``, and its printed table."""
     argv = [str(data) if arg == DATA else arg for arg in CASES[name]]
-    assert main(argv + ["--deterministic", "--out", str(out)]) == 0
-    return out.read_bytes()
+    table = io.StringIO()
+    with contextlib.redirect_stdout(table):
+        assert main(argv + ["--deterministic", "--pretty", "--out", str(out)]) == 0
+    return out.read_bytes(), table.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +71,9 @@ def dataset(tmp_path_factory):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_file(name, dataset, tmp_path):
-    got = run_case(name, dataset, tmp_path / "out.json")
+    got, table = run_case(name, dataset, tmp_path / "out.json")
     assert got == (GOLDEN / f"{name}.json").read_bytes()
+    assert table == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 def regenerate() -> None:
@@ -76,7 +83,8 @@ def regenerate() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         data = write_dataset(Path(tmp))
         for name in sorted(CASES):
-            run_case(name, data, GOLDEN / f"{name}.json")
+            _, table = run_case(name, data, GOLDEN / f"{name}.json")
+            (GOLDEN / f"{name}.txt").write_text(table, encoding="utf-8")
 
 
 if __name__ == "__main__":
