@@ -6,9 +6,9 @@ each node (``mtry``), squared-error split criterion, and a minimum leaf
 size.  Classification reuses the regression machinery on 0/1 labels, so a
 tree's leaf value is the within-leaf class frequency.
 
-Each feature is binned once per forest, on the forest's training rows: a
-feature with at most ``MAX_BINS`` distinct values gets one bin per value,
-so every node sees the same candidate partitions as an exhaustive search;
+Each feature is binned once per feature matrix, on its rows: a feature
+with at most ``MAX_BINS`` distinct values gets one bin per value, so
+every node sees the same candidate partitions as an exhaustive search;
 one with more gets at most ``MAX_BINS`` quantile bins.  Trees grow one
 depth level at a time, and several trees can grow in one pass.  Per
 level, one ``np.bincount`` over (node, drawn feature, bin) gives every
@@ -22,10 +22,14 @@ cells than the trees have rows times features.
 A forest is drawn tree by tree from its seed, so a forest of t trees is
 the first t trees of a larger forest with the same data and settings.
 :func:`predict_forests` predicts such nested forests in one pass.
-Forests with the same settings on different rows, such as a super
-learner's internal-fold and full-data forests, grow together through
-:func:`fit_forests`: tree t of every forest grows in the same pass, and
-each forest comes out bit for bit as it grows alone.
+Forests with the same settings on different rows or targets, such as a
+super learner's internal-fold and full-data forests for several label
+sets, grow together through :func:`grow_forests`: tree t of every forest
+grows in the same pass, and each forest comes out bit for bit as it
+grows alone.  :func:`fit_forests` keeps the forests it grows, except
+those whose trees are only wanted for their predictions on held-out
+rows: each of those trees predicts as soon as it grows and is dropped,
+and only the running sums are kept.
 """
 
 from __future__ import annotations
@@ -192,7 +196,8 @@ def _grow_trees(jobs, mtry: int, min_leaf: int) -> list[_Tree]:
             row_slot = slot[node]
             for lo in range(0, drawable.size, block):
                 hi = min(lo + block, drawable.size)
-                sel = (row_slot >= lo) & (row_slot < hi)
+                # when one block holds every node, it holds every row
+                sel = slice(None) if hi - lo == count else (row_slot >= lo) & (row_slot < hi)
                 at, best_cut = _best_cuts(
                     codes, y[sel], rows[sel], row_slot[sel] - lo, drawn[lo:hi], width, min_leaf
                 )
@@ -212,9 +217,10 @@ def _grow_trees(jobs, mtry: int, min_leaf: int) -> list[_Tree]:
         first_id += count
         tree = np.repeat(tree[split], 2)
     tree, feature, cut, left, value = (np.concatenate(parts) for parts in zip(*levels))
+    # each job's nodes, breadth first: a stable sort keeps them in node order
+    ends = np.cumsum(np.bincount(tree, minlength=len(jobs)))[:-1]
     trees = []
-    for j, (_, cuts, _, _) in enumerate(jobs):
-        mine = np.flatnonzero(tree == j)  # the job's nodes, breadth first
+    for mine, (_, cuts, _, _) in zip(np.split(np.argsort(tree, kind="stable"), ends), jobs):
         split = feature[mine] >= 0
         own_left = np.where(split, np.searchsorted(mine, left[mine]), -1)
         threshold = np.zeros(mine.size)
@@ -233,6 +239,12 @@ class ForestPredictor:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         return predict_forests([self], features)[0]
+
+
+def _forest_mean(total: np.ndarray, size: int, clip: float | None) -> np.ndarray:
+    """A forest's prediction from the sum of its ``size`` trees' predictions."""
+    pred = total / size
+    return pred if clip is None else np.clip(pred, clip, 1.0 - clip)
 
 
 def predict_forests(forests, features) -> list[np.ndarray]:
@@ -264,10 +276,35 @@ def predict_forests(forests, features) -> list[np.ndarray]:
             while grown < size:
                 total += trees[grown].predict(features)
                 grown += 1
-            pred = total / size
-            clip = forests[j].clip
-            out[j] = pred if clip is None else np.clip(pred, clip, 1.0 - clip)
+            out[j] = _forest_mean(total, size, forests[j].clip)
     return out
+
+
+def grow_forests(blocks, n_trees: int, mtry: int, min_leaf: int, seed: int):
+    """Yield ``[tree t of every block]`` for t = 0, ..., ``n_trees`` - 1,
+    where block ``(x, y)``'s trees are those of ``fit_forest(x, y, n_trees,
+    mtry, min_leaf, seed)``, bit for bit; tree t of every block grows in
+    one :func:`_grow_trees` pass.
+
+    Each block has its own generator; tree t's bootstrap is drawn from it
+    before tree t grows, and the growth makes that tree's own draws.  Each
+    distinct feature matrix (the same object) is binned once, and the
+    blocks that share it share its bins.
+    """
+    binned: dict = {}  # id(x) -> (x, codes, cuts); x is held so its id stays its own
+    data = []
+    for features, targets in blocks:
+        if id(features) not in binned:
+            binned[id(features)] = (features, *_bin_features(as_matrix(features)))
+        _, codes, cuts = binned[id(features)]
+        targets = np.asarray(targets, dtype=np.float64).ravel()
+        data.append((codes, cuts, targets, np.random.default_rng(derive_seed(seed, "forest"))))
+    for _ in range(n_trees):
+        jobs = []
+        for codes, cuts, targets, rng in data:
+            rows = rng.integers(0, codes.shape[1], size=codes.shape[1])
+            jobs.append((codes[:, rows], cuts, targets[rows], rng))
+        yield _grow_trees(jobs, mtry, min_leaf)
 
 
 def fit_forests(
@@ -277,27 +314,34 @@ def fit_forests(
     min_leaf: int,
     seed: int,
     clip: float | None = None,
-) -> list[ForestPredictor]:
+    sizes=(),
+) -> list:
     """``[fit_forest(x, y, n_trees, mtry, min_leaf, seed, clip) for x, y in
-    blocks]``, bit for bit, with tree t of every block grown in one step.
+    blocks]``, bit for bit, grown together by :func:`grow_forests`.
 
-    Each block has its own generator; tree t's bootstrap is drawn from it
-    before tree t grows, and the growth makes that tree's own draws.
+    A block ``(x, y, held_out)`` whose ``held_out`` is not None keeps no
+    forest.  Its entry is ``{size: fit_forest(x, y, size, ...).predict(
+    held_out) for size in sizes}`` instead, with ``sizes`` at most
+    ``n_trees``: each of its trees predicts ``held_out`` as soon as it
+    grows and is then dropped, into one running sum that is read at each
+    size, as :func:`predict_forests` reads it.
     """
-    data = []
-    for features, targets in blocks:
-        codes, cuts = _bin_features(as_matrix(features))
-        targets = np.asarray(targets, dtype=np.float64).ravel()
-        data.append((codes, cuts, targets, np.random.default_rng(derive_seed(seed, "forest"))))
-    forests = [[] for _ in data]
-    for _ in range(n_trees):
-        jobs = []
-        for codes, cuts, targets, rng in data:
-            rows = rng.integers(0, codes.shape[1], size=codes.shape[1])
-            jobs.append((codes[:, rows], cuts, targets[rows], rng))
-        for trees, tree in zip(forests, _grow_trees(jobs, mtry, min_leaf)):
-            trees.append(tree)
-    return [ForestPredictor(trees=trees, clip=clip) for trees in forests]
+    held = [
+        None if len(block) < 3 or block[2] is None else as_matrix(block[2]) for block in blocks
+    ]
+    out: list = [[] if rows is None else {} for rows in held]
+    totals = [None if rows is None else np.zeros(rows.shape[0]) for rows in held]
+    rounds = grow_forests([block[:2] for block in blocks], n_trees, mtry, min_leaf, seed)
+    for size, trees in enumerate(rounds, start=1):
+        for b, rows in enumerate(held):
+            if rows is None:
+                out[b].append(trees[b])
+                continue
+            totals[b] += trees[b].predict(rows)
+            if size in sizes:
+                out[b][size] = _forest_mean(totals[b], size, clip)
+        trees.clear()  # no name holds a tree, so each held-out block's tree is freed here
+    return [ForestPredictor(entry, clip) if rows is None else entry for entry, rows in zip(out, held)]
 
 
 def fit_forest(

@@ -20,13 +20,16 @@ The fold scorer of :func:`split_scores_four` fits one
 :class:`NuisanceFitFour` per fold, with :func:`fit_nuisance_theta`, which
 adds the treatment-agreement model, when the agreement population is
 scored, else with :func:`fit_nuisance_four`, either looked up as a module
-global when it runs, and scores the fold's test rows from it.  The
-diagnostics' plug-in estimators are ``run_battery`` keys of their own.
+global when it runs, and scores the fold's test rows from it.  A bundle's
+cell classifiers, and its agreement model, are one
+:func:`~sepfx.learners.fit_classifiers` batch on the training
+covariates.  The diagnostics' plug-in estimators are ``run_battery`` keys
+of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +45,7 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import ConstantPredictor, FittedPredictor, fit_classifier, fit_regressor
+from .learners import ConstantPredictor, FittedPredictor, fit_classifiers, fit_regressor
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 PLUG_INS = ("ipw", "outcome_regression")
@@ -94,13 +97,18 @@ def fit_nuisance_four(
     train_rows: np.ndarray,
     config: EstimatorConfig,
     required_cells: tuple = CELLS,
+    agreement: bool = False,
 ) -> NuisanceFitFour:
     """Fit cell-probability and outcome models on the given training rows.
 
     Cell probabilities are one-vs-rest classifiers normalized across the
     four cells.  A required cell with no training rows raises
     :class:`MissingCell` (the first such cell in ``CELLS`` order) before
-    any fit; an unrequired empty cell gets probability zero.
+    any fit; an unrequired empty cell gets probability zero.  With
+    ``agreement`` the bundle's ``agree_fit`` is set too (see
+    :func:`fit_nuisance_theta`).  The classifiers, the agreement model's
+    included, are one :func:`~sepfx.learners.fit_classifiers` batch on the
+    training covariates, each fit bit for bit as it is alone.
     """
     x = ds.x[train_rows]
     a_y = ds.a_y[train_rows]
@@ -113,18 +121,29 @@ def fit_nuisance_four(
     for cell in empty:
         if cell in required_cells:
             raise MissingCell(f"no training rows in arm cell {cell}")
-    classifiers = {
-        cell: None
-        if cell in empty
-        else fit_classifier(x, labels[cell], config.propensity, clip=config.clip)
-        for cell in CELLS
-    }
+    fitted = [cell for cell in CELLS if cell not in empty]
+    agree = (a_y == a_m).astype(np.float64)
+    fit_agree = agreement and bool(agree.min() < 1.0)
+    fits = fit_classifiers(
+        x,
+        [labels[cell] for cell in fitted] + [agree] * fit_agree,
+        config.propensity,
+        clip=config.clip,
+    )
+    agree_fit = None
+    if agreement:
+        agree_fit = fits.pop() if fit_agree else ConstantPredictor(1.0)
+    classifiers = dict.fromkeys(CELLS)
+    classifiers.update(zip(fitted, fits))
     stacked = np.column_stack([a_y.astype(np.float64), a_m.astype(np.float64), x])
     outcome_fit = fit_regressor(
         stacked, ds.y[train_rows], config.outcome, interact_cols=(0, 1)
     )
     return NuisanceFitFour(
-        cell_classifiers=classifiers, outcome_fit=outcome_fit, clip=config.clip
+        cell_classifiers=classifiers,
+        outcome_fit=outcome_fit,
+        clip=config.clip,
+        agree_fit=agree_fit,
     )
 
 
@@ -136,19 +155,13 @@ def fit_nuisance_theta(
 ) -> NuisanceFitFour:
     """The :func:`fit_nuisance_four` bundle with ``agree_fit`` set.
 
-    When every training row agrees, ``agree_fit`` is
-    ``ConstantPredictor(1.0)``: the probability is exactly one, unclipped,
-    since it only ever multiplies.
+    ``agree_fit`` models the probability that the two treatments agree,
+    fit in the same batch as the cell classifiers.  When every training
+    row agrees, it is ``ConstantPredictor(1.0)``: the probability is
+    exactly one, unclipped, since it only ever multiplies.
     """
-    four = fit_nuisance_four(ds, train_rows, config, required_cells)
-    agree = (ds.a_y[train_rows] == ds.a_m[train_rows]).astype(np.float64)
-    if agree.min() == 1.0:
-        agree_fit = ConstantPredictor(1.0)
-    else:
-        agree_fit = fit_classifier(
-            ds.x[train_rows], agree, config.propensity, clip=config.clip
-        )
-    return replace(four, agree_fit=agree_fit)
+    # positional, so that a stand-in patched over fit_nuisance_four takes *args
+    return fit_nuisance_four(ds, train_rows, config, required_cells, True)
 
 
 def eif(

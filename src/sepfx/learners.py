@@ -12,11 +12,19 @@ Three model families are available through one spec type:
   Forest candidates equal apart from ``trees`` share one grown forest,
   and the forests of the internal folds and of the full data grow
   together (:func:`sepfx.forest.fit_forests`), bit-identically to
-  growing each alone.
+  growing each alone.  An internal-fold forest is never held: each of
+  its trees predicts the fold's held-out rows as it grows.
 
 A fit is a classification exactly when it has a ``clip``
 (``fit_classifier``; a GLM is then logistic): it returns probabilities in
 [clip, 1 - clip], so downstream inverse-probability weights stay bounded.
+
+:func:`fit_classifiers` fits several label sets on one feature matrix in
+one batch, each bit for bit as :func:`fit_classifier` fits it alone:
+GLMs share one design, forests grow tree t of every set in one pass, and
+super learners share their internal folds and grow all their forests
+together.  ``fit_classifier``, ``fit_regressor`` and
+``fit_super_learner`` are its one-set cases.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ DEFAULT_CLIP = 0.01
 DEFAULT_RIDGE_SCALE = 1e-6
 BASIS_CHOICES = ("intercept", "main", "interactions")
 KIND_CHOICES = ("glm", "random_forest", "super_learner")
+DESIGN_ROWS = 4096  # rows of a design written per pass
 
 
 @dataclass(frozen=True)
@@ -94,18 +103,27 @@ def expand_basis(
 
     Interaction columns multiply each listed treatment column with every
     non-treatment column; treatments are never interacted with each other.
+    The columns are written into one array, ``DESIGN_ROWS`` rows at a
+    time, so that each pass reads and writes rows still in cache.
     """
     X = as_matrix(features)
     n, p = X.shape
-    blocks = [np.ones((n, 1))]
-    if basis != "intercept":
-        blocks.append(X)
-        if basis == "interactions" and interact_cols:
-            others = [j for j in range(p) if j not in interact_cols]
-            for t in interact_cols:
-                if others:
-                    blocks.append(X[:, [t]] * X[:, others])
-    return np.hstack(blocks)
+    others = [j for j in range(p) if j not in interact_cols]
+    pairs = interact_cols if basis == "interactions" and others else ()
+    width = 1 if basis == "intercept" else 1 + p + len(pairs) * len(others)
+    design = np.empty((n, width))
+    design[:, 0] = 1.0
+    if basis == "intercept":
+        return design
+    for lo in range(0, n, DESIGN_ROWS):
+        x, out = X[lo : lo + DESIGN_ROWS], design[lo : lo + DESIGN_ROWS]
+        out[:, 1 : p + 1] = x
+        if pairs:
+            rest = x[:, others]
+            for k, t in enumerate(pairs):
+                at = p + 1 + k * len(others)
+                np.multiply(x[:, t : t + 1], rest, out=out[:, at : at + len(others)])
+    return design
 
 
 def _penalty_mask(width: int) -> np.ndarray:
@@ -221,36 +239,32 @@ class ConstantPredictor:
         return np.full(features.shape[0], self.value)
 
 
-def _checked_rows(features, targets, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Features and targets as float arrays with equal, finite rows."""
-    X = as_matrix(features)
-    y = np.asarray(targets, dtype=np.float64).ravel()
-    if X.shape[0] != y.shape[0]:
-        raise LearnerError(f"features and {name} disagree on row count")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise LearnerError(f"features and {name} must be finite (no NaN or inf)")
+def _enough_rows(y: np.ndarray) -> None:
     if y.shape[0] < 2:
         raise TooFewRows(f"need at least 2 rows, got {y.shape[0]}")
-    return X, y
+
+
+def _checked_rows(features, target_sets, name: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Features and each set of targets as float arrays with equal, finite
+    rows; the features are scanned once, however many sets there are."""
+    X = as_matrix(features)
+    finite = np.isfinite(X).all()
+    ys = []
+    for targets in target_sets:
+        y = np.asarray(targets, dtype=np.float64).ravel()
+        if X.shape[0] != y.shape[0]:
+            raise LearnerError(f"features and {name} disagree on row count")
+        if not (finite and np.isfinite(y).all()):
+            raise LearnerError(f"features and {name} must be finite (no NaN or inf)")
+        _enough_rows(y)
+        ys.append(y)
+    return X, ys
 
 
 def _effective_ridge(spec: LearnerSpec, n: int) -> float:
     if spec.ridge is None:
         return DEFAULT_RIDGE_SCALE * n
     return float(spec.ridge)
-
-
-def _fit(X, y, spec: LearnerSpec, interact_cols, clip: float | None) -> FittedPredictor:
-    """Fit ``spec`` to checked rows: a regression when ``clip`` is None,
-    a classification clipped to [clip, 1 - clip] otherwise."""
-    if spec.kind == "glm":
-        design = expand_basis(X, spec.basis, interact_cols)
-        solve = _solve_ridge if clip is None else _fit_logistic
-        beta = solve(design, y, _effective_ridge(spec, y.shape[0]))
-        return GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
-    if spec.kind == "random_forest":
-        return fit_forest(X, y, spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip=clip)
-    return fit_super_learner(X, y, spec, interact_cols, clip)
 
 
 def _constant_fit(targets: np.ndarray, clip: float | None) -> ConstantPredictor | None:
@@ -270,6 +284,41 @@ def _constant_fit(targets: np.ndarray, clip: float | None) -> ConstantPredictor 
     return ConstantPredictor(float(np.clip(targets[0], clip, 1.0 - clip)))
 
 
+def _fit_checked(X, ys, spec: LearnerSpec, interact_cols, clip: float | None) -> list:
+    """``spec`` fit to each of the checked target sets ``ys`` on the
+    features ``X``: regressions when ``clip`` is None, classifications
+    clipped to [clip, 1 - clip] otherwise.
+
+    Each set is fit as it would be alone, bit for bit, and its warnings
+    come in the order of separate fits.  Constant targets get their exact
+    constant.  GLM fits share one design; the forests of a
+    ``random_forest`` spec grow together in one :func:`fit_forests` call;
+    the super learners of a ``super_learner`` spec share their internal
+    folds and grow their forests together.
+    """
+    if spec.kind == "super_learner":
+        return _fit_super_learners(X, ys, spec, interact_cols, clip, short_cut=True)
+    fits = []
+    design = None
+    for y in ys:
+        fit = _constant_fit(y, clip)
+        if fit is None and spec.kind == "glm":
+            if design is None:
+                design = expand_basis(X, spec.basis, interact_cols)
+            solve = _solve_ridge if clip is None else _fit_logistic
+            beta = solve(design, y, _effective_ridge(spec, y.shape[0]))
+            fit = GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
+        fits.append(fit)
+    grow = [i for i, fit in enumerate(fits) if fit is None]
+    forest = (spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip)
+    if len(grow) == 1:  # through fit_forest, where bench/layers.py counts a forest's trees
+        fits[grow[0]] = fit_forest(X, ys[grow[0]], *forest)
+    elif grow:
+        for i, fit in zip(grow, fit_forests([(X, ys[i]) for i in grow], *forest)):
+            fits[i] = fit
+    return fits
+
+
 def fit_regressor(
     features,
     targets,
@@ -283,9 +332,31 @@ def fit_regressor(
     bit-identical predictors.  A NaN or infinite feature or target raises
     :class:`LearnerError` before anything is fit.
     """
-    X, y = _checked_rows(features, targets, "targets")
-    fit = _constant_fit(y, None)
-    return _fit(X, y, spec, interact_cols, None) if fit is None else fit
+    X, ys = _checked_rows(features, [targets], "targets")
+    return _fit_checked(X, ys, spec, interact_cols, None)[0]
+
+
+def fit_classifiers(
+    features,
+    label_sets,
+    spec: LearnerSpec,
+    interact_cols: tuple[int, ...] = (),
+    clip: float = DEFAULT_CLIP,
+) -> list[FittedPredictor]:
+    """``[fit_classifier(features, labels, spec, interact_cols, clip) for
+    labels in label_sets]``, bit for bit, with the same warnings in the
+    same order, from one batch.
+
+    The features are scanned once, and every label set's rows are checked
+    before anything is fit; labels that are not 0 or 1 are refused as
+    their set comes to be fit.  The label sets share what their fits can
+    share: GLMs one design, forests their bins and their growth (tree t
+    of every set's forest grows in one pass), and super learners their
+    internal folds, the bins of each fold, and the growth of each prefix
+    group's forests.
+    """
+    X, ys = _checked_rows(features, label_sets, "labels")
+    return _fit_checked(X, ys, spec, interact_cols, clip)
 
 
 def fit_classifier(
@@ -300,10 +371,9 @@ def fit_classifier(
     If only one class is present the fit degenerates to a clipped constant
     and a :class:`SingleClassWarning` is emitted.  A NaN or infinite
     feature or label raises :class:`LearnerError` before anything is fit.
+    This is :func:`fit_classifiers` of one label set.
     """
-    X, y = _checked_rows(features, labels, "labels")
-    fit = _constant_fit(y, clip)
-    return _fit(X, y, spec, interact_cols, clip) if fit is None else fit
+    return fit_classifiers(features, [labels], spec, interact_cols, clip)[0]
 
 
 @dataclass
@@ -328,50 +398,60 @@ class SuperLearnerFit:
         return out
 
 
-def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list[FittedPredictor]]:
-    """Every candidate fit on every block of rows ``(X, y)``, as
-    :func:`fit_regressor` fits it when ``clip`` is None and as
-    :func:`fit_classifier` does otherwise, bit for bit.
+def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
+    """Every candidate fit on every block ``(X, y, held_out)`` of checked
+    features, as :func:`fit_regressor` fits it when ``clip`` is None and
+    as :func:`fit_classifier` does otherwise, bit for bit.  A block's
+    entry holds the fits when its ``held_out`` is None, and otherwise each
+    fit's predictions on the ``held_out`` features, from fits that are
+    not kept.
 
     Forest specs equal apart from ``trees`` form a group that grows only
     its largest forest: a forest is drawn tree by tree from its seed, so a
     smaller forest of the group is the leading slice of the largest and
-    shares those tree objects.  Block by block, in the order of separate
-    fits, the rows are checked, constant targets or a single class give
-    each member its constant (with its warning), and every other
-    candidate is fit; only the groups' forests wait, and each group grows
-    them on all its blocks in one :func:`fit_forests` call.  Every block's
-    forests are held at once, so the peak memory is that of all of them.
+    shares those tree objects.  The blocks are taken one at a time, in
+    order: the targets are checked, constant targets or a single class
+    give each member its constant (with its warning), and every other
+    candidate is fit, and on a held-out block predicts.  Only the groups'
+    forests wait, and each group grows them on all its blocks in one
+    :func:`fit_forests` call, in which a held-out block's trees predict as
+    they grow and are dropped: only the forests of blocks without held-out
+    rows are held.
     """
-    name = "targets" if clip is None else "labels"
     groups: dict = {}
     for j, spec in enumerate(candidates):
         # a forest spec with its tree count masked; any other spec stands alone
         key = replace(spec, trees=1) if spec.kind == "random_forest" else j
         groups.setdefault(key, []).append(j)
-    fits: list = [[None] * len(candidates) for _ in blocks]
+    taken, out = [], []
     grow: dict = {}  # (largest, members) of a group -> the blocks its forest grows on
-    for b, (X, y) in enumerate(blocks):
-        X, y = _checked_rows(X, y, name)
+    for b, (X, y, held_out) in enumerate(blocks):
+        _enough_rows(y)
+        taken.append((X, y, held_out))
+        entry: list = [None] * len(candidates)
         for members in groups.values():
             largest = max(members, key=lambda j: candidates[j].trees)
             for j in [largest] + [j for j in members if j != largest]:
                 fit = _constant_fit(y, clip)
                 if fit is None and candidates[j].kind == "random_forest":
-                    grow.setdefault((j, tuple(members)), []).append(b)
+                    grow.setdefault((largest, tuple(members)), []).append(b)
                     break
                 if fit is None:
-                    fit = _fit(X, y, candidates[j], interact_cols, clip)
-                fits[b][j] = fit
+                    fit = _fit_checked(X, [y], candidates[j], interact_cols, clip)[0]
+                entry[j] = fit if held_out is None else fit.predict(held_out)
+        out.append(entry)
     for (largest, members), grown in grow.items():
         spec = candidates[largest]
+        sizes = {candidates[j].trees for j in members}
         forests = fit_forests(
-            [blocks[b] for b in grown], spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip
+            [taken[b] for b in grown], spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip, sizes
         )
         for b, forest in zip(grown, forests):
+            kept = taken[b][2] is None
             for j in members:
-                fits[b][j] = ForestPredictor(trees=forest.trees[: candidates[j].trees], clip=clip)
-    return fits
+                size = candidates[j].trees
+                out[b][j] = ForestPredictor(forest.trees[:size], clip) if kept else forest[size]
+    return out
 
 
 def _predict_candidates(fits, indices, features: np.ndarray) -> list[np.ndarray]:
@@ -380,6 +460,75 @@ def _predict_candidates(fits, indices, features: np.ndarray) -> list[np.ndarray]
     forests = [j for j in indices if isinstance(fits[j], ForestPredictor)]
     shared = dict(zip(forests, predict_forests([fits[j] for j in forests], features)))
     return [shared[j] if j in shared else fits[j].predict(features) for j in indices]
+
+
+def _fit_super_learners(X, ys, spec: LearnerSpec, interact_cols, clip, short_cut: bool) -> list:
+    """The super learner of ``spec`` on each checked target set of ``ys``,
+    or with ``short_cut`` the exact constant of a constant set, as
+    :func:`fit_super_learner` and :func:`fit_classifier` fit each alone.
+
+    Every set draws the same internal folds, since they have the same
+    rows and seed, and the sets' blocks (each fold's training rows, then
+    all rows) go through one :func:`_fit_libraries` call, set by set, so
+    that each set's constant check and its blocks' warnings come in the
+    order of separate fits.  The internal-fold fits are kept only as their
+    out-of-fold predictions.
+    """
+    n = X.shape[0]
+    folds = make_folds(n, spec.v_folds, derive_seed(spec.seed, "super-learner-folds"))
+    splits = [(folds.train_rows(fold), folds.test_rows(fold)) for fold in range(spec.v_folds)]
+    x_splits = [(X[train], X[test]) for train, test in splits]
+    fits: list = [None] * len(ys)
+    stacked = []  # the sets whose super learner is fit, in order
+
+    def blocks():
+        # taken lazily, so each set's constant check comes right before its blocks
+        for i, y in enumerate(ys):
+            fits[i] = _constant_fit(y, clip) if short_cut else None
+            if fits[i] is None:
+                stacked.append(i)
+                for (train, _), (x_train, x_test) in zip(splits, x_splits):
+                    yield x_train, y[train], x_test
+                yield X, y, None
+
+    library = _fit_libraries(blocks(), spec.candidates, interact_cols, clip)
+    per_set = spec.v_folds + 1
+    for k, i in enumerate(stacked):
+        entries = library[k * per_set : (k + 1) * per_set]
+        oof = np.empty((n, len(spec.candidates)))
+        for (_, test), preds in zip(splits, entries):
+            for j, pred in enumerate(preds):
+                oof[test, j] = pred
+        fits[i] = _stack(ys[i], oof, entries[-1], clip)
+    return fits
+
+
+def _stack(y, oof, candidate_fits, clip) -> SuperLearnerFit:
+    """The super learner of the full-data ``candidate_fits`` from their
+    out-of-fold predictions ``oof`` of ``y``."""
+    from scipy.optimize import nnls  # deferred: importing scipy.optimize costs ~0.3 s
+
+    cv_losses = np.mean((y[:, None] - oof) ** 2, axis=0)
+    raw, _ = nnls(oof, y)
+    total = raw.sum()
+    if total > 0.0:
+        weights = raw / total
+        ensemble_loss = float(np.mean((y - oof @ weights) ** 2))
+    else:
+        weights = None
+        ensemble_loss = np.inf
+    best = int(np.argmin(cv_losses))
+    if weights is None or ensemble_loss > cv_losses[best] + 1e-9:
+        weights = np.zeros(len(candidate_fits))
+        weights[best] = 1.0
+        ensemble_loss = float(cv_losses[best])
+    return SuperLearnerFit(
+        candidate_fits=tuple(candidate_fits),
+        weights=weights,
+        cv_losses=cv_losses,
+        ensemble_cv_loss=ensemble_loss,
+        clip=clip,
+    )
 
 
 def fit_super_learner(
@@ -398,48 +547,12 @@ def fit_super_learner(
     index), so the ensemble's CV loss never exceeds the best candidate's.
     Rows are checked as in :func:`fit_regressor` before anything is fit,
     and fewer rows than ``spec.v_folds`` raise :class:`TooFewRows`.
+    Constant targets are stacked too, from each candidate's constant.
     """
     if spec.kind != "super_learner":
         raise LearnerError(f"need a super_learner spec, got {spec.kind!r}")
-    X, y = _checked_rows(features, targets, "targets")
-    n = y.shape[0]
-    candidates = spec.candidates
-    folds = make_folds(n, spec.v_folds, derive_seed(spec.seed, "super-learner-folds"))
-    train = [folds.train_rows(fold) for fold in range(spec.v_folds)]
-    fits = _fit_libraries(
-        [(X[rows], y[rows]) for rows in train] + [(X, y)], candidates, interact_cols, clip
-    )
-    oof = np.empty((n, len(candidates)))
-    for fold in range(spec.v_folds):
-        test = folds.test_rows(fold)
-        preds = _predict_candidates(fits[fold], range(len(candidates)), X[test])
-        for j, pred in enumerate(preds):
-            oof[test, j] = pred
-
-    from scipy.optimize import nnls  # deferred: importing scipy.optimize costs ~0.3 s
-
-    cv_losses = np.mean((y[:, None] - oof) ** 2, axis=0)
-    raw, _ = nnls(oof, y)
-    total = raw.sum()
-    if total > 0.0:
-        weights = raw / total
-        ensemble_loss = float(np.mean((y - oof @ weights) ** 2))
-    else:
-        weights = None
-        ensemble_loss = np.inf
-    best = int(np.argmin(cv_losses))
-    if weights is None or ensemble_loss > cv_losses[best] + 1e-9:
-        weights = np.zeros(len(candidates))
-        weights[best] = 1.0
-        ensemble_loss = float(cv_losses[best])
-
-    return SuperLearnerFit(
-        candidate_fits=tuple(fits[-1]),
-        weights=weights,
-        cv_losses=cv_losses,
-        ensemble_cv_loss=ensemble_loss,
-        clip=clip,
-    )
+    X, ys = _checked_rows(features, [targets], "targets")
+    return _fit_super_learners(X, ys, spec, interact_cols, clip, short_cut=False)[0]
 
 
 PRESET_CHOICES = ("glm", "rf", "sl")

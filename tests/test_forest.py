@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sepfx.forest
 from sepfx.forest import (
     MAX_BINS,
     ForestPredictor,
@@ -96,26 +99,33 @@ def feature_matrix(kind, g, n, p):
 KINDS = ["binary", "levels", "rounded", "continuous", "quantiles"]
 
 
+def job_lists(rows, min_size, max_size, kinds=KINDS):
+    """Jobs (rows, feature kind, labels or not, seed)."""
+    job = st.tuples(
+        st.integers(2, rows), st.sampled_from(kinds), st.booleans(), st.integers(0, 2**32 - 2)
+    )
+    return st.lists(job, min_size=min_size, max_size=max_size)
+
+
+# one quantile-binned job: nodes are scored two per block, so the deeper
+# levels spread over several blocks
+SEVERAL_BLOCKS = dict(jobs=[(300, "quantiles", False, 5)], p=1, mtry=1, min_leaf=1)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    jobs=st.lists(
-        st.tuples(
-            st.integers(2, 300),
-            st.sampled_from(KINDS),
-            st.booleans(),
-            st.integers(0, 2**32 - 2),
-        ),
-        min_size=1,
-        max_size=4,
-    ),
+    # many jobs of few rows; quantile bins need more than MAX_BINS rows each
+    jobs=job_lists(300, 1, 4) | job_lists(24, 20, 30, [k for k in KINDS if k != "quantiles"]),
     p=st.integers(1, 7),
     mtry=st.integers(1, 5),
     min_leaf=st.integers(1, 8),
 )
+@example(**SEVERAL_BLOCKS)
 def test_level_wise_growth_matches_the_node_by_node_search(jobs, p, mtry, min_leaf):
     """Trees grown together, each job with its own rows, feature kind,
     labels and generator, equal the node-by-node search on each job
-    alone."""
+    alone: up to four jobs, as a forest grows, or 20 to 30, as a batch of
+    super learners grows tree t of all its forests."""
     grow, want, ends = [], [], []
     for n, kind, labels, seed in jobs:
         g = np.random.default_rng(seed)
@@ -133,6 +143,22 @@ def test_level_wise_growth_matches_the_node_by_node_search(jobs, p, mtry, min_le
         assert tree_bytes(tree) == tree_bytes(reference)
         # the same draws were made, so the next tree of a forest is the same too
         assert job[3].bit_generator.state == end
+
+
+def test_the_several_blocks_example_spreads_a_level_over_several_blocks(monkeypatch):
+    """The explicit example above keeps exercising what it is there for:
+    the blocks of one level are slices of that level's drawn features."""
+    levels = []
+    real = sepfx.forest._best_cuts
+
+    def recording(codes, targets, rows, slot, drawn, width, min_leaf):
+        levels.append(drawn.base)
+        return real(codes, targets, rows, slot, drawn, width, min_leaf)
+
+    monkeypatch.setattr(sepfx.forest, "_best_cuts", recording)
+    test_level_wise_growth_matches_the_node_by_node_search.hypothesis.inner_test(**SEVERAL_BLOCKS)
+    # every base is still held, so no two levels share an id
+    assert max(Counter(map(id, levels)).values()) > 1
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -162,6 +188,43 @@ def test_forests_grown_together_equal_forests_grown_alone(
     for a, b in zip(together, alone):
         assert a.clip == b.clip and len(a.trees) == len(b.trees) == n_trees
         assert [tree_bytes(t) for t in a.trees] == [tree_bytes(t) for t in b.trees]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(st.integers(2, 150), min_size=1, max_size=3),
+    kind=st.sampled_from(KINDS),
+    n_trees=st.integers(1, 4),
+    sizes=st.sets(st.integers(1, 4)),
+    held=st.lists(st.booleans(), min_size=6, max_size=6),
+    clip=st.sampled_from([None, 0.05]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_held_out_blocks_get_the_predictions_of_forests_grown_alone(
+    rows, kind, n_trees, sizes, held, clip, seed
+):
+    """Blocks that share one feature matrix share its bins, and a block
+    with held-out rows gets, at each size, the prediction of the forest of
+    that many trees grown alone; a block without keeps its forest."""
+    g = np.random.default_rng(seed)
+    sizes = {size for size in sizes if size <= n_trees}
+    blocks = []
+    for n in rows:
+        x = feature_matrix(kind, g, n, 3)
+        m = x.shape[0]
+        for labels in (False, True):  # two target sets on the same matrix
+            y = (g.random(m) < 0.4).astype(float) if labels else x[:, 0] + g.normal(size=m)
+            blocks.append((x, y, feature_matrix(kind, g, 7, 3) if held[len(blocks)] else None))
+    got = fit_forests(blocks, n_trees, 2, 3, seed, clip, sizes)
+    for (x, y, held_out), entry in zip(blocks, got):
+        if held_out is None:
+            alone = fit_forest(x, y, n_trees, 2, 3, seed, clip)
+            assert [tree_bytes(t) for t in entry.trees] == [tree_bytes(t) for t in alone.trees]
+            continue
+        assert set(entry) == sizes
+        for size, pred in entry.items():
+            want = fit_forest(x, y, size, 2, 3, seed, clip).predict(held_out)
+            assert pred.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1,5 +1,5 @@
-"""Byte-for-byte records of forest growth and of a forest super learner,
-stored in ``tests/golden/``.
+"""Byte-for-byte records of forest growth, of a forest super learner and
+of forest estimates, stored in ``tests/golden/``.
 
 Tree growth and the super learner's shared forests are meant to be exact,
 so a change to either must leave these files as they are.  When a change
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from sepfx.estimation import EstimatorConfig
+from sepfx.falsification import indirect_test_battery
 from sepfx.forest import fit_forest
 from sepfx.four_arm import estimate_effects_four
 from sepfx.learners import LearnerSpec, fit_super_learner
@@ -83,10 +84,20 @@ def record_estimate_four_arm() -> list:
     return [{**est.to_json_dict(), "eif": est.eif.tolist()} for est in estimates]
 
 
+def record_falsify_indirect() -> list:
+    """The indirect tests with plain forests, so the agreement model of
+    ``fit_nuisance_theta`` is a forest too."""
+    ds = generate_dataset(SimConfig(n=300, reps=1), 0)
+    spec = LearnerSpec(kind="random_forest", trees=3, mtry=2, min_leaf=3, seed=SL_SEED)
+    cfg = EstimatorConfig(outcome=spec, propensity=spec, splits=2)
+    return [result.to_json_dict() for result in indirect_test_battery(ds, cfg)]
+
+
 RECORDS = {
     "forest_trees": record_forest_trees,
     "forest_super_learner": record_super_learner,
     "forest_estimate_four_arm": record_estimate_four_arm,
+    "forest_falsify_indirect": record_falsify_indirect,
 }
 
 

@@ -1,4 +1,5 @@
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -211,8 +212,8 @@ def test_super_learner_refuses_bad_rows_before_fitting(monkeypatch, rows, bad, c
     def no_fit(*args, **kwargs):
         raise AssertionError("a candidate was fit before the rows were checked")
 
-    monkeypatch.setattr(learners, "_fit", no_fit)
-    monkeypatch.setattr(learners, "fit_forests", no_fit)
+    monkeypatch.setattr(learners, "_fit_libraries", no_fit)
+    monkeypatch.setattr("sepfx.forest.grow_forests", no_fit)
     rng = stream(13, "sl-rows")
     x = rng.normal(size=(rows, 2))
     y = (rng.random(90) < 0.5).astype(float)
@@ -433,14 +434,16 @@ def test_super_learner_single_class_gives_each_forest_a_constant():
 
 def _libraries_alone(blocks, candidates, interact_cols, clip):
     """Every candidate fit on its own, block by block, as separate
-    ``fit_regressor`` or ``fit_classifier`` calls would fit it."""
-    fits = []
-    for x, y in blocks:
+    ``fit_regressor`` or ``fit_classifier`` calls would fit it, and on a
+    block with held-out rows predicting them."""
+    out = []
+    for x, y, held_out in blocks:
         if clip is None:
-            fits.append([fit_regressor(x, y, spec, interact_cols) for spec in candidates])
+            fits = [fit_regressor(x, y, spec, interact_cols) for spec in candidates]
         else:
-            fits.append([fit_classifier(x, y, spec, interact_cols, clip) for spec in candidates])
-    return fits
+            fits = [fit_classifier(x, y, spec, interact_cols, clip) for spec in candidates]
+        out.append(fits if held_out is None else [fit.predict(held_out) for fit in fits])
+    return out
 
 
 def _fit_twice(monkeypatch, x, y, stack, clip):
@@ -503,8 +506,8 @@ def test_labels_that_are_not_binary_fail_before_any_tree_grows(monkeypatch):
     def no_growth(*args, **kwargs):
         raise AssertionError("a tree grew before the labels were checked")
 
-    monkeypatch.setattr(learners, "fit_forests", no_growth)
-    monkeypatch.setattr(learners, "fit_forest", no_growth)
+    # every forest, kept or held out, grows through grow_forests
+    monkeypatch.setattr("sepfx.forest.grow_forests", no_growth)
     x, y = _sl_data(4, "classification", binary=True)
     y[50] = 0.5
     forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
@@ -531,6 +534,123 @@ def test_a_super_learner_grows_each_prefix_group_once_per_block(monkeypatch):
     assert len(grown) == 12
     # three trees on each of the three 80-row training sets and on all 120 rows
     assert sorted(grown) == [80] * 9 + [120] * 3
+
+
+BATCH_SPECS = {
+    "glm": LearnerSpec(kind="glm"),
+    "random_forest": _forest(3, mtry=2, seed=5),
+    "super_learner": _stack(MIXED, v_folds=3, seed=2),
+}
+
+
+def _label_sets(seed, n):
+    """Label sets on one feature matrix: one that varies; one with a
+    single 1, which trains some internal folds on a single class; a
+    feature, which a GLM separates; and a single class last, so that a
+    batch that checked every set for a single class before fitting any
+    would warn out of order."""
+    x, y = _sl_data(seed, "classification", binary=True, n=n)
+    lone = np.zeros(n)
+    lone[17] = 1.0
+    return x, [y, lone, x[:, 1], np.ones(n)]
+
+
+def _caught(fit):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fits = fit()
+    return fits, [w.category for w in caught]
+
+
+@pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
+def test_a_batch_fits_each_label_set_as_it_fits_alone(kind):
+    """Predictions, stacking weights, losses and the warnings, category by
+    category and in order, equal those of one fit_classifier call per
+    label set."""
+    spec = BATCH_SPECS[kind]
+    x, label_sets = _label_sets(3, 60)
+    batch, got = _caught(lambda: learners.fit_classifiers(x, label_sets, spec, (0,), SL_CLIP))
+    alone, want = _caught(lambda: [fit_classifier(x, y, spec, (0,), SL_CLIP) for y in label_sets])
+    assert got == want
+    assert SingleClassWarning in got
+    if kind != "random_forest":
+        assert SeparationWarning in got
+    assert len(batch) == len(alone)
+    for fit, ref in zip(batch, alone):
+        assert type(fit) is type(ref)
+        assert fit.predict(x).tobytes() == ref.predict(x).tobytes()
+        if isinstance(ref, learners.SuperLearnerFit):
+            assert fit.weights.tobytes() == ref.weights.tobytes()
+            assert fit.cv_losses.tobytes() == ref.cv_losses.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["short", "nan", "not binary"])
+def test_a_batch_refuses_a_bad_label_set_as_a_lone_fit_does(monkeypatch, bad):
+    """Every label set is checked before anything is fit, and a bad one
+    raises the error and message of a lone fit on it."""
+    x, label_sets = _label_sets(4, 60)
+    y = label_sets[0].copy()
+    if bad == "short":
+        y = y[:-1]
+    else:
+        y[30] = np.nan if bad == "nan" else 0.5
+    spec = BATCH_SPECS["super_learner"]
+    with pytest.raises(LearnerError) as alone:
+        fit_classifier(x, y, spec, clip=SL_CLIP)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a label set was fit before every set was checked")
+
+    if bad != "not binary":  # labels are read for 0/1 as each set is fit
+        monkeypatch.setattr(learners, "_fit_checked", no_fit)
+    with pytest.raises(type(alone.value)) as batch:
+        learners.fit_classifiers(x, [label_sets[0], y], spec, clip=SL_CLIP)
+    assert str(batch.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("kind", ["random_forest", "super_learner"])
+def test_a_batch_grows_tree_t_of_every_label_set_in_one_pass(monkeypatch, kind):
+    """k label sets make one _grow_trees call per tree index: of k forests
+    for a forest spec, and of k times (internal folds + 1) forests for a
+    super learner with one prefix group."""
+    calls = []
+
+    def counting(jobs, mtry, min_leaf):
+        calls.append(len(jobs))
+        return _grow_trees(jobs, mtry, min_leaf)
+
+    monkeypatch.setattr("sepfx.forest._grow_trees", counting)
+    x, y = _sl_data(6, "classification", binary=True, n=120)
+    label_sets = [y, x[:, 0], x[:, 1], 1.0 - y]
+    forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
+    spec = forests[-1] if kind == "random_forest" else _stack(forests, v_folds=3, seed=3)
+    learners.fit_classifiers(x, label_sets, spec, clip=SL_CLIP)
+    blocks = 1 if kind == "random_forest" else 3 + 1
+    assert calls == [len(label_sets) * blocks] * 3
+
+
+def test_no_internal_fold_tree_outlives_its_prediction(monkeypatch):
+    """A super learner's internal-fold trees predict their fold's held-out
+    rows as they grow and are freed before the next trees grow; only the
+    full-data trees stay, held by the fits."""
+    held_out, full = [], []
+
+    def watching(jobs, mtry, min_leaf):
+        assert all(ref() is None for ref in held_out), "an internal-fold tree outlived its round"
+        trees = _grow_trees(jobs, mtry, min_leaf)
+        for job, tree in zip(jobs, trees):
+            # 80 rows: an internal fold's training rows; 120: all rows
+            (held_out if job[2].size == 80 else full).append(weakref.ref(tree))
+        return trees
+
+    monkeypatch.setattr("sepfx.forest._grow_trees", watching)
+    x, y = _sl_data(6, "classification", binary=True, n=120)
+    forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
+    fits = learners.fit_classifiers(x, [y, x[:, 0]], _stack(forests, v_folds=3, seed=3))
+    assert len(held_out) == 2 * 3 * 3 and len(full) == 2 * 3
+    assert all(ref() is None for ref in held_out)
+    assert all(ref() is not None for ref in full)
+    del fits
 
 
 def _strategy_data(features, treatment, targets) -> TwoArmDataset:

@@ -116,15 +116,16 @@ def test_public_function_parameters_are_pinned():
 LEARNER_PARAMETERS = {
     "fit_regressor": ["features", "targets", "spec", "interact_cols"],
     "fit_classifier": ["features", "labels", "spec", "interact_cols", "clip"],
+    "fit_classifiers": ["features", "label_sets", "spec", "interact_cols", "clip"],
     "fit_super_learner": ["features", "targets", "spec", "interact_cols", "clip"],
     "fit_forest": ["features", "targets", "n_trees", "mtry", "min_leaf", "seed", "clip"],
 }
 
 
 def test_learner_entry_points_are_pinned():
-    """README names the three learner fitters as importable from
+    """README names the learner fitters as importable from
     ``sepfx.learners``, and ``bench/layers.py`` binds ``fit_forest``'s
-    arguments by name: 4, 5, 5 and 7 parameters, with no ``task``."""
+    arguments by name: 4, 5, 5, 5 and 7 parameters, with no ``task``."""
     found = {}
     for name in LEARNER_PARAMETERS:
         owner = forest if name == "fit_forest" else learners
