@@ -45,7 +45,8 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import ConstantPredictor, FittedPredictor, fit_classifiers, fit_regressor
+from .learners import AtLevels, ConstantPredictor, FittedPredictor, fit_classifiers, fit_regressor
+from .learners import predict_many
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 PLUG_INS = ("ipw", "outcome_regression")
@@ -70,26 +71,21 @@ class NuisanceFitFour:
     clip: float
     agree_fit: FittedPredictor | None = None
 
-    def cell_probabilities(self, x: np.ndarray) -> np.ndarray:
+    def cell_probabilities(self, x: np.ndarray) -> tuple:
+        """``(probs, s_hat)`` on ``x``: the cell probabilities, one column per
+        cell of ``CELLS``, and ``agree_fit``'s (None without it), with one
+        design for the GLMs."""
+        fits = [self.cell_classifiers[cell] for cell in CELLS] + [self.agree_fit]
+        preds = iter(predict_many([fit for fit in fits if fit is not None], x))
         raw = np.empty((x.shape[0], len(CELLS)))
-        for j, cell in enumerate(CELLS):
-            clf = self.cell_classifiers[cell]
-            raw[:, j] = 0.0 if clf is None else clf.predict(x)
-        return raw / raw.sum(axis=1, keepdims=True)
+        for j, clf in enumerate(fits[: len(CELLS)]):
+            raw[:, j] = 0.0 if clf is None else next(preds)
+        return raw / raw.sum(axis=1, keepdims=True), next(preds, None)
 
-    def propensities(self, x: np.ndarray) -> np.ndarray:
-        """Clipped cell probabilities, one column per cell of ``CELLS``."""
-        return np.clip(self.cell_probabilities(x), self.clip, 1.0 - self.clip)
-
-    def outcome(self, a_y: int, a_m: int, x: np.ndarray) -> np.ndarray:
-        stacked = np.column_stack(
-            [
-                np.full(x.shape[0], float(a_y)),
-                np.full(x.shape[0], float(a_m)),
-                x,
-            ]
-        )
-        return self.outcome_fit.predict(stacked)
+    def propensities(self, x: np.ndarray) -> tuple:
+        """:meth:`cell_probabilities` with the cell probabilities clipped."""
+        probs, s_hat = self.cell_probabilities(x)
+        return np.clip(probs, self.clip, 1.0 - self.clip), s_hat
 
 
 def fit_nuisance_four(
@@ -168,7 +164,7 @@ def eif(
     ds: FourArmDataset,
     a_y: int,
     a_m: int,
-    nuis: NuisanceFitFour,
+    nu: np.ndarray,
     rows: np.ndarray,
     pi: np.ndarray,
     agreement: tuple | None = None,
@@ -179,14 +175,13 @@ def eif(
 
     Rows outside the (a_y, a_m) cell contribute only their predicted
     outcome; rows inside add the inverse-probability-weighted residual.
-    ``pi`` is the cell's clipped propensity on ``rows``, a column of
-    ``nuis.propensities``.  With ``agreement``, the pair ``(s_hat,
-    agree)`` of the agreement probability and indicator on ``rows``,
-    ``"agreement"`` holds the agreement-population score ``1{cell} * (Y -
-    nu) * s_hat / pi + nu * agree``, from the same residual term; with
-    ``terms`` each plug-in of ``PLUG_INS`` holds its own.
+    ``nu`` and ``pi`` are the cell's outcome prediction and clipped
+    propensity on ``rows``.  With ``agreement``, the pair ``(s_hat, agree)`` of
+    the agreement probability and indicator on ``rows``, ``"agreement"``
+    holds the agreement-population score ``1{cell} * (Y - nu) * s_hat / pi
+    + nu * agree``, from the same residual term; with ``terms`` each
+    plug-in of ``PLUG_INS`` holds its own.
     """
-    nu = nuis.outcome(a_y, a_m, ds.x[rows])
     y = ds.y[rows]
     inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
     residual = inside * (y - nu)
@@ -222,12 +217,14 @@ def split_scores_four(
     def fold_scores(train: np.ndarray, test: np.ndarray) -> dict:
         nuis = fit(ds, train, config, cells)
         x = ds.x[test]
-        probs = nuis.propensities(x)
-        pair = (nuis.agree_fit.predict(x), agree[test]) if agreement else None
+        probs, s_hat = nuis.propensities(x)
+        pair = (s_hat, agree[test]) if agreement else None
         blocks = {}
-        for cell in cells:
+        # one outcome design, whose treatment columns are rewritten per cell
+        nus = predict_many([AtLevels(nuis.outcome_fit, cell) for cell in cells], x)
+        for cell, nu in zip(cells, nus):
             pi = probs[:, CELLS.index(cell)]
-            for name, value in eif(ds, *cell, nuis, test, pi, pair, diagnostics).items():
+            for name, value in eif(ds, *cell, nu, test, pi, pair, diagnostics).items():
                 blocks[name, cell] = value
         return blocks
 

@@ -23,8 +23,10 @@ A fit is a classification exactly when it has a ``clip``
 one batch, each bit for bit as :func:`fit_classifier` fits it alone:
 GLMs share one design, forests grow tree t of every set in one pass, and
 super learners share their internal folds and grow all their forests
-together.  ``fit_classifier``, ``fit_regressor`` and
-``fit_super_learner`` are its one-set cases.
+together.  ``fit_classifier``, ``fit_regressor``, :func:`fit_regressors`
+and ``fit_super_learner`` fit through the same batch.  GLMs on one matrix
+share one design to predict as well (:func:`predict_many`), also at
+several treatment levels (:class:`AtLevels`).
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ class FittedPredictor(Protocol):
 
 
 def expand_basis(
-    features: np.ndarray, basis: str, interact_cols: tuple[int, ...] = ()
+    features: np.ndarray, basis: str, interact_cols: tuple[int, ...] = (), levels=(), design=None
 ) -> np.ndarray:
     """Build the design matrix: intercept, main effects, and interactions.
 
@@ -105,24 +107,34 @@ def expand_basis(
     non-treatment column; treatments are never interacted with each other.
     The columns are written into one array, ``DESIGN_ROWS`` rows at a
     time, so that each pass reads and writes rows still in cache.
+    ``levels`` are leading treatments (``interact_cols``) held at one value
+    each, as if stacked in front of ``features``; given a ``design`` built
+    so for other levels, only the columns that hold them are rewritten.
     """
     X = as_matrix(features)
     n, p = X.shape
-    others = [j for j in range(p) if j not in interact_cols]
+    k = len(levels)
+    others = [j for j in range(k + p) if j not in interact_cols]
     pairs = interact_cols if basis == "interactions" and others else ()
-    width = 1 if basis == "intercept" else 1 + p + len(pairs) * len(others)
-    design = np.empty((n, width))
-    design[:, 0] = 1.0
+    width = 1 if basis == "intercept" else 1 + k + p + len(pairs) * len(others)
+    fresh = design is None
+    if fresh:
+        design = np.empty((n, width))
+        design[:, 0] = 1.0
     if basis == "intercept":
         return design
     for lo in range(0, n, DESIGN_ROWS):
         x, out = X[lo : lo + DESIGN_ROWS], design[lo : lo + DESIGN_ROWS]
-        out[:, 1 : p + 1] = x
+        if fresh:
+            out[:, k + 1 : k + p + 1] = x
+        if levels:
+            out[:, 1 : k + 1] = levels
         if pairs:
-            rest = x[:, others]
-            for k, t in enumerate(pairs):
-                at = p + 1 + k * len(others)
-                np.multiply(x[:, t : t + 1], rest, out=out[:, at : at + len(others)])
+            rest = x if levels else x[:, others]
+            for b, t in enumerate(pairs):
+                at = k + p + 1 + b * len(others)
+                left = levels[t] if levels else x[:, t : t + 1]
+                np.multiply(left, rest, out=out[:, at : at + len(others)])
     return design
 
 
@@ -147,11 +159,7 @@ def _solve_ridge(design: np.ndarray, targets: np.ndarray, penalty: float) -> np.
 
 
 def _fit_logistic(
-    design: np.ndarray,
-    labels: np.ndarray,
-    penalty: float,
-    max_iter: int = 60,
-    step_tol: float = 1e-11,
+    design: np.ndarray, labels: np.ndarray, penalty, max_iter=60, step_tol=1e-11, design_t=None
 ) -> np.ndarray:
     """Ridge-penalized logistic coefficients by damped Newton steps.
 
@@ -159,8 +167,10 @@ def _fit_logistic(
     the sign of every label, that is when it separates the labels
     completely (Albert & Anderson 1984), and :class:`ConvergenceWarning`
     when ``max_iter`` steps run out with none below ``step_tol``; either
-    way the fit is returned unchanged.
+    way the fit is returned unchanged.  ``design_t`` is a C-contiguous
+    transpose of the design, which several fits on it can share.
     """
+    design_t = np.ascontiguousarray(design.T) if design_t is None else design_t
     width = design.shape[1]
     mask = _penalty_mask(width)
     ridge = penalty * mask
@@ -180,7 +190,7 @@ def _fit_logistic(
         prob = expit(z)
         grad = design.T @ (labels - prob) - ridge * beta
         weight = np.maximum(prob * (1.0 - prob), 1e-10)
-        hess = (design * weight[:, None]).T @ design
+        hess = (design_t * weight) @ design
         hess[diagonal] += ridge
         try:
             step = np.linalg.solve(hess, grad)
@@ -221,11 +231,54 @@ class GlmPredictor:
     interact_cols: tuple[int, ...]
     clip: float | None = None
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        z = expand_basis(features, self.basis, self.interact_cols) @ self.beta
+    def predict(self, features: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
+        """Predictions on ``features``, or from their ``design``, if given."""
+        if design is None:
+            design = expand_basis(features, self.basis, self.interact_cols)
+        z = design @ self.beta
         if self.clip is None:
             return z
         return np.clip(expit(z), self.clip, 1.0 - self.clip)
+
+
+@dataclass
+class AtLevels:
+    """``fit`` with its leading features, treatments (a GLM's
+    ``interact_cols``), held at ``levels``."""
+
+    fit: FittedPredictor
+    levels: tuple
+
+    def predict(self, features: np.ndarray) -> np.ndarray:
+        return predict_many([self], features)[0]
+
+
+def predict_many(models, features) -> list[np.ndarray]:
+    """``[model.predict(features) for model in models]``, bit for bit: GLMs
+    whose bases expand alike share one design (its treatment columns
+    rewritten when an :class:`AtLevels` GLM's levels change), and forests
+    that share trees one pass over them."""
+    X = as_matrix(features)
+    forests = [j for j, model in enumerate(models) if isinstance(model, ForestPredictor)]
+    out = dict(zip(forests, predict_forests([models[j] for j in forests], X)))
+    designs: dict = {}  # layout -> (design, the levels written in it)
+    for j, model in enumerate(models):
+        fit, levels = (model.fit, model.levels) if isinstance(model, AtLevels) else (model, ())
+        if j in out:
+            continue
+        if not isinstance(fit, GlmPredictor):
+            held = np.full((X.shape[0], len(levels)), levels, dtype=np.float64)
+            out[j] = fit.predict(np.column_stack([held, X]) if levels else X)
+            continue
+        # "main" and "interactions" without treatments expand alike
+        pairs = fit.interact_cols if fit.basis == "interactions" else ()
+        key = (fit.basis == "intercept", pairs, len(levels))
+        design, written = designs.get(key, (None, None))
+        if written != levels:
+            design = expand_basis(X, fit.basis, fit.interact_cols, levels, design)
+            designs[key] = design, levels
+        out[j] = fit.predict(X, design)
+    return [out[j] for j in range(len(models))]
 
 
 @dataclass
@@ -305,8 +358,12 @@ def _fit_checked(X, ys, spec: LearnerSpec, interact_cols, clip: float | None) ->
         if fit is None and spec.kind == "glm":
             if design is None:
                 design = expand_basis(X, spec.basis, interact_cols)
-            solve = _solve_ridge if clip is None else _fit_logistic
-            beta = solve(design, y, _effective_ridge(spec, y.shape[0]))
+                design_t = None if clip is None else np.ascontiguousarray(design.T)
+            penalty = _effective_ridge(spec, y.shape[0])
+            if clip is None:
+                beta = _solve_ridge(design, y, penalty)
+            else:
+                beta = _fit_logistic(design, y, penalty, design_t=design_t)
             fit = GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
         fits.append(fit)
     grow = [i for i, fit in enumerate(fits) if fit is None]
@@ -330,10 +387,17 @@ def fit_regressor(
     Constant targets short-circuit to an exact constant predictor for
     every learner kind.  Identical inputs (data, spec, seed) produce
     bit-identical predictors.  A NaN or infinite feature or target raises
-    :class:`LearnerError` before anything is fit.
+    :class:`LearnerError` before anything is fit.  This is
+    :func:`fit_regressors` of one target set.
     """
-    X, ys = _checked_rows(features, [targets], "targets")
-    return _fit_checked(X, ys, spec, interact_cols, None)[0]
+    return fit_regressors(features, [targets], spec, interact_cols)[0]
+
+
+def fit_regressors(features, target_sets, spec: LearnerSpec, interact_cols=()) -> list:
+    """``[fit_regressor(features, targets, spec, interact_cols) for targets
+    in target_sets]``, bit for bit, in one batch as :func:`fit_classifiers`."""
+    X, ys = _checked_rows(features, target_sets, "targets")
+    return _fit_checked(X, ys, spec, interact_cols, None)
 
 
 def fit_classifiers(
@@ -389,7 +453,7 @@ class SuperLearnerFit:
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = as_matrix(features)
         used = [j for j, w in enumerate(self.weights) if w != 0.0]
-        preds = _predict_candidates(self.candidate_fits, used, features)
+        preds = predict_many([self.candidate_fits[j] for j in used], features)
         out = np.zeros(features.shape[0])
         for j, pred in zip(used, preds):
             out += self.weights[j] * pred
@@ -452,14 +516,6 @@ def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
                 size = candidates[j].trees
                 out[b][j] = ForestPredictor(forest.trees[:size], clip) if kept else forest[size]
     return out
-
-
-def _predict_candidates(fits, indices, features: np.ndarray) -> list[np.ndarray]:
-    """Predictions of ``fits[j]`` for j in ``indices``, with one pass over
-    the trees of forests that share them."""
-    forests = [j for j in indices if isinstance(fits[j], ForestPredictor)]
-    shared = dict(zip(forests, predict_forests([fits[j] for j in forests], features)))
-    return [shared[j] if j in shared else fits[j].predict(features) for j in indices]
 
 
 def _fit_super_learners(X, ys, spec: LearnerSpec, interact_cols, clip, short_cut: bool) -> list:

@@ -45,7 +45,7 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import FittedPredictor, fit_classifier, fit_regressor
+from .learners import AtLevels, FittedPredictor, fit_classifier, fit_regressors, predict_many
 
 
 @dataclass
@@ -66,32 +66,21 @@ class NuisanceFitTwo:
     outcomes: tuple
 
 
-@dataclass
-class _AtLevel:
-    """A joint ("S" strategy) model whose first feature is the treatment,
-    evaluated with the treatment held at ``level``."""
-
-    fit: FittedPredictor
-    level: int
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        level = np.full(features.shape[0], float(self.level))
-        return self.fit.predict(np.column_stack([level, features]))
-
-
-def _fit_by_arm(features, targets, a, config: EstimatorConfig, strategy: str) -> dict:
-    """A model of ``targets`` within each treatment arm, ``{level: model}``:
-    views of one joint model with treatment interactions for "S", one
-    model on each arm's rows for "T"."""
+def _fit_by_arm(features, target_sets, a, config: EstimatorConfig, strategy: str) -> list:
+    """A model of each of ``target_sets`` within each treatment arm,
+    ``[{level: model}]``: views of one joint model with treatment
+    interactions held at each level for "S", one model on each arm's rows
+    for "T".  The sets share one batch per design."""
     if strategy == "S":
-        joint = fit_regressor(
-            np.column_stack([a, features]), targets, config.outcome, interact_cols=(0,)
+        joints = fit_regressors(
+            np.column_stack([a, features]), target_sets, config.outcome, interact_cols=(0,)
         )
-        return {level: _AtLevel(fit=joint, level=level) for level in (0, 1)}
-    return {
-        level: fit_regressor(features[a == level], targets[a == level], config.outcome)
+        return [{level: AtLevels(joint, (level,)) for level in (0, 1)} for joint in joints]
+    by_arm = [
+        fit_regressors(features[a == level], [t[a == level] for t in target_sets], config.outcome)
         for level in (0, 1)
-    }
+    ]
+    return [dict(enumerate(fits)) for fits in zip(*by_arm)]
 
 
 def _fit_outcomes(
@@ -100,13 +89,10 @@ def _fit_outcomes(
     """One strategy's ``(mu_fits, lam_fits)`` on the given rows."""
     a = ds.a[rows].astype(np.float64)
     mx = np.column_stack([ds.m[rows], ds.x[rows]])
-    x = ds.x[rows]
-    mu_fits = _fit_by_arm(mx, ds.y[rows], a, config, strategy)
-    lam_fits = {}
-    for level in (0, 1):
-        # project the level's predictions onto the covariates within each arm
-        lam = _fit_by_arm(x, mu_fits[level].predict(mx), a, config, strategy)
-        lam_fits.update({(level, prime): fit for prime, fit in lam.items()})
+    [mu_fits] = _fit_by_arm(mx, [ds.y[rows]], a, config, strategy)
+    # project each level's predictions onto the covariates within each arm
+    lam = _fit_by_arm(ds.x[rows], predict_many([mu_fits[0], mu_fits[1]], mx), a, config, strategy)
+    lam_fits = {(level, prime): fit for level in (0, 1) for prime, fit in lam[level].items()}
     return mu_fits, lam_fits
 
 
@@ -150,7 +136,8 @@ def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dic
 
     Each treatment model predicts once, and level 0 follows by the
     complement rule; each strategy's outcome models then predict once per
-    level or pair.  The ensemble's two strategies share the treatment
+    level or pair, in one batch per feature matrix, so that GLMs share
+    designs.  The ensemble's two strategies share the treatment
     probabilities, and their scores are averaged row by row with equal
     weight.
     """
@@ -158,17 +145,22 @@ def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dic
     y = ds.y[rows]
     a = ds.a[rows]
     mx = np.column_stack([ds.m[rows], x])
-    p_mx = nuis.treat_given_mx.predict(mx)
-    p_x = nuis.treat_given_x.predict(x)
+    levels = dict.fromkeys(a_y for a_y, _ in pairs)
+    p_mx, *mus = predict_many(
+        [nuis.treat_given_mx] + [mu[a_y] for mu, _ in nuis.outcomes for a_y in levels], mx
+    )
+    p_x, *lams = predict_many(
+        [nuis.treat_given_x] + [lam[pair] for _, lam in nuis.outcomes for pair in pairs], x
+    )
     rho = {1: p_mx, 0: 1.0 - p_mx}
     omega = {1: p_x, 0: 1.0 - p_x}
-    levels = dict.fromkeys(a_y for a_y, _ in pairs)
+    mus, lams = iter(mus), iter(lams)
     scores = []
-    for mu_fits, lam_fits in nuis.outcomes:
-        mu = {a_y: mu_fits[a_y].predict(mx) for a_y in levels}
+    for _ in nuis.outcomes:
+        mu = {a_y: next(mus) for a_y in levels}
         out = {}
         for a_y, a_m in pairs:
-            lam = lam_fits[a_y, a_m].predict(x)
+            lam = next(lams)
             ratio = rho[a_m] / rho[a_y]
             residual_term = (a == a_y) / omega[a_m] * ratio * (y - mu[a_y])
             projection_term = (a == a_m) / omega[a_m] * (mu[a_y] - lam)

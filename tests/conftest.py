@@ -3,6 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from sepfx import learners
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
 from sepfx.four_arm import CELLS, NuisanceFitFour
 from sepfx.learners import ConstantPredictor
@@ -27,6 +28,34 @@ def make_four_arm(n=40, seed=0, n_mediators=2, n_covariates=3):
         mediator_names=tuple(f"m{j+1}" for j in range(n_mediators)),
         covariate_names=tuple(f"x{j+1}" for j in range(n_covariates)),
     )
+
+
+def record_designs(monkeypatch, module, fitter: str) -> list:
+    """Patch ``sepfx.learners.expand_basis`` to record, for each design
+    array it builds, ``"fit"`` while ``module.fitter`` (the bundle fitter,
+    looked up as a module global when a fold is scored) runs, and
+    ``"score"`` while a fold's test rows are scored.  A design written
+    again for other treatment levels is not built again."""
+    designs, built, phase = [], [], ["score"]
+    real_basis, real_fit = learners.expand_basis, getattr(module, fitter)
+
+    def counting_basis(*args, **kwargs):
+        design = real_basis(*args, **kwargs)
+        if not any(design is seen for seen in built):
+            built.append(design)
+            designs.append(phase[0])
+        return design
+
+    def fitting(*args, **kwargs):
+        phase[0] = "fit"
+        try:
+            return real_fit(*args, **kwargs)
+        finally:
+            phase[0] = "score"
+
+    monkeypatch.setattr(learners, "expand_basis", counting_basis)
+    monkeypatch.setattr(module, fitter, fitting)
+    return designs
 
 
 def make_two_arm(n=40, seed=0, n_mediators=2, n_covariates=3):

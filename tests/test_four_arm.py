@@ -13,10 +13,10 @@ from sepfx.four_arm import (
     fit_nuisance_four,
     split_scores_four,
 )
-from sepfx.learners import ConstantPredictor, GlmPredictor, LearnerSpec
+from sepfx.learners import AtLevels, ConstantPredictor, GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, arm_probability, generate_dataset, true_effects
 
-from conftest import make_four_arm, saturated_four
+from conftest import make_four_arm, record_designs, saturated_four
 
 
 def one_row(y, a_y, a_m):
@@ -39,8 +39,9 @@ def flat_nuisance(nu, pi):
 
 def full_sample_eif(ds, cell, nuis):
     """The :func:`eif` scores of ``cell`` on every row of ``ds``."""
-    pi = nuis.propensities(ds.x)[:, CELLS.index(cell)]
-    return eif(ds, *cell, nuis, np.arange(ds.n), pi)["four"]
+    pi = nuis.propensities(ds.x)[0][:, CELLS.index(cell)]
+    nu = AtLevels(nuis.outcome_fit, cell).predict(ds.x)
+    return eif(ds, *cell, nu, np.arange(ds.n), pi)["four"]
 
 
 def test_score_inside_cell():
@@ -107,10 +108,10 @@ def test_propensity_estimates_are_accurate(sim_four_arm_big):
     nuis = fit_nuisance_four(ds, np.arange(ds.n), config)
     # model 2 assigns the outcome arm by a fair coin
     true_pi = 0.5 * arm_probability(ds.x)
-    fitted = nuis.propensities(ds.x)[:, CELLS.index((1, 1))]
+    fitted = nuis.propensities(ds.x)[0][:, CELLS.index((1, 1))]
     assert np.mean(np.abs(fitted - true_pi)) < 0.05
     # cell probabilities form a simplex before clipping
-    probs = nuis.cell_probabilities(ds.x)
+    probs, _ = nuis.cell_probabilities(ds.x)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
 
@@ -263,19 +264,23 @@ def test_shared_nuisances_across_requests(sim_four_arm):
 def test_each_model_predicts_once_per_test_block(monkeypatch):
     """One fold scores three cells from four cell classifiers and one
     outcome model: 4 classifier predicts serve every cell, plus one outcome
-    predict per cell."""
+    predict per cell.  The classifiers predict from one design, and the
+    outcome model's three cells from one more, as each fits from one."""
     ds = generate_dataset(SimConfig(n=300, reps=1), 0)
     calls = []
     real_predict = GlmPredictor.predict
 
-    def counting_predict(self, features):
+    def counting_predict(self, features, *design):
         calls.append("logit" if self.clip is not None else "identity")
-        return real_predict(self, features)
+        return real_predict(self, features, *design)
 
     monkeypatch.setattr(GlmPredictor, "predict", counting_predict)
+    designs = record_designs(monkeypatch, sepfx.four_arm, "fit_nuisance_four")
     k = 2
     estimate_effects_four(
         ds, [("sde", 1), ("sie", 1)], EstimatorConfig(splits=1, k_folds=k)
     )
     assert len(calls) == k * (4 + 3)
     assert calls.count("logit") == k * 4
+    assert designs.count("score") == k * 2
+    assert designs.count("fit") == k * 2

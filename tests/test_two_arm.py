@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import sepfx.two_arm
+
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
 from sepfx.errors import MissingCell
 from sepfx.estimation import EstimatorConfig
@@ -8,7 +10,7 @@ from sepfx.learners import ConstantPredictor, GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, generate_dataset, true_effects
 from sepfx.two_arm import NuisanceFitTwo, eif, estimate_effects_two, fit_nuisance_two
 
-from conftest import collapsed_two_arm_score, make_two_arm
+from conftest import collapsed_two_arm_score, make_two_arm, record_designs
 
 
 def one_row(y, a):
@@ -158,17 +160,27 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     """Per fold of an ensemble estimate of three pairs: fitting predicts
     the two strategies' outcome models 4 times; scoring predicts the two
     shared treatment models once each, and per strategy the outcome model
-    at each of the 2 a_y levels and the 3 pairs' projections once each."""
+    at each of the 2 a_y levels and the 3 pairs' projections once each.
+
+    Scoring builds one design per feature matrix and treatment layout: on
+    (mediators, covariates) and on the covariates, one that the treatment
+    model shares with the "T" models and one for the "S" model's levels.
+    Fitting builds 10: one per treatment model; for "S", one per fit and
+    one for the outcome model's two levels; for "T", one per arm and fit
+    and one for the two outcome models' predictions."""
     ds = restrict_to_two_arm(generate_dataset(SimConfig(n=300, reps=1), 0))
     calls = []
     real_predict = GlmPredictor.predict
 
-    def counting_predict(self, features):
+    def counting_predict(self, features, *design):
         calls.append("logit" if self.clip is not None else "identity")
-        return real_predict(self, features)
+        return real_predict(self, features, *design)
 
     monkeypatch.setattr(GlmPredictor, "predict", counting_predict)
+    designs = record_designs(monkeypatch, sepfx.two_arm, "fit_nuisance_two")
     k = 2
     estimate_effects_two(ds, [("sde", 1), ("sie", 1)], EstimatorConfig(splits=1, k_folds=k))
     assert len(calls) == k * (4 + 2 + 2 * (2 + 3))
     assert calls.count("logit") == k * 2
+    assert designs.count("score") == k * 2 * 2
+    assert designs.count("fit") == k * (2 + 3 + 5)
