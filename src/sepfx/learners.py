@@ -60,12 +60,14 @@ DESIGN_ROWS = 4096  # rows of a design written per pass
 class LearnerSpec:
     """Declarative description of a nuisance learner.
 
-    ``ridge`` is an absolute penalty on non-intercept coefficients; when
-    ``None`` it defaults to ``1e-6 * n`` at fit time.  ``ridge=0`` requests
-    an unpenalized least-squares fit; a negative, non-finite or bool
-    ``ridge`` raises :class:`LearnerError`.  ``trees``, ``mtry``,
-    ``min_leaf``, ``v_folds`` and ``seed`` must be integers, whatever the
-    kind.
+    ``ridge`` penalizes non-intercept coefficients on the standardized
+    scale, coefficient j by ``ridge * s_j**2`` with ``s_j`` the SD of its
+    design column on the training rows, so a fit does not depend on the
+    columns' units; when ``None`` it defaults to ``1e-6 * n`` at fit time.
+    ``ridge=0`` requests an unpenalized least-squares fit; a negative,
+    non-finite or bool ``ridge`` raises :class:`LearnerError`.  ``trees``,
+    ``mtry``, ``min_leaf``, ``v_folds`` and ``seed`` must be integers,
+    whatever the kind.
     """
 
     kind: str = "glm"
@@ -138,18 +140,29 @@ def expand_basis(
     return design
 
 
-def _penalty_mask(width: int) -> np.ndarray:
-    mask = np.ones(width)
-    mask[0] = 0.0  # intercept is never penalized
-    return mask
+def _penalty_weights(design: np.ndarray) -> np.ndarray:
+    """Each design column's variance over its rows, ``s_j**2`` (1 without
+    spread; 0 for the intercept, never penalized): the weights of a ridge
+    on the standardized scale.  Read as offsets from the first row."""
+    n, width = design.shape
+    total, squares, ones = np.zeros(width), np.zeros(width), np.ones(min(n, DESIGN_ROWS))
+    for lo in range(0, n, DESIGN_ROWS):
+        offsets = design[lo : lo + DESIGN_ROWS] - design[0]
+        total += ones[: len(offsets)] @ offsets  # column sums, as one BLAS call
+        squares += ones[: len(offsets)] @ np.square(offsets, out=offsets)
+    variance = squares / n - (total / n) ** 2
+    variance[variance <= 0.0] = 1.0
+    variance[0] = 0.0
+    return variance
 
 
-def _solve_ridge(design: np.ndarray, targets: np.ndarray, penalty: float) -> np.ndarray:
-    if penalty == 0.0:
+def _solve_ridge(design: np.ndarray, targets: np.ndarray, ridge: np.ndarray) -> np.ndarray:
+    """Coefficients minimizing the squared error plus ``ridge[j] * beta_j**2``."""
+    if not np.any(ridge):
         beta, *_ = np.linalg.lstsq(design, targets, rcond=None)
         return beta
     gram = design.T @ design
-    gram[np.diag_indices_from(gram)] += penalty * _penalty_mask(design.shape[1])
+    gram[np.diag_indices_from(gram)] += ridge
     rhs = design.T @ targets
     try:
         return np.linalg.solve(gram, rhs)
@@ -159,9 +172,11 @@ def _solve_ridge(design: np.ndarray, targets: np.ndarray, penalty: float) -> np.
 
 
 def _fit_logistic(
-    design: np.ndarray, labels: np.ndarray, penalty, max_iter=60, step_tol=1e-11, design_t=None
+    design: np.ndarray, labels: np.ndarray, ridge, max_iter=60, step_tol=1e-11, design_t=None
 ) -> np.ndarray:
-    """Ridge-penalized logistic coefficients by damped Newton steps.
+    """Logistic coefficients, each penalized by ``ridge[j] * beta_j**2 / 2``,
+    by damped Newton steps.  A step is halved while it raises the objective
+    by more than ``1e-12 * |objective|``, a slack above its rounding noise.
 
     Emits :class:`SeparationWarning` when the final linear predictor has
     the sign of every label, that is when it separates the labels
@@ -171,26 +186,25 @@ def _fit_logistic(
     transpose of the design, which several fits on it can share.
     """
     design_t = np.ascontiguousarray(design.T) if design_t is None else design_t
+    scaled = np.empty_like(design_t)  # the transpose times each step's weights
     width = design.shape[1]
-    mask = _penalty_mask(width)
-    ridge = penalty * mask
     diagonal = np.diag_indices(width)
     beta = np.zeros(width)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
         z = design @ b
-        value = float(
-            np.logaddexp(0.0, z).sum() - labels @ z + 0.5 * penalty * (mask * b * b).sum()
-        )
-        return value, z
+        soft = np.abs(z)  # softplus(z) = log1p(exp(-|z|)) + max(z, 0), in place
+        np.log1p(np.exp(np.negative(soft, out=soft), out=soft), out=soft)
+        soft += np.maximum(z, 0.0)
+        return float(soft.sum() - labels @ z + 0.5 * (ridge * b * b).sum()), z
 
     # each iteration starts from the linear predictor of the accepted candidate
     current, z = objective(beta)
     for _ in range(max_iter):
         prob = expit(z)
-        grad = design.T @ (labels - prob) - ridge * beta
+        grad = design_t @ (labels - prob) - ridge * beta
         weight = np.maximum(prob * (1.0 - prob), 1e-10)
-        hess = (design_t * weight) @ design
+        hess = np.multiply(design_t, weight, out=scaled) @ design
         hess[diagonal] += ridge
         try:
             step = np.linalg.solve(hess, grad)
@@ -199,7 +213,7 @@ def _fit_logistic(
         scale = 1.0
         candidate = beta + step
         cand_obj, cand_z = objective(candidate)
-        while cand_obj > current + 1e-12 and scale > 1e-8:
+        while cand_obj > current + 1e-12 * abs(current) and scale > 1e-8:
             scale *= 0.5
             candidate = beta + scale * step
             cand_obj, cand_z = objective(candidate)
@@ -315,9 +329,7 @@ def _checked_rows(features, target_sets, name: str) -> tuple[np.ndarray, list[np
 
 
 def _effective_ridge(spec: LearnerSpec, n: int) -> float:
-    if spec.ridge is None:
-        return DEFAULT_RIDGE_SCALE * n
-    return float(spec.ridge)
+    return DEFAULT_RIDGE_SCALE * n if spec.ridge is None else float(spec.ridge)
 
 
 def _constant_fit(targets: np.ndarray, clip: float | None) -> ConstantPredictor | None:
@@ -359,11 +371,12 @@ def _fit_checked(X, ys, spec: LearnerSpec, interact_cols, clip: float | None) ->
             if design is None:
                 design = expand_basis(X, spec.basis, interact_cols)
                 design_t = None if clip is None else np.ascontiguousarray(design.T)
-            penalty = _effective_ridge(spec, y.shape[0])
+                weights = _penalty_weights(design)
+            ridge = _effective_ridge(spec, y.shape[0]) * weights
             if clip is None:
-                beta = _solve_ridge(design, y, penalty)
+                beta = _solve_ridge(design, y, ridge)
             else:
-                beta = _fit_logistic(design, y, penalty, design_t=design_t)
+                beta = _fit_logistic(design, y, ridge, design_t=design_t)
             fit = GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
         fits.append(fit)
     grow = [i for i, fit in enumerate(fits) if fit is None]

@@ -62,6 +62,16 @@ def run_all(ds, config, families=("four", "agreement", "two"), indirect=True) ->
     return estimates, tests
 
 
+@pytest.fixture(scope="module")
+def base_runs(ds):
+    return run_all(ds, DEFAULT)
+
+
+def direct_statistics(ds) -> list:
+    tests = [direct_test_h0i(ds, mediator_index=j) for j in range(ds.n_mediators)]
+    return [test.statistic for test in tests + [direct_test_h0ii(ds)]]
+
+
 def flipped(ds, a_y=True, a_m=True):
     return replace(
         ds,
@@ -85,6 +95,26 @@ def test_an_affine_outcome_scales_every_contrast(ds):
             [test.statistic, test.p_value],
             rtol=RTOL,
         )
+
+
+# model 1 draws 5 covariates and 2 mediators
+@pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e4])
+@pytest.mark.parametrize("block, column", [("x", j) for j in range(5)] + [("m", 0), ("m", 1)])
+def test_rescaling_a_covariate_or_mediator_column_changes_nothing(ds, base_runs, block, column, c):
+    """With the default penalty, x_j -> c * x_j or m_j -> c * m_j leaves
+    every family's points and SEs, both direct tests' statistics and every
+    indirect statistic unchanged: the ridge penalizes each GLM coefficient
+    on its column's standardized scale (Hoerl & Kennard 1970)."""
+    values = getattr(ds, block).copy()
+    values[:, column] *= c
+    moved = replace(ds, **{block: values})
+    base, base_tests = base_runs
+    got, got_tests = run_all(moved, DEFAULT)
+    for key, est in base.items():
+        assert_allclose([got[key].point, got[key].se], [est.point, est.se], rtol=RTOL)
+    for key, test in base_tests.items():
+        assert_allclose(got_tests[key].statistic, test.statistic, rtol=RTOL)
+    assert_allclose(direct_statistics(moved), direct_statistics(ds), rtol=RTOL)
 
 
 def test_flipping_both_treatments_mirrors_the_levels(ds):
