@@ -245,7 +245,8 @@ class EffectEstimate(JsonFields):
 @dataclass
 class CombinedResult:
     """Median-combined output of one estimand across splits;
-    ``diagnostics`` is set only by the four-arm battery."""
+    ``diagnostics`` is set only by the four-arm battery: the plug-in points
+    of a four-arm result, the agreement share of an indirect one."""
 
     point: float
     variance: float

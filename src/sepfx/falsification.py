@@ -17,7 +17,10 @@ from the agreement rows.  Under the assumptions both converge to the same
 value, so their difference scaled by its standard error is asymptotically
 standard normal.  On each split the test's point is the agreement point
 minus the two-arm point, and its deviations are the difference of the
-two influence vectors.
+two influence vectors: the ``"indirect"`` family of
+:func:`~sepfx.four_arm.four_arm_battery`, which scores the agreement
+contrast once for both agreement-population families.  The indirect test
+is that family plus a Wald test of each combined difference.
 """
 
 from __future__ import annotations
@@ -27,28 +30,19 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
-from .data import FourArmDataset, restrict_to_two_arm
-from .errors import DegenerateEstimate, MissingCell
+from .data import FourArmDataset
+from .errors import DegenerateEstimate
 from .estimation import (
     EffectEstimate,
     Estimand,
     EstimatorConfig,
     JsonFields,
     build_estimates,
-    centred,
     checked_se,
-    estimand_cells,
-    run_battery,
 )
-from .four_arm import (  # noqa: F401  (bench/layers.py traces fit_nuisance_theta here)
-    agreement_contrasts,
-    agreement_share,
-    fit_nuisance_theta,
-    four_arm_battery,
-    split_scores_four,
-)
+# bench/layers.py traces fit_nuisance_theta under this module's name
+from .four_arm import fit_nuisance_theta, four_arm_battery  # noqa: F401
 from .seeding import is_integer
-from .two_arm import split_scores_two
 
 DIRECT_BASES = ("main", "interactions")
 
@@ -94,8 +88,8 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     """Least squares with classical and HC1 covariance estimates.
 
     The first column of ``design`` must be the intercept.  The fit is one
-    QR factorisation of the design with the other columns centred, applied
-    to the centred target, so a large offset adds no rounding error to the
+    QR factorisation of the design with the other columns centered, applied
+    to the centered target, so a large offset adds no rounding error to the
     slopes or the residuals; results are reported for the given design.
 
     Raises
@@ -105,7 +99,7 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
         times the largest one: the design matrix is rank deficient.  Also
         if the fit is exact: the target is constant, or the residual norm
         is at most ``EXACT_FIT_RTOL`` (the square root of machine epsilon,
-        about 1.5e-8) times the norm of the centred target, i.e. 1 - R^2
+        about 1.5e-8) times the norm of the centered target, i.e. 1 - R^2
         is below machine epsilon.  The residuals are then rounding noise,
         so any standard error or p-value computed from them is too.  The
         rule is relative, so rescaling the target does not change it.
@@ -116,11 +110,11 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> OlsFit:
     scale = np.abs(np.diag(r))
     if scale.min() <= max(n, p) * np.finfo(np.float64).eps * scale.max():
         raise DegenerateEstimate("design matrix is rank deficient")
-    y_centred = targets - targets.mean()
-    qty = q.T @ y_centred
-    resid = y_centred - q @ qty
-    centred_norm = np.linalg.norm(y_centred)
-    if np.ptp(targets) == 0.0 or np.linalg.norm(resid) <= EXACT_FIT_RTOL * centred_norm:
+    y_centered = targets - targets.mean()
+    qty = q.T @ y_centered
+    resid = y_centered - q @ qty
+    centered_norm = np.linalg.norm(y_centered)
+    if np.ptp(targets) == 0.0 or np.linalg.norm(resid) <= EXACT_FIT_RTOL * centered_norm:
         raise DegenerateEstimate(
             "the regressors reproduce the target exactly, so the residuals "
             "are rounding noise and no standard error exists"
@@ -303,48 +297,22 @@ def indirect_test_battery(
     For each requested contrast the agreement-population estimator and
     the two-arm estimator (on the agreement rows) estimate the same
     quantity under the exclusion restrictions; the scaled difference is
-    asymptotically standard normal.  On each split the difference of the
-    two points is the split's point, and the difference of the two
-    influence vectors gives its variance; ``run_battery`` combines the
-    splits by the median rule.  The four-arm and two-arm sides draw their
-    fold assignments separately, each with its own redraws.  All requested
-    contrasts reuse one set of fits per split.  ``requests`` holds
-    ``("sde", a_m)`` and ``("sie", a_y)`` tuples.
+    asymptotically standard normal.  The differences are the
+    ``"indirect"`` family of :func:`~sepfx.four_arm.four_arm_battery`,
+    which combines the splits by the median rule; each is Wald-tested
+    here.  ``requests`` holds ``("sde", a_m)`` and ``("sie", a_y)``
+    tuples; a ``mean`` request raises ``ValueError`` before any fit.
     """
     config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
     if any(est.kind not in ("sde", "sie") for est in estimands):
         raise ValueError("the indirect test compares sde and sie contrasts only")
-    pr_agree = agreement_share(ds)
-    ds2 = restrict_to_two_arm(ds)
-    if np.ptp(ds2.a) == 0:
-        raise MissingCell("agreement rows contain a single treatment level")
-    cells = estimand_cells(estimands)
-
-    def split_fn(split: int) -> dict:
-        scores = split_scores_four(ds, split, config, cells, agreement=True)
-        theta = agreement_contrasts(ds, scores["agreement"], estimands)
-        two_scores = split_scores_two(ds2, split, config, cells)
-        out = {}
-        for est, (theta_point, residual) in theta.items():
-            two_point, two_deviations, _ = centred(est.contrast(two_scores))
-            centered_two = np.zeros(ds.n)
-            centered_two[ds2.source_rows] = two_deviations
-            deviations = (residual - centered_two) / pr_agree
-            out[est] = (theta_point - two_point, deviations, None)
-        return out
-
-    combined = run_battery(config, split_fn)
+    combined = four_arm_battery(ds, config, {"indirect": estimands})["indirect"]
     return [
         _wald_test(
-            f"indirect-{est.kind.upper()}",
-            combined[est].point,
-            float(np.sqrt(combined[est].variance / ds.n)),
-            config.alpha,
-            None,
-            n=ds.n,
-            fixed_level=est.level,
-            details={"pr_agree": float(pr_agree)},
+            f"indirect-{est.kind.upper()}", combined[est].point,
+            float(np.sqrt(combined[est].variance / ds.n)), config.alpha, None,
+            n=ds.n, fixed_level=est.level, details=combined[est].diagnostics,
         )
         for est in estimands
     ]

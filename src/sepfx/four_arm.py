@@ -23,8 +23,10 @@ scored, else with :func:`fit_nuisance_four`, either looked up as a module
 global when it runs, and scores the fold's test rows from it.  A bundle's
 cell classifiers, and its agreement model, are one
 :func:`~sepfx.learners.fit_classifiers` batch on the training
-covariates.  The diagnostics' plug-in estimators are ``run_battery`` keys
-of their own.
+covariates.  :func:`four_arm_battery` scores the four-arm, agreement and
+indirect families from those bundles, with the agreement contrast written
+once for the last two.  The diagnostics' plug-in estimators are
+``run_battery`` keys of their own.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossfit import cross_fit_split
-from .data import FourArmDataset
+from .data import FourArmDataset, restrict_to_two_arm
 from .errors import EmptySubset, MissingCell
 from .estimation import (
     EffectEstimate,
@@ -47,6 +49,7 @@ from .estimation import (
 )
 from .learners import AtLevels, ConstantPredictor, FittedPredictor, fit_classifiers, fit_regressor
 from .learners import predict_many
+from .two_arm import split_scores_two
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
 PLUG_INS = ("ipw", "outcome_regression")
@@ -233,67 +236,69 @@ def split_scores_four(
     return {name: {cell: flat[name, cell] for cell in cells} for name in names}
 
 
-def agreement_share(ds: FourArmDataset) -> float:
-    """The share of rows whose two treatments agree; :class:`EmptySubset`
-    if there are none."""
-    agree_total = (ds.a_y == ds.a_m).sum()
-    if agree_total == 0:
-        raise EmptySubset("no rows with matching treatment assignments")
-    return agree_total / ds.n
-
-
-def agreement_contrasts(ds: FourArmDataset, scores: dict, estimands) -> dict:
-    """The agreement-population contrasts of one split's ``scores`` (keyed
-    by cell): ``{estimand: (point, residual)}``, where ``point`` is the
-    contrast's score sum over the agreement rows and ``residual`` divided
-    by the agreement share is the split's influence vector."""
-    agree = (ds.a_y == ds.a_m).astype(np.float64)
-    agree_total = agree.sum()
-    out = {}
-    for est in estimands:
-        diff = est.contrast(scores)
-        point = float(diff.sum() / agree_total)
-        out[est] = (point, diff - point * agree)
-    return out
-
-
 def four_arm_battery(
     ds: FourArmDataset, config: EstimatorConfig, families: dict
 ) -> dict:
     """``run_battery`` output ``{family: {estimand: CombinedResult}}`` for
-    the estimands of ``"four"`` (the four-arm population) and
-    ``"agreement"`` (the rows whose treatments agree) in ``families``.
+    the estimands of ``"four"`` (the four-arm population), ``"agreement"``
+    (the rows whose treatments agree) and ``"indirect"`` (the agreement
+    contrast minus the two-arm one) in ``families``.
 
-    Each split fits one bundle per fold (with its agreement model when the
-    agreement family is asked for) and scores both families from it, so no
+    Each split fits one bundle per fold, with its agreement model for an
+    agreement-population family, and scores every family from it, so no
     bundle outlives its fold.  The bundles require the union of the
     families' cells, so a fold lacking a cell that only one family needs is
-    redrawn for both.  With ``config.diagnostics`` each plug-in of
-    ``PLUG_INS`` is a key ``(name, estimand)`` without contributions, whose
-    combined point goes into the four-arm result's ``diagnostics``.  A bad
-    estimand, or :class:`EmptySubset` for an agreement family without
-    agreeing rows, is raised before any fit.
+    redrawn for all.  An agreement contrast's point is its score sum over
+    the agreeing rows; its residual over the agreement share is its
+    influence vector.  The indirect family subtracts the two-arm point and
+    deviations of :func:`~sepfx.two_arm.split_scores_two` on the agreeing
+    rows, on folds of their own, and carries the share as ``diagnostics``.
+    With ``config.diagnostics`` each plug-in of ``PLUG_INS`` is a key
+    ``(name, estimand)`` without contributions, whose combined point goes
+    into the four-arm result's ``diagnostics``.  A bad estimand,
+    :class:`EmptySubset` without agreeing rows, or :class:`MissingCell` for
+    an indirect family whose agreeing rows hold one treatment level, is
+    raised before any fit.
     """
     cells = estimand_cells([est for ests in families.values() for est in ests])
     four = families.get("four", ())
     agreement = families.get("agreement", ())
-    pr_agree = agreement_share(ds) if agreement else None
+    indirect = families.get("indirect", ())
+    agreeing = bool(agreement or indirect)
     diagnostics = config.diagnostics and bool(four)
+    if agreeing:
+        agree = (ds.a_y == ds.a_m).astype(np.float64)
+        agree_total = agree.sum()
+        if agree_total == 0:
+            raise EmptySubset("no rows with matching treatment assignments")
+        pr_agree = agree_total / ds.n
+    if indirect:
+        ds2 = restrict_to_two_arm(ds)
+        if np.ptp(ds2.a) == 0:
+            raise MissingCell("agreement rows contain a single treatment level")
 
     def split_fn(split: int) -> dict:
-        scores = split_scores_four(
-            ds, split, config, cells, bool(agreement), diagnostics
-        )
+        scores = split_scores_four(ds, split, config, cells, agreeing, diagnostics)
+        two_scores = split_scores_two(ds2, split, config, cells) if indirect else None
         out = {}
         for est in four:
             out["four", est] = centred(est.contrast(scores["four"]))
             for name in PLUG_INS * diagnostics:
                 point, deviations, _ = centred(est.contrast(scores[name]))
                 out[name, est] = point, deviations, None
-        if agreement:
-            theta = agreement_contrasts(ds, scores["agreement"], agreement)
-            for est, (point, residual) in theta.items():
-                out["agreement", est] = centred(point + residual / pr_agree)
+        def agreement_contrast(est: Estimand) -> tuple:
+            diff = est.contrast(scores["agreement"])
+            point = float(diff.sum() / agree_total)
+            return point, diff - point * agree
+
+        for est in agreement:
+            point, residual = agreement_contrast(est)
+            out["agreement", est] = centred(point + residual / pr_agree)
+        for est in indirect:
+            point, residual = agreement_contrast(est)
+            two_point, two_deviations, _ = centred(est.contrast(two_scores))
+            residual[ds2.source_rows] -= two_deviations
+            out["indirect", est] = point - two_point, residual / pr_agree, None
         return out
 
     combined = run_battery(config, split_fn)
@@ -302,6 +307,8 @@ def four_arm_battery(
             combined["four", est].diagnostics = {
                 name: combined[name, est].point for name in PLUG_INS
             }
+    for est in indirect:
+        combined["indirect", est].diagnostics = {"pr_agree": float(pr_agree)}
     return {
         family: {est: combined[family, est] for est in estimands}
         for family, estimands in families.items()

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm, t as student_t
 
-from sepfx import falsification
+from sepfx import falsification, four_arm, two_arm
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.errors import DegenerateEstimate, EmptySubset, MissingCell
 from sepfx.estimation import EstimatorConfig, z_value
 from sepfx.falsification import (
+    DEFAULT_INDIRECT_REQUESTS,
     _wald_test,
     direct_test_h0i,
     direct_test_h0ii,
@@ -203,6 +204,34 @@ def test_indirect_requires_both_arms_among_agreeing_rows():
     with pytest.raises(MissingCell):
         indirect_test_battery(stuck, EstimatorConfig())
 
+
+@pytest.mark.parametrize(
+    "a_m_of, requests, error, match",
+    [
+        (lambda ds: 1.0 - ds.a_y, DEFAULT_INDIRECT_REQUESTS, EmptySubset, "matching"),
+        # only aY=1 rows can agree
+        (lambda ds: np.where(ds.a_y == 0, 1.0, ds.a_m), DEFAULT_INDIRECT_REQUESTS,
+         MissingCell, "single treatment level"),
+        (lambda ds: ds.a_m, [("mean", (1, 1))], ValueError, "sde and sie"),
+    ],
+    ids=["no-agreeing-rows", "one-level-among-agreeing-rows", "mean-request"],
+)
+def test_indirect_refusals_come_before_any_fit(a_m_of, requests, error, match, monkeypatch):
+    """Each refusal of the indirect test, and the agreement estimator's
+    refusal of data without agreeing rows, comes before any nuisance fit."""
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a nuisance model was fit before the refusal")
+
+    monkeypatch.setattr(four_arm, "fit_nuisance_four", no_fit)
+    monkeypatch.setattr(two_arm, "fit_nuisance_two", no_fit)
+    base = make_four_arm(n=30, seed=3)
+    ds = dataclasses.replace(base, a_m=a_m_of(base))
+    with pytest.raises(error, match=match):
+        indirect_test_battery(ds, EstimatorConfig(), requests=requests)
+    if error is EmptySubset:
+        with pytest.raises(EmptySubset):
+            estimate_agreement_effects(ds, [("sde", 1)], EstimatorConfig())
 
 # --- tail functions pinned to scipy.stats --------------------------------------
 

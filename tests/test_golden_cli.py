@@ -9,12 +9,18 @@ with
     PYTHONPATH=src python tests/test_golden_cli.py
 
 and say in the change why the bytes moved.
+
+The bytes are pinned to one OpenBLAS kernel, ``GOLDEN_KERNEL``: other
+kernels round the GLM fits' matrix products and solves differently in
+the last bits, so a failure names the kernel in use.
 """
 
 import contextlib
+import ctypes
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sepfx.cli import main
@@ -22,6 +28,7 @@ from sepfx.data import save_four_arm
 from sepfx.simulation import SimConfig, generate_dataset
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_KERNEL = "SkylakeX"  # the OpenBLAS kernel the files were written under
 DATA = "{data}"
 
 CASES = {
@@ -49,6 +56,20 @@ CASES = {
 }
 
 
+def openblas_core() -> str:
+    """The OpenBLAS kernel numpy's bundled library runs, or "none" if that
+    library or its query is absent."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            query = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        query.restype = ctypes.c_char_p
+        return query().decode()
+    return "none"
+
+
 def write_dataset(directory: Path) -> Path:
     path = directory / "four.csv"
     save_four_arm(generate_dataset(SimConfig(n=500, reps=1), 0), path)
@@ -72,8 +93,9 @@ def dataset(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_file(name, dataset, tmp_path):
     got, table = run_case(name, dataset, tmp_path / "out.json")
-    assert got == (GOLDEN / f"{name}.json").read_bytes()
-    assert table == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    kernels = f"OpenBLAS kernel {openblas_core()}; the goldens were written under {GOLDEN_KERNEL}"
+    assert got == (GOLDEN / f"{name}.json").read_bytes(), kernels
+    assert table == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), kernels
 
 
 def regenerate() -> None:
