@@ -245,8 +245,7 @@ class EffectEstimate(JsonFields):
 @dataclass
 class CombinedResult:
     """Median-combined output of one estimand across splits;
-    ``diagnostics`` is set only by the four-arm battery: the plug-in points
-    of a four-arm result, the agreement share of an indirect one."""
+    ``diagnostics`` is set only by the four-arm battery."""
 
     point: float
     variance: float

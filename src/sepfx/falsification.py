@@ -308,11 +308,17 @@ def indirect_test_battery(
     if any(est.kind not in ("sde", "sie") for est in estimands):
         raise ValueError("the indirect test compares sde and sie contrasts only")
     combined = four_arm_battery(ds, config, {"indirect": estimands})["indirect"]
+    pr_agree = float(np.mean(ds.a_y == ds.a_m))
     return [
         _wald_test(
-            f"indirect-{est.kind.upper()}", combined[est].point,
-            float(np.sqrt(combined[est].variance / ds.n)), config.alpha, None,
-            n=ds.n, fixed_level=est.level, details=combined[est].diagnostics,
+            f"indirect-{est.kind.upper()}",
+            combined[est].point,
+            float(np.sqrt(combined[est].variance / ds.n)),
+            config.alpha,
+            None,
+            n=ds.n,
+            fixed_level=est.level,
+            details={"pr_agree": pr_agree},
         )
         for est in estimands
     ]

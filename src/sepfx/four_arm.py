@@ -248,17 +248,14 @@ def four_arm_battery(
     agreement-population family, and scores every family from it, so no
     bundle outlives its fold.  The bundles require the union of the
     families' cells, so a fold lacking a cell that only one family needs is
-    redrawn for all.  An agreement contrast's point is its score sum over
-    the agreeing rows; its residual over the agreement share is its
-    influence vector.  The indirect family subtracts the two-arm point and
-    deviations of :func:`~sepfx.two_arm.split_scores_two` on the agreeing
-    rows, on folds of their own, and carries the share as ``diagnostics``.
-    With ``config.diagnostics`` each plug-in of ``PLUG_INS`` is a key
-    ``(name, estimand)`` without contributions, whose combined point goes
-    into the four-arm result's ``diagnostics``.  A bad estimand,
-    :class:`EmptySubset` without agreeing rows, or :class:`MissingCell` for
-    an indirect family whose agreeing rows hold one treatment level, is
-    raised before any fit.
+    redrawn for all.  The indirect family subtracts the two-arm scores of
+    :func:`~sepfx.two_arm.split_scores_two` on the agreeing rows, drawn on
+    folds of their own.  With ``config.diagnostics`` each plug-in of
+    ``PLUG_INS`` is a key ``(name, estimand)`` without contributions, whose
+    combined point goes into the four-arm result's ``diagnostics``.  A bad
+    estimand, :class:`EmptySubset` without agreeing rows, or
+    :class:`MissingCell` for an indirect family whose agreeing rows hold
+    one treatment level, is raised before any fit.
     """
     cells = estimand_cells([est for ests in families.values() for est in ests])
     four = families.get("four", ())
@@ -278,7 +275,9 @@ def four_arm_battery(
             raise MissingCell("agreement rows contain a single treatment level")
 
     def split_fn(split: int) -> dict:
-        scores = split_scores_four(ds, split, config, cells, agreeing, diagnostics)
+        scores = split_scores_four(
+            ds, split, config, cells, agreeing, diagnostics
+        )
         two_scores = split_scores_two(ds2, split, config, cells) if indirect else None
         out = {}
         for est in four:
@@ -286,19 +285,16 @@ def four_arm_battery(
             for name in PLUG_INS * diagnostics:
                 point, deviations, _ = centred(est.contrast(scores[name]))
                 out[name, est] = point, deviations, None
-        def agreement_contrast(est: Estimand) -> tuple:
+        for est in dict.fromkeys([*agreement, *indirect]):
             diff = est.contrast(scores["agreement"])
             point = float(diff.sum() / agree_total)
-            return point, diff - point * agree
-
-        for est in agreement:
-            point, residual = agreement_contrast(est)
-            out["agreement", est] = centred(point + residual / pr_agree)
-        for est in indirect:
-            point, residual = agreement_contrast(est)
-            two_point, two_deviations, _ = centred(est.contrast(two_scores))
-            residual[ds2.source_rows] -= two_deviations
-            out["indirect", est] = point - two_point, residual / pr_agree, None
+            residual = diff - point * agree
+            if est in agreement:
+                out["agreement", est] = centred(point + residual / pr_agree)
+            if est in indirect:
+                two_point, two_deviations, _ = centred(est.contrast(two_scores))
+                residual[ds2.source_rows] -= two_deviations
+                out["indirect", est] = point - two_point, residual / pr_agree, None
         return out
 
     combined = run_battery(config, split_fn)
@@ -307,8 +303,6 @@ def four_arm_battery(
             combined["four", est].diagnostics = {
                 name: combined[name, est].point for name in PLUG_INS
             }
-    for est in indirect:
-        combined["indirect", est].diagnostics = {"pr_agree": float(pr_agree)}
     return {
         family: {est: combined[family, est] for est in estimands}
         for family, estimands in families.items()

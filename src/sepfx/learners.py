@@ -118,9 +118,6 @@ def expand_basis(
     k = len(levels)
     others = [j for j in range(k + p) if j not in interact_cols]
     pairs = interact_cols if basis == "interactions" and others else ()
-    # a run of non-treatment columns, as every caller has, is read as a view
-    run = pairs and others[-1] - others[0] == len(others) - 1
-    rest_cols = slice(others[0], others[-1] + 1) if run else others
     width = 1 if basis == "intercept" else 1 + k + p + len(pairs) * len(others)
     fresh = design is None
     if fresh:
@@ -135,7 +132,7 @@ def expand_basis(
         if levels:
             out[:, 1 : k + 1] = levels
         if pairs:
-            rest = x if levels else x[:, rest_cols]
+            rest = x if levels else x[:, others]
             for b, t in enumerate(pairs):
                 at = k + p + 1 + b * len(others)
                 left = levels[t] if levels else x[:, t : t + 1]

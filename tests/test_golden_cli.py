@@ -93,9 +93,12 @@ def dataset(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden_file(name, dataset, tmp_path):
     got, table = run_case(name, dataset, tmp_path / "out.json")
-    kernels = f"OpenBLAS kernel {openblas_core()}; the goldens were written under {GOLDEN_KERNEL}"
-    assert got == (GOLDEN / f"{name}.json").read_bytes(), kernels
-    assert table == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), kernels
+    assert got == (GOLDEN / f"{name}.json").read_bytes(), (
+        f"OpenBLAS kernel {openblas_core()}; the goldens were written under {GOLDEN_KERNEL}"
+    )
+    assert table == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), (
+        f"OpenBLAS kernel {openblas_core()}; the goldens were written under {GOLDEN_KERNEL}"
+    )
 
 
 def regenerate() -> None:
