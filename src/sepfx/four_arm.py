@@ -16,16 +16,17 @@ channel; the indirect effect does the reverse.  Variance comes from the
 empirical second moment of the score contrasts around the point estimate,
 with the median rule combining repeated sample splits.
 
-The fold scorer of :func:`split_scores_four` fits one
-:class:`NuisanceFitFour` per fold, with :func:`fit_nuisance_theta`, which
-adds the treatment-agreement model, when the agreement population is
-scored, else with :func:`fit_nuisance_four`, either looked up as a module
-global when it runs, and scores the fold's test rows from it.  A bundle's
-cell classifiers, and its agreement model, are one
-:func:`~sepfx.learners.fit_classifiers` batch on the training
-covariates.  :func:`four_arm_battery` scores the four-arm, agreement and
-indirect families from those bundles, with the agreement contrast written
-once for the last two.  The diagnostics' plug-in estimators are
+The cell probabilities follow the chain rule from two treatment
+models, P(A_Y = 1 | X) and P(A_M = 1 | A_Y, X), as the generalized
+propensity score of the four-valued treatment (Imbens 2000), and the
+probability that the treatments agree is 1 - P(0, 1) - P(1, 0) from the
+same two.  The fold scorer of :func:`split_scores_four` fits one
+:class:`NuisanceFitFour` per fold, with :func:`fit_nuisance_theta` when
+the agreement population is scored, else with :func:`fit_nuisance_four`,
+either looked up as a module global when it runs, and scores the fold's
+test rows from it.  :func:`four_arm_battery` scores the four-arm,
+agreement and indirect families from those bundles, with the agreement
+contrast written once for the last two.  The diagnostics' plug-in estimators are
 ``run_battery`` keys of their own.
 """
 
@@ -47,8 +48,7 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import AtLevels, ConstantPredictor, FittedPredictor, fit_classifiers, fit_regressor
-from .learners import predict_many
+from .learners import AtLevels, FittedPredictor, fit_classifier, fit_regressor, predict_many
 from .two_arm import split_scores_two
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -59,36 +59,53 @@ PLUG_INS = ("ipw", "outcome_regression")
 class NuisanceFitFour:
     """Cross-fittable nuisance bundle for a four-arm dataset.
 
-    ``cell_classifiers`` maps each (a_y, a_m) combination to a probability
-    model for membership in that cell, or ``None`` when the cell had no
-    training rows and was not required (its probability is a structural
-    zero).  Cell probabilities are normalized to sum to one across cells;
-    ``propensities`` additionally clips them to [clip, 1 - clip] before
-    they are used in a denominator.  ``agree_fit``, which only
-    :func:`fit_nuisance_theta` fits, models the probability that the two
-    treatments agree given covariates, for the agreement estimator.
+    The cell probabilities follow the chain rule, P(a_y, a_m | X) =
+    P(A_Y = a_y | X) * P(A_M = a_m | A_Y = a_y, X), from two treatment
+    models: ``treat_y`` models P(A_Y = 1 | X) on the covariates and
+    ``treat_m`` models P(A_M = 1 | A_Y, X) on ``[a_y, x]``.  A model is
+    ``None`` when the training rows fix its labels (A_Y constant, or A_M
+    constant within each A_Y level present), and then it is exact: each
+    cell with training rows has the probability of the other model alone.
+    ``empty_cells`` had no training rows and were not required; their
+    probability is exactly zero.  ``propensities`` clips the cell
+    probabilities to [clip, 1 - clip] before they are used in a
+    denominator.
     """
 
-    cell_classifiers: dict
+    treat_y: FittedPredictor | None
+    treat_m: FittedPredictor | None
     outcome_fit: FittedPredictor
     clip: float
-    agree_fit: FittedPredictor | None = None
+    empty_cells: tuple = ()
 
-    def cell_probabilities(self, x: np.ndarray) -> tuple:
-        """``(probs, s_hat)`` on ``x``: the cell probabilities, one column per
-        cell of ``CELLS``, and ``agree_fit``'s (None without it), with one
-        design for the GLMs."""
-        fits = [self.cell_classifiers[cell] for cell in CELLS] + [self.agree_fit]
-        preds = iter(predict_many([fit for fit in fits if fit is not None], x))
-        raw = np.empty((x.shape[0], len(CELLS)))
-        for j, clf in enumerate(fits[: len(CELLS)]):
-            raw[:, j] = 0.0 if clf is None else next(preds)
-        return raw / raw.sum(axis=1, keepdims=True), next(preds, None)
+    def cell_probabilities(self, x: np.ndarray) -> np.ndarray:
+        """The cell probabilities on ``x``, one column per cell of
+        ``CELLS``, each row normalized to sum to one."""
+        models = [self.treat_y] + [
+            None if self.treat_m is None else AtLevels(self.treat_m, (a_y,)) for a_y in (0, 1)
+        ]
+        preds = iter(predict_many([model for model in models if model is not None], x))
+        p_y, *p_m = [None if model is None else next(preds) for model in models]
+        probs = np.zeros((x.shape[0], len(CELLS)))
+        for j, (a_y, a_m) in enumerate(CELLS):
+            if (a_y, a_m) not in self.empty_cells:
+                probs[:, j] = _level(p_y, a_y) * _level(p_m[a_y], a_m)
+        return probs / probs.sum(axis=1, keepdims=True)
 
     def propensities(self, x: np.ndarray) -> tuple:
-        """:meth:`cell_probabilities` with the cell probabilities clipped."""
-        probs, s_hat = self.cell_probabilities(x)
-        return np.clip(probs, self.clip, 1.0 - self.clip), s_hat
+        """The :meth:`cell_probabilities` clipped, and the unclipped
+        probability that the two treatments agree, 1 - P(0, 1) - P(1, 0)."""
+        probs = self.cell_probabilities(x)
+        agree = 1.0 - probs[:, CELLS.index((0, 1))] - probs[:, CELLS.index((1, 0))]
+        return np.clip(probs, self.clip, 1.0 - self.clip), agree
+
+
+def _level(p1, level: int):
+    """The probability of ``level`` from that of level 1, ``p1``; 1 where
+    the labels are fixed (``p1`` None)."""
+    if p1 is None:
+        return 1.0
+    return p1 if level else 1.0 - p1
 
 
 def fit_nuisance_four(
@@ -96,54 +113,37 @@ def fit_nuisance_four(
     train_rows: np.ndarray,
     config: EstimatorConfig,
     required_cells: tuple = CELLS,
-    agreement: bool = False,
 ) -> NuisanceFitFour:
-    """Fit cell-probability and outcome models on the given training rows.
+    """Fit the two treatment models and the outcome model on the given
+    training rows.
 
-    Cell probabilities are one-vs-rest classifiers normalized across the
-    four cells.  A required cell with no training rows raises
-    :class:`MissingCell` (the first such cell in ``CELLS`` order) before
-    any fit; an unrequired empty cell gets probability zero.  With
-    ``agreement`` the bundle's ``agree_fit`` is set too (see
-    :func:`fit_nuisance_theta`).  The classifiers, the agreement model's
-    included, are one :func:`~sepfx.learners.fit_classifiers` batch on the
-    training covariates, each fit bit for bit as it is alone.
+    A required cell with no training rows raises :class:`MissingCell`
+    (the first such cell in ``CELLS`` order) before any fit; an unrequired
+    empty cell gets probability zero.  ``treat_y`` is fit unless the rows
+    hold one A_Y level, and ``treat_m``, with A_Y as its first feature and
+    ``interact_cols=(0,)``, unless A_M is constant within each A_Y level
+    (see :class:`NuisanceFitFour`).
     """
     x = ds.x[train_rows]
-    a_y = ds.a_y[train_rows]
-    a_m = ds.a_m[train_rows]
-    labels = {
-        cell: ((a_y == cell[0]) & (a_m == cell[1])).astype(np.float64)
-        for cell in CELLS
-    }
-    empty = [cell for cell in CELLS if labels[cell].sum() == 0.0]
+    a_y = ds.a_y[train_rows].astype(np.float64)
+    a_m = ds.a_m[train_rows].astype(np.float64)
+    empty = tuple(cell for cell in CELLS if not np.any((a_y == cell[0]) & (a_m == cell[1])))
     for cell in empty:
         if cell in required_cells:
             raise MissingCell(f"no training rows in arm cell {cell}")
-    fitted = [cell for cell in CELLS if cell not in empty]
-    agree = (a_y == a_m).astype(np.float64)
-    fit_agree = agreement and bool(agree.min() < 1.0)
-    fits = fit_classifiers(
-        x,
-        [labels[cell] for cell in fitted] + [agree] * fit_agree,
-        config.propensity,
-        clip=config.clip,
-    )
-    agree_fit = None
-    if agreement:
-        agree_fit = fits.pop() if fit_agree else ConstantPredictor(1.0)
-    classifiers = dict.fromkeys(CELLS)
-    classifiers.update(zip(fitted, fits))
-    stacked = np.column_stack([a_y.astype(np.float64), a_m.astype(np.float64), x])
+    levels = {cell[0] for cell in CELLS if cell not in empty}
+    treat_y = treat_m = None
+    if len(levels) > 1:
+        treat_y = fit_classifier(x, a_y, config.propensity, clip=config.clip)
+    if len(CELLS) - len(empty) > len(levels):
+        treat_m = fit_classifier(
+            np.column_stack([a_y, x]), a_m, config.propensity, (0,), config.clip
+        )
+    stacked = np.column_stack([a_y, a_m, x])
     outcome_fit = fit_regressor(
         stacked, ds.y[train_rows], config.outcome, interact_cols=(0, 1)
     )
-    return NuisanceFitFour(
-        cell_classifiers=classifiers,
-        outcome_fit=outcome_fit,
-        clip=config.clip,
-        agree_fit=agree_fit,
-    )
+    return NuisanceFitFour(treat_y, treat_m, outcome_fit, config.clip, empty)
 
 
 def fit_nuisance_theta(
@@ -152,15 +152,11 @@ def fit_nuisance_theta(
     config: EstimatorConfig,
     required_cells,
 ) -> NuisanceFitFour:
-    """The :func:`fit_nuisance_four` bundle with ``agree_fit`` set.
-
-    ``agree_fit`` models the probability that the two treatments agree,
-    fit in the same batch as the cell classifiers.  When every training
-    row agrees, it is ``ConstantPredictor(1.0)``: the probability is
-    exactly one, unclipped, since it only ever multiplies.
-    """
+    """The :func:`fit_nuisance_four` bundle, fit for the agreement
+    population, whose probability it also gives.  A name of its own, so
+    that ``bench/layers.py`` can time the agreement side apart."""
     # positional, so that a stand-in patched over fit_nuisance_four takes *args
-    return fit_nuisance_four(ds, train_rows, config, required_cells, True)
+    return fit_nuisance_four(ds, train_rows, config, required_cells)
 
 
 def eif(
@@ -244,9 +240,8 @@ def four_arm_battery(
     (the rows whose treatments agree) and ``"indirect"`` (the agreement
     contrast minus the two-arm one) in ``families``.
 
-    Each split fits one bundle per fold, with its agreement model for an
-    agreement-population family, and scores every family from it, so no
-    bundle outlives its fold.  The bundles require the union of the
+    Each split fits one bundle per fold and scores every family from it,
+    so no bundle outlives its fold.  The bundles require the union of the
     families' cells, so a fold lacking a cell that only one family needs is
     redrawn for all.  The indirect family subtracts the two-arm scores of
     :func:`~sepfx.two_arm.split_scores_two` on the agreeing rows, drawn on

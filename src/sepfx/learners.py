@@ -19,14 +19,14 @@ A fit is a classification exactly when it has a ``clip``
 (``fit_classifier``; a GLM is then logistic): it returns probabilities in
 [clip, 1 - clip], so downstream inverse-probability weights stay bounded.
 
-:func:`fit_classifiers` fits several label sets on one feature matrix in
-one batch, each bit for bit as :func:`fit_classifier` fits it alone:
-GLMs share one design, forests grow tree t of every set in one pass, and
-super learners share their internal folds and grow all their forests
-together.  ``fit_classifier``, ``fit_regressor``, :func:`fit_regressors`
-and ``fit_super_learner`` fit through the same batch.  GLMs on one matrix
-share one design to predict as well (:func:`predict_many`), also at
-several treatment levels (:class:`AtLevels`).
+:func:`fit_regressors` fits several target sets on one feature matrix in
+one batch, each bit for bit as :func:`fit_regressor` fits it alone: GLMs
+share one design, forests grow tree t of every set in one pass, and super
+learners share their internal folds and grow all their forests together.
+``fit_classifier``, ``fit_regressor`` and ``fit_super_learner`` fit
+through the same batch code.  GLMs on one matrix share one design to
+predict as well (:func:`predict_many`), also at several treatment levels
+(:class:`AtLevels`).
 """
 
 from __future__ import annotations
@@ -408,32 +408,11 @@ def fit_regressor(
 
 def fit_regressors(features, target_sets, spec: LearnerSpec, interact_cols=()) -> list:
     """``[fit_regressor(features, targets, spec, interact_cols) for targets
-    in target_sets]``, bit for bit, in one batch as :func:`fit_classifiers`."""
+    in target_sets]``, bit for bit, from one batch: the features are
+    scanned once, every set's rows are checked before anything is fit, and
+    the sets share GLM designs, forest growth and super-learner folds."""
     X, ys = _checked_rows(features, target_sets, "targets")
     return _fit_checked(X, ys, spec, interact_cols, None)
-
-
-def fit_classifiers(
-    features,
-    label_sets,
-    spec: LearnerSpec,
-    interact_cols: tuple[int, ...] = (),
-    clip: float = DEFAULT_CLIP,
-) -> list[FittedPredictor]:
-    """``[fit_classifier(features, labels, spec, interact_cols, clip) for
-    labels in label_sets]``, bit for bit, with the same warnings in the
-    same order, from one batch.
-
-    The features are scanned once, and every label set's rows are checked
-    before anything is fit; labels that are not 0 or 1 are refused as
-    their set comes to be fit.  The label sets share what their fits can
-    share: GLMs one design, forests their bins and their growth (tree t
-    of every set's forest grows in one pass), and super learners their
-    internal folds, the bins of each fold, and the growth of each prefix
-    group's forests.
-    """
-    X, ys = _checked_rows(features, label_sets, "labels")
-    return _fit_checked(X, ys, spec, interact_cols, clip)
 
 
 def fit_classifier(
@@ -448,9 +427,9 @@ def fit_classifier(
     If only one class is present the fit degenerates to a clipped constant
     and a :class:`SingleClassWarning` is emitted.  A NaN or infinite
     feature or label raises :class:`LearnerError` before anything is fit.
-    This is :func:`fit_classifiers` of one label set.
     """
-    return fit_classifiers(features, [labels], spec, interact_cols, clip)[0]
+    X, ys = _checked_rows(features, [labels], "labels")
+    return _fit_checked(X, ys, spec, interact_cols, clip)[0]
 
 
 @dataclass

@@ -335,9 +335,8 @@ def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
     ``None`` for a family that failed with an estimation error.
 
     The four-arm and agreement families share one pass per split, over
-    bundles with the agreement model (``four_arm.fit_nuisance_theta``) if
-    the agreement family is asked for, so a failure of that pass fails
-    both.  No agreeing rows fails only the agreement and two-arm families,
+    one set of bundles, whose two treatment models give the agreement
+    probability too, so a failure of that pass fails both.  No agreeing rows fails only the agreement and two-arm families,
     and a standard error that is not positive only its own family.
     """
     results = {}

@@ -108,24 +108,29 @@ def _patterns(x):
 
 
 def saturated_four(ds):
-    """A four-arm bundle of exact empirical cell frequencies and cell means
-    per covariate pattern.
+    """A four-arm bundle of exact empirical treatment frequencies and cell
+    means per covariate pattern.
 
     Fitting on the full sample makes the augmentation terms cancel exactly,
     so the weighted estimator, the plug-in, and the doubly robust score all
-    agree.  The frequencies of each pattern sum to one, so the bundle's
-    normalization leaves them as they are.
+    agree.  The chain rule multiplies a pattern's A_Y frequency by the A_M
+    frequency within that A_Y level, so each cell gets its empirical
+    frequency, and the frequencies of each pattern sum to one.
     """
-    pi = {cell: {} for cell in CELLS}
-    nu = {}
+    p_y, p_m, nu = {}, {}, {}
     for pattern, rows in _patterns(ds.x).items():
+        p_y[pattern] = float(np.mean(ds.a_y[rows] == 1))
+        for a_y in (0, 1):
+            arm = rows[ds.a_y[rows] == a_y]
+            # a level without rows has frequency zero, whatever A_M's is
+            p_m[(a_y,) + pattern] = float(np.mean(ds.a_m[arm] == 1)) if arm.size else 0.5
         for cell in CELLS:
             inside = rows[(ds.a_y[rows] == cell[0]) & (ds.a_m[rows] == cell[1])]
-            pi[cell][pattern] = inside.size / rows.size
             nu[cell + pattern] = float(ds.y[inside].mean()) if inside.size else 0.0
     width = ds.x.shape[1]
     return NuisanceFitFour(
-        cell_classifiers={cell: PatternLookup(pi[cell], width) for cell in CELLS},
+        treat_y=PatternLookup(p_y, width),
+        treat_m=PatternLookup(p_m, width + 1),
         outcome_fit=PatternLookup(nu, width + 2),
         clip=0.01,
     )

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import sepfx.four_arm
+from sepfx import learners
 from sepfx.data import FourArmDataset
-from sepfx.errors import MissingCell
+from sepfx.errors import MissingCell, SeparationWarning, SingleClassWarning
 from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells
+from sepfx.falsification import estimate_agreement_effects
 from sepfx.four_arm import (
     CELLS,
     NuisanceFitFour,
@@ -28,12 +32,21 @@ def one_row(y, a_y, a_m):
     )
 
 
-def flat_nuisance(nu, pi):
-    """Constant outcome and cell probabilities, for score arithmetic checks."""
+def subset(ds, keep):
+    """The rows of ``ds`` where the mask ``keep`` is set."""
+    return FourArmDataset(
+        y=ds.y[keep], a_y=ds.a_y[keep], a_m=ds.a_m[keep], m=ds.m[keep], x=ds.x[keep],
+        outcome_name="y", a_y_name="aY", a_m_name="aM",
+        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
+    )
+
+
+def flat_nuisance(nu):
+    """A constant outcome, and fair coins for both treatments, so that
+    every cell has probability 1/4, for score arithmetic checks."""
+    coin = ConstantPredictor(0.5)
     return NuisanceFitFour(
-        cell_classifiers={cell: ConstantPredictor(pi) for cell in CELLS},
-        outcome_fit=ConstantPredictor(nu),
-        clip=0.01,
+        treat_y=coin, treat_m=coin, outcome_fit=ConstantPredictor(nu), clip=0.01
     )
 
 
@@ -45,17 +58,17 @@ def full_sample_eif(ds, cell, nuis):
 
 
 def test_score_inside_cell():
-    value = full_sample_eif(one_row(2.0, 1, 1), (1, 1), flat_nuisance(nu=1.5, pi=0.25))
+    value = full_sample_eif(one_row(2.0, 1, 1), (1, 1), flat_nuisance(nu=1.5))
     np.testing.assert_array_equal(value, [3.5])
 
 
 def test_score_outside_cell_is_model_prediction():
-    value = full_sample_eif(one_row(2.0, 0, 1), (1, 1), flat_nuisance(nu=1.5, pi=0.25))
+    value = full_sample_eif(one_row(2.0, 0, 1), (1, 1), flat_nuisance(nu=1.5))
     np.testing.assert_array_equal(value, [1.5])
 
 
 def test_score_vanishing_residual():
-    value = full_sample_eif(one_row(1.5, 1, 1), (1, 1), flat_nuisance(nu=1.5, pi=0.25))
+    value = full_sample_eif(one_row(1.5, 1, 1), (1, 1), flat_nuisance(nu=1.5))
     np.testing.assert_array_equal(value, [1.5])
 
 
@@ -111,7 +124,7 @@ def test_propensity_estimates_are_accurate(sim_four_arm_big):
     fitted = nuis.propensities(ds.x)[0][:, CELLS.index((1, 1))]
     assert np.mean(np.abs(fitted - true_pi)) < 0.05
     # cell probabilities form a simplex before clipping
-    probs, _ = nuis.cell_probabilities(ds.x)
+    probs = nuis.cell_probabilities(ds.x)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
 
@@ -201,13 +214,7 @@ def test_a_cell_missing_from_every_partition_is_named():
     """With no (1, 1) row, every fold redraw fails, and the error names the
     fold and the cell of the last attempt."""
     ds = make_four_arm(n=60, seed=1)
-    keep = np.nonzero(~((ds.a_y == 1) & (ds.a_m == 1)))[0]
-    sub = FourArmDataset(
-        y=ds.y[keep], a_y=ds.a_y[keep], a_m=ds.a_m[keep],
-        m=ds.m[keep], x=ds.x[keep],
-        outcome_name="y", a_y_name="aY", a_m_name="aM",
-        mediator_names=ds.mediator_names, covariate_names=ds.covariate_names,
-    )
+    sub = subset(ds, ~((ds.a_y == 1) & (ds.a_m == 1)))
     with pytest.raises(
         MissingCell,
         match=r"no usable fold assignment after 10 attempts; "
@@ -262,10 +269,12 @@ def test_shared_nuisances_across_requests(sim_four_arm):
 
 
 def test_each_model_predicts_once_per_test_block(monkeypatch):
-    """One fold scores three cells from four cell classifiers and one
-    outcome model: 4 classifier predicts serve every cell, plus one outcome
-    predict per cell.  The classifiers predict from one design, and the
-    outcome model's three cells from one more, as each fits from one."""
+    """One fold scores three cells from two treatment models and one
+    outcome model: P(A_Y = 1 | X) predicts once and P(A_M = 1 | A_Y, X)
+    once per A_Y level, which serves every cell, plus one outcome predict
+    per cell.  Each model predicts from one design, and fits from one: the
+    second treatment model's is written again for the other level, and the
+    outcome model's for each cell."""
     ds = generate_dataset(SimConfig(n=300, reps=1), 0)
     calls = []
     real_predict = GlmPredictor.predict
@@ -280,7 +289,63 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     estimate_effects_four(
         ds, [("sde", 1), ("sie", 1)], EstimatorConfig(splits=1, k_folds=k)
     )
-    assert len(calls) == k * (4 + 3)
-    assert calls.count("logit") == k * 4
-    assert designs.count("score") == k * 2
-    assert designs.count("fit") == k * 2
+    assert len(calls) == k * (3 + 3)
+    assert calls.count("logit") == k * 3
+    assert designs.count("score") == k * 3
+    assert designs.count("fit") == k * 3
+
+
+@pytest.mark.parametrize("estimate", [estimate_effects_four, estimate_agreement_effects])
+def test_a_bundle_fits_exactly_two_classification_models(monkeypatch, estimate):
+    """Each four-arm bundle, the agreement population's too, fits
+    P(A_Y = 1 | X) and P(A_M = 1 | A_Y, X) and no other classifier: no
+    model per cell, and none for agreement."""
+    ds = generate_dataset(SimConfig(n=300, reps=1), 0)
+    label_sets, bundles = [], []
+    real_checked, real_fit = learners._fit_checked, sepfx.four_arm.fit_nuisance_four
+
+    def counting_checked(X, ys, spec, interact_cols, clip):
+        if clip is not None:
+            label_sets.extend(ys)
+        return real_checked(X, ys, spec, interact_cols, clip)
+
+    def counting_fit(*args):
+        bundles.append(args[1])
+        return real_fit(*args)
+
+    monkeypatch.setattr(learners, "_fit_checked", counting_checked)
+    monkeypatch.setattr(sepfx.four_arm, "fit_nuisance_four", counting_fit)
+    estimate(ds, [("sde", 1)], EstimatorConfig(splits=1))
+    assert len(bundles) == 2
+    assert len(label_sets) == 2 * len(bundles)
+
+
+DEGENERATE_FOLDS = {
+    # rows kept, the cells they fill, and whether every row agrees
+    "every row agrees": (lambda ds: ds.a_y == ds.a_m, ((0, 0), (1, 1)), True),
+    "no row agrees": (lambda ds: ds.a_y != ds.a_m, ((0, 1), (1, 0)), False),
+    "one A_Y level": (lambda ds: ds.a_y == 1, ((1, 0), (1, 1)), False),
+}
+
+
+@pytest.mark.parametrize("case", list(DEGENERATE_FOLDS))
+def test_degenerate_training_folds_stay_exact_and_quiet(case):
+    """A model whose labels the training rows fix is not fit, so no fit
+    separates the labels or sees a single class; an unrequired empty cell
+    has probability exactly 0, and when every row agrees the agreement
+    probability is exactly 1."""
+    keep, filled, agreeing = DEGENERATE_FOLDS[case]
+    ds = generate_dataset(SimConfig(n=400, reps=1), 0)
+    sub = subset(ds, keep(ds))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nuis = fit_nuisance_four(sub, np.arange(sub.n), EstimatorConfig(), filled)
+        probs = nuis.cell_probabilities(sub.x)
+        _, agree = nuis.propensities(sub.x)
+    assert not [w for w in caught if issubclass(w.category, (SeparationWarning, SingleClassWarning))]
+    for j, cell in enumerate(CELLS):
+        if cell not in filled:
+            assert np.all(probs[:, j] == 0.0), cell
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    if agreeing:
+        assert np.all(agree == 1.0)

@@ -85,8 +85,9 @@ def record_estimate_four_arm() -> list:
 
 
 def record_falsify_indirect() -> list:
-    """The indirect tests with plain forests, so the agreement model of
-    ``fit_nuisance_theta`` is a forest too."""
+    """The indirect tests with plain forests, so both treatment models of
+    the four-arm bundles, which give the agreement probability, are forests
+    too."""
     ds = generate_dataset(SimConfig(n=300, reps=1), 0)
     spec = LearnerSpec(kind="random_forest", trees=3, mtry=2, min_leaf=3, seed=SL_SEED)
     cfg = EstimatorConfig(outcome=spec, propensity=spec, splits=2)

@@ -547,11 +547,9 @@ BATCH_SPECS = {
 
 
 def _label_sets(seed, n):
-    """Label sets on one feature matrix: one that varies; one with a
-    single 1, which trains some internal folds on a single class; a
-    feature, which a GLM separates; and a single class last, so that a
-    batch that checked every set for a single class before fitting any
-    would warn out of order."""
+    """Target sets on one feature matrix: binary labels that vary; one
+    with a single 1, which trains some internal folds on a constant; a
+    feature; and a constant last."""
     x, y = _sl_data(seed, "classification", binary=True, n=n)
     lone = np.zeros(n)
     lone[17] = 1.0
@@ -568,16 +566,13 @@ def _caught(fit):
 @pytest.mark.parametrize("kind", sorted(BATCH_SPECS))
 def test_a_batch_fits_each_label_set_as_it_fits_alone(kind):
     """Predictions, stacking weights, losses and the warnings, category by
-    category and in order, equal those of one fit_classifier call per
-    label set."""
+    category and in order, equal those of one fit_regressor call per
+    target set."""
     spec = BATCH_SPECS[kind]
-    x, label_sets = _label_sets(3, 60)
-    batch, got = _caught(lambda: learners.fit_classifiers(x, label_sets, spec, (0,), SL_CLIP))
-    alone, want = _caught(lambda: [fit_classifier(x, y, spec, (0,), SL_CLIP) for y in label_sets])
+    x, target_sets = _label_sets(3, 60)
+    batch, got = _caught(lambda: learners.fit_regressors(x, target_sets, spec, (0,)))
+    alone, want = _caught(lambda: [fit_regressor(x, y, spec, (0,)) for y in target_sets])
     assert got == want
-    assert SingleClassWarning in got
-    if kind != "random_forest":
-        assert SeparationWarning in got
     assert len(batch) == len(alone)
     for fit, ref in zip(batch, alone):
         assert type(fit) is type(ref)
@@ -587,33 +582,32 @@ def test_a_batch_fits_each_label_set_as_it_fits_alone(kind):
             assert fit.cv_losses.tobytes() == ref.cv_losses.tobytes()
 
 
-@pytest.mark.parametrize("bad", ["short", "nan", "not binary"])
+@pytest.mark.parametrize("bad", ["short", "nan"])
 def test_a_batch_refuses_a_bad_label_set_as_a_lone_fit_does(monkeypatch, bad):
-    """Every label set is checked before anything is fit, and a bad one
+    """Every target set is checked before anything is fit, and a bad one
     raises the error and message of a lone fit on it."""
-    x, label_sets = _label_sets(4, 60)
-    y = label_sets[0].copy()
+    x, target_sets = _label_sets(4, 60)
+    y = target_sets[0].copy()
     if bad == "short":
         y = y[:-1]
     else:
-        y[30] = np.nan if bad == "nan" else 0.5
+        y[30] = np.nan
     spec = BATCH_SPECS["super_learner"]
     with pytest.raises(LearnerError) as alone:
-        fit_classifier(x, y, spec, clip=SL_CLIP)
+        fit_regressor(x, y, spec)
 
     def no_fit(*args, **kwargs):
-        raise AssertionError("a label set was fit before every set was checked")
+        raise AssertionError("a target set was fit before every set was checked")
 
-    if bad != "not binary":  # labels are read for 0/1 as each set is fit
-        monkeypatch.setattr(learners, "_fit_checked", no_fit)
+    monkeypatch.setattr(learners, "_fit_checked", no_fit)
     with pytest.raises(type(alone.value)) as batch:
-        learners.fit_classifiers(x, [label_sets[0], y], spec, clip=SL_CLIP)
+        learners.fit_regressors(x, [target_sets[0], y], spec)
     assert str(batch.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("kind", ["random_forest", "super_learner"])
 def test_a_batch_grows_tree_t_of_every_label_set_in_one_pass(monkeypatch, kind):
-    """k label sets make one _grow_trees call per tree index: of k forests
+    """k target sets make one _grow_trees call per tree index: of k forests
     for a forest spec, and of k times (internal folds + 1) forests for a
     super learner with one prefix group."""
     calls = []
@@ -624,12 +618,12 @@ def test_a_batch_grows_tree_t_of_every_label_set_in_one_pass(monkeypatch, kind):
 
     monkeypatch.setattr("sepfx.forest._grow_trees", counting)
     x, y = _sl_data(6, "classification", binary=True, n=120)
-    label_sets = [y, x[:, 0], x[:, 1], 1.0 - y]
+    target_sets = [y, x[:, 0], x[:, 1], 1.0 - y]
     forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
     spec = forests[-1] if kind == "random_forest" else _stack(forests, v_folds=3, seed=3)
-    learners.fit_classifiers(x, label_sets, spec, clip=SL_CLIP)
+    learners.fit_regressors(x, target_sets, spec)
     blocks = 1 if kind == "random_forest" else 3 + 1
-    assert calls == [len(label_sets) * blocks] * 3
+    assert calls == [len(target_sets) * blocks] * 3
 
 
 def test_no_internal_fold_tree_outlives_its_prediction(monkeypatch):
@@ -649,7 +643,7 @@ def test_no_internal_fold_tree_outlives_its_prediction(monkeypatch):
     monkeypatch.setattr("sepfx.forest._grow_trees", watching)
     x, y = _sl_data(6, "classification", binary=True, n=120)
     forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
-    fits = learners.fit_classifiers(x, [y, x[:, 0]], _stack(forests, v_folds=3, seed=3))
+    fits = learners.fit_regressors(x, [y, x[:, 0]], _stack(forests, v_folds=3, seed=3))
     assert len(held_out) == 2 * 3 * 3 and len(full) == 2 * 3
     assert all(ref() is None for ref in held_out)
     assert all(ref() is not None for ref in full)

@@ -116,7 +116,6 @@ def test_public_function_parameters_are_pinned():
 LEARNER_PARAMETERS = {
     "fit_regressor": ["features", "targets", "spec", "interact_cols"],
     "fit_classifier": ["features", "labels", "spec", "interact_cols", "clip"],
-    "fit_classifiers": ["features", "label_sets", "spec", "interact_cols", "clip"],
     "fit_super_learner": ["features", "targets", "spec", "interact_cols", "clip"],
     "fit_forest": ["features", "targets", "n_trees", "mtry", "min_leaf", "seed", "clip"],
 }
@@ -125,7 +124,7 @@ LEARNER_PARAMETERS = {
 def test_learner_entry_points_are_pinned():
     """README names the learner fitters as importable from
     ``sepfx.learners``, and ``bench/layers.py`` binds ``fit_forest``'s
-    arguments by name: 4, 5, 5, 5 and 7 parameters, with no ``task``."""
+    arguments by name: 4, 5, 5 and 7 parameters, with no ``task``."""
     found = {}
     for name in LEARNER_PARAMETERS:
         owner = forest if name == "fit_forest" else learners
@@ -144,7 +143,7 @@ def test_config_fields_are_pinned():
 
 
 BUNDLE_FIELDS = {
-    NuisanceFitFour: ["cell_classifiers", "outcome_fit", "clip", "agree_fit"],
+    NuisanceFitFour: ["treat_y", "treat_m", "outcome_fit", "clip", "empty_cells"],
     NuisanceFitTwo: ["treat_given_mx", "treat_given_x", "outcomes"],
 }
 
