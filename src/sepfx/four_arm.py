@@ -26,8 +26,8 @@ the agreement population is scored, else with :func:`fit_nuisance_four`,
 either looked up as a module global when it runs, and scores the fold's
 test rows from it.  :func:`four_arm_battery` scores the four-arm,
 agreement and indirect families from those bundles, with the agreement
-contrast written once for the last two.  The diagnostics' plug-in estimators are
-``run_battery`` keys of their own.
+contrast written once for the last two.  The diagnostics' plug-in
+estimators are ``run_battery`` keys of their own.
 """
 
 from __future__ import annotations
@@ -62,12 +62,14 @@ class NuisanceFitFour:
     The cell probabilities follow the chain rule, P(a_y, a_m | X) =
     P(A_Y = a_y | X) * P(A_M = a_m | A_Y = a_y, X), from two treatment
     models: ``treat_y`` models P(A_Y = 1 | X) on the covariates and
-    ``treat_m`` models P(A_M = 1 | A_Y, X) on ``[a_y, x]``.  A model is
-    ``None`` when the training rows fix its labels (A_Y constant, or A_M
-    constant within each A_Y level present), and then it is exact: each
-    cell with training rows has the probability of the other model alone.
+    ``treat_m`` models P(A_M = 1 | A_Y, X) on ``[a_y, x]``.
     ``empty_cells`` had no training rows and were not required; their
-    probability is exactly zero.  ``propensities`` clips the cell
+    probability is exactly zero.  Where the training rows fix a label, its
+    factor is exactly one: P(A_Y) when they hold one A_Y level, and
+    P(A_M | A_Y) for a cell whose sibling, the other A_M value at its A_Y
+    level, is empty.  A model none of whose factors is needed is ``None``:
+    ``treat_y`` with one A_Y level, ``treat_m`` when A_M is constant
+    within each A_Y level.  ``propensities`` clips the cell
     probabilities to [clip, 1 - clip] before they are used in a
     denominator.
     """
@@ -89,7 +91,8 @@ class NuisanceFitFour:
         probs = np.zeros((x.shape[0], len(CELLS)))
         for j, (a_y, a_m) in enumerate(CELLS):
             if (a_y, a_m) not in self.empty_cells:
-                probs[:, j] = _level(p_y, a_y) * _level(p_m[a_y], a_m)
+                fixed = (a_y, 1 - a_m) in self.empty_cells
+                probs[:, j] = _level(p_y, a_y) * _level(None if fixed else p_m[a_y], a_m)
         return probs / probs.sum(axis=1, keepdims=True)
 
     def propensities(self, x: np.ndarray) -> tuple:
@@ -102,7 +105,7 @@ class NuisanceFitFour:
 
 def _level(p1, level: int):
     """The probability of ``level`` from that of level 1, ``p1``; 1 where
-    the labels are fixed (``p1`` None)."""
+    the training rows fix the label (``p1`` None)."""
     if p1 is None:
         return 1.0
     return p1 if level else 1.0 - p1

@@ -336,8 +336,9 @@ def _estimate_families(ds: FourArmDataset, families: dict, config) -> dict:
 
     The four-arm and agreement families share one pass per split, over
     one set of bundles, whose two treatment models give the agreement
-    probability too, so a failure of that pass fails both.  No agreeing rows fails only the agreement and two-arm families,
-    and a standard error that is not positive only its own family.
+    probability too, so a failure of that pass fails both.  No agreeing
+    rows fails only the agreement and two-arm families, and a standard
+    error that is not positive only its own family.
     """
     results = {}
     shared = {f: families[f] for f in ("four", "agreement") if f in families}

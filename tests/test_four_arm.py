@@ -325,6 +325,7 @@ DEGENERATE_FOLDS = {
     "every row agrees": (lambda ds: ds.a_y == ds.a_m, ((0, 0), (1, 1)), True),
     "no row agrees": (lambda ds: ds.a_y != ds.a_m, ((0, 1), (1, 0)), False),
     "one A_Y level": (lambda ds: ds.a_y == 1, ((1, 0), (1, 1)), False),
+    "one empty cell": (lambda ds: ds.a_y * ds.a_m == 0, ((0, 0), (0, 1), (1, 0)), False),
 }
 
 
@@ -332,8 +333,9 @@ DEGENERATE_FOLDS = {
 def test_degenerate_training_folds_stay_exact_and_quiet(case):
     """A model whose labels the training rows fix is not fit, so no fit
     separates the labels or sees a single class; an unrequired empty cell
-    has probability exactly 0, and when every row agrees the agreement
-    probability is exactly 1."""
+    has probability exactly 0, a cell whose sibling at its A_Y level is
+    empty has the probability of that level, and when every row agrees
+    the agreement probability is exactly 1."""
     keep, filled, agreeing = DEGENERATE_FOLDS[case]
     ds = generate_dataset(SimConfig(n=400, reps=1), 0)
     sub = subset(ds, keep(ds))
@@ -347,5 +349,9 @@ def test_degenerate_training_folds_stay_exact_and_quiet(case):
         if cell not in filled:
             assert np.all(probs[:, j] == 0.0), cell
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    p_y = np.ones(sub.n) if nuis.treat_y is None else nuis.treat_y.predict(sub.x)
+    for j, (a_y, a_m) in enumerate(CELLS):
+        if (a_y, a_m) in filled and (a_y, 1 - a_m) not in filled:
+            np.testing.assert_allclose(probs[:, j], p_y if a_y else 1.0 - p_y, rtol=1e-12)
     if agreeing:
         assert np.all(agree == 1.0)

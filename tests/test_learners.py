@@ -516,6 +516,9 @@ def test_labels_that_are_not_binary_fail_before_any_tree_grows(monkeypatch):
     forests = tuple(_forest(t, seed=3) for t in (1, 2, 3))
     with pytest.raises(LearnerError, match="labels must be binary"):
         fit_super_learner(x, y, _stack(forests, v_folds=3), clip=SL_CLIP)
+    for spec in (forests[-1], _stack(forests, v_folds=3)):
+        with pytest.raises(LearnerError, match="labels must be binary"):
+            fit_classifier(x, y, spec, clip=SL_CLIP)
 
 
 def test_a_super_learner_grows_each_prefix_group_once_per_block(monkeypatch):
