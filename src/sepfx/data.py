@@ -9,13 +9,21 @@ and writer use.  Loaders are strict: every cell must parse as a finite
 number, treatments must be exactly 0 or 1, and missing values are
 rejected rather than imputed.  A loader hands its parsed float columns
 to the dataset type, whose body checks and casts each treatment once.
+Both CSV directions work in blocks of ``CSV_BLOCK_ROWS`` rows, so neither
+holds the whole text: a loader checks a path or byte string as UTF-8 in
+chunks, then parses the body block by block, and any block outside the
+plain case sends the whole input to the strict row parser.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
+import itertools
 import warnings
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -30,6 +38,8 @@ from .errors import (
     NonBinaryTreatment,
     NonNumericCell,
 )
+
+CSV_BLOCK_ROWS = 4096  # rows per block read or written; a block's text stays in cache
 
 
 @dataclass(frozen=True)
@@ -190,30 +200,40 @@ class TwoArmDataset(_Dataset):
             object.__setattr__(self, "source_rows", _freeze(rows))
 
 
-def _source_lines(source) -> list[str]:
-    """The lines of a CSV source, split exactly as ``csv.reader`` sees them.
+@contextmanager
+def _source_lines(source):
+    """Validate a CSV source whole, then yield a function that gives its
+    lines from the start, split exactly as ``csv.reader`` sees them.
 
-    Every source is decoded whole before any row is read, so input that is
-    not valid UTF-8 is refused first, wherever its invalid byte lies: a
-    :class:`DataError` names the line of that byte for bytes and paths (a
-    path is read again as bytes on this path only) and no line for a text
-    stream, whose decoder reports no offset in the whole input.  One
-    leading byte-order mark (U+FEFF), as spreadsheet programs write, is
-    dropped from the first line.
+    Input that is not valid UTF-8 is refused before any row is read (or
+    while it is read, if a file changed after its check): a
+    :class:`DataError` names the line of the invalid byte for bytes and
+    paths, which are checked in 1 MB chunks that are not kept, and no line
+    for a text stream, whose lines are read whole and kept.  One leading
+    byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
     """
     try:
-        if isinstance(source, (bytes, bytearray)):
-            lines = io.StringIO(source.decode("utf-8"), newline="").readlines()
-        elif isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8", newline="") as handle:
-                lines = handle.readlines()
-        else:
-            lines = list(source)
+        if not isinstance(source, (bytes, bytearray, str, Path)):
+            kept = list(source)
+            if kept:
+                kept[0] = kept[0].removeprefix("\ufeff")
+            yield lambda: iter(kept)
+            return
+        with open(source, "rb") if isinstance(source, (str, Path)) else io.BytesIO(source) as raw:
+            decoder = codecs.getincrementaldecoder("utf-8")()
+            while chunk := raw.read(1 << 20):
+                decoder.decode(chunk)
+            decoder.decode(b"", final=True)
+            # "utf-8-sig" drops the mark again after each seek to the start
+            with io.TextIOWrapper(raw, encoding="utf-8-sig", newline="") as text:
+
+                def lines():
+                    text.seek(0)
+                    return text
+
+                yield lines
     except UnicodeDecodeError as exc:
         raise _not_utf8(source, exc) from exc
-    if lines and lines[0].startswith("\ufeff"):
-        lines[0] = lines[0][1:]
-    return lines
 
 
 def _not_utf8(source, error: UnicodeDecodeError) -> DataError:
@@ -261,7 +281,8 @@ def _read_rows(reader, header: list[str]) -> list[list[str]]:
     return rows
 
 
-def _parse_column(rows: list[list[str]], col: int, name: str) -> np.ndarray:
+def _parse_column(rows: list[list[str]], header: list[str], name: str) -> np.ndarray:
+    col = header.index(name)
     out = np.empty(len(rows), dtype=np.float64)
     for i, row in enumerate(rows):
         cell = row[col]
@@ -280,25 +301,24 @@ def _parse_column(rows: list[list[str]], col: int, name: str) -> np.ndarray:
 
 
 def _parse_body(lines: list[str], width: int) -> np.ndarray | None:
-    """Parse the data lines in one numpy call, or return None.
+    """Parse one block of data lines in one numpy call, or return None.
 
     None means the lines are outside the plain case the strict row parser
-    would accept unchanged: a quoted, empty or otherwise unparsable cell,
-    a ragged or whitespace-only row, a non-finite value, a width other
-    than the header's, or no rows at all.  The caller then falls back to
-    the row parser, which accepts or rejects the input with its own
-    messages.  ``usecols`` is deliberately not passed: with it numpy
+    would accept unchanged (a quoted, empty or otherwise unparsable cell, a
+    ragged or whitespace-only row, a non-finite value or a width other than
+    the header's); the whole input then goes to the row parser.  Blank lines
+    give no rows.  ``usecols`` is deliberately not passed: with it numpy
     accepts rows with extra or missing trailing fields.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # "input contained no data"
-            table = np.loadtxt(
-                lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2
-            )
+            table = np.loadtxt(lines, delimiter=",", dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         return None
-    if table.shape[0] == 0 or table.shape[1] != width or not np.isfinite(table).all():
+    if table.shape[0] == 0:
+        return table.reshape(0, width)
+    if table.shape[1] != width or not np.isfinite(table).all():
         return None
     return table
 
@@ -342,41 +362,61 @@ def _resolve_columns(
     return mediators, covariates
 
 
-def _load(
-    source, schema: ColumnMap | None, design: str
-) -> FourArmDataset | TwoArmDataset:
+def _load(source, schema: ColumnMap | None, design: str) -> FourArmDataset | TwoArmDataset:
     schema = schema or ColumnMap()
-    lines = _source_lines(source)
-    reader = csv.reader(lines)
-    try:
-        header = _read_header(reader)
-        table = _parse_body(lines[reader.line_num:], len(header))
-        rows = _read_rows(reader, header) if table is None else None
-    except csv.Error as exc:
-        raise DataError(f"line {reader.line_num}: {exc}") from None
-    mediators, covariates = _resolve_columns(header, schema, design)
-
-    def column(name: str) -> np.ndarray:
-        j = header.index(name)
-        return table[:, j] if rows is None else _parse_column(rows, j, name)
-
     outcome, *treatments = schema.special_names(design)
-    y = column(outcome)
-    arms = [column(name) for name in treatments]
-    m = np.column_stack([column(c) for c in mediators])
-    x = np.column_stack([column(c) for c in covariates])
+    with _source_lines(source) as lines:
+        parsed = _read_blocks(lines(), schema, design) or _read_strict(lines(), schema, design)
+    mediators, covariates, (y, *arms, m, x) = parsed
     dataset = _DESIGNS[design]
     fields = dataset.treatment_fields
     return dataset(
-        y=y,
-        m=m,
-        x=x,
-        outcome_name=outcome,
-        mediator_names=tuple(mediators),
-        covariate_names=tuple(covariates),
+        y=y, m=m, x=x, outcome_name=outcome,
+        mediator_names=tuple(mediators), covariate_names=tuple(covariates),
         **dict(zip(fields, arms)),
         **{f"{field}_name": name for field, name in zip(fields, treatments)},
     )
+
+
+def _read_blocks(lines: Iterator[str], schema: ColumnMap, design: str):
+    """The columns of a plain CSV, parsed ``CSV_BLOCK_ROWS`` lines at a
+    time; None for a header, block or body the strict row parser must judge
+    (it reports a missing column only after checking every row)."""
+    reader = csv.reader(lines)
+    try:
+        header = _read_header(reader)
+        mediators, covariates = _resolve_columns(header, schema, design)
+    except (csv.Error, DataError):
+        return None
+    cols = [header.index(name) for name in schema.special_names(design)]
+    cols += [[header.index(name) for name in group] for group in (mediators, covariates)]
+    blocks = [[] for _ in cols]
+    while block := list(itertools.islice(lines, CSV_BLOCK_ROWS)):
+        table = _parse_body(block, len(header))
+        if table is None:
+            return None
+        for j, parts in zip(cols, blocks):
+            parts.append(np.take(table, j, axis=1))
+    if not any(map(len, blocks[0])):
+        return None
+    # popped, so that each column's blocks are freed once it is joined
+    return mediators, covariates, [np.concatenate(blocks.pop(0)) for _ in cols]
+
+
+def _read_strict(lines: Iterator[str], schema: ColumnMap, design: str):
+    """The columns of any CSV the loader accepts, read row by row, with
+    the loader's errors in the order it reports them."""
+    reader = csv.reader(lines)
+    try:
+        header = _read_header(reader)
+        rows = _read_rows(reader, header)
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+    mediators, covariates = _resolve_columns(header, schema, design)
+    columns = [_parse_column(rows, header, name) for name in schema.special_names(design)]
+    for group in (mediators, covariates):
+        columns.append(np.column_stack([_parse_column(rows, header, c) for c in group]))
+    return mediators, covariates, columns
 
 
 def load_four_arm(source, schema: ColumnMap | None = None) -> FourArmDataset:
@@ -410,14 +450,12 @@ def _save(ds: FourArmDataset | TwoArmDataset, target) -> None:
             _save(ds, handle)
         return
     csv.writer(target).writerow(ds.column_names())
-    # repr of a Python float is the shortest string that round-trips exactly
-    columns = [
-        map(repr, ds.y.tolist()),
-        *(map(str, getattr(ds, field).tolist()) for field in ds.treatment_fields),
-        *(map(repr, col.tolist()) for col in ds.m.T),
-        *(map(repr, col.tolist()) for col in ds.x.T),
-    ]
-    target.writelines(",".join(row) + "\r\n" for row in zip(*columns))
+    columns = [ds.y, *(getattr(ds, field) for field in ds.treatment_fields), *ds.m.T, *ds.x.T]
+    for lo in range(0, ds.n, CSV_BLOCK_ROWS):
+        # repr of a Python float is the shortest string that round-trips
+        # exactly; of a treatment, an int, its digits
+        cells = (map(repr, col[lo : lo + CSV_BLOCK_ROWS].tolist()) for col in columns)
+        target.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def save_four_arm(ds: FourArmDataset, target) -> None:

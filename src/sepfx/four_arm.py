@@ -62,7 +62,8 @@ class NuisanceFitFour:
     The cell probabilities follow the chain rule, P(a_y, a_m | X) =
     P(A_Y = a_y | X) * P(A_M = a_m | A_Y = a_y, X), from two treatment
     models: ``treat_y`` models P(A_Y = 1 | X) on the covariates and
-    ``treat_m`` models P(A_M = 1 | A_Y, X) on ``[a_y, x]``.
+    ``treat_m`` models P(A_M = 1 | A_Y, X) on ``[a_y, x]``, fit on the rows
+    of the A_Y levels where both A_M values occur.
     ``empty_cells`` had no training rows and were not required; their
     probability is exactly zero.  Where the training rows fix a label, its
     factor is exactly one: P(A_Y) when they hold one A_Y level, and
@@ -125,7 +126,7 @@ def fit_nuisance_four(
     empty cell gets probability zero.  ``treat_y`` is fit unless the rows
     hold one A_Y level, and ``treat_m``, with A_Y as its first feature and
     ``interact_cols=(0,)``, unless A_M is constant within each A_Y level
-    (see :class:`NuisanceFitFour`).
+    (see :class:`NuisanceFitFour`), on the rows of the levels where it varies.
     """
     x = ds.x[train_rows]
     a_y = ds.a_y[train_rows].astype(np.float64)
@@ -135,13 +136,14 @@ def fit_nuisance_four(
         if cell in required_cells:
             raise MissingCell(f"no training rows in arm cell {cell}")
     levels = {cell[0] for cell in CELLS if cell not in empty}
+    varying = [level for level in levels if {(level, 0), (level, 1)}.isdisjoint(empty)]
     treat_y = treat_m = None
     if len(levels) > 1:
         treat_y = fit_classifier(x, a_y, config.propensity, clip=config.clip)
-    if len(CELLS) - len(empty) > len(levels):
-        treat_m = fit_classifier(
-            np.column_stack([a_y, x]), a_m, config.propensity, (0,), config.clip
-        )
+    if varying:
+        rows = slice(None) if len(varying) == len(levels) else np.isin(a_y, varying)
+        features = np.column_stack([a_y, x])[rows]
+        treat_m = fit_classifier(features, a_m[rows], config.propensity, (0,), config.clip)
     stacked = np.column_stack([a_y, a_m, x])
     outcome_fit = fit_regressor(
         stacked, ds.y[train_rows], config.outcome, interact_cols=(0, 1)

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -330,25 +331,25 @@ def test_fast_loader_matches_row_parser(case, kind):
         assert_matches_row_parser(load, lambda: io.StringIO(text))
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        # rows numpy accepts when given usecols: one extra, one missing field
-        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2,9\n",
-        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.1\n",
-        "y,aY,aM,m1,x1\r\n1,0,1,0.5,0.2\r\n\r\n2 , 1 ,0, 0.1,0.3\r\n",
-        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n   \n,,,,\n2,1,0,0.1,0.3",
-        "y,aY,aM,m1,x1,z\n1,0,1,0.5,0.2,nan\n",
-        "y,aY,aM,m1,x1,note\n1,0,1,0.5,0.2,hello\n",
-        '"y",aY,aM,m1,x1\n"1",0,1,0.5,0.2\n',
-        "y,aY,aM,m1,x1\n1_0,0,1,0.5,0.2\n",
-        "y,aY,aM,m1,x1\n1,0,2,0.5,0.2\n3,0,1,oops,0.2\n",
-        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\r2,1,0,0.1,0.3\n",
-        "y,aY,aM,m1,x1\n1,0,1,0.5,0.2,7\n2,1,0,0.1,0.3,8\n",
-        "y,aY,aM,m1,x1\n\n\n",
-        "",
-    ],
-)
+LOADER_EXAMPLES = [
+    # rows numpy accepts when given usecols: one extra, one missing field
+    "y,aY,aM,m1,x1\n1,0,1,0.5,0.2,9\n",
+    "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.1\n",
+    "y,aY,aM,m1,x1\r\n1,0,1,0.5,0.2\r\n\r\n2 , 1 ,0, 0.1,0.3\r\n",
+    "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n   \n,,,,\n2,1,0,0.1,0.3",
+    "y,aY,aM,m1,x1,z\n1,0,1,0.5,0.2,nan\n",
+    "y,aY,aM,m1,x1,note\n1,0,1,0.5,0.2,hello\n",
+    '"y",aY,aM,m1,x1\n"1",0,1,0.5,0.2\n',
+    "y,aY,aM,m1,x1\n1_0,0,1,0.5,0.2\n",
+    "y,aY,aM,m1,x1\n1,0,2,0.5,0.2\n3,0,1,oops,0.2\n",
+    "y,aY,aM,m1,x1\n1,0,1,0.5,0.2\r2,1,0,0.1,0.3\n",
+    "y,aY,aM,m1,x1\n1,0,1,0.5,0.2,7\n2,1,0,0.1,0.3,8\n",
+    "y,aY,aM,m1,x1\n\n\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("text", LOADER_EXAMPLES)
 def test_fast_loader_matches_row_parser_examples(text, tmp_path):
     assert_matches_row_parser(load_four_arm, lambda: text.encode("utf-8"))
     path = tmp_path / "d.csv"
@@ -427,13 +428,14 @@ def _source(kind: str, text: bytes, path):
 
 
 @pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
-@pytest.mark.parametrize("gap", [0, 100, 1000])
+@pytest.mark.parametrize("gap", [0, 100, 1000, 2 * data_module.CSV_BLOCK_ROWS + 5, 70_000])
 def test_bad_row_before_invalid_utf8_wins_whatever_the_gap(gap, kind, tmp_path):
     """Invalid UTF-8 is reported before a bad row earlier in the input, for
-    every kind of source and however many good rows (less or more than the
-    decoder's chunk) separate the short row from the invalid byte.  Bytes
-    and files name the invalid byte's line and position; a stream names
-    neither, as its decoder's position is one inside its current chunk."""
+    every kind of source and however many good rows (less or more than a
+    text decoder's chunk, two row blocks or the 1 MB chunk of the UTF-8
+    check) separate the short row from the invalid byte.  Bytes and files
+    name the invalid byte's line and position; a stream names neither, as
+    its decoder's position is one inside its current chunk."""
     text = (
         b"y,aY,aM,m1,x1\r\n1,0,1,0.5\r\n"
         + b"1,0,1,0.5,0.2\r\n" * gap
@@ -468,14 +470,15 @@ def test_a_leading_byte_order_mark_is_dropped(kind, tmp_path):
     np.testing.assert_array_equal(ds.y, [1.0, 2.0])
 
 
+OVERLONG_FIELDS = {
+    "row": ("y,aY,aM,m1,x1\n1,0,1,0.5,{a}\n", 2),
+    "quoted": ('y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n1,0,1,0.5,"{1}"\n', 3),
+    "header": ("y,aY,aM,m1,x{1}\n1,0,1,0.5,0.2\n", 1),
+}
+
+
 @pytest.mark.parametrize(
-    "template, line",
-    [
-        ("y,aY,aM,m1,x1\n1,0,1,0.5,{a}\n", 2),
-        ('y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n1,0,1,0.5,"{1}"\n', 3),
-        ("y,aY,aM,m1,x{1}\n1,0,1,0.5,0.2\n", 1),
-    ],
-    ids=["row", "quoted", "header"],
+    "template, line", list(OVERLONG_FIELDS.values()), ids=list(OVERLONG_FIELDS)
 )
 def test_overlong_field_is_a_data_error(template, line, tmp_path):
     """A field over the csv module's size limit is reported with its line,
@@ -514,3 +517,107 @@ def test_explicit_columns_cannot_take_the_outcome_or_a_treatment(load, schema):
     src = b"y,aY,aM,a,m1,x1\n1,0,1,0,0.5,0.2\n2,1,0,1,0.4,0.3\n"
     with pytest.raises(DataError, match="is the outcome or a treatment"):
         load(src, schema)
+
+
+# --- row blocks: boundaries, sizes and memory ------------------------------
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_blocks_of_one_or_two_rows_change_no_load(rows, monkeypatch, tmp_path):
+    """With a block boundary after every line or every second line, the
+    loader still agrees with the row parser (the search and its examples)
+    and keeps its line endings, byte-order mark, field limit and UTF-8
+    checks."""
+    monkeypatch.setattr(data_module, "CSV_BLOCK_ROWS", rows)
+    test_fast_loader_matches_row_parser()
+    for text in LOADER_EXAMPLES:
+        test_fast_loader_matches_row_parser_examples(text, tmp_path)
+    for kind in ("bytes", "file"):
+        test_lone_carriage_returns_end_lines_in_bytes_and_files(kind, tmp_path)
+    for kind in ("bytes", "file", "stream"):
+        test_a_leading_byte_order_mark_is_dropped(kind, tmp_path)
+    for template, line in OVERLONG_FIELDS.values():
+        test_overlong_field_is_a_data_error(template, line, tmp_path)
+    test_invalid_utf8_is_a_data_error(tmp_path)
+
+
+@pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
+def test_files_of_several_blocks_save_and_load_exactly(kind, tmp_path):
+    """Over several blocks and a partial last one, a save writes the text
+    of one ``csv.writer`` row per record, and a load of that text gives
+    back the arrays bit for bit."""
+    n = 3 * data_module.CSV_BLOCK_ROWS + 7
+    four = generate_dataset(SimConfig(n=n, master_seed=6, reps=1), 0)
+    two = TwoArmDataset(y=four.y, a=four.a_m, m=four.m, x=four.x)
+    for ds, save, load, treatments in [
+        (four, save_four_arm, load_four_arm, (four.a_y, four.a_m)),
+        (two, save_two_arm, load_two_arm, (two.a,)),
+    ]:
+        buf = io.StringIO()
+        save(ds, buf)
+        text = buf.getvalue()
+        assert text == _row_writer_csv(ds, treatments)
+        back = load(_source(kind, text.encode("utf-8"), tmp_path / "d.csv"))
+        for field in ("y", *ds.treatment_fields, "m", "x"):
+            assert getattr(back, field).tobytes() == getattr(ds, field).tobytes(), field
+
+
+_LATE_FAULTS = [
+    # (bad row, error type, message); the row lands after the first block
+    ("1,0,1,0.5", DataError, "line {line}: expected 5 fields, found 4"),
+    ("1,0,1,oops,0.2", NonNumericCell, "row {row}, column 'm1': cannot parse 'oops'"),
+    ("1,0,2,0.5,0.2", NonBinaryTreatment,
+     "column 'aM' must contain only 0/1; row {row} has 2.0"),
+]
+
+
+@pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
+@pytest.mark.parametrize("fault", range(len(_LATE_FAULTS)))
+def test_a_fault_after_the_first_block_is_reported_as_before(fault, kind, tmp_path):
+    """A bad row after the first block sends the whole input to the row
+    parser, or to the dataset's checks, with the error and message a
+    whole-file parse gives; so does a non-UTF-8 byte there."""
+    bad, error, message = _LATE_FAULTS[fault]
+    good = data_module.CSV_BLOCK_ROWS + 5
+    head = b"y,aY,aM,m1,x1\r\n" + b"1,0,1,0.5,0.2\r\n" * good
+    text = head + bad.encode("utf-8") + b"\r\n" + b"2,1,0,0.1,0.3\r\n" * 3
+    with pytest.raises(error) as exc:
+        load_four_arm(_source(kind, text, tmp_path / "d.csv"))
+    assert type(exc.value) is error
+    assert str(exc.value) == message.format(line=good + 2, row=good + 1)
+    where = "" if kind == "stream" else f" at line {good + 2}"
+    with pytest.raises(DataError, match=f"^input is not valid UTF-8{where}: "):
+        load_four_arm(_source(kind, head + b"1,0,1,\xff,0.2\r\n", tmp_path / "d.csv"))
+
+
+def _peak_over_array_bytes(ds, call) -> float:
+    """``call``'s traced peak allocation over ``ds``'s array bytes."""
+    arrays = sum(getattr(ds, field).nbytes for field in ("y", *ds.treatment_fields, "m", "x"))
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / arrays
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_save_allocates_less_than_the_arrays(tmp_path):
+    """At n = 50 000 a save to a path formats one block at a time, so its
+    peak allocation stays under the dataset's array bytes."""
+    ds = generate_dataset(SimConfig(n=50_000, master_seed=2, reps=1), 0)
+    assert _peak_over_array_bytes(ds, lambda: save_four_arm(ds, tmp_path / "d.csv")) <= 1.0
+
+
+def test_a_load_holds_no_whole_file_copy(tmp_path):
+    """At n = 50 000 a load from a path or bytes allocates about two copies
+    of the arrays (its columns, then the dataset's frozen copies), where a
+    whole-file text or table would add more.  A text stream's lines are
+    kept whole, so a load from one costs more, but no more than when the
+    body was parsed as one table."""
+    ds = generate_dataset(SimConfig(n=50_000, master_seed=2, reps=1), 0)
+    path = tmp_path / "d.csv"
+    save_four_arm(ds, path)
+    text = path.read_bytes()
+    assert _peak_over_array_bytes(ds, lambda: load_four_arm(path)) <= 2.75
+    assert _peak_over_array_bytes(ds, lambda: load_four_arm(text)) <= 2.75
+    stream = lambda: load_four_arm(io.StringIO(text.decode("utf-8"), newline=""))
+    assert _peak_over_array_bytes(ds, stream) <= 8.95

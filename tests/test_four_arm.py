@@ -355,3 +355,26 @@ def test_degenerate_training_folds_stay_exact_and_quiet(case):
             np.testing.assert_allclose(probs[:, j], p_y if a_y else 1.0 - p_y, rtol=1e-12)
     if agreeing:
         assert np.all(agree == 1.0)
+
+
+def test_treat_m_is_fit_only_where_a_m_varies():
+    """With (1, 1) empty, A_M is fixed at A_Y = 1, so P(A_M | A_Y, X) is
+    fit on the A_Y = 0 rows alone: its A_Y coefficient does not run off
+    towards separation, and the A_Y = 0 cells are those of a classifier
+    fit on those rows."""
+    ds = generate_dataset(SimConfig(n=2000, reps=1), 0)
+    sub = subset(ds, ds.a_y * ds.a_m == 0)
+    config = EstimatorConfig()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        nuis = fit_nuisance_four(sub, np.arange(sub.n), config, ((0, 0), (0, 1), (1, 0)))
+    assert not [w for w in caught if issubclass(w.category, SeparationWarning)]
+    assert abs(nuis.treat_m.beta[1]) < 1.0  # the A_Y coefficient
+    level0 = sub.a_y == 0
+    lone = learners.fit_classifier(
+        sub.x[level0], sub.a_m[level0].astype(np.float64), config.propensity, clip=config.clip
+    )
+    p_y, p_m = nuis.treat_y.predict(sub.x), lone.predict(sub.x)
+    probs = nuis.cell_probabilities(sub.x)
+    np.testing.assert_allclose(probs[:, CELLS.index((0, 0))], (1 - p_y) * (1 - p_m), atol=1e-10)
+    np.testing.assert_allclose(probs[:, CELLS.index((0, 1))], (1 - p_y) * p_m, atol=1e-10)
