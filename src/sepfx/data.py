@@ -268,12 +268,12 @@ def _read_header(reader) -> list[str]:
 
 def _read_rows(reader, header: list[str]) -> list[list[str]]:
     rows = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         if len(row) != len(header):
-            raise DataError(
-                f"line {lineno}: expected {len(header)} fields, found {len(row)}"
+            raise DataError(  # the row's last line, as a quoted field may span lines
+                f"line {reader.line_num}: expected {len(header)} fields, found {len(row)}"
             )
         rows.append([cell.strip() for cell in row])
     if not rows:

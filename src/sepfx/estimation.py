@@ -10,7 +10,8 @@ the median rule.  ``ESTIMATOR_FAMILIES`` maps each estimator family to
 the design its data come from and the population its estimands refer
 to; :func:`build_estimates` reads both off it when it turns a family's
 ``run_battery`` output into :class:`EffectEstimate` values, refusing a
-standard error that is not positive.
+standard error that is not positive.  Normal quantiles come from
+:func:`sepfx.special.ndtri`, bit for bit as scipy's.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .crossfit import median_adjust
 from .errors import DegenerateEstimate
 from .learners import DEFAULT_CLIP, LearnerSpec
 from .seeding import check_integers, is_integer
+from .special import ndtri
 
 Z_95 = 1.96
 
@@ -33,7 +34,7 @@ def z_value(alpha: float) -> float:
     """Two-sided normal critical value; exactly 1.96 at the 5% level."""
     if alpha == 0.05:
         return Z_95
-    return float(ndtri(1.0 - alpha / 2.0))
+    return ndtri(1.0 - alpha / 2.0)
 
 
 def checked_se(se: float, label: str) -> float:

@@ -21,6 +21,8 @@ two influence vectors: the ``"indirect"`` family of
 :func:`~sepfx.four_arm.four_arm_battery`, which scores the agreement
 contrast once for both agreement-population families.  The indirect test
 is that family plus a Wald test of each combined difference.
+Normal tails come from :mod:`sepfx.special`, bit for bit as scipy's; only
+the classical direct tests' t tails import ``scipy.special``, when first used.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri, stdtr, stdtrit
 
 from .data import FourArmDataset
 from .errors import DegenerateEstimate
@@ -43,6 +44,7 @@ from .estimation import (
 # bench/layers.py traces fit_nuisance_theta under this module's name
 from .four_arm import fit_nuisance_theta, four_arm_battery  # noqa: F401
 from .seeding import is_integer
+from .special import ndtr, ndtri
 
 DIRECT_BASES = ("main", "interactions")
 
@@ -162,9 +164,10 @@ def _wald_test(
     se = checked_se(se, test)
     statistic = estimate / se
     if dof is None:
-        p_value = 2.0 * float(ndtr(-abs(statistic)))
-        quantile = float(ndtri(1.0 - alpha / 2.0))
+        p_value = 2.0 * ndtr(-abs(statistic))
+        quantile = ndtri(1.0 - alpha / 2.0)
     else:
+        from scipy.special import stdtr, stdtrit  # deferred: importing scipy costs ~0.25 s
         p_value = 2.0 * float(stdtr(dof, -abs(statistic)))
         quantile = float(stdtrit(dof, 1.0 - alpha / 2.0))
     return TestResult(

@@ -27,6 +27,8 @@ learners share their internal folds and grow all their forests together.
 through the same batch code.  GLMs on one matrix share one design to
 predict as well (:func:`predict_many`), also at several treatment levels
 (:class:`AtLevels`).
+Logistic probabilities come from :func:`sepfx.special.expit`; only the super
+learner's NNLS imports scipy, when it first runs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from dataclasses import dataclass, replace
 from typing import Protocol
 
 import numpy as np
-from scipy.special import expit
 
 from .crossfit import make_folds
 from .errors import (
@@ -48,6 +49,7 @@ from .errors import (
 )
 from .forest import ForestPredictor, as_matrix, fit_forest, fit_forests, predict_forests
 from .seeding import check_integers, derive_seed, is_finite_number
+from .special import expit
 
 DEFAULT_CLIP = 0.01
 DEFAULT_RIDGE_SCALE = 1e-6

@@ -34,7 +34,8 @@ share nothing with each other.
 Replications run in forked worker processes, one per usable CPU unless
 ``SimConfig.threads`` says otherwise, whose warnings are raised again in
 the caller.  Every study runs under one OpenBLAS thread, so its results
-do not depend on the worker count.
+do not depend on the worker count.  A falsification study imports the
+direct tests' t tails from ``scipy.special`` before it forks its workers.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from itertools import product
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from .data import FourArmDataset, restrict_to_two_arm
 from .errors import SepfxError
@@ -69,6 +69,7 @@ from .falsification import (
 from .four_arm import four_arm_battery
 from .learners import make_spec
 from .seeding import check_integers, derive_seed, is_finite_number, stream
+from .special import expit
 from .two_arm import estimate_effects_two
 
 N_COVARIATES = 5
@@ -613,6 +614,8 @@ def run_falsification_study(cfg: SimConfig) -> FalsificationStudyReport:
     With no violation configured the rates estimate test size; with a
     violation they estimate power.
     """
+    # the direct tests' t tails: imported once here, not again in every forked worker
+    import scipy.special  # noqa: F401
     start = time.perf_counter()
     results = _map_reps(_falsify_one, cfg)
     keys = sorted(

@@ -457,3 +457,34 @@ def test_cli_import_leaves_out_scipy_stats_and_optimize():
         check=True, timeout=120,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_classical_direct_tests_load_scipy(tmp_path):
+    """GLM estimates and the indirect test run without any scipy module;
+    the classical direct tests' t tails then load ``scipy.special``."""
+    data = tmp_path / "four.csv"
+    save_four_arm(generate_dataset(SimConfig(n=2000, a_y_model=1, reps=1), 0), data)
+    out = str(tmp_path / "out.json")
+    runs = [
+        ["estimate", "--data", str(data), "--design", "four-arm", "--learner", "glm",
+         "--out", out],
+        ["falsify", "indirect", "--data", str(data), "--learner", "glm", "--out", out],
+        ["falsify", "direct", "--data", str(data), "--out", out],
+    ]
+    src = str(Path(sepfx.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = (
+        "import sys\n"
+        "from sepfx.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0\n"
+        "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    after_estimate, after_indirect, after_direct = out.stdout.splitlines()
+    assert after_estimate == after_indirect == "[]"
+    assert "'scipy.special'" in after_direct

@@ -364,6 +364,13 @@ def test_ragged_rows_keep_their_line_number():
         load_four_arm(b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n2,1,0,0.1\n")
 
 
+def test_ragged_row_after_a_quoted_line_break_names_its_own_line():
+    """A quoted field that spans two lines is one record on lines 2-3, so
+    the short row after it is on line 4, not the third record's line 3."""
+    with pytest.raises(DataError, match=r"^line 4: expected 5 fields, found 3$"):
+        load_four_arm(b'y,aY,aM,m1,x1\n"1\n",0,1,0.5,0.2\n1,0,1\n')
+
+
 def test_saved_csv_takes_the_fast_path(tmp_path):
     ds = make_four_arm(n=30, seed=8)
     path = tmp_path / "d4.csv"

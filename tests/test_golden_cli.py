@@ -47,6 +47,7 @@ CASES = {
         "estimate", "--data", DATA, "--design", "two-arm", "--col-a", "aY",
         "--strategy", "T",
     ],
+    "falsify_direct_classical": ["falsify", "direct", "--data", DATA],
     "falsify_direct_robust": ["falsify", "direct", "--data", DATA, "--robust"],
     "falsify_indirect": ["falsify", "indirect", "--data", DATA],
     "falsify_indirect_even_splits": [
