@@ -22,6 +22,7 @@ import csv
 import io
 import itertools
 import warnings
+from array import array
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,15 +210,29 @@ def _source_lines(source):
     while it is read, if a file changed after its check): a
     :class:`DataError` names the line of the invalid byte for bytes and
     paths, which are checked in 1 MB chunks that are not kept, and no line
-    for a text stream, whose lines are read whole and kept.  One leading
-    byte-order mark (U+FEFF), as spreadsheet programs write, is dropped.
+    for a text stream, which is read whole and kept, ``CSV_BLOCK_ROWS``
+    lines joined into each string, with every line's length to cut them
+    apart again.  One leading byte-order mark (U+FEFF), as spreadsheet
+    programs write, is dropped.
     """
     try:
         if not isinstance(source, (bytes, bytearray, str, Path)):
-            kept = list(source)
-            if kept:
-                kept[0] = kept[0].removeprefix("\ufeff")
-            yield lambda: iter(kept)
+            texts, lengths, stream = [], array("q"), iter(source)
+            while block := list(itertools.islice(stream, CSV_BLOCK_ROWS)):
+                if not texts:
+                    block[0] = block[0].removeprefix("\ufeff")
+                lengths.extend(map(len, block))
+                texts.append("".join(block))
+
+            def lines():
+                ends = iter(lengths)
+                for text in texts:
+                    start = 0
+                    for length in itertools.islice(ends, CSV_BLOCK_ROWS):
+                        yield text[start : start + length]
+                        start += length
+
+            yield lines
             return
         with open(source, "rb") if isinstance(source, (str, Path)) else io.BytesIO(source) as raw:
             decoder = codecs.getincrementaldecoder("utf-8")()

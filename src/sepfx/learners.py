@@ -27,14 +27,17 @@ learners share their internal folds and grow all their forests together.
 through the same batch code.  GLMs on one matrix share one design to
 predict as well (:func:`predict_many`), also at several treatment levels
 (:class:`AtLevels`).
-Logistic probabilities come from :func:`sepfx.special.expit`; only the super
-learner's NNLS imports scipy, when it first runs.
+Logistic probabilities come from :func:`sepfx.special.expit`, and the super
+learner's NNLS is Lawson and Hanson's, in numpy (:func:`_nnls`), so no
+learner imports scipy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Protocol
 
 import numpy as np
@@ -553,17 +556,116 @@ def _fit_super_learners(X, ys, spec: LearnerSpec, interact_cols, clip, short_cut
     return fits
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``x >= 0`` that minimizes ``||a @ x - b||``, by Lawson and
+    Hanson's active-set method (*Solving Least Squares Problems*, ch. 23).
+
+    A Householder QR of ``[a, b]``, by numpy's own reductions rather than
+    BLAS so that the result does not depend on the BLAS kernel, leaves the
+    same problem on ``min(m, k)`` rows.  The loop runs on those in Python
+    floats and keeps the passive columns triangular: a column enters by a
+    reflection and leaves by Givens rotations.  The free column of largest
+    positive gradient enters only if the part of it outside the passive
+    columns' span does not vanish beside the part inside (at a factor
+    0.01) and its coefficient would be positive, so of duplicate or
+    collinear columns one enters.  With no positive gradient at 0 the
+    result is 0.  After ``3 k`` solves the loop stops at its current
+    point, which is feasible; it never raises.
+    """
+    m, k = a.shape
+    rows = min(m, k)
+    w = np.empty((k + 1, m))  # column j of [a, b] as row j, so that a reflection reads rows
+    w[:k], w[k] = a.T, b
+    for c in range(rows):
+        pivot = w[c, c:]
+        norm = math.sqrt(np.square(pivot).sum())
+        if norm == 0.0:
+            continue
+        top = float(pivot[0])
+        diag = -norm if top > 0.0 else norm
+        pivot[0] = top - diag  # now the reflector
+        rest = w[c + 1 :, c:]
+        rest -= ((rest * pivot).sum(axis=1) / norm / (norm + abs(top)))[:, None] * pivot
+        pivot[0] = diag
+    cols = w[:, :rows].tolist()  # R's rows k and below hold only the residual of b
+    for j, col in enumerate(cols):
+        col[j + 1 :] = [0.0] * (rows - j - 1)  # below R's diagonal w holds the reflectors
+    f = cols.pop()
+    x = [0.0] * k
+    passive: list[int] = []  # in triangle order
+    free = list(range(k))
+    solves = 0
+    while free and len(passive) < rows:
+        n = len(passive)
+        tail = f[n:]
+        grad = {j: sum(map(mul, cols[j][n:], tail)) for j in free}
+        for j in sorted(free, key=grad.get, reverse=True):  # stable: ties take the lower index
+            if grad[j] <= 0.0:
+                return np.array(x)
+            col = cols[j]
+            norm, inside = math.hypot(*col[n:]), math.hypot(*col[:n])
+            if inside + 0.01 * norm - inside > 0.0:
+                v = col[n:]
+                diag = -norm if v[0] > 0.0 else norm
+                width = norm + abs(v[0])  # ||v||^2 = 2 norm width, a product that can underflow
+                v[0] -= diag
+                top = tail[0] - sum(map(mul, v, tail)) / norm / width * v[0]  # f's row n, reflected
+                if top / diag > 0.0:
+                    break  # its coefficient in the solve with it is positive
+        else:
+            return np.array(x)
+        free.remove(j)
+        for u in [f] + [cols[i] for i in free]:
+            s = sum(map(mul, v, u[n:])) / norm / width
+            u[n:] = [ui - s * vi for ui, vi in zip(u[n:], v)]
+        col[n:] = [diag] + [0.0] * (rows - n - 1)
+        passive.append(j)
+        while True:
+            z = [0.0] * len(passive)
+            for t in reversed(range(len(z))):
+                known = sum(cols[passive[u]][t] * z[u] for u in range(t + 1, len(z)))
+                z[t] = (f[t] - known) / cols[passive[t]][t]
+            solves += 1
+            if solves > 3 * k:
+                return np.array(x)
+            zipped = enumerate(zip(passive, z))
+            steps = [(x[i] / (x[i] - zi), t) for t, (i, zi) in zipped if zi <= 0.0]
+            if not steps:
+                break
+            alpha, leaving = min(steps)
+            for i, zi in zip(passive, z):
+                x[i] += alpha * (zi - x[i])
+            x[passive[leaving]] = 0.0
+            for i in [i for i in passive if x[i] <= 0.0]:
+                t = passive.index(i)
+                x[i] = 0.0
+                free.append(passive.pop(t))
+                for q in range(t, len(passive)):  # rotate away row q + 1 of the shifted column
+                    col = cols[passive[q]]
+                    hyp = math.hypot(col[q], col[q + 1])
+                    c, s = col[q] / hyp, col[q + 1] / hyp
+                    for u in [f] + cols:
+                        u[q], u[q + 1] = c * u[q] + s * u[q + 1], c * u[q + 1] - s * u[q]
+                    col[q + 1] = 0.0
+            free.sort()
+        for i, zi in zip(passive, z):
+            x[i] = zi
+    return np.array(x)
+
+
 def _stack(y, oof, candidate_fits, clip) -> SuperLearnerFit:
     """The super learner of the full-data ``candidate_fits`` from their
-    out-of-fold predictions ``oof`` of ``y``."""
-    from scipy.optimize import nnls  # deferred: importing scipy.optimize costs ~0.3 s
-
+    out-of-fold predictions ``oof`` of ``y``: the :func:`_nnls` weights
+    of ``oof`` for ``y``, scaled to sum to 1, or the best candidate alone
+    when they are all 0 or lose to it in cross-validated squared error.
+    The ensemble's predictions are summed by numpy, not by a BLAS product,
+    so that its loss, like the weights, does not depend on the BLAS kernel."""
     cv_losses = np.mean((y[:, None] - oof) ** 2, axis=0)
-    raw, _ = nnls(oof, y)
+    raw = _nnls(oof, y)
     total = raw.sum()
     if total > 0.0:
         weights = raw / total
-        ensemble_loss = float(np.mean((y - oof @ weights) ** 2))
+        ensemble_loss = float(np.mean((y - (oof * weights).sum(axis=1)) ** 2))
     else:
         weights = None
         ensemble_loss = np.inf
@@ -588,7 +690,8 @@ def fit_super_learner(
     interact_cols: tuple[int, ...] = (),
     clip: float | None = None,
 ) -> SuperLearnerFit:
-    """Stack ``spec.candidates`` by NNLS on out-of-fold predictions.
+    """Stack ``spec.candidates`` by NNLS on out-of-fold predictions
+    (Lawson and Hanson's active-set method, in numpy: :func:`_nnls`).
 
     With a ``clip`` the candidates and the stack are classifications.
     Weights live on the simplex.  If the normalized NNLS solution would

@@ -424,6 +424,40 @@ def test_bad_row_before_a_late_decode_error_is_reported(tmp_path):
         load_four_arm(path)
 
 
+def test_a_text_stream_is_kept_as_joined_blocks():
+    """At n = 50 000 a load from a text stream made beforehand keeps the
+    stream as one string per row block and the lines' lengths, so its peak
+    allocation stays under 3.5 times the arrays; one string per line took
+    3.97 times."""
+    ds = generate_dataset(SimConfig(n=50_000, master_seed=2, reps=1), 0)
+    buf = io.StringIO()
+    save_four_arm(ds, buf)
+    stream = io.StringIO(buf.getvalue(), newline="")
+    del buf
+    assert _peak_over_array_bytes(ds, lambda: load_four_arm(stream)) <= 3.5
+
+
+class _OnePass(list):
+    """Lines that may be iterated once, as a stream is read."""
+
+    def __iter__(self):
+        assert not getattr(self, "read", False), "the lines were read again"
+        self.read = True
+        return super().__iter__()
+
+
+def test_a_list_of_lines_is_read_in_one_pass(monkeypatch):
+    """An iterable of lines that is not an iterator loads as its text does,
+    across row blocks and with an empty line and a byte-order mark."""
+    monkeypatch.setattr(data_module, "CSV_BLOCK_ROWS", 2)
+    lines = ["\ufeffy,aY,aM,m1,x1\n", "", "1,0,1,0.5,0.2\n", "2,1,0,0.1,0.3\n", "3,1,1,0.7,0.4\n"]
+    got = load_four_arm(_OnePass(lines))
+    want = load_four_arm("".join(lines).encode("utf-8"))
+    for field in ("y", "a_y", "a_m", "m", "x"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+    assert got.column_names() == want.column_names()
+
+
 def _source(kind: str, text: bytes, path):
     """``text`` as bytes, as a file at ``path``, or as a text stream."""
     if kind == "file":
