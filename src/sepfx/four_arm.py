@@ -16,18 +16,19 @@ channel; the indirect effect does the reverse.  Variance comes from the
 empirical second moment of the score contrasts around the point estimate,
 with the median rule combining repeated sample splits.
 
-The cell probabilities follow the chain rule from two treatment
-models, P(A_Y = 1 | X) and P(A_M = 1 | A_Y, X), as the generalized
-propensity score of the four-valued treatment (Imbens 2000), and the
-probability that the treatments agree is 1 - P(0, 1) - P(1, 0) from the
-same two.  The fold scorer of :func:`split_scores_four` fits one
+The cell probabilities follow the chain rule from two treatment models,
+P(A_Y = 1 | X) and P(A_M = 1 | A_Y, X), as the generalized propensity
+score of the four-valued treatment (Imbens 2000), and the probability that
+the treatments agree is 1 - P(0, 1) - P(1, 0) from the same two.  As in
+the two-arm design, the fold scorer of :func:`split_scores_four` fits one
 :class:`NuisanceFitFour` per fold, with :func:`fit_nuisance_theta` when
 the agreement population is scored, else with :func:`fit_nuisance_four`,
-either looked up as a module global when it runs, and scores the fold's
-test rows from it.  :func:`four_arm_battery` scores the four-arm,
-agreement and indirect families from those bundles, with the agreement
-contrast written once for the last two.  The diagnostics' plug-in
-estimators are ``run_battery`` keys of their own.
+and then calls ``eif(ds, nuis, cells, rows)`` on the fold's test rows;
+the fitter and :func:`eif` are looked up as module globals when it runs.
+:func:`four_arm_battery` scores the four-arm, agreement and indirect
+families from those bundles, with the agreement contrast written once for
+the last two.  The diagnostics' plug-in estimators are ``run_battery``
+keys of their own.
 """
 
 from __future__ import annotations
@@ -165,74 +166,62 @@ def fit_nuisance_theta(
 
 
 def eif(
-    ds: FourArmDataset,
-    a_y: int,
-    a_m: int,
-    nu: np.ndarray,
-    rows: np.ndarray,
-    pi: np.ndarray,
-    agreement: tuple | None = None,
-    terms: bool = False,
+    ds: FourArmDataset, nuis: NuisanceFitFour, cells, rows: np.ndarray,
+    agree: np.ndarray | None = None, terms: bool = False,
 ) -> dict:
-    """Per-row scores on ``rows`` by name: under ``"four"`` those whose
-    mean estimates E[Y^(a_y, a_m)].
+    """Per-row scores on ``rows`` of each (a_y, a_m) cell in ``cells``,
+    ``{(name, cell): scores}``: under ``"four"`` those whose mean estimates
+    E[Y^(a_y, a_m)].
 
-    Rows outside the (a_y, a_m) cell contribute only their predicted
-    outcome; rows inside add the inverse-probability-weighted residual.
-    ``nu`` and ``pi`` are the cell's outcome prediction and clipped
-    propensity on ``rows``.  With ``agreement``, the pair ``(s_hat, agree)`` of
-    the agreement probability and indicator on ``rows``, ``"agreement"``
-    holds the agreement-population score ``1{cell} * (Y - nu) * s_hat / pi
-    + nu * agree``, from the same residual term; with ``terms`` each
-    plug-in of ``PLUG_INS`` holds its own.
+    The bundle's cell probabilities are predicted once, and its outcome
+    model at every cell from one design.  Rows outside a cell contribute
+    only their predicted outcome ``nu``; rows inside add the
+    inverse-probability-weighted residual.  With ``agree``, the agreement
+    indicator on every row of ``ds``, ``"agreement"`` holds the
+    agreement-population score ``1{cell} * (Y - nu) * s_hat / pi
+    + nu * agree``, with ``s_hat`` the agreement probability; with
+    ``terms`` each plug-in of ``PLUG_INS`` holds its own.
     """
+    x = ds.x[rows]
     y = ds.y[rows]
-    inside = (ds.a_y[rows] == a_y) & (ds.a_m[rows] == a_m)
-    residual = inside * (y - nu)
-    scores = {"four": residual / pi + nu}
-    if agreement is not None:
-        s_hat, agree = agreement
-        scores["agreement"] = residual * s_hat / pi + nu * agree
-    if terms:
-        scores.update(zip(PLUG_INS, (inside * y / pi, nu)))
+    a_y = ds.a_y[rows]
+    a_m = ds.a_m[rows]
+    probs, s_hat = nuis.propensities(x)
+    agree = None if agree is None else agree[rows]
+    nus = predict_many([AtLevels(nuis.outcome_fit, cell) for cell in cells], x)
+    scores = {}
+    for cell, nu in zip(cells, nus):
+        pi = probs[:, CELLS.index(cell)]
+        inside = (a_y == cell[0]) & (a_m == cell[1])
+        residual = inside * (y - nu)
+        scores["four", cell] = residual / pi + nu
+        if agree is not None:
+            scores["agreement", cell] = residual * s_hat / pi + nu * agree
+        if terms:
+            for name, value in zip(PLUG_INS, (inside * y / pi, nu)):
+                scores[name, cell] = value
     return scores
 
 
 def split_scores_four(
-    ds: FourArmDataset,
-    split: int,
-    config: EstimatorConfig,
-    cells: tuple,
-    agreement: bool = False,
-    diagnostics: bool = False,
+    ds: FourArmDataset, split: int, config: EstimatorConfig, cells: tuple,
+    agree: np.ndarray | None = None, diagnostics: bool = False,
 ) -> dict:
-    """Out-of-fold scores of each cell on split ``split``'s folds.
-
-    The fold scorer handed to :func:`~sepfx.crossfit.cross_fit_split` fits
+    """Out-of-fold scores of each cell on split ``split``'s folds, from
+    :func:`~sepfx.crossfit.cross_fit_split` with a fold scorer that fits
     one bundle requiring ``cells``, with :func:`fit_nuisance_theta` when
-    ``agreement`` is set, else with :func:`fit_nuisance_four`, and predicts
-    each of its models once on the fold's test rows.  Returns ``{name:
-    {cell: scores}}`` for the names :func:`eif` returns, with
-    ``terms=diagnostics``.
+    the agreement indicator ``agree`` is given, else with
+    :func:`fit_nuisance_four`, and scores the fold's test rows with
+    :func:`eif`.  Returns ``{name: {cell: scores}}`` for the names
+    :func:`eif` returns, with ``terms=diagnostics``.
     """
-    fit = fit_nuisance_theta if agreement else fit_nuisance_four
-    agree = (ds.a_y == ds.a_m).astype(np.float64) if agreement else None
-
-    def fold_scores(train: np.ndarray, test: np.ndarray) -> dict:
-        nuis = fit(ds, train, config, cells)
-        x = ds.x[test]
-        probs, s_hat = nuis.propensities(x)
-        pair = (s_hat, agree[test]) if agreement else None
-        blocks = {}
-        # one outcome design, whose treatment columns are rewritten per cell
-        nus = predict_many([AtLevels(nuis.outcome_fit, cell) for cell in cells], x)
-        for cell, nu in zip(cells, nus):
-            pi = probs[:, CELLS.index(cell)]
-            for name, value in eif(ds, *cell, nu, test, pi, pair, diagnostics).items():
-                blocks[name, cell] = value
-        return blocks
-
-    flat = cross_fit_split(ds, config, split, fold_scores)
+    fit = fit_nuisance_four if agree is None else fit_nuisance_theta
+    flat = cross_fit_split(
+        ds, config, split,
+        lambda train, test: eif(
+            ds, fit(ds, train, config, cells), cells, test, agree, diagnostics
+        ),
+    )
     names = dict.fromkeys(name for name, _ in flat)
     return {name: {cell: flat[name, cell] for cell in cells} for name in names}
 
@@ -261,9 +250,9 @@ def four_arm_battery(
     four = families.get("four", ())
     agreement = families.get("agreement", ())
     indirect = families.get("indirect", ())
-    agreeing = bool(agreement or indirect)
     diagnostics = config.diagnostics and bool(four)
-    if agreeing:
+    agree = None
+    if agreement or indirect:
         agree = (ds.a_y == ds.a_m).astype(np.float64)
         agree_total = agree.sum()
         if agree_total == 0:
@@ -275,9 +264,7 @@ def four_arm_battery(
             raise MissingCell("agreement rows contain a single treatment level")
 
     def split_fn(split: int) -> dict:
-        scores = split_scores_four(
-            ds, split, config, cells, agreeing, diagnostics
-        )
+        scores = split_scores_four(ds, split, config, cells, agree, diagnostics)
         two_scores = split_scores_two(ds2, split, config, cells) if indirect else None
         out = {}
         for est in four:

@@ -23,8 +23,9 @@ within each treatment arm: as views of one joint model with treatment
 interactions ("S") or as one model per arm ("T"); the ensemble averages
 the two scores row by row.  The fold scorer of :func:`split_scores_two`
 fits one :class:`NuisanceFitTwo`, which holds the two treatment-probability
-models once and the outcome models of every strategy in use, and scores
-the fold's test rows from it.
+models once and the outcome models of every strategy in use, and then
+calls ``eif(ds, nuis, pairs, rows)`` on the fold's test rows, as the
+four-arm fold scorer calls its own ``eif(ds, nuis, cells, rows)``.
 """
 
 from __future__ import annotations
@@ -83,19 +84,6 @@ def _fit_by_arm(features, target_sets, a, config: EstimatorConfig, strategy: str
     return [dict(enumerate(fits)) for fits in zip(*by_arm)]
 
 
-def _fit_outcomes(
-    ds: TwoArmDataset, rows: np.ndarray, config: EstimatorConfig, strategy: str
-) -> tuple:
-    """One strategy's ``(mu_fits, lam_fits)`` on the given rows."""
-    a = ds.a[rows].astype(np.float64)
-    mx = np.column_stack([ds.m[rows], ds.x[rows]])
-    [mu_fits] = _fit_by_arm(mx, [ds.y[rows]], a, config, strategy)
-    # project each level's predictions onto the covariates within each arm
-    lam = _fit_by_arm(ds.x[rows], predict_many([mu_fits[0], mu_fits[1]], mx), a, config, strategy)
-    lam_fits = {(level, prime): fit for level in (0, 1) for prime, fit in lam[level].items()}
-    return mu_fits, lam_fits
-
-
 def fit_nuisance_two(
     ds: TwoArmDataset,
     train_rows: np.ndarray,
@@ -105,9 +93,10 @@ def fit_nuisance_two(
 
     Returns one :class:`NuisanceFitTwo`: the two treatment-probability
     fits, then the outcome models of the strategy ``config.strategy``
-    names, or for the ensemble those of "S" then "T".  The nested
-    projection is fit on the same rows as the outcome model (no further
-    splitting).
+    names, or for the ensemble those of "S" then "T".  The fold's
+    treatment, mediator-plus-covariate and covariate matrices are built
+    once, and every fit reads them.  The nested projection is fit on the
+    same rows as the outcome model (no further splitting).
 
     Raises
     ------
@@ -117,17 +106,19 @@ def fit_nuisance_two(
     a = ds.a[train_rows].astype(np.float64)
     if np.ptp(a) == 0.0:
         raise MissingCell("training rows contain a single treatment level")
-    mx = np.column_stack([ds.m[train_rows], ds.x[train_rows]])
+    x = ds.x[train_rows]
+    mx = np.column_stack([ds.m[train_rows], x])
+    y = ds.y[train_rows]
     treat_given_mx = fit_classifier(mx, a, config.propensity, clip=config.clip)
-    treat_given_x = fit_classifier(
-        ds.x[train_rows], a, config.propensity, clip=config.clip
-    )
-    strategies = ("S", "T") if config.strategy == "ensemble" else (config.strategy,)
-    return NuisanceFitTwo(
-        treat_given_mx=treat_given_mx,
-        treat_given_x=treat_given_x,
-        outcomes=tuple(_fit_outcomes(ds, train_rows, config, s) for s in strategies),
-    )
+    treat_given_x = fit_classifier(x, a, config.propensity, clip=config.clip)
+    outcomes = []
+    for strategy in ("S", "T") if config.strategy == "ensemble" else (config.strategy,):
+        [mu_fits] = _fit_by_arm(mx, [y], a, config, strategy)
+        # project each level's predictions onto the covariates within each arm
+        lam = _fit_by_arm(x, predict_many([mu_fits[0], mu_fits[1]], mx), a, config, strategy)
+        lam_fits = {(level, prime): fit for level in (0, 1) for prime, fit in lam[level].items()}
+        outcomes.append((mu_fits, lam_fits))
+    return NuisanceFitTwo(treat_given_mx, treat_given_x, tuple(outcomes))
 
 
 def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dict:
@@ -137,8 +128,10 @@ def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dic
     Each treatment model predicts once, and level 0 follows by the
     complement rule; each strategy's outcome models then predict once per
     level or pair, in one batch per feature matrix, so that GLMs share
-    designs.  The ensemble's two strategies share the treatment
-    probabilities, and their scores are averaged row by row with equal
+    designs.  Each pair's two weights, the residual weight
+    1{A=a_y} / w(a_m) * r(a_m) / r(a_y) and the projection weight
+    1{A=a_m} / w(a_m), are built once and serve every strategy.  The
+    ensemble's two strategies' scores are averaged row by row with equal
     weight.
     """
     x = ds.x[rows]
@@ -154,16 +147,20 @@ def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dic
     )
     rho = {1: p_mx, 0: 1.0 - p_mx}
     omega = {1: p_x, 0: 1.0 - p_x}
+    weights = {
+        (a_y, a_m): ((a == a_y) / omega[a_m] * (rho[a_m] / rho[a_y]), (a == a_m) / omega[a_m])
+        for a_y, a_m in pairs
+    }
     mus, lams = iter(mus), iter(lams)
     scores = []
     for _ in nuis.outcomes:
         mu = {a_y: next(mus) for a_y in levels}
         out = {}
         for a_y, a_m in pairs:
+            residual_weight, projection_weight = weights[a_y, a_m]
             lam = next(lams)
-            ratio = rho[a_m] / rho[a_y]
-            residual_term = (a == a_y) / omega[a_m] * ratio * (y - mu[a_y])
-            projection_term = (a == a_m) / omega[a_m] * (mu[a_y] - lam)
+            residual_term = residual_weight * (y - mu[a_y])
+            projection_term = projection_weight * (mu[a_y] - lam)
             out[a_y, a_m] = residual_term + projection_term + lam
         scores.append(out)
     if len(scores) == 1:

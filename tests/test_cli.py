@@ -442,8 +442,9 @@ def test_version_flag(capsys):
 
 def test_cli_import_leaves_out_scipy_stats_and_optimize():
     """``import sepfx.cli`` stays cheap: scipy.stats and scipy.optimize
-    cost over a second to import and only tail functions and the super
-    learner's NNLS need anything from them."""
+    cost over a second to import, and no sepfx module needs either; the
+    only scipy the package loads is ``scipy.special``, for the classical
+    direct tests' t tails."""
     src = str(Path(sepfx.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}

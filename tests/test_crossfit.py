@@ -215,10 +215,10 @@ def test_a_scoring_error_names_its_fold(monkeypatch):
     ).test_rows(1)
     real_eif = four_arm.eif
 
-    def failing_eif(ds, a_y, a_m, nuis, rows, *args):
+    def failing_eif(ds, nuis, cells, rows, *args):
         if np.array_equal(rows, fold_1):
             raise FloatingPointError("score overflow")
-        return real_eif(ds, a_y, a_m, nuis, rows, *args)
+        return real_eif(ds, nuis, cells, rows, *args)
 
     monkeypatch.setattr(four_arm, "eif", failing_eif)
     with pytest.raises(FloatingPointError, match=r"^fold 1: score overflow$"):

@@ -408,3 +408,21 @@ def test_fit_ols_exact_fit_rule_ignores_the_target_scale():
             fit_ols(design, scale * exact)
         noisy = scale * (exact + 1e-6 * rng.normal(size=200))
         assert fit_ols(design, noisy).dof == 197
+
+
+def test_each_design_scores_a_fold_in_one_call(monkeypatch):
+    """Both designs score a fold's test rows through one ``eif`` call on
+    the fold's bundle: with one split of two folds, the indirect battery
+    calls each design's ``eif`` twice, and each four-arm call scores all
+    four cells."""
+    ds = generate_dataset(SimConfig(n=2000, a_y_model=1, reps=1, master_seed=12), 0)
+    calls = {four_arm: [], two_arm: []}
+    for module in calls:
+        def counting_eif(*args, module=module, real=module.eif):
+            calls[module].append(args[2])  # the cells or pairs
+            return real(*args)
+
+        monkeypatch.setattr(module, "eif", counting_eif)
+    indirect_test_battery(ds, EstimatorConfig(splits=1, k_folds=2))
+    assert len(calls[four_arm]) == len(calls[two_arm]) == 2
+    assert all(sorted(cells) == list(four_arm.CELLS) for cells in calls[four_arm])

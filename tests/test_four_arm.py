@@ -17,7 +17,7 @@ from sepfx.four_arm import (
     fit_nuisance_four,
     split_scores_four,
 )
-from sepfx.learners import AtLevels, ConstantPredictor, GlmPredictor, LearnerSpec
+from sepfx.learners import ConstantPredictor, GlmPredictor, LearnerSpec
 from sepfx.simulation import SimConfig, arm_probability, generate_dataset, true_effects
 
 from conftest import make_four_arm, record_designs, saturated_four
@@ -52,9 +52,7 @@ def flat_nuisance(nu):
 
 def full_sample_eif(ds, cell, nuis):
     """The :func:`eif` scores of ``cell`` on every row of ``ds``."""
-    pi = nuis.propensities(ds.x)[0][:, CELLS.index(cell)]
-    nu = AtLevels(nuis.outcome_fit, cell).predict(ds.x)
-    return eif(ds, *cell, nu, np.arange(ds.n), pi)["four"]
+    return eif(ds, nuis, (cell,), np.arange(ds.n))["four", cell]
 
 
 def test_score_inside_cell():

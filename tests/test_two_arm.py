@@ -184,3 +184,31 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     assert calls.count("logit") == k * 2
     assert designs.count("score") == k * 2 * 2
     assert designs.count("fit") == k * (2 + 3 + 5)
+
+
+def test_the_bundle_reads_its_fold_once(monkeypatch, sim_two_arm):
+    """One ensemble bundle builds its fold's feature matrices once: both
+    strategies' outcome models are fit on the matrix that ``treat_given_mx``
+    was fit on, and both strategies' projections on the one that
+    ``treat_given_x`` was fit on."""
+    classifier_features, by_arm_features = [], []
+    real_classifier = sepfx.two_arm.fit_classifier
+    real_by_arm = sepfx.two_arm._fit_by_arm
+
+    def recording_classifier(features, *args, **kwargs):
+        classifier_features.append(features)
+        return real_classifier(features, *args, **kwargs)
+
+    def recording_by_arm(features, *args):
+        by_arm_features.append(features)
+        return real_by_arm(features, *args)
+
+    monkeypatch.setattr(sepfx.two_arm, "fit_classifier", recording_classifier)
+    monkeypatch.setattr(sepfx.two_arm, "_fit_by_arm", recording_by_arm)
+    train = np.arange(0, sim_two_arm.n, 2)
+    fit_nuisance_two(sim_two_arm, train, EstimatorConfig(strategy="ensemble"))
+    mx, x = classifier_features
+    assert mx.shape[1] == sim_two_arm.m.shape[1] + x.shape[1]
+    mu_s, lam_s, mu_t, lam_t = by_arm_features
+    assert mu_s is mx and mu_t is mx
+    assert lam_s is x and lam_t is x
