@@ -21,7 +21,6 @@ cells than the trees have rows times features.
 
 A forest is drawn tree by tree from its seed, so a forest of t trees is
 the first t trees of a larger forest with the same data and settings.
-:func:`predict_forests` predicts such nested forests in one pass.
 Forests with the same settings on different rows or targets, such as a
 super learner's internal-fold and full-data forests for several label
 sets, grow together through :func:`grow_forests`: tree t of every forest
@@ -232,52 +231,23 @@ def _grow_trees(jobs, mtry: int, min_leaf: int) -> list[_Tree]:
 
 @dataclass
 class ForestPredictor:
-    """Bagged trees; prediction is the across-tree mean."""
+    """Bagged trees; prediction is the across-tree mean, summed in tree order."""
 
     trees: list[_Tree]
     clip: float | None = None
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return predict_forests([self], features)[0]
+        features = as_matrix(features)
+        total = np.zeros(features.shape[0])
+        for tree in self.trees:
+            total += tree.predict(features)
+        return _forest_mean(total, len(self.trees), self.clip)
 
 
 def _forest_mean(total: np.ndarray, size: int, clip: float | None) -> np.ndarray:
     """A forest's prediction from the sum of its ``size`` trees' predictions."""
     pred = total / size
     return pred if clip is None else np.clip(pred, clip, 1.0 - clip)
-
-
-def predict_forests(forests, features) -> list[np.ndarray]:
-    """``[forest.predict(features) for forest in forests]``, bit for bit.
-
-    Forests whose trees are a leading slice of another forest's tree list
-    (the same tree objects, with the same ``clip``) are read off one pass
-    over the longer forest: each takes the running sum at its own size, so
-    the same floats are added in the same order as a pass of its own.
-    """
-    features = as_matrix(features)
-    out: list = [None] * len(forests)
-    longest_first = sorted(range(len(forests)), key=lambda j: -len(forests[j].trees))
-    for root in longest_first:
-        if out[root] is not None:
-            continue
-        trees = forests[root].trees
-        members = [
-            j
-            for j in longest_first
-            if out[j] is None
-            and forests[j].clip == forests[root].clip
-            and all(a is b for a, b in zip(forests[j].trees, trees))
-        ]
-        total = np.zeros(features.shape[0])
-        grown = 0
-        for j in reversed(members):
-            size = len(forests[j].trees)
-            while grown < size:
-                total += trees[grown].predict(features)
-                grown += 1
-            out[j] = _forest_mean(total, size, forests[j].clip)
-    return out
 
 
 def grow_forests(blocks, n_trees: int, mtry: int, min_leaf: int, seed: int):
@@ -324,7 +294,7 @@ def fit_forests(
     held_out) for size in sizes}`` instead, with ``sizes`` at most
     ``n_trees``: each of its trees predicts ``held_out`` as soon as it
     grows and is then dropped, into one running sum that is read at each
-    size, as :func:`predict_forests` reads it.
+    size, as :meth:`ForestPredictor.predict` sums that many trees.
     """
     held = [
         None if len(block) < 3 or block[2] is None else as_matrix(block[2]) for block in blocks

@@ -13,7 +13,8 @@ Three model families are available through one spec type:
   and the forests of the internal folds and of the full data grow
   together (:func:`sepfx.forest.fit_forests`), bit-identically to
   growing each alone.  An internal-fold forest is never held: each of
-  its trees predicts the fold's held-out rows as it grows.
+  its trees predicts the fold's held-out rows as it grows.  A full-data
+  candidate forest predicts alone, through its own trees.
 
 A fit is a classification exactly when it has a ``clip``
 (``fit_classifier``; a GLM is then logistic): it returns probabilities in
@@ -26,7 +27,7 @@ learners share their internal folds and grow all their forests together.
 ``fit_classifier``, ``fit_regressor`` and ``fit_super_learner`` fit
 through the same batch code.  GLMs on one matrix share one design to
 predict as well (:func:`predict_many`), also at several treatment levels
-(:class:`AtLevels`).
+(:class:`AtLevels`); every other model predicts alone.
 Logistic probabilities come from :func:`sepfx.special.expit`, and the super
 learner's NNLS is Lawson and Hanson's, in numpy (:func:`_nnls`), so no
 learner imports scipy.
@@ -50,7 +51,7 @@ from .errors import (
     SingleClassWarning,
     TooFewRows,
 )
-from .forest import ForestPredictor, as_matrix, fit_forest, fit_forests, predict_forests
+from .forest import ForestPredictor, as_matrix, fit_forest, fit_forests
 from .seeding import check_integers, derive_seed, is_finite_number
 from .special import expit
 
@@ -275,16 +276,12 @@ class AtLevels:
 def predict_many(models, features) -> list[np.ndarray]:
     """``[model.predict(features) for model in models]``, bit for bit: GLMs
     whose bases expand alike share one design (its treatment columns
-    rewritten when an :class:`AtLevels` GLM's levels change), and forests
-    that share trees one pass over them."""
+    rewritten when an :class:`AtLevels` GLM's levels change)."""
     X = as_matrix(features)
-    forests = [j for j, model in enumerate(models) if isinstance(model, ForestPredictor)]
-    out = dict(zip(forests, predict_forests([models[j] for j in forests], X)))
+    out: list = [None] * len(models)
     designs: dict = {}  # layout -> (design, the levels written in it)
     for j, model in enumerate(models):
         fit, levels = (model.fit, model.levels) if isinstance(model, AtLevels) else (model, ())
-        if j in out:
-            continue
         if not isinstance(fit, GlmPredictor):
             held = np.full((X.shape[0], len(levels)), levels, dtype=np.float64)
             out[j] = fit.predict(np.column_stack([held, X]) if levels else X)
@@ -297,7 +294,7 @@ def predict_many(models, features) -> list[np.ndarray]:
             design = expand_basis(X, fit.basis, fit.interact_cols, levels, design)
             designs[key] = design, levels
         out[j] = fit.predict(X, design)
-    return [out[j] for j in range(len(models))]
+    return out
 
 
 @dataclass

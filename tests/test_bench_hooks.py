@@ -90,3 +90,32 @@ def test_trace_hooks_see_the_forest_of_a_random_forest_spec(monkeypatch):
 
     assert calls["forest.fit_forest"] == 1
     assert counters["forest.trees"] == counters["forest.unique_trees"] == 3
+
+
+def test_trace_hooks_see_each_forest_a_super_learner_predicts_with(monkeypatch):
+    """A super learner predicts each forest candidate it weights through
+    ``ForestPredictor.predict``, so the trace opens one ``forest.predict``
+    span per such candidate, also where the candidates' trees are slices of
+    one grown forest."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+
+    g = np.random.default_rng(0)
+    x = g.normal(size=(200, 3))
+    y = x[:, 0] + np.sin(2 * x[:, 1]) + g.normal(size=200)
+    forests = tuple(
+        sepfx.learners.LearnerSpec(kind="random_forest", trees=t, seed=7) for t in (1, 2, 3)
+    )
+    spec = sepfx.learners.LearnerSpec(kind="super_learner", candidates=forests, seed=7)
+    fit = sepfx.learners.fit_super_learner(x, y, spec)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        fit.predict(x)
+        calls, _, _ = layers.span_totals(tracer.spans)
+    finally:
+        tracer.uninstall()
+
+    weighted = int(np.count_nonzero(fit.weights))
+    assert weighted >= 1
+    assert calls.get("forest.predict", 0) == weighted

@@ -13,7 +13,6 @@ from sepfx.forest import (
     _Tree,
     fit_forest,
     fit_forests,
-    predict_forests,
 )
 
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
@@ -309,7 +308,9 @@ def test_rows_move_with_the_thresholds_they_are_predicted_by():
     assert np.array_equal(tree.predict(x), y)
 
 
-def test_predict_forests_reads_nested_forests_off_one_pass():
+def test_nested_forests_predict_their_own_trees_summed_in_order():
+    """Slices of one forest's tree list, under two clips, each predict the
+    bytes of their own trees' predictions added in tree order from zeros."""
     g = np.random.default_rng(3)
     x = g.normal(size=(120, 3))
     y = x[:, 0] + g.normal(size=120)
@@ -319,11 +320,11 @@ def test_predict_forests_reads_nested_forests_off_one_pass():
         ForestPredictor(trees=big.trees[:2], clip=0.1),
         other,
         big,
-        ForestPredictor(trees=big.trees[:2]),  # other clip: its own pass
+        ForestPredictor(trees=big.trees[:2]),  # the same trees, another clip
         ForestPredictor(trees=big.trees[:4], clip=0.1),
     ]
-    got = predict_forests(forests, x)
-    for forest, pred in zip(forests, got):
+    for forest in forests:
+        pred = forest.predict(x)
         total = np.zeros(x.shape[0])
         for tree in forest.trees:
             total += tree.predict(x)
