@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import reduce
 from operator import mul
 from typing import Protocol
 
@@ -137,12 +138,11 @@ def expand_basis(
             out[:, k + 1 : k + p + 1] = x
         if levels:
             out[:, 1 : k + 1] = levels
-        if pairs:
-            rest = x if levels else x[:, others]
-            for b, t in enumerate(pairs):
-                at = k + p + 1 + b * len(others)
-                left = levels[t] if levels else x[:, t : t + 1]
-                np.multiply(left, rest, out=out[:, at : at + len(others)])
+        columns = iter(range(k + p + 1, width))
+        for t in pairs:
+            left = levels[t] if levels else x[:, t]
+            for j in others:
+                np.multiply(left, x[:, j - k], out=out[:, next(columns)])
     return design
 
 
@@ -150,25 +150,27 @@ def _penalty_weights(design: np.ndarray) -> np.ndarray:
     """Each design column's variance over its rows, ``s_j**2`` (1 without
     spread; 0 for the intercept, never penalized): the weights of a ridge
     on the standardized scale.  Read as offsets from the first row."""
-    n, width = design.shape
-    total, squares, ones = np.zeros(width), np.zeros(width), np.ones(min(n, DESIGN_ROWS))
+    n = design.shape[0]
+    ones, blocks = np.ones(min(n, DESIGN_ROWS)), []
     for lo in range(0, n, DESIGN_ROWS):
         offsets = design[lo : lo + DESIGN_ROWS] - design[0]
-        total += ones[: len(offsets)] @ offsets  # column sums, as one BLAS call
-        squares += ones[: len(offsets)] @ np.square(offsets, out=offsets)
+        row = ones[: len(offsets)]  # column sums, as one BLAS call each
+        blocks.append((row @ offsets, row @ np.square(offsets, out=offsets)))
+    total, squares = (reduce(np.add, sums) for sums in zip(*blocks))  # from the first block's
     variance = squares / n - (total / n) ** 2
     variance[variance <= 0.0] = 1.0
     variance[0] = 0.0
     return variance
 
 
-def _solve_ridge(design: np.ndarray, targets: np.ndarray, ridge: np.ndarray) -> np.ndarray:
-    """Coefficients minimizing the squared error plus ``ridge[j] * beta_j**2``."""
-    if not np.any(ridge):
+def _solve_ridge(design: np.ndarray, targets: np.ndarray, gram: np.ndarray | None) -> np.ndarray:
+    """Coefficients minimizing the squared error plus ``ridge[j] * beta_j**2``,
+    given ``gram``, ``design.T @ design`` with the ridge on its diagonal,
+    which fits of several targets on the design share (least squares when
+    None, for no ridge)."""
+    if gram is None:
         beta, *_ = np.linalg.lstsq(design, targets, rcond=None)
         return beta
-    gram = design.T @ design
-    gram[np.diag_indices_from(gram)] += ridge
     rhs = design.T @ targets
     try:
         return np.linalg.solve(gram, rhs)
@@ -194,7 +196,6 @@ def _fit_logistic(
     design_t = np.ascontiguousarray(design.T) if design_t is None else design_t
     scaled = np.empty_like(design_t)  # the transpose times each step's weights
     width = design.shape[1]
-    diagonal = np.diag_indices(width)
     beta = np.zeros(width)
 
     def objective(b: np.ndarray) -> tuple[float, np.ndarray]:
@@ -211,7 +212,7 @@ def _fit_logistic(
         grad = design_t @ (labels - prob) - ridge * beta
         weight = np.maximum(prob * (1.0 - prob), 1e-10)
         hess = np.multiply(design_t, weight, out=scaled) @ design
-        hess[diagonal] += ridge
+        hess.flat[:: width + 1] += ridge
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
@@ -358,7 +359,8 @@ def _fit_checked(X, ys, spec: LearnerSpec, interact_cols, clip: float | None) ->
 
     Each set is fit as it would be alone, bit for bit, and its warnings
     come in the order of separate fits.  Constant targets get their exact
-    constant.  GLM fits share one design; the forests of a
+    constant.  GLM fits share one design, and regressions its ridged
+    Gram; the forests of a
     ``random_forest`` spec grow together in one :func:`fit_forests` call;
     the super learners of a ``super_learner`` spec share their internal
     folds and grow their forests together.
@@ -370,13 +372,18 @@ def _fit_checked(X, ys, spec: LearnerSpec, interact_cols, clip: float | None) ->
     for y in ys:
         fit = _constant_fit(y, clip)
         if fit is None and spec.kind == "glm":
-            if design is None:
+            if design is None:  # every set has X's rows, so one ridge serves them all
                 design = expand_basis(X, spec.basis, interact_cols)
-                design_t = None if clip is None else np.ascontiguousarray(design.T)
-                weights = _penalty_weights(design)
-            ridge = _effective_ridge(spec, y.shape[0]) * weights
+                ridge = _effective_ridge(spec, X.shape[0]) * _penalty_weights(design)
+                if clip is not None:
+                    design_t = np.ascontiguousarray(design.T)
+                elif np.any(ridge):
+                    gram = design.T @ design
+                    gram.flat[:: gram.shape[0] + 1] += ridge
+                else:
+                    gram = None
             if clip is None:
-                beta = _solve_ridge(design, y, ridge)
+                beta = _solve_ridge(design, y, gram)
             else:
                 beta = _fit_logistic(design, y, ridge, design_t=design_t)
             fit = GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
