@@ -25,9 +25,10 @@ one batch, each bit for bit as :func:`fit_regressor` fits it alone: GLMs
 share one design, forests grow tree t of every set in one pass, and super
 learners share their internal folds and grow all their forests together.
 ``fit_classifier``, ``fit_regressor`` and ``fit_super_learner`` fit
-through the same batch code.  GLMs on one matrix share one design to
-predict as well (:func:`predict_many`), also at several treatment levels
-(:class:`AtLevels`); every other model predicts alone.
+through the same batch code.  Designs are built only to fit: a fitted GLM
+predicts from its coefficients, and at treatment levels held by
+:class:`AtLevels` from coefficients folded into a constant and covariate
+weights (:meth:`GlmPredictor.predict`); every model predicts alone.
 Logistic probabilities come from :func:`sepfx.special.expit`, and the super
 learner's NNLS is Lawson and Hanson's, in numpy (:func:`_nnls`), so no
 learner imports scipy.
@@ -107,42 +108,33 @@ class FittedPredictor(Protocol):
     def predict(self, features: np.ndarray) -> np.ndarray: ...
 
 
-def expand_basis(
-    features: np.ndarray, basis: str, interact_cols: tuple[int, ...] = (), levels=(), design=None
-) -> np.ndarray:
-    """Build the design matrix: intercept, main effects, and interactions.
+def expand_basis(features: np.ndarray, basis: str, interact_cols: tuple[int, ...] = ()) -> np.ndarray:
+    """Build the design matrix a GLM is fit on: intercept, main effects, and
+    interactions.
 
     Interaction columns multiply each listed treatment column with every
     non-treatment column; treatments are never interacted with each other.
     The columns are written into one array, ``DESIGN_ROWS`` rows at a
-    time, so that each pass reads and writes rows still in cache.
-    ``levels`` are leading treatments (``interact_cols``) held at one value
-    each, as if stacked in front of ``features``; given a ``design`` built
-    so for other levels, only the columns that hold them are rewritten.
+    time, so that each pass reads and writes rows still in cache, and each
+    interaction column by one product of two feature columns.  A fitted
+    GLM predicts without one (:meth:`GlmPredictor.predict`).
     """
     X = as_matrix(features)
     n, p = X.shape
-    k = len(levels)
-    others = [j for j in range(k + p) if j not in interact_cols]
+    others = [j for j in range(p) if j not in interact_cols]
     pairs = interact_cols if basis == "interactions" and others else ()
-    width = 1 if basis == "intercept" else 1 + k + p + len(pairs) * len(others)
-    fresh = design is None
-    if fresh:
-        design = np.empty((n, width))
-        design[:, 0] = 1.0
+    width = 1 if basis == "intercept" else 1 + p + len(pairs) * len(others)
+    design = np.empty((n, width))
+    design[:, 0] = 1.0
     if basis == "intercept":
         return design
     for lo in range(0, n, DESIGN_ROWS):
         x, out = X[lo : lo + DESIGN_ROWS], design[lo : lo + DESIGN_ROWS]
-        if fresh:
-            out[:, k + 1 : k + p + 1] = x
-        if levels:
-            out[:, 1 : k + 1] = levels
-        columns = iter(range(k + p + 1, width))
+        out[:, 1 : p + 1] = x
+        columns = iter(range(p + 1, width))
         for t in pairs:
-            left = levels[t] if levels else x[:, t]
             for j in others:
-                np.multiply(left, x[:, j - k], out=out[:, next(columns)])
+                np.multiply(x[:, t], x[:, j], out=out[:, next(columns)])
     return design
 
 
@@ -252,11 +244,32 @@ class GlmPredictor:
     interact_cols: tuple[int, ...]
     clip: float | None = None
 
-    def predict(self, features: np.ndarray, design: np.ndarray | None = None) -> np.ndarray:
-        """Predictions on ``features``, or from their ``design``, if given."""
-        if design is None:
-            design = expand_basis(features, self.basis, self.interact_cols)
-        z = design @ self.beta
+    def predict(self, features: np.ndarray, levels: tuple = ()) -> np.ndarray:
+        """Predictions on ``features``, or on the features that follow its
+        leading treatments (the ``interact_cols``) held at ``levels``
+        (:class:`AtLevels`), from the coefficients, with no design.
+
+        At levels the intercept and treatment terms fold into a constant
+        ``c`` and each interaction block into the covariate weights, ``w =
+        beta_x + sum_t level_t * gamma_t``, so ``z = X @ w + c``; otherwise
+        each block adds ``X[:, t] * (X[:, others] @ gamma_t)`` to the main
+        effects.  Either equals ``expand_basis(...) @ beta`` up to rounding.
+        """
+        X = as_matrix(features)
+        k, p = len(levels), X.shape[1]
+        beta = self.beta
+        others = [j for j in range(k + p) if j not in self.interact_cols]
+        pairs = list(self.interact_cols) if self.basis == "interactions" and others else []
+        blocks = beta[k + p + 1 :].reshape(len(pairs), len(others))
+        if self.basis == "intercept":
+            z = np.full(X.shape[0], beta[0])
+        elif levels:
+            w = beta[k + 1 : k + p + 1] + sum(levels[t] * block for t, block in zip(pairs, blocks))
+            z = X @ w + (beta[0] + np.dot(levels, beta[1 : k + 1]))
+        else:
+            z = X @ beta[1 : p + 1] + beta[0]
+            if pairs:
+                z += (X[:, pairs] * (X[:, others] @ blocks.T)).sum(axis=1)
         if self.clip is None:
             return z
         return np.clip(expit(z), self.clip, 1.0 - self.clip)
@@ -265,37 +278,26 @@ class GlmPredictor:
 @dataclass
 class AtLevels:
     """``fit`` with its leading features, treatments (a GLM's
-    ``interact_cols``), held at ``levels``."""
+    ``interact_cols``), held at ``levels``: a GLM folds them into its
+    coefficients (:meth:`GlmPredictor.predict`), and any other model
+    predicts on the held columns stacked in front of the features."""
 
     fit: FittedPredictor
     levels: tuple
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return predict_many([self], features)[0]
+        if isinstance(self.fit, GlmPredictor):
+            return self.fit.predict(features, self.levels)
+        X = as_matrix(features)
+        held = np.full((X.shape[0], len(self.levels)), self.levels, dtype=np.float64)
+        return self.fit.predict(np.column_stack([held, X]))
 
 
 def predict_many(models, features) -> list[np.ndarray]:
-    """``[model.predict(features) for model in models]``, bit for bit: GLMs
-    whose bases expand alike share one design (its treatment columns
-    rewritten when an :class:`AtLevels` GLM's levels change)."""
+    """``[model.predict(features) for model in models]`` on the features
+    read once as a float matrix."""
     X = as_matrix(features)
-    out: list = [None] * len(models)
-    designs: dict = {}  # layout -> (design, the levels written in it)
-    for j, model in enumerate(models):
-        fit, levels = (model.fit, model.levels) if isinstance(model, AtLevels) else (model, ())
-        if not isinstance(fit, GlmPredictor):
-            held = np.full((X.shape[0], len(levels)), levels, dtype=np.float64)
-            out[j] = fit.predict(np.column_stack([held, X]) if levels else X)
-            continue
-        # "main" and "interactions" without treatments expand alike
-        pairs = fit.interact_cols if fit.basis == "interactions" else ()
-        key = (fit.basis == "intercept", pairs, len(levels))
-        design, written = designs.get(key, (None, None))
-        if written != levels:
-            design = expand_basis(X, fit.basis, fit.interact_cols, levels, design)
-            designs[key] = design, levels
-        out[j] = fit.predict(X, design)
-    return out
+    return [model.predict(X) for model in models]
 
 
 @dataclass

@@ -127,8 +127,8 @@ def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dic
 
     Each treatment model predicts once, and level 0 follows by the
     complement rule; each strategy's outcome models then predict once per
-    level or pair, in one batch per feature matrix, so that GLMs share
-    designs.  Each pair's two weights, the residual weight
+    level or pair, in one batch per feature matrix (a GLM from its
+    coefficients, with no design).  Each pair's two weights, the residual weight
     1{A=a_y} / w(a_m) * r(a_m) / r(a_y) and the projection weight
     1{A=a_m} / w(a_m), are built once and serve every strategy.  The
     ensemble's two strategies' scores are averaged row by row with equal

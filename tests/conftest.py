@@ -34,17 +34,13 @@ def record_designs(monkeypatch, module, fitter: str) -> list:
     """Patch ``sepfx.learners.expand_basis`` to record, for each design
     array it builds, ``"fit"`` while ``module.fitter`` (the bundle fitter,
     looked up as a module global when a fold is scored) runs, and
-    ``"score"`` while a fold's test rows are scored.  A design written
-    again for other treatment levels is not built again."""
-    designs, built, phase = [], [], ["score"]
+    ``"score"`` while a fold's test rows are scored."""
+    designs, phase = [], ["score"]
     real_basis, real_fit = learners.expand_basis, getattr(module, fitter)
 
     def counting_basis(*args, **kwargs):
-        design = real_basis(*args, **kwargs)
-        if not any(design is seen for seen in built):
-            built.append(design)
-            designs.append(phase[0])
-        return design
+        designs.append(phase[0])
+        return real_basis(*args, **kwargs)
 
     def fitting(*args, **kwargs):
         phase[0] = "fit"

@@ -270,16 +270,15 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     """One fold scores three cells from two treatment models and one
     outcome model: P(A_Y = 1 | X) predicts once and P(A_M = 1 | A_Y, X)
     once per A_Y level, which serves every cell, plus one outcome predict
-    per cell.  Each model predicts from one design, and fits from one: the
-    second treatment model's is written again for the other level, and the
-    outcome model's for each cell."""
+    per cell.  Each model fits from one design and predicts from none: a
+    GLM folds the held levels into its coefficients."""
     ds = generate_dataset(SimConfig(n=300, reps=1), 0)
     calls = []
     real_predict = GlmPredictor.predict
 
-    def counting_predict(self, features, *design):
+    def counting_predict(self, features, *levels):
         calls.append("logit" if self.clip is not None else "identity")
-        return real_predict(self, features, *design)
+        return real_predict(self, features, *levels)
 
     monkeypatch.setattr(GlmPredictor, "predict", counting_predict)
     designs = record_designs(monkeypatch, sepfx.four_arm, "fit_nuisance_four")
@@ -289,7 +288,7 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     )
     assert len(calls) == k * (3 + 3)
     assert calls.count("logit") == k * 3
-    assert designs.count("score") == k * 3
+    assert designs.count("score") == 0
     assert designs.count("fit") == k * 3
 
 

@@ -21,7 +21,10 @@ from sepfx.errors import (
 from sepfx.estimation import EstimatorConfig
 from sepfx.forest import _grow_trees
 from sepfx.learners import (
+    BASIS_CHOICES,
+    AtLevels,
     ConstantPredictor,
+    GlmPredictor,
     LearnerSpec,
     PRESET_CHOICES,
     _fit_logistic,
@@ -32,6 +35,7 @@ from sepfx.learners import (
     make_spec,
 )
 from sepfx.seeding import derive_seed, stream
+from sepfx.special import expit
 from sepfx.two_arm import fit_nuisance_two
 
 
@@ -86,6 +90,68 @@ def test_expand_basis_treatment_products_only():
     assert design.shape == (4, 6)
     np.testing.assert_array_equal(design[:, 4], x[:, 0] * x[:, 1])
     np.testing.assert_array_equal(design[:, 5], x[:, 0] * x[:, 2])
+
+
+class _Recorder:
+    """A non-GLM model that keeps the features it predicts on."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, features):
+        self.seen.append(features)
+        return features.sum(axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    basis=st.sampled_from(BASIS_CHOICES),
+    treatments=st.integers(0, 2),
+    covariates=st.integers(0, 5),
+    held=st.booleans(),
+    levels=st.tuples(st.sampled_from([0, 1]), st.sampled_from([0, 1])),
+    clip=st.sampled_from([None, 0.01]),
+    seed=st.integers(0, 2**16),
+)
+def test_glm_predicts_from_folded_coefficients_as_from_its_design(
+    basis, treatments, covariates, held, levels, clip, seed
+):
+    """A GLM predicts without a design, from its coefficients, the linear
+    predictor of ``expand_basis(...) @ beta`` to a few ulps of
+    ``|design| @ |beta|``: with its treatments held at levels (folded into
+    a constant and the covariate weights) and with treatment columns in
+    the features, at any place.  Coefficients and covariates span several
+    orders of magnitude, so that sums cancel.  Another model held at levels
+    still predicts on the held columns stacked in front of the features."""
+    rng = np.random.default_rng(seed)
+    n = 30
+    x = rng.normal(size=(n, covariates)) * 10.0 ** rng.uniform(-3, 3, covariates)
+    if held and treatments:
+        levels = levels[:treatments]
+        interact_cols = tuple(range(treatments))
+        features = x
+        stacked = np.column_stack([np.full((n, treatments), levels, dtype=np.float64), x])
+    else:
+        levels = ()
+        treat = rng.integers(0, 2, (n, treatments)).astype(np.float64)
+        features = stacked = np.column_stack([treat, x])
+        interact_cols = tuple(sorted(rng.choice(stacked.shape[1], treatments, replace=False)))
+    design = expand_basis(stacked, basis, interact_cols)
+    beta = rng.normal(size=design.shape[1]) * 10.0 ** rng.uniform(-4, 4, design.shape[1])
+    fit = GlmPredictor(beta, basis, interact_cols, clip)
+    got = AtLevels(fit, levels).predict(features) if levels else fit.predict(features)
+    want = design @ beta
+    tolerance = 8 * np.spacing(np.abs(design) @ np.abs(beta))
+    if clip is not None:  # expit's slope is at most 1/4, and it rounds once more
+        want = np.clip(expit(want), clip, 1.0 - clip)
+        tolerance = tolerance / 4 + 2 * np.spacing(1.0)
+    assert np.all(np.abs(got - want) <= tolerance)
+
+    recorder = _Recorder()
+    other = AtLevels(recorder, levels).predict(features)
+    [seen] = recorder.seen
+    assert seen.dtype == np.float64 and seen.tobytes() == stacked.tobytes()
+    assert other.tobytes() == stacked.sum(axis=1).tobytes()
 
 
 def test_glm_matches_lstsq_at_zero_ridge():

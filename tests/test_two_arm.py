@@ -162,19 +162,18 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     shared treatment models once each, and per strategy the outcome model
     at each of the 2 a_y levels and the 3 pairs' projections once each.
 
-    Scoring builds one design per feature matrix and treatment layout: on
-    (mediators, covariates) and on the covariates, one that the treatment
-    model shares with the "T" models and one for the "S" model's levels.
-    Fitting builds 10: one per treatment model; for "S", one per fit and
-    one for the outcome model's two levels; for "T", one per arm and fit
-    and one for the two outcome models' predictions."""
+    Scoring builds no design: a GLM predicts from its coefficients, with
+    the "S" model's levels folded into them.  Fitting builds 8: one per
+    treatment model, one per "S" fit and one per "T" arm and fit; the
+    outcome models' predictions that the projections regress on build
+    none."""
     ds = restrict_to_two_arm(generate_dataset(SimConfig(n=300, reps=1), 0))
     calls = []
     real_predict = GlmPredictor.predict
 
-    def counting_predict(self, features, *design):
+    def counting_predict(self, features, *levels):
         calls.append("logit" if self.clip is not None else "identity")
-        return real_predict(self, features, *design)
+        return real_predict(self, features, *levels)
 
     monkeypatch.setattr(GlmPredictor, "predict", counting_predict)
     designs = record_designs(monkeypatch, sepfx.two_arm, "fit_nuisance_two")
@@ -182,8 +181,8 @@ def test_each_model_predicts_once_per_test_block(monkeypatch):
     estimate_effects_two(ds, [("sde", 1), ("sie", 1)], EstimatorConfig(splits=1, k_folds=k))
     assert len(calls) == k * (4 + 2 + 2 * (2 + 3))
     assert calls.count("logit") == k * 2
-    assert designs.count("score") == k * 2 * 2
-    assert designs.count("fit") == k * (2 + 3 + 5)
+    assert designs.count("score") == 0
+    assert designs.count("fit") == k * (2 + 2 + 4)
 
 
 def test_the_bundle_reads_its_fold_once(monkeypatch, sim_two_arm):
