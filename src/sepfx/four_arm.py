@@ -174,8 +174,7 @@ def eif(
     E[Y^(a_y, a_m)].
 
     The bundle's cell probabilities are predicted once, and its outcome
-    model once at every cell (a GLM from coefficients folded at the
-    cell's levels, with no design).  Rows outside a cell contribute
+    model once per cell, with no design.  Rows outside a cell contribute
     only their predicted outcome ``nu``; rows inside add the
     inverse-probability-weighted residual.  With ``agree``, the agreement
     indicator on every row of ``ds``, ``"agreement"`` holds the

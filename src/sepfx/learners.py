@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import reduce
 from operator import mul
 from typing import Protocol
 
@@ -148,7 +147,7 @@ def _penalty_weights(design: np.ndarray) -> np.ndarray:
         offsets = design[lo : lo + DESIGN_ROWS] - design[0]
         row = ones[: len(offsets)]  # column sums, as one BLAS call each
         blocks.append((row @ offsets, row @ np.square(offsets, out=offsets)))
-    total, squares = (reduce(np.add, sums) for sums in zip(*blocks))  # from the first block's
+    total, squares = (sum(sums[1:], sums[0]) for sums in zip(*blocks))  # from the first block's
     variance = squares / n - (total / n) ** 2
     variance[variance <= 0.0] = 1.0
     variance[0] = 0.0
