@@ -143,9 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--violation", type=float, default=None)
     sim.add_argument(
         "--threads", type=int, default=SimConfig.threads,
-        help="worker processes (default: every usable CPU, at most one per "
-        "replication; one runs the study in this process); every study runs "
-        "under one BLAS thread, so this changes wall time only",
+        help="processes that run the replications (default: every usable CPU, "
+        "at most one per replication): this process runs one share and forks "
+        "one child per other share; every study runs under one BLAS thread, so "
+        "this changes wall time only",
     )
     _add_estimation_flags(sim)
     _add_output_flags(sim)

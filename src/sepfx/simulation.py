@@ -31,11 +31,13 @@ one exception is a failure of the one pass per split that the four-arm
 and agreement families share.  The Monte Carlo and falsification studies
 share nothing with each other.
 
-Replications run in forked worker processes, one per usable CPU unless
-``SimConfig.threads`` says otherwise, whose warnings are raised again in
-the caller.  Every study runs under one OpenBLAS thread, so its results
-do not depend on the worker count.  A falsification study imports the
-direct tests' t tails from ``scipy.special`` before it forks its workers.
+Replications run in ``min(threads, reps)`` processes, one per usable CPU
+unless ``SimConfig.threads`` says otherwise: the caller runs one share of
+them and ``min(threads, reps) - 1`` forked children run the rest, whose
+warnings are raised again in the caller.  Every study runs under one
+OpenBLAS thread, so its results do not depend on the worker count.  A
+falsification study imports the direct tests' t tails from
+``scipy.special`` before it forks its children.
 """
 
 from __future__ import annotations
@@ -45,10 +47,9 @@ import multiprocessing
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -121,8 +122,9 @@ def baseline_curve(x: np.ndarray) -> np.ndarray:
 class SimConfig(JsonFields):
     """Settings for one Monte Carlo study.
 
-    ``threads`` is how many worker processes run the replications, one per
-    usable CPU when ``None``; it changes the wall time only.
+    ``threads`` is how many processes run the replications, the caller
+    included, one per usable CPU when ``None``; it changes the wall time
+    only.
     """
 
     n: int = 2000
@@ -529,23 +531,50 @@ def _workers(cfg: SimConfig) -> int:
 def _map_reps(worker, cfg: SimConfig) -> list:
     """``worker(cfg, rep)`` for every replication, in order.
 
-    Replications are seeded independently and the whole study runs under
-    one OpenBLAS thread, in this process or in forked workers that inherit
-    that count, so the results do not depend on the worker count.  Workers
-    are forked so that they start with the parent's imports in place; a
-    BLAS pool in each of them would only contend for the same CPUs.
+    With ``w = _workers(cfg)`` above 1, replications ``s, s + w, s + 2w, ...``
+    form share ``s``: this process forks ``w - 1`` children for shares 1 to
+    ``w - 1``, runs share 0 itself, then collects each child's results
+    through a pipe.  Children are forked so that they start with the
+    caller's imports in place.  Replications are seeded independently and
+    the whole study runs under one OpenBLAS thread, in this process and in
+    the children that inherit that count, so the results do not depend on
+    the worker count; a BLAS pool per process would only contend for the
+    same CPUs.  If replications raise, the error of the lowest one is
+    raised here, once every child has exited.
     """
     workers = _workers(cfg)
     with _one_blas_thread():
         if workers == 1:
             return [worker(cfg, rep) for rep in range(cfg.reps)]
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            chunk = max(1, cfg.reps // (workers * 8))
-            done = list(pool.map(
-                partial(_rep_and_warnings, worker, cfg), range(cfg.reps), chunksize=chunk
-            ))
-    # the caller's filters, and any record it keeps, see the workers'
+        children = []
+        try:
+            for share in range(1, workers):
+                receive, send = context.Pipe(duplex=False)
+                child = context.Process(
+                    target=_send_share, args=(send, worker, cfg, share, workers), daemon=True
+                )
+                child.start()
+                # the child holds the only sending end, so its exit ends the pipe
+                send.close()
+                children.append((child, receive))
+            shares = [_run_share(worker, cfg, 0, workers)]
+            shares += [_receive_share(child, receive) for child, receive in children]
+        except BaseException:
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, receive in children:
+                receive.close()
+                child.join()
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    done = [None] * cfg.reps
+    for share, (pairs, _) in enumerate(shares):
+        done[share::workers] = pairs
+    # the caller's filters, and any record it keeps, see the replications'
     # warnings only once they are raised again here; the registry shows a
     # repeated warning once, as in one process
     registry = globals().setdefault("__warningregistry__", {})
@@ -555,8 +584,39 @@ def _map_reps(worker, cfg: SimConfig) -> list:
     return [result for result, _ in done]
 
 
+def _run_share(worker, cfg: SimConfig, share: int, workers: int) -> tuple:
+    """Replications ``share, share + workers, ...`` in order, as a list of
+    :func:`_rep_and_warnings` pairs, and ``(rep, error)`` for the first of
+    them that raises (the rest are not run), else ``None``."""
+    done = []
+    for rep in range(share, cfg.reps, workers):
+        try:
+            done.append(_rep_and_warnings(worker, cfg, rep))
+        except Exception as exc:
+            return done, (rep, exc)
+    return done, None
+
+
+def _send_share(send, worker, cfg: SimConfig, share: int, workers: int) -> None:
+    """Run a share in a forked child and send its outcome to the caller."""
+    with send:
+        send.send(_run_share(worker, cfg, share, workers))
+
+
+def _receive_share(child, receive) -> tuple:
+    """What a child's :func:`_send_share` sent."""
+    try:
+        return receive.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(
+            f"a study's worker process exited with code {child.exitcode} "
+            "before it sent its replications"
+        ) from None
+
+
 def _rep_and_warnings(worker, cfg: SimConfig, rep: int) -> tuple:
-    """``worker(cfg, rep)`` in a worker process, and the warnings it raised."""
+    """``worker(cfg, rep)``, and the warnings it raised."""
     with warnings.catch_warnings(record=True) as caught:
         result = worker(cfg, rep)
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
@@ -614,7 +674,7 @@ def run_falsification_study(cfg: SimConfig) -> FalsificationStudyReport:
     With no violation configured the rates estimate test size; with a
     violation they estimate power.
     """
-    # the direct tests' t tails: imported once here, not again in every forked worker
+    # the direct tests' t tails: imported once here, not again in every forked child
     import scipy.special  # noqa: F401
     start = time.perf_counter()
     results = _map_reps(_falsify_one, cfg)

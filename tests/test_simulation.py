@@ -1,5 +1,6 @@
 import itertools
 import json
+import multiprocessing
 import os
 import warnings
 from dataclasses import replace
@@ -351,6 +352,73 @@ def test_one_replication_runs_in_this_process_under_one_blas_thread(monkeypatch)
     run_monte_carlo(SimConfig(n=300, reps=1, estimators=("sde_four",)))
     assert seen == [(os.getpid(), None if before is None else 1)]
     assert _blas_threads() == before
+
+
+# Two workers split five replications into the caller's share (0, 2, 4)
+# and one child's (1, 3).
+FIVE = SimConfig(n=300, reps=5, master_seed=3, estimators=("sde_four",))
+
+
+def _assert_no_process_left():
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pool_path
+def test_the_caller_runs_share_zero_under_one_blas_thread(monkeypatch):
+    one = [row.to_json_dict() for row in run_monte_carlo(replace(FIVE, threads=1)).rows]
+    caller, seen = os.getpid(), []
+    draw = sepfx.simulation.generate_dataset
+
+    def recording_draw(cfg, rep):
+        if os.getpid() == caller:
+            seen.append((rep, _blas_threads()))
+        return draw(cfg, rep)
+
+    monkeypatch.setattr(sepfx.simulation, "generate_dataset", recording_draw)
+    rows = run_monte_carlo(replace(FIVE, threads=2)).rows
+    assert seen == [(0, 1), (2, 1), (4, 1)]
+    assert [row.to_json_dict() for row in rows] == one
+    _assert_no_process_left()
+
+
+@pool_path
+@pytest.mark.parametrize(
+    "failing, raised",
+    [((2,), 2), ((3,), 3), ((2, 3), 2), ((1, 4), 1), ((1, 3), 1)],
+    ids=["caller", "child", "caller-lower", "child-lower", "child-twice"],
+)
+def test_the_lowest_failing_replication_raises_in_the_caller(monkeypatch, failing, raised):
+    """As ``ProcessPoolExecutor.map`` did, whichever share the errors come
+    from, and no study leaves a process behind."""
+    draw = sepfx.simulation.generate_dataset
+
+    def failing_draw(cfg, rep):
+        if rep in failing:
+            raise RuntimeError(f"replication {rep} broke")
+        return draw(cfg, rep)
+
+    monkeypatch.setattr(sepfx.simulation, "generate_dataset", failing_draw)
+    with pytest.raises(RuntimeError, match=rf"^replication {raised} broke$"):
+        run_monte_carlo(replace(FIVE, threads=2))
+    _assert_no_process_left()
+
+
+@pool_path
+def test_a_child_that_exits_without_its_share_fails_the_study(monkeypatch):
+    caller = os.getpid()
+    draw = sepfx.simulation.generate_dataset
+
+    def exiting_draw(cfg, rep):
+        if os.getpid() != caller:
+            os._exit(3)
+        return draw(cfg, rep)
+
+    monkeypatch.setattr(sepfx.simulation, "generate_dataset", exiting_draw)
+    with pytest.raises(RuntimeError, match="exited with code 3 before it sent"):
+        run_falsification_study(replace(FIVE, threads=2))
+    _assert_no_process_left()
 
 
 def test_failing_family_fails_only_its_own_estimators(monkeypatch):
