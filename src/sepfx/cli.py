@@ -241,6 +241,8 @@ def _run_estimate(args, parser) -> dict:
 def _run_falsify(args, parser) -> dict:
     config = _estimator_config(args, parser)
     ds = load_four_arm(args.data, _schema_from_args(args))
+    # the --pretty table names each H0(i) row's mediator column
+    args.mediator_names = ds.mediator_names
     if args.kind == "direct":
         options = {"robust": args.robust, "basis": args.basis, "alpha": config.alpha}
         results = [
@@ -258,22 +260,24 @@ def _run_truth(args, parser) -> dict:
     return true_effects(cfg).to_json_dict()
 
 
-def _target(test: dict):
-    """A test's target cell: its mediator, else its fixed level, else blank."""
+def _target(test: dict, mediator_names) -> str:
+    """A test's target cell: its mediator's column name, else its fixed
+    level, else blank."""
     if test.get("mediator") is not None:
-        return test["mediator"]
+        return mediator_names[test["mediator"]]
     return "" if test.get("fixed_level") is None else f"level={test['fixed_level']}"
 
 
 # Each command's --pretty table: the result list holding its rows (None: the
-# result's own items), the cells computed per row, the header and the row template.
+# result's own items), the cells computed per row from the row and the
+# dataset's mediator names, the header and the row template.
 _TABLES = {
     "simulate": (
         "rows", {}, f"{'estimator':<16}{'bias':>10}{'rmse':>10}{'coverage':>10}{'failures':>10}",
         "{estimator:<16}{bias:>10.4f}{rmse:>10.4f}{coverage:>10.3f}{failures:>10d}",
     ),
     "estimate": (
-        "estimates", {"interval": lambda est: "[{:.4f}, {:.4f}]".format(*est["ci"])},
+        "estimates", {"interval": lambda est, _: "[{:.4f}, {:.4f}]".format(*est["ci"])},
         f"{'estimand':<10}{'level':>6}{'point':>12}{'se':>10}{'ci':>26}",
         "{estimand:<10}{fixed_level!s:>6}{point:>12.4f}{se:>10.4f}{interval:>26}",
     ),
@@ -286,12 +290,12 @@ _TABLES = {
 }
 
 
-def _pretty_lines(command: str, result: dict) -> list[str]:
+def _pretty_lines(command: str, result: dict, mediator_names=()) -> list[str]:
     rows, cells, header, template = _TABLES[command]
     items = result[rows] if rows else [{"key": k, "value": v} for k, v in result.items()]
     lines = [header, "-" * len(header)] if header else []
     for item in items:
-        computed = {name: cell(item) for name, cell in cells.items()}
+        computed = {name: cell(item, mediator_names) for name, cell in cells.items()}
         lines.append(template.format_map({**item, **computed}))
     return lines
 
@@ -333,7 +337,9 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
     if args.pretty:
-        print("\n".join(_pretty_lines(args.command, result)))
+        print("\n".join(
+            _pretty_lines(args.command, result, getattr(args, "mediator_names", ()))
+        ))
     elif not args.out:
         sys.stdout.write(text)
     return 0

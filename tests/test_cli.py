@@ -147,6 +147,23 @@ def test_falsify_direct(capsys, four_arm_csv):
     assert payload["seed"] is None  # the direct tests draw nothing
 
 
+def test_pretty_direct_tests_name_the_mapped_mediator_columns(capsys, tmp_path):
+    """The table's H0(i) targets are the columns --col-mediators maps, in
+    its order; the JSON ``mediator`` field keeps the position."""
+    ds = generate_dataset(SimConfig(n=300, reps=1, master_seed=11), 0)
+    path = tmp_path / "named.csv"
+    save_four_arm(FourArmDataset(
+        y=ds.y, a_y=ds.a_y, a_m=ds.a_m, m=ds.m, x=ds.x, mediator_names=("sleep", "cortisol"),
+    ), path)
+    argv = ["falsify", "direct", "--data", str(path), "--col-mediators", "cortisol,sleep"]
+    assert main(argv + ["--pretty"]) == 0
+    targets = [line.split()[:2] for line in capsys.readouterr().out.splitlines()[2:4]]
+    assert targets == [["H0(i)", "cortisol"], ["H0(i)", "sleep"]]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert [t.get("mediator") for t in payload["result"]["tests"]] == [0, 1, None]
+
+
 def test_falsify_indirect_exit_zero_even_when_rejecting(capsys, tmp_path):
     cfg = SimConfig(n=1500, a_y_model=1, reps=1, master_seed=3, violation=0.8)
     path = tmp_path / "violated.csv"
