@@ -535,7 +535,8 @@ def _map_reps(worker, cfg: SimConfig) -> list:
     form share ``s``: this process forks ``w - 1`` children for shares 1 to
     ``w - 1``, runs share 0 itself, then collects each child's results
     through a pipe.  Children are forked so that they start with the
-    caller's imports in place.  Replications are seeded independently and
+    caller's imports in place, and live for one study, so that each sees
+    the modules as they stand when the study starts.  Replications are seeded independently and
     the whole study runs under one OpenBLAS thread, in this process and in
     the children that inherit that count, so the results do not depend on
     the worker count; a BLAS pool per process would only contend for the
@@ -586,14 +587,16 @@ def _map_reps(worker, cfg: SimConfig) -> list:
 
 def _run_share(worker, cfg: SimConfig, share: int, workers: int) -> tuple:
     """Replications ``share, share + workers, ...`` in order, as a list of
-    :func:`_rep_and_warnings` pairs, and ``(rep, error)`` for the first of
-    them that raises (the rest are not run), else ``None``."""
+    ``(worker(cfg, rep), warnings it raised)`` pairs, and ``(rep, error)``
+    for the first of them that raises (the rest are not run), else ``None``."""
     done = []
     for rep in range(share, cfg.reps, workers):
         try:
-            done.append(_rep_and_warnings(worker, cfg, rep))
+            with warnings.catch_warnings(record=True) as caught:
+                result = worker(cfg, rep)
         except Exception as exc:
             return done, (rep, exc)
+        done.append((result, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
     return done, None
 
 
@@ -613,13 +616,6 @@ def _receive_share(child, receive) -> tuple:
             f"a study's worker process exited with code {child.exitcode} "
             "before it sent its replications"
         ) from None
-
-
-def _rep_and_warnings(worker, cfg: SimConfig, rep: int) -> tuple:
-    """``worker(cfg, rep)``, and the warnings it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        result = worker(cfg, rep)
-    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 @dataclass(frozen=True)

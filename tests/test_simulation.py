@@ -360,9 +360,10 @@ FIVE = SimConfig(n=300, reps=5, master_seed=3, estimators=("sde_four",))
 
 
 def _assert_no_process_left():
-    assert multiprocessing.active_children() == []
+    # waitpid first: active_children() would reap an exited child itself
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 @pool_path
