@@ -536,12 +536,13 @@ def _map_reps(worker, cfg: SimConfig) -> list:
     ``w - 1``, runs share 0 itself, then collects each child's results
     through a pipe.  Children are forked so that they start with the
     caller's imports in place, and live for one study, so that each sees
-    the modules as they stand when the study starts.  Replications are seeded independently and
-    the whole study runs under one OpenBLAS thread, in this process and in
-    the children that inherit that count, so the results do not depend on
-    the worker count; a BLAS pool per process would only contend for the
-    same CPUs.  If replications raise, the error of the lowest one is
-    raised here, once every child has exited.
+    the modules as they stand when the study starts.  Replications are
+    seeded independently and the whole study runs under one OpenBLAS
+    thread, in this process and in the children that inherit that count,
+    so the results do not depend on the worker count; a BLAS pool per
+    process would only contend for the same CPUs.  If replications raise,
+    the error of the lowest one is raised here, once every child has
+    exited.
     """
     workers = _workers(cfg)
     with _one_blas_thread():
