@@ -87,6 +87,8 @@ def _check_binary(values: np.ndarray, name: str) -> np.ndarray:
 
 def _check_matrix(arr: np.ndarray, name: str, n: int) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
+    if arr.ndim not in (1, 2):
+        raise DataError(f"{name} must be 1-d or 2-d, got {arr.ndim}-d")
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.shape[0] != n:

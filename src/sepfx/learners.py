@@ -10,26 +10,27 @@ Three model families are available through one spec type:
 * ``super_learner`` -- a convex stack of candidate specs with weights
   chosen by non-negative least squares on out-of-fold predictions.
   Forest candidates equal apart from ``trees`` share one grown forest,
-  and the forests of the internal folds and of the full data grow
-  together (:func:`sepfx.forest.fit_forests`), bit-identically to
-  growing each alone.  An internal-fold forest is never held: each of
-  its trees predicts the fold's held-out rows as it grows.  A full-data
-  candidate forest predicts alone, through its own trees.
+  whose internal-fold trees predict the fold's held-out rows as they
+  grow and are never held (:func:`_fit_libraries`).
 
 A fit is a classification exactly when it has a ``clip``
 (``fit_classifier``; a GLM is then logistic): it returns probabilities in
 [clip, 1 - clip], so downstream inverse-probability weights stay bounded.
 
+Every fit goes through one block fitter, :func:`_fit_libraries`: a plain
+spec is a one-candidate library on one block per target set, a super
+learner's candidates a library on its internal folds and the full data.
+Constant targets get their exact constant in every fit.
 :func:`fit_regressors` fits several target sets on one feature matrix in
 one batch, each bit for bit as :func:`fit_regressor` fits it alone: GLMs
 share one design, forests grow tree t of every set in one pass, and super
 learners share their internal folds and grow all their forests together.
-``fit_classifier``, ``fit_regressor`` and ``fit_super_learner`` fit
-through the same batch code.  Designs are built only to fit: a fitted GLM
-predicts from its coefficients, and at treatment levels held by
-:class:`AtLevels` from coefficients folded into a constant and covariate
-weights (:meth:`GlmPredictor.predict`); every model predicts alone.
-Logistic probabilities come from :func:`sepfx.special.expit`, and the super
+``fit_super_learner`` is ``fit_regressor`` or ``fit_classifier`` of a
+super-learner spec.  Designs are built only to fit: a fitted GLM predicts
+from its coefficients, and at treatment levels held by :class:`AtLevels`
+from coefficients folded into a constant and covariate weights
+(:meth:`GlmPredictor.predict`); every model predicts alone.  Logistic
+probabilities come from :func:`sepfx.special.expit`, and the super
 learner's NNLS is Lawson and Hanson's, in numpy (:func:`_nnls`), so no
 learner imports scipy.
 """
@@ -95,6 +96,9 @@ class LearnerSpec:
         check_integers(self, ("trees", "mtry", "min_leaf", "v_folds", "seed"))
         if self.ridge is not None and not (is_finite_number(self.ridge) and self.ridge >= 0):
             raise LearnerError(f"ridge must be a finite number >= 0 or None, got {self.ridge!r}")
+        specs = self.candidates
+        if not (isinstance(specs, tuple) and all(isinstance(c, LearnerSpec) for c in specs)):
+            raise LearnerError(f"candidates must be a tuple of LearnerSpec, got {specs!r}")
         if self.kind == "super_learner" and not self.candidates:
             raise LearnerError("super_learner spec needs at least one candidate")
         if self.kind == "random_forest" and min(self.trees, self.mtry, self.min_leaf) < 1:
@@ -152,22 +156,6 @@ def _penalty_weights(design: np.ndarray) -> np.ndarray:
     variance[variance <= 0.0] = 1.0
     variance[0] = 0.0
     return variance
-
-
-def _solve_ridge(design: np.ndarray, targets: np.ndarray, gram: np.ndarray | None) -> np.ndarray:
-    """Coefficients minimizing the squared error plus ``ridge[j] * beta_j**2``,
-    given ``gram``, ``design.T @ design`` with the ridge on its diagonal,
-    which fits of several targets on the design share (least squares when
-    None, for no ridge)."""
-    if gram is None:
-        beta, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        return beta
-    rhs = design.T @ targets
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        beta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-        return beta
 
 
 def _fit_logistic(
@@ -332,10 +320,6 @@ def _checked_rows(features, target_sets, name: str) -> tuple[np.ndarray, list[np
     return X, ys
 
 
-def _effective_ridge(spec: LearnerSpec, n: int) -> float:
-    return DEFAULT_RIDGE_SCALE * n if spec.ridge is None else float(spec.ridge)
-
-
 def _constant_fit(targets: np.ndarray, clip: float | None) -> ConstantPredictor | None:
     """The exact fit of constant targets, clipped for a classification
     (which warns of its single class); None for targets that vary.  Labels
@@ -358,45 +342,14 @@ def _fit_checked(X, ys, spec: LearnerSpec, interact_cols, clip: float | None) ->
     features ``X``: regressions when ``clip`` is None, classifications
     clipped to [clip, 1 - clip] otherwise.
 
-    Each set is fit as it would be alone, bit for bit, and its warnings
-    come in the order of separate fits.  Constant targets get their exact
-    constant.  GLM fits share one design, and regressions its ridged
-    Gram; the forests of a
-    ``random_forest`` spec grow together in one :func:`fit_forests` call;
-    the super learners of a ``super_learner`` spec share their internal
-    folds and grow their forests together.
+    Each set is fit as it would be alone, bit for bit, with its warnings
+    in the order of separate fits: super learners share their internal
+    folds, and any other spec is a one-candidate library.
     """
     if spec.kind == "super_learner":
-        return _fit_super_learners(X, ys, spec, interact_cols, clip, short_cut=True)
-    fits = []
-    design = None
-    for y in ys:
-        fit = _constant_fit(y, clip)
-        if fit is None and spec.kind == "glm":
-            if design is None:  # every set has X's rows, so one ridge serves them all
-                design = expand_basis(X, spec.basis, interact_cols)
-                ridge = _effective_ridge(spec, X.shape[0]) * _penalty_weights(design)
-                if clip is not None:
-                    design_t = np.ascontiguousarray(design.T)
-                elif np.any(ridge):
-                    gram = design.T @ design
-                    gram.flat[:: gram.shape[0] + 1] += ridge
-                else:
-                    gram = None
-            if clip is None:
-                beta = _solve_ridge(design, y, gram)
-            else:
-                beta = _fit_logistic(design, y, ridge, design_t=design_t)
-            fit = GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
-        fits.append(fit)
-    grow = [i for i, fit in enumerate(fits) if fit is None]
-    forest = (spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip)
-    if len(grow) == 1:  # through fit_forest, where bench/layers.py counts a forest's trees
-        fits[grow[0]] = fit_forest(X, ys[grow[0]], *forest)
-    elif grow:
-        for i, fit in zip(grow, fit_forests([(X, ys[i]) for i in grow], *forest)):
-            fits[i] = fit
-    return fits
+        return _fit_super_learners(X, ys, spec, interact_cols, clip)
+    blocks = [(X, y, None) for y in ys]
+    return [entry[0] for entry in _fit_libraries(blocks, (spec,), interact_cols, clip)]
 
 
 def fit_regressor(
@@ -464,6 +417,38 @@ class SuperLearnerFit:
         return out
 
 
+def _fit_glm(X, y, spec: LearnerSpec, interact_cols, clip, designs: dict) -> GlmPredictor:
+    """The GLM of ``spec`` fit to ``y`` on ``X``: logistic by
+    :func:`_fit_logistic` with a ``clip``, and otherwise the solution of
+    the ridged normal equations (least squares without a ridge).  Every
+    fit of ``spec`` on ``X`` shares the design, ridge and ridged Gram or
+    transpose that ``designs`` holds, built at the first."""
+    if spec not in designs:
+        design = expand_basis(X, spec.basis, interact_cols)
+        scale = DEFAULT_RIDGE_SCALE * X.shape[0] if spec.ridge is None else float(spec.ridge)
+        ridge = scale * _penalty_weights(design)
+        if clip is not None:
+            shared = np.ascontiguousarray(design.T)
+        elif np.any(ridge):
+            shared = design.T @ design
+            shared.flat[:: shared.shape[0] + 1] += ridge
+        else:
+            shared = None
+        designs[spec] = design, ridge, shared
+    design, ridge, shared = designs[spec]
+    if clip is not None:
+        beta = _fit_logistic(design, y, ridge, design_t=shared)
+    elif shared is None:
+        beta = np.linalg.lstsq(design, y, rcond=None)[0]
+    else:
+        rhs = design.T @ y
+        try:
+            beta = np.linalg.solve(shared, rhs)
+        except np.linalg.LinAlgError:
+            beta = np.linalg.lstsq(shared, rhs, rcond=None)[0]
+    return GlmPredictor(beta, spec.basis, tuple(interact_cols), clip)
+
+
 def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
     """Every candidate fit on every block ``(X, y, held_out)`` of checked
     features, as :func:`fit_regressor` fits it when ``clip`` is None and
@@ -478,11 +463,13 @@ def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
     shares those tree objects.  The blocks are taken one at a time, in
     order: the targets are checked, constant targets or a single class
     give each member its constant (with its warning), and every other
-    candidate is fit, and on a held-out block predicts.  Only the groups'
-    forests wait, and each group grows them on all its blocks in one
-    :func:`fit_forests` call, in which a held-out block's trees predict as
-    they grow and are dropped: only the forests of blocks without held-out
-    rows are held.
+    candidate is fit, and on a held-out block predicts.  A GLM shares its
+    design with its spec's fits on the blocks just before on the same
+    features object.  Only the groups' forests wait, and each group grows
+    them on all its blocks in one :func:`fit_forests` call, in which a
+    held-out block's trees predict as they grow and are dropped.  A lone
+    block's forest grows through :func:`fit_forest`, where the benchmark
+    counts a forest's trees.
     """
     groups: dict = {}
     for j, spec in enumerate(candidates):
@@ -491,8 +478,11 @@ def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
         groups.setdefault(key, []).append(j)
     taken, out = [], []
     grow: dict = {}  # (largest, members) of a group -> the blocks its forest grows on
+    designs: dict = {}  # GLM spec -> its design on the current feature matrix
     for b, (X, y, held_out) in enumerate(blocks):
         _enough_rows(y)
+        if taken and X is not taken[-1][0]:
+            designs = {}
         taken.append((X, y, held_out))
         entry: list = [None] * len(candidates)
         for members in groups.values():
@@ -502,16 +492,20 @@ def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
                 if fit is None and candidates[j].kind == "random_forest":
                     grow.setdefault((largest, tuple(members)), []).append(b)
                     break
-                if fit is None:
-                    fit = _fit_checked(X, [y], candidates[j], interact_cols, clip)[0]
+                if fit is None and candidates[j].kind == "glm":
+                    fit = _fit_glm(X, y, candidates[j], interact_cols, clip, designs)
+                elif fit is None:
+                    fit = _fit_super_learners(X, [y], candidates[j], interact_cols, clip)[0]
                 entry[j] = fit if held_out is None else fit.predict(held_out)
         out.append(entry)
     for (largest, members), grown in grow.items():
         spec = candidates[largest]
-        sizes = {candidates[j].trees for j in members}
-        forests = fit_forests(
-            [taken[b] for b in grown], spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip, sizes
-        )
+        settings = (spec.trees, spec.mtry, spec.min_leaf, spec.seed, clip)
+        if len(taken) == 1 and taken[0][2] is None:
+            forests = [fit_forest(*taken[0][:2], *settings)]
+        else:
+            sizes = {candidates[j].trees for j in members}
+            forests = fit_forests([taken[b] for b in grown], *settings, sizes)
         for b, forest in zip(grown, forests):
             kept = taken[b][2] is None
             for j in members:
@@ -520,10 +514,10 @@ def _fit_libraries(blocks, candidates, interact_cols, clip) -> list[list]:
     return out
 
 
-def _fit_super_learners(X, ys, spec: LearnerSpec, interact_cols, clip, short_cut: bool) -> list:
+def _fit_super_learners(X, ys, spec: LearnerSpec, interact_cols, clip) -> list:
     """The super learner of ``spec`` on each checked target set of ``ys``,
-    or with ``short_cut`` the exact constant of a constant set, as
-    :func:`fit_super_learner` and :func:`fit_classifier` fit each alone.
+    or the exact constant of a constant set, as :func:`fit_regressor` and
+    :func:`fit_classifier` fit each alone.
 
     Every set draws the same internal folds, since they have the same
     rows and seed, and the sets' blocks (each fold's training rows, then
@@ -542,7 +536,7 @@ def _fit_super_learners(X, ys, spec: LearnerSpec, interact_cols, clip, short_cut
     def blocks():
         # taken lazily, so each set's constant check comes right before its blocks
         for i, y in enumerate(ys):
-            fits[i] = _constant_fit(y, clip) if short_cut else None
+            fits[i] = _constant_fit(y, clip)
             if fits[i] is None:
                 stacked.append(i)
                 for (train, _), (x_train, x_test) in zip(splits, x_splits):
@@ -694,23 +688,22 @@ def fit_super_learner(
     spec: LearnerSpec,
     interact_cols: tuple[int, ...] = (),
     clip: float | None = None,
-) -> SuperLearnerFit:
-    """Stack ``spec.candidates`` by NNLS on out-of-fold predictions
-    (Lawson and Hanson's active-set method, in numpy: :func:`_nnls`).
+) -> FittedPredictor:
+    """Stack ``spec.candidates`` by NNLS on out-of-fold predictions, as
+    :func:`fit_regressor` fits a super-learner spec, or with a ``clip`` as
+    :func:`fit_classifier` does; constant targets give their constant.
 
-    With a ``clip`` the candidates and the stack are classifications.
-    Weights live on the simplex.  If the normalized NNLS solution would
-    lose to the single best candidate in cross-validated squared error,
-    the weights collapse to that candidate (ties break toward the lower
-    index), so the ensemble's CV loss never exceeds the best candidate's.
-    Rows are checked as in :func:`fit_regressor` before anything is fit,
-    and fewer rows than ``spec.v_folds`` raise :class:`TooFewRows`.
-    Constant targets are stacked too, from each candidate's constant.
+    The weights live on the simplex, or collapse to the best candidate
+    (the lower index of a tie) when they lose to it in cross-validated
+    squared error (:func:`_stack`), so the ensemble's CV loss never exceeds
+    the best candidate's.  Fewer rows than ``spec.v_folds`` raise
+    :class:`TooFewRows`.
     """
     if spec.kind != "super_learner":
         raise LearnerError(f"need a super_learner spec, got {spec.kind!r}")
-    X, ys = _checked_rows(features, [targets], "targets")
-    return _fit_super_learners(X, ys, spec, interact_cols, clip, short_cut=False)[0]
+    if clip is None:
+        return fit_regressor(features, targets, spec, interact_cols)
+    return fit_classifier(features, targets, spec, interact_cols, clip)
 
 
 PRESET_CHOICES = ("glm", "rf", "sl")

@@ -212,6 +212,16 @@ def test_requires_mediator_and_covariate():
         load_four_arm(b"y,aY,aM,m1\n1,0,1,0.2\n")
 
 
+@pytest.mark.parametrize("shape", [(), (3, 2, 2)], ids=["0-d", "3-d"])
+@pytest.mark.parametrize("field, name", [("m", "mediator block"), ("x", "covariate block")])
+def test_a_block_that_is_neither_1d_nor_2d_is_refused(field, name, shape):
+    """A 0-d block used to raise a bare IndexError, and a 3-d one passed."""
+    columns = dict(y=np.zeros(3), a_y=[0, 1, 0], a_m=[1, 0, 1], m=np.zeros(3), x=np.zeros(3))
+    columns[field] = np.zeros(shape)
+    with pytest.raises(DataError, match=f"{name} must be 1-d or 2-d, got {len(shape)}-d"):
+        FourArmDataset(**columns)
+
+
 @pytest.mark.parametrize(
     "schema", [ColumnMap(mediators=()), ColumnMap(covariates=())],
     ids=["mediators", "covariates"],

@@ -71,6 +71,14 @@ def test_spec_refuses_a_ridge_that_is_not_a_finite_non_negative_number(ridge):
         assert LearnerSpec(kind="glm", ridge=ok).ridge == ok
 
 
+@pytest.mark.parametrize("candidates", [("glm",), [LearnerSpec()]], ids=["name", "list"])
+def test_spec_refuses_candidates_that_are_not_a_tuple_of_specs(candidates):
+    """A candidate given by name used to fail only at fit time, with a bare
+    AttributeError, and a list of candidates made the spec unhashable."""
+    with pytest.raises(LearnerError, match="candidates must be a tuple of LearnerSpec"):
+        LearnerSpec(kind="super_learner", candidates=candidates)
+
+
 def test_expand_basis_shapes():
     x = np.arange(12.0).reshape(4, 3)
     assert expand_basis(x, "intercept").shape == (4, 1)
@@ -487,40 +495,56 @@ def test_super_learner_fits_unshared_candidates_on_their_own(candidates, task):
     assert len(trees) == len(set(trees))
 
 
-def test_super_learner_single_class_gives_each_forest_a_constant():
+def test_super_learner_on_a_single_class_fits_as_fit_classifier():
+    """fit_super_learner is fit_classifier of a super-learner spec: all-one
+    labels give the clipped constant with one warning, as every fit does."""
     x, _ = _sl_data(1, "classification", binary=True)
-    candidates = tuple(_forest(t, seed=4) for t in (1, 2, 3))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        sl = fit_super_learner(
-            x, np.ones(x.shape[0]), _stack(candidates, v_folds=3), clip=SL_CLIP
-        )
-    for fit in sl.candidate_fits:
-        assert isinstance(fit, ConstantPredictor) and fit.value == 1.0 - SL_CLIP
-    # every candidate warns once per internal fold and once on the full data
-    assert [w.category for w in caught] == [SingleClassWarning] * 3 * 4
+    y = np.ones(x.shape[0])
+    spec = _stack(tuple(_forest(t, seed=4) for t in (1, 2, 3)), v_folds=3)
+    sl, got = _caught(lambda: fit_super_learner(x, y, spec, clip=SL_CLIP))
+    ref, want = _caught(lambda: fit_classifier(x, y, spec, clip=SL_CLIP))
+    assert got == want == [SingleClassWarning]
+    assert isinstance(sl, ConstantPredictor) and sl.value == ref.value == 1.0 - SL_CLIP
 
 
-def _libraries_alone(blocks, candidates, interact_cols, clip):
-    """Every candidate fit on its own, block by block, as separate
-    ``fit_regressor`` or ``fit_classifier`` calls would fit it, and on a
-    block with held-out rows predicting them."""
-    out = []
-    for x, y, held_out in blocks:
-        if clip is None:
-            fits = [fit_regressor(x, y, spec, interact_cols) for spec in candidates]
-        else:
-            fits = [fit_classifier(x, y, spec, interact_cols, clip) for spec in candidates]
-        out.append(fits if held_out is None else [fit.predict(held_out) for fit in fits])
-    return out
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_a_super_learner_fits_a_super_learner_candidate(task):
+    """A nested super learner stacks its inner one like any candidate: its
+    out-of-fold losses and its full-data fit equal lone fits of the inner
+    spec, bit for bit."""
+    x, y = _sl_data(8, task, binary=False)
+    inner = _stack((LearnerSpec(kind="glm", basis="main"), _forest(2, seed=1)), v_folds=3, seed=4)
+    candidates = (inner, LearnerSpec(kind="glm", basis="intercept"))
+    sl = _check_against_solo_fits(x, y, candidates, task, seed=2)
+    nested = sl.candidate_fits[0]
+    alone = _fit_alone(x[:60], y[:60], inner, task)
+    assert isinstance(nested, learners.SuperLearnerFit)
+    assert nested.weights.tobytes() == alone.weights.tobytes()
+    assert nested.predict(x).tobytes() == alone.predict(x).tobytes()
+
+
+def _libraries_alone(library):
+    """A stand-in for ``_fit_libraries`` that fits every candidate on its
+    own through ``library``, the real one, with one block and one candidate
+    per call, as separate ``fit_regressor`` or ``fit_classifier`` calls fit
+    it, and on a block with held-out rows predicting them."""
+
+    def alone(blocks, candidates, interact_cols, clip):
+        return [
+            [library([block], (spec,), interact_cols, clip)[0][0] for spec in candidates]
+            for block in blocks
+        ]
+
+    return alone
 
 
 def _fit_twice(monkeypatch, x, y, stack, clip):
     """The super learner, and the one built from candidates fit alone,
     each with the warnings it emitted."""
     out = []
-    for library in (learners._fit_libraries, _libraries_alone):
-        monkeypatch.setattr(learners, "_fit_libraries", library)
+    library = learners._fit_libraries
+    for fitter in (library, _libraries_alone(library)):
+        monkeypatch.setattr(learners, "_fit_libraries", fitter)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             sl = fit_super_learner(x, y, stack, interact_cols=(0,), clip=clip)
