@@ -138,8 +138,9 @@ class EstimatorConfig:
     ValueError
         Unless ``k_folds``, ``splits`` and ``seed`` are integers (not
         bools), ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
-        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross) and ``strategy``
-        is one of ``STRATEGIES``.
+        ``0 < clip < 0.5`` (at 0.5 the clip bounds cross), ``strategy``
+        is one of ``STRATEGIES`` and ``outcome`` and ``propensity`` are
+        :class:`~sepfx.learners.LearnerSpec` values.
     """
 
     outcome: LearnerSpec = field(default_factory=LearnerSpec)
@@ -161,6 +162,8 @@ class EstimatorConfig:
             ("alpha", 0.0 < self.alpha < 1.0, "strictly between 0 and 1"),
             ("clip", 0.0 < self.clip < 0.5, "strictly between 0 and 0.5"),
             ("strategy", self.strategy in STRATEGIES, f"one of {STRATEGIES}"),
+            ("outcome", isinstance(self.outcome, LearnerSpec), "a LearnerSpec"),
+            ("propensity", isinstance(self.propensity, LearnerSpec), "a LearnerSpec"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -245,13 +248,12 @@ class EffectEstimate(JsonFields):
 
 @dataclass
 class CombinedResult:
-    """Median-combined output of one estimand across splits;
-    ``diagnostics`` is set only by the four-arm battery."""
+    """Median-combined output of one estimand across splits; ``eif`` is
+    ``None`` unless the battery kept contributions (``keep_eif``)."""
 
     point: float
     variance: float
     eif: np.ndarray | None
-    diagnostics: dict | None = None
 
 
 def centred(contrib: np.ndarray) -> tuple:
@@ -268,15 +270,17 @@ def run_battery(config: EstimatorConfig, split_fn: Callable[[int], dict]) -> dic
     ``split_fn`` receives a split index and returns ``{key: (point,
     deviations, contributions)}``; the split's variance is the mean square
     of the length-n ``deviations``.  Points and variances are combined by
-    :func:`~sepfx.crossfit.median_adjust`.  ``eif`` holds the contributions
-    (or ``None``) of the split realizing the median point, or the mean of
-    the two middle splits' when S is even.
+    :func:`~sepfx.crossfit.median_adjust`.  Contributions are kept only
+    with ``config.keep_eif``: ``eif`` then holds those (or ``None``) of the
+    split realizing the median point, or the mean of the two middle
+    splits' when S is even, and is otherwise ``None``.
     """
     per_key: dict = {}
     for split in range(config.splits):
         for key, (point, deviations, contrib) in split_fn(split).items():
             variance = float(np.mean(deviations**2))
-            per_key.setdefault(key, []).append((point, variance, contrib))
+            kept = contrib if config.keep_eif else None
+            per_key.setdefault(key, []).append((point, variance, kept))
 
     combined: dict = {}
     for key, values in per_key.items():
@@ -334,8 +338,7 @@ def build_estimates(
                 splits=config.splits,
                 learner=config.outcome.kind,
                 strategy=strategy,
-                eif=result.eif if config.keep_eif else None,
-                diagnostics=result.diagnostics,
+                eif=result.eif,
             )
         )
     return estimates

@@ -23,17 +23,19 @@ the treatments agree is 1 - P(0, 1) - P(1, 0) from the same two.  As in
 the two-arm design, the fold scorer of :func:`split_scores_four` fits one
 :class:`NuisanceFitFour` per fold, with :func:`fit_nuisance_theta` when
 the agreement population is scored, else with :func:`fit_nuisance_four`,
-and then calls ``eif(ds, nuis, cells, rows)`` on the fold's test rows;
-the fitter and :func:`eif` are looked up as module globals when it runs.
-:func:`four_arm_battery` scores the four-arm, agreement and indirect
-families from those bundles, with the agreement contrast written once for
-the last two.  The diagnostics' plug-in estimators are ``run_battery``
-keys of their own.
+and then calls ``eif(ds, nuis, cells, rows, names)`` on the fold's test
+rows, which computes only the named scores; the fitter and :func:`eif`
+are looked up as module globals when it runs.  :func:`four_arm_battery`
+scores the four-arm, agreement, indirect and plug-in families from those
+bundles, each split only the names its families read, with the agreement
+contrast written once for the agreement and indirect families.  The
+diagnostics' plug-in estimators, ``PLUG_INS``, are families of their own,
+scored like the four-arm one but without contributions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +51,7 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import AtLevels, FittedPredictor, fit_classifier, fit_regressor, predict_many
+from .learners import AtLevels, FittedPredictor, fit_classifier, fit_regressor
 from .two_arm import split_scores_two
 
 CELLS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -85,11 +87,11 @@ class NuisanceFitFour:
     def cell_probabilities(self, x: np.ndarray) -> np.ndarray:
         """The cell probabilities on ``x``, one column per cell of
         ``CELLS``, each row normalized to sum to one."""
-        models = [self.treat_y] + [
-            None if self.treat_m is None else AtLevels(self.treat_m, (a_y,)) for a_y in (0, 1)
+        p_y = None if self.treat_y is None else self.treat_y.predict(x)
+        p_m = [
+            None if self.treat_m is None else AtLevels(self.treat_m, (a_y,)).predict(x)
+            for a_y in (0, 1)
         ]
-        preds = iter(predict_many([model for model in models if model is not None], x))
-        p_y, *p_m = [None if model is None else next(preds) for model in models]
         probs = np.zeros((x.shape[0], len(CELLS)))
         for j, (a_y, a_m) in enumerate(CELLS):
             if (a_y, a_m) not in self.empty_cells:
@@ -165,64 +167,56 @@ def fit_nuisance_theta(
     return fit_nuisance_four(ds, train_rows, config, required_cells)
 
 
-def eif(
-    ds: FourArmDataset, nuis: NuisanceFitFour, cells, rows: np.ndarray,
-    agree: np.ndarray | None = None, terms: bool = False,
-) -> dict:
+def eif(ds: FourArmDataset, nuis: NuisanceFitFour, cells, rows: np.ndarray, names) -> dict:
     """Per-row scores on ``rows`` of each (a_y, a_m) cell in ``cells``,
-    ``{(name, cell): scores}``: under ``"four"`` those whose mean estimates
-    E[Y^(a_y, a_m)].
+    ``{(name, cell): scores}``, for each of ``names``.
 
-    The bundle's cell probabilities are predicted once, and its outcome
-    model once per cell, with no design.  Rows outside a cell contribute
-    only their predicted outcome ``nu``; rows inside add the
-    inverse-probability-weighted residual.  With ``agree``, the agreement
-    indicator on every row of ``ds``, ``"agreement"`` holds the
-    agreement-population score ``1{cell} * (Y - nu) * s_hat / pi
-    + nu * agree``, with ``s_hat`` the agreement probability; with
-    ``terms`` each plug-in of ``PLUG_INS`` holds its own.
+    ``"four"`` holds the scores whose mean estimates E[Y^(a_y, a_m)]: rows
+    outside a cell contribute only their predicted outcome ``nu``, and rows
+    inside add the inverse-probability-weighted residual.  ``"agreement"``
+    holds the agreement-population score ``1{cell} * (Y - nu) * s_hat / pi
+    + nu * 1{A_Y = A_M}``, with ``s_hat`` the agreement probability, and
+    ``"ipw"`` and ``"outcome_regression"``, the plug-ins of ``PLUG_INS``,
+    ``1{cell} * Y / pi`` and ``nu``.  The bundle's cell probabilities are
+    predicted once, and its outcome model once per cell, with no design.
     """
     x = ds.x[rows]
     y = ds.y[rows]
     a_y = ds.a_y[rows]
     a_m = ds.a_m[rows]
     probs, s_hat = nuis.propensities(x)
-    agree = None if agree is None else agree[rows]
-    nus = predict_many([AtLevels(nuis.outcome_fit, cell) for cell in cells], x)
     scores = {}
-    for cell, nu in zip(cells, nus):
+    for cell in cells:
+        nu = AtLevels(nuis.outcome_fit, cell).predict(x)
         pi = probs[:, CELLS.index(cell)]
         inside = (a_y == cell[0]) & (a_m == cell[1])
         residual = inside * (y - nu)
-        scores["four", cell] = residual / pi + nu
-        if agree is not None:
-            scores["agreement", cell] = residual * s_hat / pi + nu * agree
-        if terms:
-            for name, value in zip(PLUG_INS, (inside * y / pi, nu)):
-                scores[name, cell] = value
+        if "four" in names:
+            scores["four", cell] = residual / pi + nu
+        if "agreement" in names:
+            scores["agreement", cell] = residual * s_hat / pi + nu * (a_y == a_m)
+        if "ipw" in names:
+            scores["ipw", cell] = inside * y / pi
+        if "outcome_regression" in names:
+            scores["outcome_regression", cell] = nu
     return scores
 
 
 def split_scores_four(
-    ds: FourArmDataset, split: int, config: EstimatorConfig, cells: tuple,
-    agree: np.ndarray | None = None, diagnostics: bool = False,
+    ds: FourArmDataset, split: int, config: EstimatorConfig, cells: tuple, names
 ) -> dict:
     """Out-of-fold scores of each cell on split ``split``'s folds, from
     :func:`~sepfx.crossfit.cross_fit_split` with a fold scorer that fits
     one bundle requiring ``cells``, with :func:`fit_nuisance_theta` when
-    the agreement indicator ``agree`` is given, else with
+    ``"agreement"`` is among ``names``, else with
     :func:`fit_nuisance_four`, and scores the fold's test rows with
-    :func:`eif`.  Returns ``{name: {cell: scores}}`` for the names
-    :func:`eif` returns, with ``terms=diagnostics``.
+    :func:`eif`.  Returns ``{name: {cell: scores}}`` for each of ``names``.
     """
-    fit = fit_nuisance_four if agree is None else fit_nuisance_theta
+    fit = fit_nuisance_theta if "agreement" in names else fit_nuisance_four
     flat = cross_fit_split(
         ds, config, split,
-        lambda train, test: eif(
-            ds, fit(ds, train, config, cells), cells, test, agree, diagnostics
-        ),
+        lambda train, test: eif(ds, fit(ds, train, config, cells), cells, test, names),
     )
-    names = dict.fromkeys(name for name, _ in flat)
     return {name: {cell: flat[name, cell] for cell in cells} for name in names}
 
 
@@ -231,28 +225,28 @@ def four_arm_battery(
 ) -> dict:
     """``run_battery`` output ``{family: {estimand: CombinedResult}}`` for
     the estimands of ``"four"`` (the four-arm population), ``"agreement"``
-    (the rows whose treatments agree) and ``"indirect"`` (the agreement
-    contrast minus the two-arm one) in ``families``.
+    (the rows whose treatments agree), ``"indirect"`` (the agreement
+    contrast minus the two-arm one) and the plug-ins of ``PLUG_INS``,
+    ``"ipw"`` and ``"outcome_regression"``, in ``families``.
 
-    Each split fits one bundle per fold and scores every family from it,
-    so no bundle outlives its fold.  The bundles require the union of the
-    families' cells, so a fold lacking a cell that only one family needs is
-    redrawn for all.  The indirect family subtracts the two-arm scores of
-    :func:`~sepfx.two_arm.split_scores_two` on the agreeing rows, drawn on
-    folds of their own.  With ``config.diagnostics`` each plug-in of
-    ``PLUG_INS`` is a key ``(name, estimand)`` without contributions, whose
-    combined point goes into the four-arm result's ``diagnostics``.  A bad
-    estimand, :class:`EmptySubset` without agreeing rows, or
-    :class:`MissingCell` for an indirect family whose agreeing rows hold
-    one treatment level, is raised before any fit.
+    Each split fits one bundle per fold and scores from it only the names
+    its families read, so no bundle outlives its fold and a battery without
+    a four-arm family scores no four-arm score.  The bundles require the
+    union of the families' cells, so a fold lacking a cell that only one
+    family needs is redrawn for all.  The plug-ins are scored like
+    ``"four"``, but keep no contributions.  The indirect family subtracts
+    the two-arm scores of :func:`~sepfx.two_arm.split_scores_two` on the
+    agreeing rows, drawn on folds of their own.  A bad estimand,
+    :class:`EmptySubset` without agreeing rows, or :class:`MissingCell`
+    for an indirect family whose agreeing rows hold one treatment level,
+    is raised before any fit.
     """
     cells = estimand_cells([est for ests in families.values() for est in ests])
-    four = families.get("four", ())
     agreement = families.get("agreement", ())
     indirect = families.get("indirect", ())
-    diagnostics = config.diagnostics and bool(four)
-    agree = None
+    names = [name for name in ("four", *PLUG_INS) if name in families]
     if agreement or indirect:
+        names.append("agreement")
         agree = (ds.a_y == ds.a_m).astype(np.float64)
         agree_total = agree.sum()
         if agree_total == 0:
@@ -264,14 +258,13 @@ def four_arm_battery(
             raise MissingCell("agreement rows contain a single treatment level")
 
     def split_fn(split: int) -> dict:
-        scores = split_scores_four(ds, split, config, cells, agree, diagnostics)
+        scores = split_scores_four(ds, split, config, cells, names)
         two_scores = split_scores_two(ds2, split, config, cells) if indirect else None
         out = {}
-        for est in four:
-            out["four", est] = centred(est.contrast(scores["four"]))
-            for name in PLUG_INS * diagnostics:
-                point, deviations, _ = centred(est.contrast(scores[name]))
-                out[name, est] = point, deviations, None
+        for name in ("four", *PLUG_INS):
+            for est in families.get(name, ()):
+                point, deviations, contrib = centred(est.contrast(scores[name]))
+                out[name, est] = point, deviations, contrib if name == "four" else None
         for est in dict.fromkeys([*agreement, *indirect]):
             diff = est.contrast(scores["agreement"])
             point = float(diff.sum() / agree_total)
@@ -285,11 +278,6 @@ def four_arm_battery(
         return out
 
     combined = run_battery(config, split_fn)
-    if diagnostics:
-        for est in four:
-            combined["four", est].diagnostics = {
-                name: combined[name, est].point for name in PLUG_INS
-            }
     return {
         family: {est: combined[family, est] for est in estimands}
         for family, estimands in families.items()
@@ -305,11 +293,22 @@ def estimate_effects_four(
 
     ``requests`` is a list of ``("sde", a_m)``, ``("sie", a_y)``, or
     ``("mean", (a_y, a_m))`` tuples.  All requests within a split reuse the
-    same cross-fit nuisances.
+    same cross-fit nuisances.  With ``config.diagnostics`` the battery also
+    scores the plug-in families of ``PLUG_INS``, and each estimate's
+    ``diagnostics`` maps them, in that order, to their combined points.
     """
     config = config or EstimatorConfig()
     estimands = [Estimand(*req) for req in requests]
-    combined = four_arm_battery(ds, config, {"four": estimands})
-    return build_estimates(
+    families = {"four": estimands}
+    if config.diagnostics:
+        families.update(dict.fromkeys(PLUG_INS, estimands))
+    combined = four_arm_battery(ds, config, families)
+    estimates = build_estimates(
         combined["four"], estimands, n=ds.n, config=config, family="four"
     )
+    if not config.diagnostics:
+        return estimates
+    return [
+        replace(estimate, diagnostics={name: combined[name][est].point for name in PLUG_INS})
+        for estimate, est in zip(estimates, estimands)
+    ]

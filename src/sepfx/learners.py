@@ -29,10 +29,10 @@ learners share their internal folds and grow all their forests together.
 super-learner spec.  Designs are built only to fit: a fitted GLM predicts
 from its coefficients, and at treatment levels held by :class:`AtLevels`
 from coefficients folded into a constant and covariate weights
-(:meth:`GlmPredictor.predict`); every model predicts alone.  Logistic
-probabilities come from :func:`sepfx.special.expit`, and the super
-learner's NNLS is Lawson and Hanson's, in numpy (:func:`_nnls`), so no
-learner imports scipy.
+(:meth:`GlmPredictor.predict`); every model predicts alone, through its
+own ``predict``, where its values are used.  Logistic probabilities come
+from :func:`sepfx.special.expit`, and the super learner's NNLS is Lawson
+and Hanson's, in numpy (:func:`_nnls`), so no learner imports scipy.
 """
 
 from __future__ import annotations
@@ -280,13 +280,6 @@ class AtLevels:
         return self.fit.predict(np.column_stack([held, X]))
 
 
-def predict_many(models, features) -> list[np.ndarray]:
-    """``[model.predict(features) for model in models]`` on the features
-    read once as a float matrix."""
-    X = as_matrix(features)
-    return [model.predict(X) for model in models]
-
-
 @dataclass
 class ConstantPredictor:
     """Predicts one value everywhere; exact fit for constant targets."""
@@ -407,11 +400,10 @@ class SuperLearnerFit:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         features = as_matrix(features)
-        used = [j for j, w in enumerate(self.weights) if w != 0.0]
-        preds = predict_many([self.candidate_fits[j] for j in used], features)
         out = np.zeros(features.shape[0])
-        for j, pred in zip(used, preds):
-            out += self.weights[j] * pred
+        for fit, weight in zip(self.candidate_fits, self.weights):
+            if weight != 0.0:
+                out += weight * fit.predict(features)
         if self.clip is not None:
             out = np.clip(out, self.clip, 1.0 - self.clip)
         return out

@@ -151,7 +151,10 @@ class SimConfig(JsonFields):
             raise ValueError("reps must be at least 1")
         if self.a_y_model not in (1, 2):
             raise ValueError("a_y_model must be 1 or 2")
-        unknown = set(self.estimators) - set(ESTIMATOR_NAMES)
+        names = self.estimators
+        if not (isinstance(names, tuple) and all(isinstance(name, str) for name in names)):
+            raise ValueError(f"estimators must be a tuple of names, got {names!r}")
+        unknown = set(names) - set(ESTIMATOR_NAMES)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
         if not self.estimators:

@@ -25,7 +25,7 @@ the two scores row by row.  The fold scorer of :func:`split_scores_two`
 fits one :class:`NuisanceFitTwo`, which holds the two treatment-probability
 models once and the outcome models of every strategy in use, and then
 calls ``eif(ds, nuis, pairs, rows)`` on the fold's test rows, as the
-four-arm fold scorer calls its own ``eif(ds, nuis, cells, rows)``.
+four-arm fold scorer calls its own ``eif(ds, nuis, cells, rows, names)``.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .estimation import (
     estimand_cells,
     run_battery,
 )
-from .learners import AtLevels, FittedPredictor, fit_classifier, fit_regressors, predict_many
+from .learners import AtLevels, FittedPredictor, fit_classifier, fit_regressors
 
 
 @dataclass
@@ -115,7 +115,7 @@ def fit_nuisance_two(
     for strategy in ("S", "T") if config.strategy == "ensemble" else (config.strategy,):
         [mu_fits] = _fit_by_arm(mx, [y], a, config, strategy)
         # project each level's predictions onto the covariates within each arm
-        lam = _fit_by_arm(x, predict_many([mu_fits[0], mu_fits[1]], mx), a, config, strategy)
+        lam = _fit_by_arm(x, [mu_fits[level].predict(mx) for level in (0, 1)], a, config, strategy)
         lam_fits = {(level, prime): fit for level in (0, 1) for prime, fit in lam[level].items()}
         outcomes.append((mu_fits, lam_fits))
     return NuisanceFitTwo(treat_given_mx, treat_given_x, tuple(outcomes))
@@ -127,41 +127,35 @@ def eif(ds: TwoArmDataset, nuis: NuisanceFitTwo, pairs, rows: np.ndarray) -> dic
 
     Each treatment model predicts once, and level 0 follows by the
     complement rule; each strategy's outcome models then predict once per
-    level or pair, in one batch per feature matrix (a GLM from its
-    coefficients, with no design).  Each pair's two weights, the residual weight
-    1{A=a_y} / w(a_m) * r(a_m) / r(a_y) and the projection weight
-    1{A=a_m} / w(a_m), are built once and serve every strategy.  The
-    ensemble's two strategies' scores are averaged row by row with equal
-    weight.
+    level or pair (a GLM from its coefficients, with no design).  Each
+    pair's two weights, the residual weight 1{A=a_y} / w(a_m) * r(a_m) /
+    r(a_y) and the projection weight 1{A=a_m} / w(a_m), are built once and
+    serve every strategy.  The ensemble's two strategies' scores are
+    averaged row by row with equal weight.
     """
     x = ds.x[rows]
     y = ds.y[rows]
     a = ds.a[rows]
     mx = np.column_stack([ds.m[rows], x])
     levels = dict.fromkeys(a_y for a_y, _ in pairs)
-    p_mx, *mus = predict_many(
-        [nuis.treat_given_mx] + [mu[a_y] for mu, _ in nuis.outcomes for a_y in levels], mx
-    )
-    p_x, *lams = predict_many(
-        [nuis.treat_given_x] + [lam[pair] for _, lam in nuis.outcomes for pair in pairs], x
-    )
+    p_mx = nuis.treat_given_mx.predict(mx)
+    mus = [{a_y: mu[a_y].predict(mx) for a_y in levels} for mu, _ in nuis.outcomes]
+    p_x = nuis.treat_given_x.predict(x)
+    lams = [{pair: lam[pair].predict(x) for pair in pairs} for _, lam in nuis.outcomes]
     rho = {1: p_mx, 0: 1.0 - p_mx}
     omega = {1: p_x, 0: 1.0 - p_x}
     weights = {
         (a_y, a_m): ((a == a_y) / omega[a_m] * (rho[a_m] / rho[a_y]), (a == a_m) / omega[a_m])
         for a_y, a_m in pairs
     }
-    mus, lams = iter(mus), iter(lams)
     scores = []
-    for _ in nuis.outcomes:
-        mu = {a_y: next(mus) for a_y in levels}
+    for mu, lam in zip(mus, lams):
         out = {}
         for a_y, a_m in pairs:
             residual_weight, projection_weight = weights[a_y, a_m]
-            lam = next(lams)
             residual_term = residual_weight * (y - mu[a_y])
-            projection_term = projection_weight * (mu[a_y] - lam)
-            out[a_y, a_m] = residual_term + projection_term + lam
+            projection_term = projection_weight * (mu[a_y] - lam[a_y, a_m])
+            out[a_y, a_m] = residual_term + projection_term + lam[a_y, a_m]
         scores.append(out)
     if len(scores) == 1:
         return scores[0]

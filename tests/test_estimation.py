@@ -226,6 +226,11 @@ def test_indirect_test_takes_contrasts_only():
         ("k_folds", 2.0),
         ("seed", False),
         ("seed", 0.5),
+        # a learner by name, or none, fails here, not later inside a fold
+        ("outcome", "glm"),
+        ("outcome", None),
+        ("propensity", "glm"),
+        ("propensity", None),
     ],
 )
 def test_estimator_config_rejects_bad_values(field, value):
@@ -275,7 +280,7 @@ def test_run_battery_median_rule(splits, point, variance, eif_split):
     np.testing.assert_array_equal(result.eif, np.full(3, eif_split))
     bare = combined["no-eif"]
     assert (bare.point, bare.variance) == (point, variance)
-    assert bare.eif is None and bare.diagnostics is None
+    assert bare.eif is None
 
 
 @pytest.mark.parametrize("model", [1, 2])

@@ -8,9 +8,10 @@ from sepfx import learners
 from sepfx.data import FourArmDataset
 from sepfx.errors import MissingCell, SeparationWarning, SingleClassWarning
 from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells
-from sepfx.falsification import estimate_agreement_effects
+from sepfx.falsification import estimate_agreement_effects, indirect_test_battery
 from sepfx.four_arm import (
     CELLS,
+    PLUG_INS,
     NuisanceFitFour,
     eif,
     estimate_effects_four,
@@ -51,8 +52,8 @@ def flat_nuisance(nu):
 
 
 def full_sample_eif(ds, cell, nuis):
-    """The :func:`eif` scores of ``cell`` on every row of ``ds``."""
-    return eif(ds, nuis, (cell,), np.arange(ds.n))["four", cell]
+    """The :func:`eif` four-arm scores of ``cell`` on every row of ``ds``."""
+    return eif(ds, nuis, (cell,), np.arange(ds.n), ("four",))["four", cell]
 
 
 def test_score_inside_cell():
@@ -246,7 +247,7 @@ def test_diagnostics_are_medians_of_split_plug_ins(sim_four_arm, splits):
     estimands = [Estimand(*req) for req in requests]
     cells = estimand_cells(estimands)
     per_split = [
-        split_scores_four(sim_four_arm, split, config, cells, diagnostics=True)
+        split_scores_four(sim_four_arm, split, config, cells, PLUG_INS)
         for split in range(splits)
     ]
     results = estimate_effects_four(sim_four_arm, requests, config)
@@ -254,6 +255,47 @@ def test_diagnostics_are_medians_of_split_plug_ins(sim_four_arm, splits):
         for name in ("ipw", "outcome_regression"):
             means = [np.mean(est.contrast(scores[name])) for scores in per_split]
             assert result.diagnostics[name] == float(np.median(means))
+
+
+def indirect_tests(ds, requests, config):
+    return indirect_test_battery(ds, config, requests)
+
+
+@pytest.mark.parametrize(
+    "estimate, diagnostics, expected",
+    [
+        (estimate_effects_four, False, {"four"}),
+        (estimate_effects_four, True, {"four", *PLUG_INS}),
+        (estimate_agreement_effects, False, {"agreement"}),
+        (indirect_tests, False, {"agreement"}),
+    ],
+)
+def test_a_battery_scores_only_what_its_families_read(
+    monkeypatch, sim_four_arm, estimate, diagnostics, expected
+):
+    """Every fold's :func:`eif` call returns only the score names the
+    battery's families read: the plug-ins only with diagnostics, and no
+    four-arm score for the agreement estimator or the indirect tests.
+    Without ``keep_eif`` no combined result keeps contributions."""
+    names, results = [], []
+    real_eif, real_battery = sepfx.four_arm.eif, sepfx.four_arm.run_battery
+
+    def recording_eif(*args):
+        scores = real_eif(*args)
+        names.append({name for name, _ in scores})
+        return scores
+
+    def recording_battery(*args):
+        combined = real_battery(*args)
+        results.extend(combined.values())
+        return combined
+
+    monkeypatch.setattr(sepfx.four_arm, "eif", recording_eif)
+    monkeypatch.setattr(sepfx.four_arm, "run_battery", recording_battery)
+    config = EstimatorConfig(splits=1, keep_eif=False, diagnostics=diagnostics)
+    estimate(sim_four_arm, [("sde", 1), ("sie", 0)], config)
+    assert names and all(scored == expected for scored in names)
+    assert results and all(result.eif is None for result in results)
 
 
 def test_shared_nuisances_across_requests(sim_four_arm):

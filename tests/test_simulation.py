@@ -180,6 +180,14 @@ def test_sim_config_refuses_empty_or_repeated_estimators(estimators, message):
         SimConfig(reps=1, estimators=estimators)
 
 
+@pytest.mark.parametrize("estimators", ["sde_four", ["sde_four"], ("sde_four", 1)])
+def test_sim_config_refuses_estimators_that_are_not_a_tuple_of_names(estimators):
+    """A string is not read one letter at a time, and a list, which would
+    leave the frozen record unhashable, is refused like any non-tuple."""
+    with pytest.raises(ValueError, match="^estimators must be a tuple of names"):
+        SimConfig(reps=1, estimators=estimators)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
