@@ -11,7 +11,9 @@ of ``estimate`` (``argument --estimand: bad --estimand ...``).  Every
 command emits a single JSON document (stdout by default, ``--out`` to a
 file) embedding the resolved configuration, the seed (null if none is
 drawn) and the library version.  With ``--deterministic`` the timestamp,
-the wall time and the worker count are omitted so reruns are byte-identical.
+the wall time and the worker count are omitted so reruns are byte-identical;
+``--threads``, taken by ``simulate``, ``estimate`` and ``falsify indirect``,
+changes the wall time only.
 
 Exit codes: 0 on success (including falsification tests that reject),
 2 on usage errors, 1 on data or estimation errors.
@@ -89,6 +91,12 @@ def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--strategy", default=argparse.SUPPRESS, choices=STRATEGIES,
                         help="two-arm outcome-model strategy")
+    parser.add_argument(
+        "--threads", type=int, default=EstimatorConfig.threads,
+        help="processes that run simulate's replications or the sample splits "
+        "(default: every usable CPU, at most one per replication or split); "
+        "all run under one BLAS thread, so this changes wall time only",
+    )
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -141,13 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated subset of {','.join(ESTIMATOR_NAMES)}",
     )
     sim.add_argument("--violation", type=float, default=None)
-    sim.add_argument(
-        "--threads", type=int, default=SimConfig.threads,
-        help="processes that run the replications (default: every usable CPU, "
-        "at most one per replication): this process runs one share and forks "
-        "one child per other share; every study runs under one BLAS thread, so "
-        "this changes wall time only",
-    )
     _add_estimation_flags(sim)
     _add_output_flags(sim)
 
@@ -197,7 +198,8 @@ def _estimator_config(args, parser, diagnostics: bool = False):
         if args.command == "falsify" and args.kind == "direct":  # it reads --alpha alone
             return EstimatorConfig(alpha=args.alpha)
         return estimator_config_for(
-            args.learner, args.seed, diagnostics=diagnostics, **shared_settings(args)
+            args.learner, args.seed, diagnostics=diagnostics, threads=args.threads,
+            **shared_settings(args),
         )
     except ValueError as exc:
         parser.error(str(exc))

@@ -5,8 +5,9 @@ request needs and how their scores contrast.  :class:`EstimatorConfig`
 holds and checks the settings every estimator takes, and
 ``SHARED_SETTINGS`` names those a study or the command line passes on.
 :func:`run_battery` is the one loop over sample splits: each split gives
-``{key: (point, deviations, contributions)}``, and the splits combine by
-the median rule.  ``ESTIMATOR_FAMILIES`` maps each estimator family to
+``{key: (point, deviations, contributions)}``, the splits fan out over
+forked processes under one OpenBLAS thread, and they combine by the
+median rule.  ``ESTIMATOR_FAMILIES`` maps each estimator family to
 the design its data come from and the population its estimands refer
 to; :func:`build_estimates` reads both off it when it turns a family's
 ``run_battery`` output into :class:`EffectEstimate` values, refusing a
@@ -23,6 +24,7 @@ import numpy as np
 
 from .crossfit import median_adjust
 from .errors import DegenerateEstimate
+from .fanout import fan_out, usable_cpus
 from .learners import DEFAULT_CLIP, LearnerSpec
 from .seeding import check_integers, is_integer
 from .special import ndtri
@@ -131,7 +133,9 @@ class EstimatorConfig:
     (single model with interactions, stratified, or an ensemble of both).
     ``diagnostics`` applies to the four-arm estimator only: it adds the
     IPW and outcome-regression plug-in points to each four-arm estimate,
-    and the two-arm and agreement estimators ignore it.
+    and the two-arm and agreement estimators ignore it.  ``threads`` is
+    how many processes run the sample splits, the caller included, one
+    per usable CPU when ``None``; it changes the wall time only.
 
     Raises
     ------
@@ -139,8 +143,9 @@ class EstimatorConfig:
         Unless ``k_folds``, ``splits`` and ``seed`` are integers (not
         bools), ``splits >= 1``, ``k_folds >= 2``, ``0 < alpha < 1``,
         ``0 < clip < 0.5`` (at 0.5 the clip bounds cross), ``strategy``
-        is one of ``STRATEGIES`` and ``outcome`` and ``propensity`` are
-        :class:`~sepfx.learners.LearnerSpec` values.
+        is one of ``STRATEGIES``, ``outcome`` and ``propensity`` are
+        :class:`~sepfx.learners.LearnerSpec` values and ``threads`` is
+        ``None`` or an integer from 1 to the number of usable CPUs.
     """
 
     outcome: LearnerSpec = field(default_factory=LearnerSpec)
@@ -153,9 +158,12 @@ class EstimatorConfig:
     strategy: str = "ensemble"
     keep_eif: bool = True
     diagnostics: bool = False
+    threads: int | None = None
 
     def __post_init__(self):
-        check_integers(self, ("k_folds", "splits", "seed"))
+        counts = ("k_folds", "splits", "seed") + (() if self.threads is None else ("threads",))
+        check_integers(self, counts)
+        cpus = usable_cpus()
         for name, ok, rule in (
             ("splits", self.splits >= 1, "at least 1"),
             ("k_folds", self.k_folds >= 2, "at least 2"),
@@ -164,6 +172,8 @@ class EstimatorConfig:
             ("strategy", self.strategy in STRATEGIES, f"one of {STRATEGIES}"),
             ("outcome", isinstance(self.outcome, LearnerSpec), "a LearnerSpec"),
             ("propensity", isinstance(self.propensity, LearnerSpec), "a LearnerSpec"),
+            # None means every usable CPU; more workers than CPUs only contend
+            ("threads", self.threads is None or 1 <= self.threads <= cpus, f"from 1 to {cpus}"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -269,18 +279,26 @@ def run_battery(config: EstimatorConfig, split_fn: Callable[[int], dict]) -> dic
 
     ``split_fn`` receives a split index and returns ``{key: (point,
     deviations, contributions)}``; the split's variance is the mean square
-    of the length-n ``deviations``.  Points and variances are combined by
-    :func:`~sepfx.crossfit.median_adjust`.  Contributions are kept only
-    with ``config.keep_eif``: ``eif`` then holds those (or ``None``) of the
-    split realizing the median point, or the mean of the two middle
-    splits' when S is even, and is otherwise ``None``.
+    of the length-n ``deviations``.  The splits run through
+    :func:`~sepfx.fanout.fan_out` in ``config.threads`` processes under one
+    OpenBLAS thread, serially inside a study, and each gives back only
+    ``(point, variance, contributions if config.keep_eif else None)`` per
+    key, so the results and the lowest failing split's error do not depend
+    on the worker or BLAS thread count.  Points and variances are combined
+    by :func:`~sepfx.crossfit.median_adjust`.  ``eif`` holds the kept
+    contributions of the split realizing the median point, or the mean of
+    the two middle splits' when S is even, and is otherwise ``None``.
     """
+    def split_values(split: int) -> dict:
+        return {
+            key: (point, float(np.mean(deviations**2)), contrib if config.keep_eif else None)
+            for key, (point, deviations, contrib) in split_fn(split).items()
+        }
+
     per_key: dict = {}
-    for split in range(config.splits):
-        for key, (point, deviations, contrib) in split_fn(split).items():
-            variance = float(np.mean(deviations**2))
-            kept = contrib if config.keep_eif else None
-            per_key.setdefault(key, []).append((point, variance, kept))
+    for values in fan_out(split_values, config.splits, config.threads):
+        for key, value in values.items():
+            per_key.setdefault(key, []).append(value)
 
     combined: dict = {}
     for key, values in per_key.items():

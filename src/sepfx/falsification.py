@@ -8,7 +8,7 @@ the mediators.  With four-arm data both restrictions are testable.
 Direct tests regress each mediator on both treatments and covariates (the
 outcome-channel coefficient should vanish) and the outcome on both
 treatments, mediators, and covariates (the mediator-channel coefficient
-should vanish).
+should vanish).  Each regression runs under one OpenBLAS thread.
 
 The indirect test compares two estimators of the same contrast on the
 subpopulation whose treatments agree: a weighted four-arm estimator that
@@ -41,6 +41,7 @@ from .estimation import (
     build_estimates,
     checked_se,
 )
+from .fanout import one_blas_thread
 # bench/layers.py traces fit_nuisance_theta under this module's name
 from .four_arm import fit_nuisance_theta, four_arm_battery  # noqa: F401
 from .seeding import is_integer
@@ -201,7 +202,9 @@ def _direct_test(
     if basis not in DIRECT_BASES:
         raise ValueError(f"basis must be one of {DIRECT_BASES}, got {basis!r}")
     try:
-        fit = fit_ols(_direct_design(ds, include_mediators, basis), targets)
+        # one BLAS thread, so the fit's bytes do not depend on the thread count
+        with one_blas_thread():
+            fit = fit_ols(_direct_design(ds, include_mediators, basis), targets)
     except DegenerateEstimate as exc:
         raise DegenerateEstimate(f"{test}: {exc}") from None
     cov = fit.cov_robust if robust else fit.cov_classical

@@ -31,27 +31,19 @@ one exception is a failure of the one pass per split that the four-arm
 and agreement families share.  The Monte Carlo and falsification studies
 share nothing with each other.
 
-Replications run in ``min(threads, reps)`` processes, one per usable CPU
-unless ``SimConfig.threads`` says otherwise: the caller runs one share of
-them and ``min(threads, reps) - 1`` forked children run the rest, whose
-warnings are raised again in the caller.  Every study runs under one
-OpenBLAS thread, so its results do not depend on the worker count.  A
-falsification study imports the direct tests' t tails from
-``scipy.special`` before it forks its children.
+Replications run in ``min(threads, reps)`` processes through
+:func:`sepfx.fanout.fan_out`, one per usable CPU unless
+``SimConfig.threads`` says otherwise, under one OpenBLAS thread; each
+replication's batteries run their splits serially, so the results do not
+depend on the worker count.  A falsification study imports the direct
+tests' t tails from ``scipy.special`` before it forks its children.
 """
 
 from __future__ import annotations
 
-import ctypes
-import multiprocessing
-import os
 import time
-import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 
@@ -61,6 +53,7 @@ from .estimation import (
     ESTIMATOR_FAMILIES, Estimand, EstimatorConfig, JsonFields, build_estimates,
     shared_settings,
 )
+from .fanout import fan_out
 from .falsification import (
     DEFAULT_INDIRECT_REQUESTS,
     direct_test_h0i,
@@ -165,15 +158,9 @@ class SimConfig(JsonFields):
             raise ValueError(
                 f"violation must be a finite number or None, got {self.violation!r}"
             )
-        # None means every usable CPU; more workers than CPUs only contend
-        if self.threads is not None:
-            check_integers(self, ("threads",))
-            cpus = _usable_cpus()
-            if not 1 <= self.threads <= cpus:
-                raise ValueError(f"threads must be between 1 and {cpus}, got {self.threads!r}")
-        # the estimator settings', preset's and requests' own rules, applied
-        # once per study
-        EstimatorConfig(**shared_settings(self))
+        # the estimator settings', worker count's, preset's and requests' own
+        # rules, applied once per study
+        EstimatorConfig(**shared_settings(self), threads=self.threads)
         make_spec(self.learner)
         for kind in KINDS:
             Estimand(kind, getattr(self, f"{kind}_level")).cells()
@@ -312,9 +299,11 @@ def estimator_config_for(learner: str, seed: int, **settings) -> EstimatorConfig
 
 
 def _rep_config(cfg: SimConfig, rep: int) -> EstimatorConfig:
+    # one process per replication: the study fans out, its batteries do not
     return estimator_config_for(
         cfg.learner,
         seed=derive_seed(cfg.master_seed, "estimation", rep),
+        threads=1,
         **shared_settings(cfg),
     )
 
@@ -472,154 +461,12 @@ def run_monte_carlo(cfg: SimConfig) -> SimReport:
     )
 
 
-def _usable_cpus() -> int:
-    """How many CPUs this process may run on: its affinity set where the
-    platform has one, else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@cache
-def _blas_thread_calls():
-    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy
-    wheels bundle (64- or 32-bit integer build), or ``None`` where none is
-    found, as when numpy is linked to another BLAS."""
-    # loading a library numpy has already loaded returns that same library
-    for path in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
-        try:
-            lib = ctypes.CDLL(str(path))
-        except OSError:
-            continue
-        for suffix in ("64_", ""):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
-    return None
-
-
-@contextmanager
-def _one_blas_thread():
-    """Run the body with numpy's OpenBLAS at one thread, then restore the
-    caller's count; do nothing where no OpenBLAS is found."""
-    calls = _blas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get, put = calls
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
-def _workers(cfg: SimConfig) -> int:
-    """How many processes run the replications: ``cfg.threads`` (every
-    usable CPU if ``None``), at most one per replication.  It is 1, meaning
-    this process, where ``fork`` is missing or this process is daemonic
-    and so may not start children."""
-    if (
-        "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.current_process().daemon
-    ):
-        return 1
-    return min(cfg.threads or _usable_cpus(), cfg.reps)
-
-
 def _map_reps(worker, cfg: SimConfig) -> list:
-    """``worker(cfg, rep)`` for every replication, in order.
-
-    With ``w = _workers(cfg)`` above 1, replications ``s, s + w, s + 2w, ...``
-    form share ``s``: this process forks ``w - 1`` children for shares 1 to
-    ``w - 1``, runs share 0 itself, then collects each child's results
-    through a pipe.  Children are forked so that they start with the
-    caller's imports in place, and live for one study, so that each sees
-    the modules as they stand when the study starts.  Replications are
-    seeded independently and the whole study runs under one OpenBLAS
-    thread, in this process and in the children that inherit that count,
-    so the results do not depend on the worker count; a BLAS pool per
-    process would only contend for the same CPUs.  If replications raise,
-    the error of the lowest one is raised here, once every child has
-    exited.
-    """
-    workers = _workers(cfg)
-    with _one_blas_thread():
-        if workers == 1:
-            return [worker(cfg, rep) for rep in range(cfg.reps)]
-        context = multiprocessing.get_context("fork")
-        children = []
-        try:
-            for share in range(1, workers):
-                receive, send = context.Pipe(duplex=False)
-                child = context.Process(
-                    target=_send_share, args=(send, worker, cfg, share, workers), daemon=True
-                )
-                child.start()
-                # the child holds the only sending end, so its exit ends the pipe
-                send.close()
-                children.append((child, receive))
-            shares = [_run_share(worker, cfg, 0, workers)]
-            shares += [_receive_share(child, receive) for child, receive in children]
-        except BaseException:
-            for child, _ in children:
-                child.terminate()
-            raise
-        finally:
-            for child, receive in children:
-                receive.close()
-                child.join()
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    done = [None] * cfg.reps
-    for share, (pairs, _) in enumerate(shares):
-        done[share::workers] = pairs
-    # the caller's filters, and any record it keeps, see the replications'
-    # warnings only once they are raised again here; the registry shows a
-    # repeated warning once, as in one process
-    registry = globals().setdefault("__warningregistry__", {})
-    for _, caught in done:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-    return [result for result, _ in done]
-
-
-def _run_share(worker, cfg: SimConfig, share: int, workers: int) -> tuple:
-    """Replications ``share, share + workers, ...`` in order, as a list of
-    ``(worker(cfg, rep), warnings it raised)`` pairs, and ``(rep, error)``
-    for the first of them that raises (the rest are not run), else ``None``."""
-    done = []
-    for rep in range(share, cfg.reps, workers):
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                result = worker(cfg, rep)
-        except Exception as exc:
-            return done, (rep, exc)
-        done.append((result, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
-    return done, None
-
-
-def _send_share(send, worker, cfg: SimConfig, share: int, workers: int) -> None:
-    """Run a share in a forked child and send its outcome to the caller."""
-    with send:
-        send.send(_run_share(worker, cfg, share, workers))
-
-
-def _receive_share(child, receive) -> tuple:
-    """What a child's :func:`_send_share` sent."""
-    try:
-        return receive.recv()
-    except EOFError:
-        child.join()
-        raise RuntimeError(
-            f"a study's worker process exited with code {child.exitcode} "
-            "before it sent its replications"
-        ) from None
+    """``worker(cfg, rep)`` for every replication, in order, fanned out
+    over ``cfg.threads`` processes by :func:`~sepfx.fanout.fan_out`;
+    replications are seeded independently, and their batteries run their
+    splits serially, so the results do not depend on the worker count."""
+    return fan_out(lambda rep: worker(cfg, rep), cfg.reps, cfg.threads)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
+import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from sepfx import learners
+from sepfx import fanout, learners
 from sepfx.data import FourArmDataset, TwoArmDataset, restrict_to_two_arm
 from sepfx.four_arm import CELLS, NuisanceFitFour
 from sepfx.learners import ConstantPredictor
@@ -173,3 +175,22 @@ def sim_two_arm(sim_four_arm):
 def sim_four_arm_big():
     """A large draw for three-sigma statistical checks."""
     return generate_dataset(SimConfig(n=8000, a_y_model=2, reps=1, master_seed=55), 0)
+
+
+def blas_threads():
+    """numpy's OpenBLAS thread count, or None where it cannot be read."""
+    calls = fanout.blas_thread_calls()
+    return None if calls is None else calls[0]()
+
+
+pool_path = pytest.mark.skipif(
+    fanout.usable_cpus() < 2 or fanout.blas_thread_calls() is None,
+    reason="needs two usable CPUs and numpy's OpenBLAS thread-count functions",
+)
+
+
+def assert_no_process_left():
+    # waitpid first: active_children() would reap an exited child itself
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []

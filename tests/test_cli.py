@@ -280,6 +280,10 @@ def test_estimand_grammar_refuses(capsys, four_arm_csv, spec, reason):
          "--col-a-y is available for --design four-arm only"),
         (["estimate", "--design", "two-arm", "--col-a", "aY", "--col-a-m", "r"],
          "--col-a-m is available for --design four-arm only"),
+        # the worker count of a battery, and a test that runs no splits
+        (["estimate", "--design", "four-arm", "--threads", "0"], "threads"),
+        (["falsify", "indirect", "--threads", "0"], "threads"),
+        (["falsify", "direct", "--threads", "2"], "unrecognized arguments: --threads 2"),
     ],
 )
 def test_bad_estimator_settings_exit_two(capsys, four_arm_csv, argv, message):
@@ -311,13 +315,14 @@ def test_choice_lists_are_the_librarys_tuples():
 
 
 # The option strings of each command path, in the order ``--help`` lists them.
-_ESTIMATION = ["--learner", "--k-folds", "--splits", "--alpha", "--clip", "--seed", "--strategy"]
+_ESTIMATION = ["--learner", "--k-folds", "--splits", "--alpha", "--clip", "--seed", "--strategy",
+               "--threads"]
 _COLUMNS = ["--col-outcome", "--col-a-y", "--col-a-m", "--col-a", "--col-mediators",
             "--col-covariates", "--mediator-prefix", "--covariate-prefix"]
 _FOUR_ARM_COLUMNS = [flag for flag in _COLUMNS if flag != "--col-a"]
 _OUTPUT = ["--out", "--pretty", "--deterministic"]
 COMMAND_OPTIONS = {
-    "simulate": ["--model", "--n", "--reps", "--estimators", "--violation", "--threads",
+    "simulate": ["--model", "--n", "--reps", "--estimators", "--violation",
                  *_ESTIMATION, *_OUTPUT],
     "estimate": ["--data", "--design", "--estimand", "--diagnostics", *_ESTIMATION,
                  *_COLUMNS, *_OUTPUT],
@@ -341,7 +346,7 @@ def test_each_command_path_offers_its_pinned_options():
         for path, parser in paths.items()
     }
     assert got == COMMAND_OPTIONS
-    assert [len(got[path]) for path in COMMAND_OPTIONS] == [16, 22, 14, 18, 4]
+    assert [len(got[path]) for path in COMMAND_OPTIONS] == [16, 23, 14, 19, 4]
 
 
 def test_shared_settings_default_to_the_estimator_config():

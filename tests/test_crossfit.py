@@ -190,7 +190,8 @@ def test_each_folds_bundle_is_freed_before_the_next_fit(
     monkeypatch, module, fitter, estimator, make
 ):
     """A design's fold scorer fits, scores and drops one bundle per fold:
-    when a fold's fit starts, no earlier fold's bundle is alive."""
+    when a fold's fit starts, no earlier fold's bundle is alive.  One
+    process runs both splits, so the patch sees every fit."""
     real_fit = getattr(module, fitter)
     bundles, alive_at_fit = [], []
 
@@ -201,7 +202,7 @@ def test_each_folds_bundle_is_freed_before_the_next_fit(
         return bundle
 
     monkeypatch.setattr(module, fitter, recording_fit)
-    getattr(module, estimator)(make(n=90), [("sde", 1)], EstimatorConfig(k_folds=3, splits=2))
+    getattr(module, estimator)(make(n=90), [("sde", 1)], EstimatorConfig(k_folds=3, splits=2, threads=1))
     assert alive_at_fit == [0] * 6
 
 

@@ -9,6 +9,7 @@ from sepfx import crossfit, falsification, four_arm, two_arm
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.errors import DegenerateEstimate, MissingCell
 from sepfx.estimation import Estimand, EstimatorConfig, estimand_cells, run_battery
+from sepfx.fanout import usable_cpus
 from sepfx.falsification import estimate_agreement_effects, indirect_test_battery
 from sepfx.four_arm import estimate_effects_four
 from sepfx.seeding import derive_seed
@@ -231,6 +232,11 @@ def test_indirect_test_takes_contrasts_only():
         ("outcome", None),
         ("propensity", "glm"),
         ("propensity", None),
+        # the worker count: None or 1 to the usable CPUs, never a bool or a fraction
+        ("threads", 0),
+        pytest.param("threads", usable_cpus() + 1, id="threads-above-cpus"),
+        ("threads", True),
+        ("threads", 1.5),
     ],
 )
 def test_estimator_config_rejects_bad_values(field, value):

@@ -84,7 +84,7 @@ PUBLIC_PARAMETERS = {
 CONFIG_FIELDS = {
     "EstimatorConfig": [
         "outcome", "propensity", "k_folds", "splits", "alpha", "clip", "seed",
-        "strategy", "keep_eif", "diagnostics",
+        "strategy", "keep_eif", "diagnostics", "threads",
     ],
     "SimConfig": [
         "n", "a_y_model", "reps", "master_seed", "estimators", "learner",
@@ -139,7 +139,7 @@ def test_config_fields_are_pinned():
         for name in CONFIG_FIELDS
     }
     assert found == CONFIG_FIELDS
-    assert sum(len(names) for names in found.values()) == 42
+    assert sum(len(names) for names in found.values()) == 43
 
 
 BUNDLE_FIELDS = {

@@ -1,6 +1,5 @@
 import itertools
 import json
-import multiprocessing
 import os
 import warnings
 from dataclasses import replace
@@ -9,8 +8,10 @@ import numpy as np
 import pytest
 
 import sepfx.crossfit
+import sepfx.fanout
 import sepfx.four_arm
 import sepfx.simulation
+from conftest import assert_no_process_left, blas_threads, pool_path
 from sepfx.data import FourArmDataset, restrict_to_two_arm
 from sepfx.errors import DegenerateEstimate, EmptySubset, LearnerError, MissingCell
 from sepfx.estimation import Estimand, EstimatorConfig
@@ -291,16 +292,6 @@ def test_run_falsification_study_small():
         assert row.failures == 0
 
 
-def _blas_threads():
-    calls = sepfx.simulation._blas_thread_calls()
-    return None if calls is None else calls[0]()
-
-
-pool_path = pytest.mark.skipif(
-    sepfx.simulation._usable_cpus() < 2 or sepfx.simulation._blas_thread_calls() is None,
-    reason="needs two usable CPUs and numpy's OpenBLAS thread-count functions",
-)
-
 # With 48 folds at n = 100, replications 2 and 3 have fewer two-arm rows
 # than folds, so their two-arm family and indirect tests fail.
 SOME_FAIL = SimConfig(n=100, reps=4, master_seed=1, k_folds=48, splits=1)
@@ -317,7 +308,7 @@ LARGE = SimConfig(n=60000, reps=2, master_seed=1, splits=1)
 )
 def test_workers_give_the_rows_and_warnings_of_one_process(study, cfg):
     """Rows bit for bit, and the replications' warnings in order."""
-    assert sepfx.simulation._workers(replace(cfg, threads=2)) == 2
+    assert sepfx.fanout.processes(cfg.reps, 2) == 2
     runs = []
     for threads in (1, 2):
         with warnings.catch_warnings(record=True) as caught:
@@ -336,7 +327,7 @@ def test_workers_give_the_rows_and_warnings_of_one_process(study, cfg):
 
 @pool_path
 def test_a_study_gives_the_caller_back_its_blas_threads():
-    get, put = sepfx.simulation._blas_thread_calls()
+    get, put = sepfx.fanout.blas_thread_calls()
     before = get()
     try:
         put(2)
@@ -352,26 +343,19 @@ def test_one_replication_runs_in_this_process_under_one_blas_thread(monkeypatch)
     draw = sepfx.simulation.generate_dataset
 
     def recording_draw(cfg, rep):
-        seen.append((os.getpid(), _blas_threads()))
+        seen.append((os.getpid(), blas_threads()))
         return draw(cfg, rep)
 
     monkeypatch.setattr(sepfx.simulation, "generate_dataset", recording_draw)
-    before = _blas_threads()
+    before = blas_threads()
     run_monte_carlo(SimConfig(n=300, reps=1, estimators=("sde_four",)))
     assert seen == [(os.getpid(), None if before is None else 1)]
-    assert _blas_threads() == before
+    assert blas_threads() == before
 
 
 # Two workers split five replications into the caller's share (0, 2, 4)
 # and one child's (1, 3).
 FIVE = SimConfig(n=300, reps=5, master_seed=3, estimators=("sde_four",))
-
-
-def _assert_no_process_left():
-    # waitpid first: active_children() would reap an exited child itself
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert multiprocessing.active_children() == []
 
 
 @pool_path
@@ -382,14 +366,14 @@ def test_the_caller_runs_share_zero_under_one_blas_thread(monkeypatch):
 
     def recording_draw(cfg, rep):
         if os.getpid() == caller:
-            seen.append((rep, _blas_threads()))
+            seen.append((rep, blas_threads()))
         return draw(cfg, rep)
 
     monkeypatch.setattr(sepfx.simulation, "generate_dataset", recording_draw)
     rows = run_monte_carlo(replace(FIVE, threads=2)).rows
     assert seen == [(0, 1), (2, 1), (4, 1)]
     assert [row.to_json_dict() for row in rows] == one
-    _assert_no_process_left()
+    assert_no_process_left()
 
 
 @pool_path
@@ -411,7 +395,7 @@ def test_the_lowest_failing_replication_raises_in_the_caller(monkeypatch, failin
     monkeypatch.setattr(sepfx.simulation, "generate_dataset", failing_draw)
     with pytest.raises(RuntimeError, match=rf"^replication {raised} broke$"):
         run_monte_carlo(replace(FIVE, threads=2))
-    _assert_no_process_left()
+    assert_no_process_left()
 
 
 @pool_path
@@ -427,7 +411,7 @@ def test_a_child_that_exits_without_its_share_fails_the_study(monkeypatch):
     monkeypatch.setattr(sepfx.simulation, "generate_dataset", exiting_draw)
     with pytest.raises(RuntimeError, match="exited with code 3 before it sent"):
         run_falsification_study(replace(FIVE, threads=2))
-    _assert_no_process_left()
+    assert_no_process_left()
 
 
 def test_failing_family_fails_only_its_own_estimators(monkeypatch):
@@ -522,11 +506,12 @@ def test_shared_fits_leave_every_replication_bit_identical(settings):
 def test_one_pass_over_forest_bundles_equals_the_lone_estimators(monkeypatch):
     """Forest bundles are shared too: the joint pass fits one bundle per
     fold, half of what the two estimators fit alone, and its estimates
-    equal theirs bit for bit."""
+    equal theirs bit for bit.  One process runs both splits, so the patch
+    counts every fit."""
     ds = generate_dataset(SimConfig(n=400, reps=1, master_seed=2), 0)
     forest = LearnerSpec(kind="random_forest", trees=20, seed=5)
     config = EstimatorConfig(
-        outcome=forest, propensity=forest, splits=2, seed=5, keep_eif=False
+        outcome=forest, propensity=forest, splits=2, seed=5, keep_eif=False, threads=1
     )
     families = {
         "four": [Estimand("sde", 1), Estimand("sie", 1)],
