@@ -13,7 +13,7 @@ file) embedding the resolved configuration, the seed (null if none is
 drawn) and the library version.  With ``--deterministic`` the timestamp,
 the wall time and the worker count are omitted so reruns are byte-identical;
 ``--threads``, taken by ``simulate``, ``estimate`` and ``falsify indirect``,
-changes the wall time only.
+also sets the processes that parse a large CSV and changes the wall time only.
 
 Exit codes: 0 on success (including falsification tests that reject),
 2 on usage errors, 1 on data or estimation errors.
@@ -27,7 +27,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .data import ColumnMap, load_four_arm, load_two_arm
+from .data import RANGE_BYTES, ColumnMap, load_four_arm, load_two_arm
 from .errors import SepfxError
 from .estimation import STRATEGIES, EstimatorConfig, shared_settings
 from .falsification import (
@@ -93,9 +93,10 @@ def _add_estimation_flags(parser: argparse.ArgumentParser) -> None:
                         help="two-arm outcome-model strategy")
     parser.add_argument(
         "--threads", type=int, default=EstimatorConfig.threads,
-        help="processes that run simulate's replications or the sample splits "
-        "(default: every usable CPU, at most one per replication or split); "
-        "all run under one BLAS thread, so this changes wall time only",
+        help="processes that run simulate's replications or the sample splits, "
+        "and that parse a CSV (default: every usable CPU, at most one per "
+        f"replication or split, or per {RANGE_BYTES >> 20} MiB of CSV body); all "
+        "run under one BLAS thread, so this changes wall time only",
     )
 
 
@@ -232,17 +233,17 @@ def _run_estimate(args, parser) -> dict:
             parser.error(f"--{dest.replace('_', '-')} is available for --design {design} only")
     config = _estimator_config(args, parser, diagnostics="diagnostics" in args)
     if args.design == "four-arm":
-        ds = load_four_arm(args.data, schema)
+        ds = load_four_arm(args.data, schema, threads=config.threads)
         estimates = estimate_effects_four(ds, requests, config)
     else:
-        ds = load_two_arm(args.data, schema)
+        ds = load_two_arm(args.data, schema, threads=config.threads)
         estimates = estimate_effects_two(ds, requests, config)
     return {"estimates": [est.to_json_dict() for est in estimates]}
 
 
 def _run_falsify(args, parser) -> dict:
     config = _estimator_config(args, parser)
-    ds = load_four_arm(args.data, _schema_from_args(args))
+    ds = load_four_arm(args.data, _schema_from_args(args), threads=config.threads)
     # the --pretty table names each H0(i) row's mediator column
     args.mediator_names = ds.mediator_names
     if args.kind == "direct":

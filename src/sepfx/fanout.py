@@ -62,15 +62,15 @@ def one_blas_thread():
 
 
 def processes(count: int, workers: int | None) -> int:
-    """How many processes run ``count`` tasks: ``workers`` (every usable
-    CPU if ``None``), at most one per task; 1 without ``fork`` or in a
-    daemonic process, such as a fan-out's child, so no fan-out nests."""
+    """How many processes run ``count`` tasks, at least one: ``workers``
+    (every usable CPU if ``None``), at most one per task; 1 without ``fork``
+    or in a daemonic process, such as a fan-out's child, so no fan-out nests."""
     if (
         "fork" not in multiprocessing.get_all_start_methods()
         or multiprocessing.current_process().daemon
     ):
         return 1
-    return min(workers or usable_cpus(), count)
+    return max(1, min(workers or usable_cpus(), count))
 
 
 def fan_out(fn, count: int, workers: int | None) -> list:

@@ -1,4 +1,6 @@
+import codecs
 import csv
+import functools
 import io
 import tracemalloc
 from unittest import mock
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sepfx import data as data_module
+from sepfx import fanout
 from sepfx.data import (
     ColumnMap,
     FourArmDataset,
@@ -29,7 +32,7 @@ from sepfx.errors import (
 )
 from sepfx.simulation import SimConfig, generate_dataset
 
-from conftest import make_four_arm, make_two_arm
+from conftest import assert_no_process_left, make_four_arm, make_two_arm
 
 
 def test_four_arm_accessors():
@@ -638,6 +641,189 @@ def test_a_fault_after_the_first_block_is_reported_as_before(fault, kind, tmp_pa
     where = "" if kind == "stream" else f" at line {good + 2}"
     with pytest.raises(DataError, match=f"^input is not valid UTF-8{where}: "):
         load_four_arm(_source(kind, head + b"1,0,1,\xff,0.2\r\n", tmp_path / "d.csv"))
+
+
+@pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
+@pytest.mark.parametrize("cell", ["1_5", "\uff11.5", "2\u0663"])
+def test_the_row_parser_refuses_what_numpy_refuses(cell, kind, tmp_path):
+    """``float()`` reads ``1_5`` as 15.0 and full-width or other non-ASCII
+    digits as digits; numpy refuses them, and so does the row parser, with
+    the cell's row and column, also when a quoted cell elsewhere sends the
+    whole input to it."""
+    for other in ("0.2", '"0.2"'):
+        text = f"y,aY,aM,m1,x1\n1,0,1,0.5,{other}\n2,1,0,{cell},0.3\n".encode("utf-8")
+        with pytest.raises(NonNumericCell) as exc:
+            load_four_arm(_source(kind, text, tmp_path / "d.csv"))
+        assert str(exc.value) == f"row 2, column 'm1': cannot parse {cell!r}"
+
+
+@pytest.mark.parametrize("kind", ["bytes", "file", "stream"])
+def test_the_row_parser_still_reads_what_numpy_reads(kind, tmp_path):
+    """Padded, signed, leading-point and exponent cells load alike through
+    numpy and, with a quoted cell in the input, through the row parser."""
+    for other in ("0.2", '"0.2"'):
+        rows = "".join(
+            f"{cell},0,1,0.5,{other}\n" for cell in (" 1.5 ", "+1.5", ".5", "1e5")
+        )
+        text = f"y,aY,aM,m1,x1\n{rows}".encode("utf-8")
+        ds = load_four_arm(_source(kind, text, tmp_path / "d.csv"))
+        np.testing.assert_array_equal(ds.y, [1.5, 1.5, 0.5, 1e5])
+
+
+@pytest.mark.parametrize("threads", [0, fanout.usable_cpus() + 1, 1.5, True])
+def test_the_loaders_take_the_estimators_thread_rule(threads):
+    text = b"y,aY,aM,m1,x1\n1,0,1,0.5,0.2\n"
+    for load in (load_four_arm, load_two_arm):
+        with pytest.raises(ValueError, match="^threads must be "):
+            load(text, threads=threads)
+
+
+# --- a large file parsed in forked byte ranges -----------------------------------
+
+two_cpus = pytest.mark.skipif(fanout.usable_cpus() < 2, reason="needs two usable CPUs")
+
+
+def _count_fan_outs(monkeypatch) -> list:
+    """Make every file fork its parse, over several row blocks per range,
+    and return the list of process counts the loader fans out to."""
+    monkeypatch.setattr(data_module, "RANGE_BYTES", 1)
+    monkeypatch.setattr(data_module, "CSV_BLOCK_ROWS", 7)
+    real, counts = data_module.fan_out, []
+
+    def counted(fn, count, workers):
+        counts.append(count)
+        return real(fn, count, workers)
+
+    monkeypatch.setattr(data_module, "fan_out", counted)
+    return counts
+
+
+def _saved_text(n: int = 200) -> bytes:
+    buf = io.StringIO()
+    save_four_arm(generate_dataset(SimConfig(n=n, master_seed=9, reps=1), 0), buf)
+    return buf.getvalue().encode("utf-8")
+
+
+_RANGE_TEXTS = {
+    "crlf": lambda text: text,
+    "lf": lambda text: text.replace(b"\r\n", b"\n"),
+    "bom": lambda text: codecs.BOM_UTF8 + text,
+    # every second line is blank, so one starts or ends a range
+    "blank-lines": lambda text: text.replace(b"\r\n", b"\r\n\r\n"),
+    "no-final-newline": lambda text: text.removesuffix(b"\r\n"),
+}
+
+
+@two_cpus
+@pytest.mark.parametrize("shape", _RANGE_TEXTS.values(), ids=_RANGE_TEXTS)
+def test_ranges_parsed_in_two_processes_give_the_arrays_of_one(shape, monkeypatch, tmp_path):
+    """The forked parse never falls back on these plain files and gives
+    the arrays and names of a parse in one process, bit for bit, wherever
+    the middle of the body falls in a line: spaces before the first cell
+    move it."""
+    counts = _count_fan_outs(monkeypatch)
+    head, body = _saved_text().split(b"\r\n", 1)
+    path = tmp_path / "d.csv"
+    for pad in range(0, 84, 12):
+        path.write_bytes(shape(head + b"\r\n" + b" " * pad + body))
+        one = _load_outcome(lambda source: load_four_arm(source, threads=1), path)
+        assert counts == [] and one[0] == "ok"
+        with mock.patch.object(
+            data_module, "_source_lines", side_effect=AssertionError("parsed in one process")
+        ):
+            for threads in (2, None):
+                load = functools.partial(load_four_arm, threads=threads)
+                assert _load_outcome(load, path) == one
+                load = functools.partial(load_two_arm, schema=ColumnMap(a="aY"), threads=threads)
+                assert _load_outcome(load, path)[0] == "ok"
+        assert counts == [2, 2, 2, 2]
+        counts.clear()
+    assert_no_process_left()
+
+
+# (first-range m1 cell, second-range m1 cell); a cell of None drops the
+# fields from m1 on, which makes a short row
+_SECOND_RANGE_FAULTS = {
+    "short-row": (b"0.5", None),
+    "quoted-cell": (b"0.5", b'"0.5"'),
+    "quoted-word": (b"0.5", b'"oops"'),
+    "inf": (b"0.5", b"inf"),
+    "underscore": (b"0.5", b"1_5"),
+    "utf8-after-short-row": (None, b"\xff"),
+}
+
+
+def _with_m1(line: bytes, cell: bytes | None) -> bytes:
+    fields = line.split(b",")
+    return b",".join(fields[:3] if cell is None else [*fields[:3], cell, *fields[4:]])
+
+
+@two_cpus
+@pytest.mark.parametrize("first, second", _SECOND_RANGE_FAULTS.values(),
+                         ids=_SECOND_RANGE_FAULTS)
+def test_a_fault_in_the_second_range_is_reported_as_in_one_process(
+    first, second, monkeypatch, tmp_path
+):
+    """A row that only the second range holds sends the whole file to the
+    parse of one process, which gives its exact error and message, and
+    invalid UTF-8 there still wins over a short row in the first range."""
+    counts = _count_fan_outs(monkeypatch)
+    head, *lines = _saved_text().split(b"\r\n")
+    lines[0], lines[-3] = _with_m1(lines[0], first), _with_m1(lines[-3], second)
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\r\n".join([head, *lines]))
+    one = _load_outcome(lambda source: load_four_arm(source, threads=1), path)
+    two = _load_outcome(lambda source: load_four_arm(source, threads=2), path)
+    assert counts == [2]
+    assert two == one
+    assert one[0] == ("ok" if second == b'"0.5"' else "error")
+    assert_no_process_left()
+
+
+# the last header name, and whether a load reads the file
+_RANGE_HEADERS = {
+    "unclosed-quote": (b'"x5', False),
+    "not-utf8": (b"x\xff", False),
+    "not-ascii": ("x\u00e9".encode("utf-8"), True),
+}
+
+
+@two_cpus
+@pytest.mark.parametrize("name, loads", _RANGE_HEADERS.values(), ids=_RANGE_HEADERS)
+def test_a_header_outside_the_plain_case_is_read_in_one_process(
+    name, loads, monkeypatch, tmp_path
+):
+    """A quoted or non-ASCII header goes to the parse of one process before
+    any fork: an unclosed quote there runs to the end of the file."""
+    counts = _count_fan_outs(monkeypatch)
+    path = tmp_path / "d.csv"
+    path.write_bytes(_saved_text().replace(b"x5\r\n", name + b"\r\n", 1))
+    one = _load_outcome(lambda source: load_four_arm(source, threads=1), path)
+    assert _load_outcome(lambda source: load_four_arm(source, threads=2), path) == one
+    assert (one[0] == "ok") == loads
+    assert counts == []
+    assert_no_process_left()
+
+
+@two_cpus
+def test_a_forked_load_holds_no_whole_file_copy(monkeypatch, tmp_path):
+    """At n = 50 000 a load whose ranges fork allocates here no more than
+    the bound of a load in one process, and its ranges, each read over
+    several chunks, give back the saved arrays."""
+    counts = _count_fan_outs(monkeypatch)
+    monkeypatch.setattr(data_module, "CSV_BLOCK_ROWS", 4096)
+    ds = generate_dataset(SimConfig(n=50_000, master_seed=2, reps=1), 0)
+    path = tmp_path / "d.csv"
+    save_four_arm(ds, path)
+    assert _peak_over_array_bytes(ds, lambda: load_four_arm(path, threads=2)) <= 2.75
+    with mock.patch.object(
+        data_module, "_source_lines", side_effect=AssertionError("parsed in one process")
+    ):
+        back = load_four_arm(path, threads=2)
+    for field in ("y", "a_y", "a_m", "m", "x"):
+        assert getattr(back, field).tobytes() == getattr(ds, field).tobytes(), field
+    assert counts == [2, 2]
+    assert_no_process_left()
 
 
 def _peak_over_array_bytes(ds, call) -> float:

@@ -161,3 +161,12 @@ def test_estimate_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         put(before)
     assert outputs[1] == outputs[0]
     assert_no_process_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, None])
+def test_no_tasks_give_no_results(workers):
+    """``fan_out`` runs ``fn`` for every index below ``count``, so a count
+    of 0 gives an empty list and starts no process."""
+    assert fanout.processes(0, workers) == 1
+    assert fanout.fan_out(lambda index: index, 0, workers) == []
+    assert_no_process_left()
